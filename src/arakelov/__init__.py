@@ -26,15 +26,12 @@ from .fields import (
     FieldMismatch,
     NotRamified,
     SpecError,
-    conj,
     default_precision,
     embedding_matrix,
     is_totally_positive,
     lift_descend,
     make_field,
-    norm,
     sqrt_integer,
-    trace,
 )
 from .ideals import (
     FractionalIdeal,
@@ -44,8 +41,6 @@ from .ideals import (
     codifferent,
     conj_ideal,
     different,
-    different_data,
-    different_valuation,
     gamma_element,
     ideal_inverse,
     ideal_mul,
@@ -70,26 +65,24 @@ from .lattice import (
 )
 from .linalg import (
     FormError,
-    RankError,
     ShapeError,
     SingularError,
     cholesky,
     det,
-    hnf,
     invert,
     lll_reduce,
 )
 
 __all__ = [
     # fields
-    "make_field", "FieldElement", "trace", "conj", "norm", "sqrt_integer",
+    "make_field", "FieldElement", "sqrt_integer",
     "is_totally_positive", "lift_descend", "embedding_matrix",
     "default_precision",
     # ideals
     "FractionalIdeal", "IdealRecipe", "principal", "radical_above",
     "ideal_mul", "ideal_pow", "ideal_inverse", "conj_ideal", "trace_dual",
-    "trace_dual_via_inverse", "codifferent", "different", "different_data",
-    "different_valuation", "gamma_element", "valuation", "realize",
+    "trace_dual_via_inverse", "codifferent", "different", "gamma_element",
+    "valuation", "realize",
     # existence
     "classify", "mod_quadratic", "mod_prime_power", "mod_nonprimepower_trace",
     "mod_odd_degree", "rescale", "check_level_bound", "omega_sets",
@@ -98,9 +91,9 @@ __all__ = [
     "IdealLattice", "LatticeReport", "build", "dual", "generator_matrix",
     "verify_modularity", "minimum", "theta_prefix",
     # linear algebra
-    "cholesky", "det", "hnf", "invert", "lll_reduce",
+    "cholesky", "det", "invert", "lll_reduce",
     # errors
     "SpecError", "FieldMismatch", "DivError", "NotRamified", "ZeroIdeal",
     "Unsupported", "InternalInconsistency", "ModularityFailure",
-    "FormError", "RankError", "ShapeError", "SingularError",
+    "FormError", "ShapeError", "SingularError",
 ]

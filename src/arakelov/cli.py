@@ -21,6 +21,7 @@ import mpmath
 from . import existence, lattice
 from .fields import (
     FieldMismatch,
+    NotRamified,
     SpecError,
     default_precision,
     factorize,
@@ -39,7 +40,8 @@ EXIT_ABSENT = 3
 EXIT_VERIFY = 4
 
 # errors that mean "the request was malformed or out of scope", not a bug
-_USER_ERRORS = (SpecError, FieldMismatch, ZeroIdeal, Unsupported, FormError)
+_USER_ERRORS = (SpecError, FieldMismatch, NotRamified, ZeroIdeal, Unsupported,
+                FormError)
 
 # unlike library calls, an explicit construct/verify request should not be
 # silently capped, so witnesses are materialized at any degree

@@ -653,10 +653,6 @@ class NumberField:
     def ramification_index(self, p):
         raise NotImplementedError
 
-    def omega_prime(self):
-        """Ramified primes with even ramification index."""
-        return [p for p in self.omega() if self.ramification_index(p) % 2 == 0]
-
     def different_exponent(self, p):
         """Valuation of the different at (each) prime above p (closed formula)."""
         raise NotImplementedError
@@ -1013,31 +1009,6 @@ def make_field(spec):
     _FIELD_CACHE[s] = field
     _FIELD_CACHE[field.spec_string()] = field
     return field
-
-
-def arith(x, op, y):
-    """Spec-named arithmetic dispatcher over {+, -, *, /}."""
-    if op == "+":
-        return x + y
-    if op == "-":
-        return x - y
-    if op in ("*", "x"):
-        return x * y
-    if op == "/":
-        return x / y
-    raise SpecError(f"unknown arithmetic operator {op!r}")
-
-
-def trace(x):
-    return x.trace()
-
-
-def conj(x):
-    return x.conj()
-
-
-def norm(x):
-    return x.norm()
 
 
 def trace_pairing(field, rows_x, rows_y):

@@ -43,7 +43,6 @@ from .fields import (
 )
 from .linalg import (
     FormError,
-    det,
     hnf_mod_d,
     invert,
     mat_mul,
@@ -53,11 +52,10 @@ from .linalg import (
 )
 
 __all__ = [
-    "FractionalIdeal", "IdealRecipe", "DifferentData", "ZeroIdeal", "Unsupported",
+    "FractionalIdeal", "IdealRecipe", "ZeroIdeal", "Unsupported",
     "NotRamified", "principal", "radical_above", "ideal_mul", "ideal_pow",
     "ideal_inverse", "trace_dual", "trace_dual_via_inverse", "codifferent",
-    "different", "different_valuation", "different_data", "conj_ideal", "norm",
-    "valuation", "gamma_element", "realize",
+    "different", "conj_ideal", "valuation", "gamma_element", "realize",
 ]
 
 
@@ -110,10 +108,6 @@ class FractionalIdeal:
         return _reduced(field, hnf_rows, den)
 
     @classmethod
-    def from_elements(cls, field, elements):
-        return cls.from_rows(field, [x.coeffs for x in elements])
-
-    @classmethod
     def ring(cls, field):
         """The ring of integers O_K as an ideal."""
         m = field.degree
@@ -154,9 +148,6 @@ class FractionalIdeal:
                 return False
             coeffs[i] = q
         return True
-
-    def submodule_of(self, other):
-        return all(other.contains(x) for x in self.basis_elements())
 
     # -- operators ------------------------------------------------------------
     def __mul__(self, other):
@@ -219,6 +210,24 @@ def _int_entries(rows):
     return out
 
 
+def _certified_hnf(rows, d_det, what):
+    """Canonical HNF of integer rows whose module has the known determinant
+    d_det: reduced modulo d_det (Cohen, §2.4), then certified by the pivot
+    product, since a lost index would leave a proper supermodule."""
+    if d_det.denominator != 1:
+        raise ArithmeticError(f"{what} determinant must be an integer")
+    d_int = int(d_det)
+    w = hnf_mod_d(rows, d_int)
+    piv = 1
+    for i, row in enumerate(w):
+        piv *= row[i]
+    if piv != d_int:
+        raise ArithmeticError(
+            f"{what} reduction lost index: pivot product {piv} != "
+            f"determinant {d_int}")
+    return w
+
+
 def _den_scaled(x):
     """(den, integer coefficient vector of den*x) for a field element."""
     den = 1
@@ -247,23 +256,12 @@ def _principal(gamma, abs_norm):
     field = gamma.field
     m = field.degree
     den, vec = _den_scaled(gamma)
-    d_det = Fraction(den) ** m * abs_norm
-    if d_det.denominator != 1:
-        raise ArithmeticError("norm of a scaled integral element must be an integer")
-    d_int = int(d_det)
     rows = []
     cur = vec
     for _ in range(m):
         rows.append(cur)
         cur = field._shift_reduce(cur)
-    w = hnf_mod_d(rows, d_int)
-    piv = 1
-    for i in range(m):
-        piv *= w[i][i]
-    if piv != d_int:
-        raise ArithmeticError(
-            f"principal ideal reduction lost index: pivot product {piv} != "
-            f"determinant {d_int}")
+    w = _certified_hnf(rows, Fraction(den) ** m * abs_norm, "principal ideal")
     return _reduced(field, w, den, gen=gamma)
 
 
@@ -276,19 +274,9 @@ def _principal_times_module(g, abs_norm_g, mod):
     det_num = 1
     for i, row in enumerate(mod.num):
         det_num *= row[i]
-    d_det = Fraction(den_g) ** m * abs_norm_g * det_num
-    if d_det.denominator != 1:
-        raise ArithmeticError("product determinant must be an integer")
-    d_int = int(d_det)
     rows = _int_entries([field._mul_coeffs(g_vec, list(row)) for row in mod.num])
-    w = hnf_mod_d(rows, d_int)
-    piv = 1
-    for i in range(m):
-        piv *= w[i][i]
-    if piv != d_int:
-        raise ArithmeticError(
-            f"principal product reduction lost index: pivot product {piv} != "
-            f"determinant {d_int}")
+    w = _certified_hnf(rows, Fraction(den_g) ** m * abs_norm_g * det_num,
+                       "principal product")
     gen = g * mod._gen if mod._gen is not None else None
     return _reduced(field, w, den_g * mod.den, gen)
 
@@ -336,9 +324,8 @@ def radical_above(field, p):
         power = _mat_mul_mod(power, frob, p)
         ps *= p
     kernel = nullspace_mod_p(transpose([list(r) for r in power]), p)
-    rows = [[p if i == j else 0 for j in range(m)] for i in range(m)]
-    rows.extend(kernel)
-    radical = FractionalIdeal(field, tuple(tuple(r) for r in row_module_hnf(rows)), 1)
+    # span(kernel) + pZ^m is the preimage of the nilradical
+    radical = FractionalIdeal(field, tuple(tuple(r) for r in hnf_mod_d(kernel, p)), 1)
     expected = Fraction(p ** field.residue_product(p))
     if radical.norm() != expected:
         raise ArithmeticError(
@@ -451,17 +438,8 @@ def conj_ideal(a):
     for i, row in enumerate(a.num):
         det_a *= row[i]
         rows.append(field._conj(field.element(list(row))).coeffs)
-    w = hnf_mod_d(_int_entries(rows), det_a)
-    piv = 1
-    for i in range(field.degree):
-        piv *= w[i][i]
-    if piv != det_a:
-        raise ArithmeticError("conjugation changed the module determinant")
+    w = _certified_hnf(_int_entries(rows), det_a, "conjugation")
     return _reduced(field, w, a.den)
-
-
-def norm(a):
-    return a.norm()
 
 
 # --------------------------------------------------------------------------
@@ -501,18 +479,7 @@ def trace_dual(a, alpha):
     int_rows = [[int(c * den_d) for c in row] for row in dual_rows]
     d_det = Fraction(den_d) ** m / (abs(alpha.norm()) * a.norm()
                                     * abs(field.discriminant()))
-    if d_det.denominator != 1:
-        raise ArithmeticError("trace dual determinant must be an integer")
-    d_int = int(d_det)
-    w = hnf_mod_d(int_rows, d_int)
-    piv = 1
-    for i in range(m):
-        piv *= w[i][i]
-    if piv != d_int:
-        raise ArithmeticError(
-            f"trace dual reduction lost index: pivot product {piv} != "
-            f"determinant {d_int}")
-    return _reduced(field, w, den_d)
+    return _reduced(field, _certified_hnf(int_rows, d_det, "trace dual"), den_d)
 
 
 _CODIFF_CACHE = {}
@@ -598,27 +565,6 @@ def trace_dual_via_inverse(a, alpha):
     return ideal_mul(
         ideal_mul(principal(alpha.inverse()), codifferent(field)),
         _module_inverse(conj_ideal(a)))
-
-
-def different_valuation(field, p):
-    """Closed-formula valuation of D_K at (each) prime above p."""
-    return field.different_exponent(p)
-
-
-class DifferentData:
-    """Closed-formula different valuations plus the codifferent module."""
-
-    __slots__ = ("field", "valuations", "codifferent")
-
-    def __init__(self, field, valuations, codiff):
-        self.field = field
-        self.valuations = valuations
-        self.codifferent = codiff
-
-
-def different_data(field):
-    vals = {p: different_valuation(field, p) for p in field.omega()}
-    return DifferentData(field, vals, codifferent(field))
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .fields import (
     trace_pairing,
 )
 from .ideals import FractionalIdeal, ideal_mul, principal, trace_dual
-from .linalg import FormError, cholesky, lll_reduce
+from .linalg import FormError, cholesky, det, lll_reduce
 
 __all__ = [
     "IdealLattice", "LatticeReport", "ModularityFailure",
@@ -191,8 +191,7 @@ def dual(lat):
                 raise ArithmeticError("dual pairing is not integral")
             row.append(int(t))
         pairing.append(row)
-    from .linalg import det as _int_det
-    if abs(_int_det(pairing)) != 1:
+    if abs(det(pairing)) != 1:
         raise ArithmeticError("dual pairing is not unimodular")
     return out
 
@@ -246,10 +245,10 @@ def _as_gram(lat_or_gram):
 _SLACK = 0.26
 
 
-def _enumerate_representatives(gram, bound, on_vector, dynamic_best=None):
+def _enumerate_representatives(gram, bound, on_vector):
     """Visit all nonzero vectors x (one per +-x pair) with exact norm at most
     the current bound; report (exact_norm, x) through on_vector, which may
-    return a new, smaller float steering bound when dynamic_best shrinks.
+    return a new, smaller bound to steer the rest of the walk.
 
     The float tree bound is widened by a constant slack, and each surviving
     leaf is re-evaluated with exact rationals, so no vector within the exact

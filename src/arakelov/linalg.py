@@ -3,7 +3,8 @@
 All routines work on plain lists of lists.  Integer matrices use Python
 ints, rational ones use fractions.Fraction; nothing here ever touches
 floating point except as a navigation accelerator inside lll_reduce,
-whose output is always recomputed and certified exactly.
+whose output is always recomputed and certified exactly.  det, invert and
+solve_bareiss share one fraction-free (Bareiss) elimination core.
 
 Canonical Hermite form used throughout the package: *lower-triangular*
 row-style HNF.  For a nonsingular square matrix H this means
@@ -15,7 +16,7 @@ so module equality is matrix equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm, prod
 
 IntMatrix = list  # list[list[int]]
 RatMatrix = list  # list[list[Fraction]]
@@ -23,10 +24,6 @@ RatMatrix = list  # list[list[Fraction]]
 
 class ShapeError(ValueError):
     """Matrix input has the wrong shape for the requested operation."""
-
-
-class RankError(ValueError):
-    """Input rows are linearly dependent where full rank is required."""
 
 
 class SingularError(ZeroDivisionError):
@@ -76,23 +73,25 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
-def _hnf_upper(rows, want_u):
-    """Classic upper row-HNF; returns (A, U, rank) with pivot rows first."""
-    m = len(rows)
-    n = len(rows[0])
+def row_module_hnf(rows):
+    """Canonical basis of the Z-module spanned by the given integer rows.
+
+    Accepts redundant generating sets; zero rows of the echelon form are
+    dropped.  Returns the r x n canonical matrix.  Use hnf_mod_d instead
+    when a multiple of the module's determinant is known.
+    """
+    m, n = _dims(rows)
     A = [list(r) for r in rows]
-    U = identity(m) if want_u else None
+    # upper row echelon form over the columns taken from the last one down;
+    # reversing the pivot rows afterwards gives the lower-triangular form
     r = 0
-    for c in range(n):
+    for c in range(n - 1, -1, -1):
         if r == m:
             break
         piv = next((i for i in range(r, m) if A[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            A[r], A[piv] = A[piv], A[r]
-            if want_u:
-                U[r], U[piv] = U[piv], U[r]
+        A[r], A[piv] = A[piv], A[r]
         for i in range(r + 1, m):
             if A[i][c]:
                 a, b = A[r][c], A[i][c]
@@ -102,54 +101,14 @@ def _hnf_upper(rows, want_u):
                 ar, ai = A[r], A[i]
                 A[r] = [s * x + t * y for x, y in zip(ar, ai)]
                 A[i] = [af * y - bf * x for x, y in zip(ar, ai)]
-                if want_u:
-                    ur, ui = U[r], U[i]
-                    U[r] = [s * x + t * y for x, y in zip(ur, ui)]
-                    U[i] = [af * y - bf * x for x, y in zip(ur, ui)]
         if A[r][c] < 0:
             A[r] = [-x for x in A[r]]
-            if want_u:
-                U[r] = [-x for x in U[r]]
         for i in range(r):
             q = A[i][c] // A[r][c]
             if q:
                 A[i] = [x - q * y for x, y in zip(A[i], A[r])]
-                if want_u:
-                    U[i] = [x - q * y for x, y in zip(U[i], U[r])]
         r += 1
-    return A, U, r
-
-
-def _rev(mat):
-    return [list(reversed(row)) for row in reversed(mat)]
-
-
-def hnf(mat):
-    """Hermite normal form with transform.
-
-    Returns (H, U) with U unimodular, U*mat == H and H in the canonical
-    lower-triangular form described in the module docstring.  Raises
-    RankError unless mat has full row rank.
-    """
-    m, n = _dims(mat)
-    rev_cols = [list(reversed(row)) for row in mat]
-    A, U, rank = _hnf_upper(rev_cols, True)
-    if rank < m:
-        raise RankError("rows are not linearly independent")
-    H = _rev(A)
-    return H, list(reversed(U))
-
-
-def row_module_hnf(rows):
-    """Canonical basis of the Z-module spanned by the given integer rows.
-
-    Unlike hnf() this accepts redundant generating sets; zero rows of the
-    echelon form are dropped.  Returns the r x n canonical matrix.
-    """
-    m, n = _dims(rows)
-    rev_cols = [list(reversed(row)) for row in rows]
-    A, _, rank = _hnf_upper(rev_cols, False)
-    return _rev(A[:rank])
+    return A[:r][::-1]
 
 
 def hnf_mod_d(rows, d):
@@ -193,31 +152,90 @@ def hnf_mod_d(rows, d):
     return W
 
 
-def det(mat):
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    m, n = _dims(mat)
-    if m != n:
-        raise ShapeError("determinant needs a square matrix")
-    A = [[int(x) for x in row] for row in mat]
+def _cleared(rows):
+    """Rows scaled to integers by the lcm of their denominators: (rows, scales)."""
+    out, scales = [], []
+    for row in rows:
+        s = 1
+        for x in row:
+            s = lcm(s, x.denominator)
+        out.append([int(x * s) for x in row])
+        scales.append(s)
+    return out, scales
+
+
+def _bareiss(A, B):
+    """Fraction-free (Bareiss) forward elimination of the square integer A.
+
+    A becomes upper triangular in place and the same row operations are
+    applied to the integer block B (one row per row of A, any width,
+    possibly zero).  Every division is exact.  Returns (sign, d) with sign
+    the parity of the row swaps and d the final pivot, so det(A) = sign*d.
+    Raises SingularError when A is singular.
+    """
+    n = len(A)
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if A[k][k] == 0:
             piv = next((i for i in range(k + 1, n) if A[i][k]), None)
             if piv is None:
-                return 0
+                raise SingularError("matrix is singular")
             A[k], A[piv] = A[piv], A[k]
+            B[k], B[piv] = B[piv], B[k]
             sign = -sign
+        Akk = A[k][k]
+        rowk, brk = A[k], B[k]
         for i in range(k + 1, n):
             Aik = A[i][k]
-            Akk = A[k][k]
-            rowk = A[k]
-            rowi = A[i]
+            rowi, bri = A[i], B[i]
             for j in range(k + 1, n):
                 rowi[j] = (rowi[j] * Akk - Aik * rowk[j]) // prev
             rowi[k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+            for j in range(len(bri)):
+                bri[j] = (bri[j] * Akk - Aik * brk[j]) // prev
+        prev = Akk
+    return sign, prev
+
+
+def _back_substitute(A, B, d):
+    """Integer Y with A*Y == d*B for the triangular A and block B left by
+    _bareiss with final pivot d: d*A^-1 is integral, so every division is
+    exact."""
+    n = len(A)
+    w = len(B[0])
+    Y = [[0] * w for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        rowi = A[i]
+        Uii = rowi[i]
+        for j in range(w):
+            acc = d * B[i][j]
+            for t in range(i + 1, n):
+                if rowi[t]:
+                    acc -= rowi[t] * Y[t][j]
+            q, rem = divmod(acc, Uii)
+            if rem:
+                raise ArithmeticError("fraction-free back substitution: non-exact division")
+            Y[i][j] = q
+    return Y
+
+
+def det(mat):
+    """Exact determinant of a square matrix (entries int or Fraction).
+
+    Rows are cleared to integers and eliminated fraction-free (Bareiss);
+    the result is an int whenever it is integral.
+    """
+    m, n = _dims(mat)
+    if m != n:
+        raise ShapeError("determinant needs a square matrix")
+    A, scales = _cleared(mat)
+    try:
+        sign, d = _bareiss(A, [[] for _ in range(n)])
+    except SingularError:
+        return 0
+    q = Fraction(sign * d, prod(scales))
+    return q.numerator if q.denominator == 1 else q
 
 
 def invert(mat):
@@ -234,50 +252,10 @@ def invert(mat):
     m, n = _dims(mat)
     if m != n:
         raise ShapeError("inverse needs a square matrix")
-    scales = []
-    A = []
-    for row in mat:
-        d = 1
-        for x in row:
-            d = d * x.denominator // gcd(d, x.denominator)
-        scales.append(d)
-        A.append([int(x * d) for x in row])
-    B = [[int(i == j) for j in range(n)] for i in range(n)]
-    prev = 1
-    for k in range(n):
-        if A[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if A[i][k]), None)
-            if piv is None:
-                raise SingularError("matrix is singular")
-            A[k], A[piv] = A[piv], A[k]
-            B[k], B[piv] = B[piv], B[k]
-        Akk = A[k][k]
-        rowk, brk = A[k], B[k]
-        for i in range(k + 1, n):
-            Aik = A[i][k]
-            rowi, bri = A[i], B[i]
-            for j in range(k + 1, n):
-                rowi[j] = (rowi[j] * Akk - Aik * rowk[j]) // prev
-            rowi[k] = 0
-            for j in range(n):
-                bri[j] = (bri[j] * Akk - Aik * brk[j]) // prev
-        prev = Akk
-    d = A[n - 1][n - 1]
-    if d == 0:
-        raise SingularError("matrix is singular")
-    Y = [[0] * n for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        Uii = A[i][i]
-        rowi = A[i]
-        for j in range(n):
-            acc = d * B[i][j]
-            for t in range(i + 1, n):
-                if rowi[t]:
-                    acc -= rowi[t] * Y[t][j]
-            q, rem = divmod(acc, Uii)
-            if rem:
-                raise ArithmeticError("fraction-free inverse: non-exact division")
-            Y[i][j] = q
+    A, scales = _cleared(mat)
+    B = identity(n)
+    _, d = _bareiss(A, B)
+    Y = _back_substitute(A, B, d)
     return [[Fraction(Y[i][j] * scales[j], d) for j in range(n)] for i in range(n)]
 
 
@@ -295,82 +273,10 @@ def solve_bareiss(mat, rhs):
         raise ShapeError("solve_bareiss needs a square matrix")
     if len(rhs) != n:
         raise ShapeError("rhs length mismatch")
-    A = []
-    b = []
-    for row, r in zip(mat, rhs):
-        d = r.denominator if isinstance(r, Fraction) else 1
-        for x in row:
-            d = d * x.denominator // gcd(d, x.denominator)
-        A.append([int(x * d) for x in row])
-        b.append(int(r * d))
-    prev = 1
-    for k in range(n):
-        if A[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if A[i][k]), None)
-            if piv is None:
-                raise SingularError("matrix is singular")
-            A[k], A[piv] = A[piv], A[k]
-            b[k], b[piv] = b[piv], b[k]
-        Akk = A[k][k]
-        rowk, bk = A[k], b[k]
-        for i in range(k + 1, n):
-            Aik = A[i][k]
-            rowi = A[i]
-            for j in range(k + 1, n):
-                rowi[j] = (rowi[j] * Akk - Aik * rowk[j]) // prev
-            rowi[k] = 0
-            b[i] = (b[i] * Akk - Aik * bk) // prev
-        prev = Akk
-    d = A[n - 1][n - 1]
-    if d == 0:
-        raise SingularError("matrix is singular")
-    Y = [0] * n
-    for i in range(n - 1, -1, -1):
-        rowi = A[i]
-        acc = d * b[i]
-        for t in range(i + 1, n):
-            if rowi[t]:
-                acc -= rowi[t] * Y[t]
-        q, rem = divmod(acc, rowi[i])
-        if rem:
-            raise ArithmeticError("fraction-free solve: non-exact division")
-        Y[i] = q
-    return [Fraction(y, d) for y in Y]
-
-
-def solve_right(mat, rhs):
-    """Solve mat * x = rhs exactly for one column vector; None if inconsistent.
-
-    mat may be rectangular (m x n); returns a length-n list of Fractions.
-    """
-    m, n = _dims(mat)
-    if len(rhs) != m:
-        raise ShapeError("rhs length mismatch")
-    A = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c]:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if A[i][n]:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = A[i][n]
-    return x
+    A, _ = _cleared([list(row) + [r] for row, r in zip(mat, rhs)])
+    B = [[row.pop()] for row in A]
+    _, d = _bareiss(A, B)
+    return [Fraction(row[0], d) for row in _back_substitute(A, B, d)]
 
 
 def nullspace_mod_p(mat, p):

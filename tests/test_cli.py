@@ -252,6 +252,13 @@ def test_verify_bad_inputs_exit_2(capsys, record28, tmp_path):
     code, _, err = run(capsys, "verify", "--in", str(short))
     assert code == EXIT_SPEC and "alpha" in err
 
+    doc = json.loads(record28.read_text())
+    doc["ideal"] = "P3^-1"  # 3 does not ramify in realcyclo:28
+    unramified = tmp_path / "unramified.json"
+    unramified.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", "--in", str(unramified))
+    assert code == EXIT_SPEC and "does not ramify" in err
+
 
 # --------------------------------------------------------------------------
 # catalog

@@ -2,16 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arakelov import linalg
 from arakelov.linalg import (
     FormError,
-    RankError,
     ShapeError,
     SingularError,
     cholesky,
     det,
-    hnf,
     hnf_mod_d,
     identity,
     invert,
@@ -20,7 +20,6 @@ from arakelov.linalg import (
     nullspace_mod_p,
     row_module_hnf,
     solve_bareiss,
-    solve_right,
     transpose,
 )
 
@@ -71,13 +70,19 @@ def random_unimodular(n, steps=25):
     return V
 
 
+def assert_unimodular_transform(H, M):
+    """The U with U*M == H is an integer matrix of determinant +-1."""
+    U = mat_mul(H, invert(M))
+    assert all(x.denominator == 1 for row in U for x in row)
+    assert abs(det_cofactor(U)) == 1
+
+
 def test_hnf_known_case():
-    H, U = hnf([[2, 0], [1, 1]])
+    H = row_module_hnf([[2, 0], [1, 1]])
     assert H == [[2, 0], [1, 1]]  # already canonical in the lower convention
-    assert mat_mul(U, [[2, 0], [1, 1]]) == H
-    assert abs(det(U)) == 1
+    assert_unimodular_transform(H, [[2, 0], [1, 1]])
     # the same module written with an upper-triangular basis canonicalizes identically
-    H2, _ = hnf([[1, 1], [0, 2]])
+    H2 = row_module_hnf([[1, 1], [0, 2]])
     assert H2 == H
     assert abs(det(H)) == 2
 
@@ -88,25 +93,15 @@ def test_hnf_random_properties():
         M = random_matrix(n)
         while det_cofactor(M) == 0:
             M = random_matrix(n)
-        H, U = hnf(M)
-        assert mat_mul(U, M) == H
-        assert abs(det_cofactor(U)) == 1
+        H = row_module_hnf(M)
+        assert_unimodular_transform(H, M)
         assert is_canonical(H)
         assert abs(det_cofactor(H)) == abs(det_cofactor(M))
         # canonical form is invariant under any unimodular change of generators
         V = random_unimodular(n)
-        H2, _ = hnf(mat_mul(V, M))
-        assert H2 == H
+        assert row_module_hnf(mat_mul(V, M)) == H
         # and idempotent
-        H3, _ = hnf(H)
-        assert H3 == H
-
-
-def test_hnf_rank_error():
-    with pytest.raises(RankError):
-        hnf([[1, 2], [2, 4]])
-    with pytest.raises(RankError):
-        hnf([[1, 0], [0, 1], [1, 1]])
+        assert row_module_hnf(H) == H
 
 
 def test_row_module_hnf_drops_dependent_rows():
@@ -139,27 +134,63 @@ def test_invert_known_and_roundtrip():
         invert([[1, 2], [2, 4]])
 
 
-def test_solve_right():
-    x = solve_right([[2, 0], [0, 3]], [4, 9])
-    assert x == [Fraction(2), Fraction(3)]
-    # consistent overdetermined system
-    x = solve_right([[1, 0], [0, 1], [1, 1]], [1, 2, 3])
-    assert x == [Fraction(1), Fraction(2)]
-    assert solve_right([[1, 0], [0, 1], [1, 1]], [1, 2, 4]) is None
-
-
-def test_solve_bareiss_matches_solve_right():
+def test_solve_bareiss_residual():
+    assert solve_bareiss([[2, 0], [0, 3]], [4, 9]) == [Fraction(2), Fraction(3)]
     for _ in range(30):
         n = rng.randint(1, 5)
         M = random_matrix(n)
         while det_cofactor(M) == 0:
             M = random_matrix(n)
         rhs = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(n)]
-        assert solve_bareiss(M, rhs) == solve_right(M, rhs)
+        x = solve_bareiss(M, rhs)
+        assert [sum(a * b for a, b in zip(row, x)) for row in M] == rhs
     with pytest.raises(SingularError):
         solve_bareiss([[1, 2], [2, 4]], [1, 1])
     with pytest.raises(ShapeError):
         solve_bareiss([[1, 0], [0, 1], [1, 1]], [1, 2, 3])
+
+
+_ENTRIES = st.one_of(st.integers(-9, 9),
+                     st.fractions(min_value=-9, max_value=9, max_denominator=6))
+
+
+@st.composite
+def square_systems(draw):
+    """(M, b): a square integer or rational M up to 6 x 6 and a rational
+    right-hand side; some M have a zero leading entry, some are singular."""
+    n = draw(st.integers(1, 6))
+    M = [[draw(_ENTRIES) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["random", "zero-lead", "singular"]))
+    if shape == "zero-lead":
+        M[0][0] = 0  # the first pivot needs a row swap
+    elif shape == "singular":
+        if n == 1:
+            M = [[0]]
+        else:
+            k = draw(_ENTRIES)
+            M[-1] = [a + k * b for a, b in zip(M[0], M[1 % (n - 1)])]
+    b = [draw(_ENTRIES) for _ in range(n)]
+    return M, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_systems())
+def test_bareiss_core_against_oracles(system):
+    M, b = system
+    n = len(M)
+    d = det(M)
+    assert d == det_cofactor(M)
+    if n > 1:
+        assert det([M[1], M[0]] + M[2:]) == -d
+    if d == 0:
+        with pytest.raises(SingularError):
+            invert(M)
+        with pytest.raises(SingularError):
+            solve_bareiss(M, b)
+        return
+    assert mat_mul(invert(M), M) == identity(n)
+    x = solve_bareiss(M, b)
+    assert [sum(a * y for a, y in zip(row, x)) for row in M] == b
 
 
 def test_hnf_mod_d():
