@@ -200,12 +200,6 @@ def mod_quadratic(field, trace_type=True):
 # maximal real subfields, prime-power conductor
 # --------------------------------------------------------------------------
 
-def _prime_power_data(p, r):
-    v_disc = (p ** (r - 1) * (p * r - r - 1) - 1) // 2
-    s1 = -v_disc
-    return v_disc, s1
-
-
 def mod_prime_power(p, r, trace_type, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
     """Level sets over the maximal real subfield of conductor p^r (p odd).
 
@@ -220,7 +214,7 @@ def mod_prime_power(p, r, trace_type, materialize_limit=DEFAULT_MATERIALIZE_LIMI
         raise SpecError(f"mod_prime_power needs an odd prime, got p = {p}")
     n = p ** r
     degree = euler_phi(n) // 2
-    _, s1 = _prime_power_data(p, r)
+    s1 = -((p ** (r - 1) * (p * r - r - 1) - 1) // 2)  # -v_P(different)
     s2 = p ** (r - 1) * (p - 1) // 4  # v_P(sqrt p); integral only for p = 1 mod 4
 
     # (level, alpha spec, radical exponent) rows; alpha spec: 0 -> 1,

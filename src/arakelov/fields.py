@@ -15,7 +15,8 @@ spec string     field                      generator theta
 
 Elements are rational coefficient vectors over the power basis; all ring
 and field operations are exact (products are reduced by the integer
-minimal polynomial of theta, inverses via polynomial extended gcd).
+minimal polynomial of theta, inverses solve the multiplication matrix
+fraction-free with the Bareiss core of linalg).
 Traces come from Newton power sums of the minimal polynomial, complex
 conjugation from the image of theta, and norms from the determinant of
 the multiplication map.
@@ -39,7 +40,6 @@ import mpmath
 from .linalg import (
     SingularError as _SingularError,
     det as _int_det,
-    invert as _invert,
     solve_bareiss as _solve_bareiss,
 )
 
@@ -67,37 +67,6 @@ class NotRamified(ValueError):
 # --------------------------------------------------------------------------
 # integer utilities
 # --------------------------------------------------------------------------
-
-_SELECT_PRIME = (1 << 61) - 1  # Mersenne prime, fits machine words in products
-
-
-def _independent_rows(cands, m):
-    """Indices of the first m rows independent modulo a large prime.
-
-    Mod-q independence is a certificate of independence over Q (a
-    rational dependency scales to a primitive integer one, which cannot
-    vanish mod q); returns None when fewer than m pivots appear, which
-    only happens if q divides an unlucky minor.
-    """
-    q = _SELECT_PRIME
-    reduced = []
-    sel = []
-    for idx, row in enumerate(cands):
-        r = [x % q for x in row]
-        for pv, rr in reduced:
-            f = r[pv]
-            if f:
-                r = [(a - f * b) % q for a, b in zip(r, rr)]
-        pv = next((k for k, a in enumerate(r) if a), None)
-        if pv is None:
-            continue
-        inv = pow(r[pv], -1, q)
-        reduced.append((pv, [a * inv % q for a in r]))
-        sel.append(idx)
-        if len(sel) == m:
-            return sel
-    return None
-
 
 def factorize(n):
     """Prime factorization of a positive integer as {p: exponent}."""
@@ -235,10 +204,6 @@ def _real_cyclotomic_poly(n):
         raise ValueError("real cyclotomic minimal polynomial is not monic")
     return tuple(psi)
 
-
-# --------------------------------------------------------------------------
-# rational polynomials for inversion
-# --------------------------------------------------------------------------
 
 # --------------------------------------------------------------------------
 # field elements
@@ -812,7 +777,7 @@ class RealCyclotomicField(NumberField):
         self.n = n
         self._nfac = factorize(n)
         self._lift_rows = None
-        self._descend_data = None
+        self._descend_rows = None
         super().__init__(_real_cyclotomic_poly(n), f"realcyclo:{n}")
 
     # -- ambient cyclotomic field and transport -----------------------------
@@ -863,57 +828,43 @@ class RealCyclotomicField(NumberField):
                         out[i] += c * row[i]
         return amb.element(out)
 
-    def _descend_solver(self):
-        if self._descend_data is None:
-            rows = self._lift_matrix()
+    def _descend_matrix(self):
+        """Rows k < ambient degree: coordinates of zeta^k + zeta^-k = v_k(theta).
+
+        v_0 = 2, v_1 = theta and v_k = theta * v_(k-1) - v_(k-2), each
+        product by theta being one reduced shift of integer coordinates.
+        """
+        if self._descend_rows is None:
             m = self.degree
-            big = self.ambient.degree
-            cands = [[rows[j][i] for j in range(m)] for i in range(big)]
-            # independence mod a large prime certifies independence over Q;
-            # the exact rational scan only runs if the prime is unlucky
-            sel = _independent_rows(cands, m)
-            if sel is None:
-                reduced = []
-                pivots = []
-                sel = []
-                for i in range(big):
-                    r = [Fraction(c) for c in cands[i]]
-                    for rr, pv in zip(reduced, pivots):
-                        f = r[pv]
-                        if f:
-                            r = [a - f * b for a, b in zip(r, rr)]
-                    pv = next((k for k, a in enumerate(r) if a), None)
-                    if pv is not None:
-                        inv = 1 / r[pv]
-                        reduced.append([a * inv for a in r])
-                        pivots.append(pv)
-                        sel.append(i)
-                        if len(sel) == m:
-                            break
-                if len(sel) != m:
-                    raise ValueError("lift matrix is rank deficient")
-            s_mat = [cands[i] for i in sel]
-            self._descend_data = (tuple(sel), _invert(s_mat))
-        return self._descend_data
+            prev = [2] + [0] * (m - 1)
+            cur = self._shift_reduce([1] + [0] * (m - 1))
+            rows = [tuple(prev)]
+            for _ in range(1, self.ambient.degree):
+                rows.append(tuple(cur))
+                prev, cur = cur, [a - b for a, b in zip(self._shift_reduce(cur), prev)]
+            self._descend_rows = tuple(rows)
+        return self._descend_rows
 
     def descend(self, w):
-        """Inverse of lift; raises NotInSubfield for non-real elements."""
+        """Inverse of lift; raises NotInSubfield for non-real elements.
+
+        A real w = sum_k a_k zeta^k equals (w + conj w)/2, which is
+        sum_k a_k v_k(theta)/2, so one product gives the candidate and lift
+        certifies it: it reproduces w exactly when w is real.
+        """
         if w.field != self.ambient:
             raise FieldMismatch("descend expects an element of the ambient cyclotomic field")
-        sel, s_inv = self._descend_solver()
-        m = self.degree
-        rhs = [w.coeffs[i] for i in sel]
-        c = [sum(s_inv[t][u] * rhs[u] for u in range(m)) for t in range(m)]
-        rows = self._lift_matrix()
-        for i in range(self.ambient.degree):
-            acc = Fraction(0)
-            for j in range(m):
-                if c[j] and rows[j][i]:
-                    acc += c[j] * rows[j][i]
-            if acc != w.coeffs[i]:
-                raise NotInSubfield(
-                    f"element of cyclo:{self.n} is not fixed by conjugation")
-        return self.element(c)
+        out = [Fraction(0)] * self.degree
+        for a, row in zip(w.coeffs, self._descend_matrix()):
+            if a:
+                for j, v in enumerate(row):
+                    if v:
+                        out[j] += a * v
+        x = self.element([c / 2 for c in out])
+        if self.lift(x) != w:
+            raise NotInSubfield(
+                f"element of cyclo:{self.n} is not fixed by conjugation")
+        return x
 
     # -- ramification ---------------------------------------------------------
     def is_prime_power(self):

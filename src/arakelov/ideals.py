@@ -45,9 +45,9 @@ from .linalg import (
     FormError,
     hnf_mod_d,
     invert,
-    mat_mul,
     nullspace_mod_p,
     row_module_hnf,
+    solve_integral,
     transpose,
 )
 
@@ -447,7 +447,8 @@ def conj_ideal(a):
 # --------------------------------------------------------------------------
 
 def trace_dual(a, alpha):
-    """{x : Tr(alpha * x * conj(y)) in Z for all y in A}, via Gram inversion.
+    """{x : Tr(alpha * x * conj(y)) in Z for all y in A}, via one integer
+    solve against the Gram matrix.
 
     A known generator g of A turns the dual into the single principal
     product (alpha * conj(g))^-1 * D_K^-1 (the ring itself stays on the
@@ -466,19 +467,20 @@ def trace_dual(a, alpha):
     scaled_rows = [(alpha * x).coeffs for x in basis]
     conj_rows = [x.conj().coeffs for x in basis]
     gram = trace_pairing(field, scaled_rows, conj_rows)
-    ginv = invert(gram)
-    basis_rows = [[Fraction(e, a.den) for e in row] for row in a.num]
-    dual_rows = mat_mul(ginv, basis_rows)
+    # the dual rows are gram^-1 * num / den = Y / (d * den) with
+    # gram * Y = d * num; dividing out the content g of (d * den, Y),
+    # signed like d, leaves the least positive common denominator
+    Y, d = solve_integral(gram, a.num)
+    den_d = d * a.den
+    g = gcd(den_d, *(e for row in Y for e in row))
+    if den_d < 0:
+        g = -g
+    int_rows = [[e // g for e in row] for row in Y]
+    den_d //= g
     # the dual covolume is forced: 1 / (|N(alpha)| * norm(A) * |disc|),
     # so the integer rows reduce modulo their exact determinant
-    m = field.degree
-    den_d = 1
-    for row in dual_rows:
-        for c in row:
-            den_d = lcm(den_d, c.denominator)
-    int_rows = [[int(c * den_d) for c in row] for row in dual_rows]
-    d_det = Fraction(den_d) ** m / (abs(alpha.norm()) * a.norm()
-                                    * abs(field.discriminant()))
+    d_det = Fraction(den_d) ** field.degree / (abs(alpha.norm()) * a.norm()
+                                               * abs(field.discriminant()))
     return _reduced(field, _certified_hnf(int_rows, d_det, "trace dual"), den_d)
 
 
@@ -650,7 +652,7 @@ class IdealRecipe:
             if not isinstance(k, int) or k == 0:
                 raise SpecError(f"recipe exponents must be nonzero integers, got {k!r}")
             if kind == "radical":
-                if factorize(payload) != {payload: 1}:
+                if payload < 2 or factorize(payload) != {payload: 1}:
                     raise SpecError(f"P{payload} is not a prime radical")
             elif kind == "principal":
                 if not isinstance(payload, FieldElement) or payload.field != field:
@@ -690,13 +692,13 @@ class IdealRecipe:
                     try:
                         coeffs = [Fraction(c.strip()) for c in inner[1:-1].split(",")]
                         element = field.element(coeffs)
-                    except ValueError:
+                    except (ValueError, ZeroDivisionError):
                         raise SpecError(f"bad coefficient list in {tok!r}") from None
                     factors.append(("principal", element, k))
                 else:
                     try:
                         value = Fraction(inner)
-                    except ValueError:
+                    except (ValueError, ZeroDivisionError):
                         raise SpecError(f"bad rational in recipe factor {tok!r}") from None
                     factors.append(("principal", field.rational(value), k))
             else:

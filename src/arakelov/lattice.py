@@ -64,7 +64,7 @@ class IdealLattice:
         return self.field.degree
 
     def determinant(self):
-        return _gram_det(self.gram)
+        return det(self.gram)
 
     def is_integral(self):
         return all(x.denominator == 1 for row in self.gram for x in row)
@@ -103,15 +103,9 @@ class LatticeReport:
                 f"level={self.modular_level}, checked={self.witness_checked})")
 
 
-def _gram_det(gram):
-    d = Fraction(1)
-    for i, pivot in enumerate(cholesky(gram)):
-        d *= pivot[i]
-    return int(d) if d.denominator == 1 else d
-
-
 def build(field, ideal, alpha):
-    """Exact Gram of (I, alpha); positive definiteness certified by LDL."""
+    """Exact Gram of (I, alpha); positive definiteness certified by cholesky
+    (Sylvester's criterion on the Bareiss leading minors)."""
     if not isinstance(ideal, FractionalIdeal) or ideal.field != field:
         raise FieldMismatch("ideal must belong to the lattice field")
     if not isinstance(alpha, FieldElement) or alpha.field != field:

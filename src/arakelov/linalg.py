@@ -3,8 +3,10 @@
 All routines work on plain lists of lists.  Integer matrices use Python
 ints, rational ones use fractions.Fraction; nothing here ever touches
 floating point except as a navigation accelerator inside lll_reduce,
-whose output is always recomputed and certified exactly.  det, invert and
-solve_bareiss share one fraction-free (Bareiss) elimination core.
+whose output is always recomputed and certified exactly.  det, invert,
+solve_bareiss, solve_integral and cholesky share one fraction-free
+(Bareiss) elimination core; LLL takes its Gram-Schmidt data from
+cholesky.
 
 Canonical Hermite form used throughout the package: *lower-triangular*
 row-style HNF.  For a nonsingular square matrix H this means
@@ -169,12 +171,14 @@ def _bareiss(A, B):
 
     A becomes upper triangular in place and the same row operations are
     applied to the integer block B (one row per row of A, any width,
-    possibly zero).  Every division is exact.  Returns (sign, d) with sign
-    the parity of the row swaps and d the final pivot, so det(A) = sign*d.
-    Raises SingularError when A is singular.
+    possibly zero).  Every division is exact.  Returns (swaps, d) with
+    swaps the number of row swaps and d the final pivot, so
+    det(A) = (-1)^swaps * d; with no swap, the pivot A[k][k] is the
+    leading principal minor of order k+1.  Raises SingularError when A is
+    singular.
     """
     n = len(A)
-    sign = 1
+    swaps = 0
     prev = 1
     for k in range(n):
         if A[k][k] == 0:
@@ -183,7 +187,7 @@ def _bareiss(A, B):
                 raise SingularError("matrix is singular")
             A[k], A[piv] = A[piv], A[k]
             B[k], B[piv] = B[piv], B[k]
-            sign = -sign
+            swaps += 1
         Akk = A[k][k]
         rowk, brk = A[k], B[k]
         for i in range(k + 1, n):
@@ -195,7 +199,7 @@ def _bareiss(A, B):
             for j in range(len(bri)):
                 bri[j] = (bri[j] * Akk - Aik * brk[j]) // prev
         prev = Akk
-    return sign, prev
+    return swaps, prev
 
 
 def _back_substitute(A, B, d):
@@ -231,52 +235,48 @@ def det(mat):
         raise ShapeError("determinant needs a square matrix")
     A, scales = _cleared(mat)
     try:
-        sign, d = _bareiss(A, [[] for _ in range(n)])
+        swaps, d = _bareiss(A, [[] for _ in range(n)])
     except SingularError:
         return 0
-    q = Fraction(sign * d, prod(scales))
+    q = Fraction(-d if swaps % 2 else d, prod(scales))
     return q.numerator if q.denominator == 1 else q
 
 
-def invert(mat):
-    """Exact inverse of a square matrix (entries int or Fraction).
+def solve_integral(mat, block):
+    """Integer (Y, d) with mat * Y == d * block, for a square nonsingular mat.
 
-    Rows are cleared to integers, run through fraction-free (Bareiss)
-    forward elimination with the same row operations applied to an
-    identity block, and back-substituted over the integers: with d the
-    final pivot (the determinant of the permuted scaled matrix), d times
-    the solution is the integer adjugate-like matrix, so every division
-    is exact and no per-operation gcd normalization happens.  Rationals
-    appear only in the n^2 final entries.
+    Each row of [mat | block] is cleared to integers (row scaling leaves
+    the solution unchanged), eliminated by fraction-free (Bareiss) forward
+    steps and back-substituted over the integers: with d the final pivot,
+    d * mat^-1 * block is integral, so every division is exact and no
+    Fraction is formed.  Raises SingularError when det(mat) = 0.
     """
     m, n = _dims(mat)
     if m != n:
-        raise ShapeError("inverse needs a square matrix")
-    A, scales = _cleared(mat)
-    B = identity(n)
+        raise ShapeError("solve needs a square matrix")
+    if _dims(block)[0] != n:
+        raise ShapeError("right-hand side needs one row per matrix row")
+    rows, _ = _cleared([list(row) + list(brow) for row, brow in zip(mat, block)])
+    A = [row[:n] for row in rows]
+    B = [row[n:] for row in rows]
     _, d = _bareiss(A, B)
-    Y = _back_substitute(A, B, d)
-    return [[Fraction(Y[i][j] * scales[j], d) for j in range(n)] for i in range(n)]
+    return _back_substitute(A, B, d), d
+
+
+def invert(mat):
+    """Exact inverse of a square matrix (entries int or Fraction), as
+    solve_integral(mat, I) divided by its pivot: rationals appear only in
+    the n^2 final entries."""
+    Y, d = solve_integral(mat, identity(len(mat)))
+    return [[Fraction(y, d) for y in row] for row in Y]
 
 
 def solve_bareiss(mat, rhs):
-    """Solve the square system mat * x = rhs exactly, fraction-free.
-
-    Each row of [mat | rhs] is cleared to integers (row scaling leaves the
-    solution unchanged), eliminated by fraction-free (Bareiss) forward
-    steps, and back-substituted over the integers exactly as in invert:
-    with d the final pivot, d*x is integral, so the only rationals are the
-    n returned entries.  Raises SingularError when det(mat) = 0.
-    """
-    m, n = _dims(mat)
-    if m != n:
-        raise ShapeError("solve_bareiss needs a square matrix")
-    if len(rhs) != n:
-        raise ShapeError("rhs length mismatch")
-    A, _ = _cleared([list(row) + [r] for row, r in zip(mat, rhs)])
-    B = [[row.pop()] for row in A]
-    _, d = _bareiss(A, B)
-    return [Fraction(row[0], d) for row in _back_substitute(A, B, d)]
+    """Solve the square system mat * x = rhs exactly, fraction-free (the
+    right-hand side is one column of solve_integral).  Raises
+    SingularError when det(mat) = 0."""
+    Y, d = solve_integral(mat, [[r] for r in rhs])
+    return [Fraction(row[0], d) for row in Y]
 
 
 def nullspace_mod_p(mat, p):
@@ -321,26 +321,6 @@ def _check_gram(G):
     return n
 
 
-def _gso(G, n):
-    """Exact Gram-Schmidt data (mu, B) computed from inner products only."""
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    B = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(i):
-            s = G[i][j]
-            for k in range(j):
-                s = s - mu[i][k] * mu[j][k] * B[k]
-            if B[j] == 0:
-                raise FormError("matrix is not positive definite")
-            mu[i][j] = s / B[j]
-        s = G[i][i]
-        for k in range(i):
-            s = s - mu[i][k] * mu[i][k] * B[k]
-        B[i] = s
-        mu[i][i] = Fraction(1)
-    return mu, B
-
-
 def _row_combine(G, U, k, j, q):
     """Apply basis_k <- basis_k - q*basis_j to the Gram matrix and transform."""
     n = len(G)
@@ -366,9 +346,11 @@ def lll_reduce(G, delta=Fraction(99, 100)):
 
     Returns (G2, T) with T unimodular and G2 == T^t * G * T satisfying the
     size-reduction and Lovasz conditions for the given delta.  Only the
-    Gram matrix is needed; Gram-Schmidt data is maintained incrementally
-    with Fraction arithmetic (no floating point anywhere), so the Lovasz
-    condition of the result can be re-checked exactly from G2.
+    Gram matrix is needed: the starting Gram-Schmidt data is read off
+    cholesky (mu[i][j] = R[j][i] for j < i, B[i] = R[i][i]) and then
+    maintained incrementally with Fraction arithmetic (no floating point
+    anywhere), so the Lovasz condition of the result can be re-checked
+    exactly from G2.
     """
     n = _check_gram(G)
     delta = Fraction(delta)
@@ -376,13 +358,9 @@ def lll_reduce(G, delta=Fraction(99, 100)):
         raise FormError("delta must lie in (1/4, 1)")
     Gw = [[Fraction(x) for x in row] for row in G]
     U = identity(n)
-    if n == 1:
-        if Gw[0][0] <= 0:
-            raise FormError("matrix is not positive definite")
-        return Gw, transpose(U)
-    mu, B = _gso(Gw, n)
-    if any(b <= 0 for b in B):
-        raise FormError("matrix is not positive definite")
+    R = cholesky(Gw)  # raises FormError if Gw is not positive definite
+    mu = [[R[j][i] for j in range(i)] for i in range(n)]
+    B = [R[i][i] for i in range(n)]
 
     def reduce_entry(k, l):
         if 2 * abs(mu[k][l]) > 1:
@@ -423,22 +401,30 @@ def cholesky(G):
     and the unit-triangular coefficients u_ij = R[i][j] for j > i, so that
     x^t G x == sum_i d_i * (x_i + sum_{j>i} u_ij x_j)^2.  Raises FormError
     if G is not symmetric positive definite.
+
+    Row i of G is cleared to integers by its positive scale s_i and the
+    result A eliminated by the Bareiss core.  Sylvester's criterion: G is
+    positive definite iff every leading principal minor is positive, and
+    with no row swap the pivot P_i is the leading minor of order i+1 of A,
+    which is s_0*...*s_i times that of G; so a swap, a singular matrix or
+    a pivot P_i <= 0 rejects G.  Otherwise d_i = P_i / (P_{i-1} * s_i) and
+    u_ij = A[i][j] / P_i, in which the scales cancel.
     """
     n = _check_gram(G)
-    C = [[Fraction(x) for x in row] for row in G]
+    A, scales = _cleared([[Fraction(x) for x in row] for row in G])
+    try:
+        swaps, _ = _bareiss(A, [[] for _ in range(n)])
+        definite = not swaps and all(A[i][i] > 0 for i in range(n))
+    except SingularError:
+        definite = False
+    if not definite:
+        raise FormError("matrix is not positive definite")
     R = [[Fraction(0)] * n for _ in range(n)]
+    prev = 1
     for i in range(n):
-        d = C[i][i]
-        if d <= 0:
-            raise FormError("matrix is not positive definite")
-        R[i][i] = d
+        P = A[i][i]
+        R[i][i] = Fraction(P, prev * scales[i])
         for j in range(i + 1, n):
-            R[i][j] = C[i][j] / d
-        for j in range(i + 1, n):
-            uij = R[i][j]
-            if uij:
-                Ci = C[i]
-                Cj = C[j]
-                for k in range(j, n):
-                    Cj[k] -= uij * Ci[k]
+            R[i][j] = Fraction(A[i][j], P)
+        prev = P
     return R

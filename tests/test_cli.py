@@ -7,10 +7,14 @@ emit -> parse -> emit cycle, and hand-pinned values from the existence
 and lattice test suites.
 """
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arakelov import cli
 from arakelov.cli import (
@@ -258,6 +262,76 @@ def test_verify_bad_inputs_exit_2(capsys, record28, tmp_path):
     unramified.write_text(json.dumps(doc))
     code, _, err = run(capsys, "verify", "--in", str(unramified))
     assert code == EXIT_SPEC and "does not ramify" in err
+
+    # a zero denominator in a principal factor, and a radical P0
+    for ideal, message in [("(1/0)", "bad rational"),
+                           ("([1/0,0,0,0,0,0])", "bad coefficient list"),
+                           ("P0^-1", "not a prime radical")]:
+        doc = json.loads(record28.read_text())
+        doc["ideal"] = ideal
+        bad = tmp_path / "bad_ideal.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", "--in", str(bad))
+        assert code == EXIT_SPEC and message in err, (ideal, err)
+
+
+# fuzzed records: one key of a valid realcyclo:28 record is replaced or
+# deleted; verify must answer with a contract exit code, never a traceback
+
+_RATIONALS = st.sampled_from(["0", "1", "-1", "2", "7", "1/2", "-3/4", "1/0", "x", "nan", ""])
+_COEFF_LISTS = st.integers(5, 7).flatmap(
+    lambda k: st.lists(_RATIONALS, min_size=k, max_size=k))
+_FACTORS = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 4, 7, 13]).map("P{}".format),
+    _RATIONALS.map("({})".format),
+    _COEFF_LISTS.map(lambda cs: "([" + ",".join(cs) + "])"),
+)
+_EXPONENTS = st.sampled_from(["", "^1", "^-1", "^2", "^-2", "^0", "^x"])
+_IDEALS = st.lists(st.tuples(_FACTORS, _EXPONENTS).map("".join), max_size=3).map("*".join)
+_LEVELS = st.one_of(st.integers(-10, 50), st.sampled_from([0, -7, 10 ** 40, "7", 7.5, None]))
+_FIELDS = st.sampled_from(["realcyclo:28", "realcyclo:13", "cyclo:7", "quad:+5",
+                           "realcyclo:10", "realcyclo:", "nonsense:4", 28, None])
+_GRAMS = st.one_of(st.just("x"), st.lists(
+    st.lists(st.integers(-3, 3), min_size=6, max_size=6), min_size=6, max_size=6))
+_DELETE = "<deleted>"
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("ideal"), _IDEALS),
+    st.tuples(st.just("level"), _LEVELS),
+    st.tuples(st.sampled_from(["alpha", "beta"]), st.one_of(_COEFF_LISTS, st.just(5))),
+    st.tuples(st.just("field"), _FIELDS),
+    st.tuples(st.just("gram"), _GRAMS),
+    st.tuples(st.sampled_from(["field", "ideal", "alpha", "beta", "level", "gram"]),
+              st.just(_DELETE)),
+)
+
+
+@pytest.fixture(scope="module")
+def record28_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "record.json"
+    assert main(["construct", "--field", "realcyclo:28", "--level", "7",
+                 "--trace-type", "--out", str(path)]) == EXIT_OK
+    return path, json.loads(path.read_text())
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutation=_MUTATIONS)
+@example(mutation=("ideal", "(1/0)"))
+@example(mutation=("ideal", "P0"))
+def test_verify_fuzzed_record_exit_codes(record28_doc, mutation):
+    path, original = record28_doc
+    key, value = mutation
+    doc = dict(original)
+    if value == _DELETE:
+        del doc[key]
+    else:
+        doc[key] = value
+    mutated = path.with_name("mutated.json")
+    mutated.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--in", str(mutated)])
+    assert code in (EXIT_OK, EXIT_SPEC, EXIT_ABSENT, EXIT_VERIFY)
+    assert "Traceback" not in err.getvalue()
 
 
 # --------------------------------------------------------------------------

@@ -310,7 +310,8 @@ def test_lift_of_generator():
 
 
 def test_lift_descend_roundtrip():
-    for n in [13, 28, 36]:
+    # degree 1 (3, 4), prime-power and composite conductors
+    for n in [3, 4, 5, 13, 20, 21, 28, 36, 105]:
         real = make_field(f"realcyclo:{n}")
         x = random_element(real)
         assert real.descend(real.lift(x)) == x
@@ -322,6 +323,18 @@ def test_descend_rejects_non_real():
     real = make_field("realcyclo:13")
     with pytest.raises(NotInSubfield):
         real.descend(real.ambient.gen())
+    # descend succeeds exactly on the elements fixed by conjugation
+    for n in [3, 4, 5, 12, 20, 21, 28]:
+        real = make_field(f"realcyclo:{n}")
+        amb = real.ambient
+        for _ in range(4):
+            w = random_element(amb)
+            for cand in (w, w + w.conj(), w - w.conj()):
+                if cand == cand.conj():
+                    assert real.lift(real.descend(cand)) == cand
+                else:
+                    with pytest.raises(NotInSubfield):
+                        real.descend(cand)
 
 
 def test_lift_descend_dispatcher():

@@ -173,11 +173,33 @@ def square_systems(draw):
     return M, b
 
 
+def check_cholesky_by_minors(G, x):
+    """Sylvester oracle: cholesky rejects G exactly when a leading minor
+    (by cofactor expansion) is <= 0; otherwise R rebuilds x^t G x."""
+    n = len(G)
+    if any(det_cofactor([row[:k] for row in G[:k]]) <= 0 for k in range(1, n + 1)):
+        with pytest.raises(FormError):
+            cholesky(G)
+        return
+    R = cholesky(G)
+    form = sum(x[i] * G[i][j] * x[j] for i in range(n) for j in range(n))
+    assert form == sum(R[i][i] * (x[i] + sum(R[i][j] * x[j] for j in range(i + 1, n))) ** 2
+                       for i in range(n))
+    # the same identity for every x: G == U^t D U with U unit upper triangular
+    U = [[1 if i == j else (R[i][j] if j > i else 0) for j in range(n)] for i in range(n)]
+    assert [[sum(U[k][i] * R[k][k] * U[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == G
+
+
 @settings(max_examples=200, deadline=None)
 @given(square_systems())
 def test_bareiss_core_against_oracles(system):
     M, b = system
     n = len(M)
+    # symmetric inputs: M + M^t (often indefinite) and M^t M (definite
+    # exactly when M is nonsingular)
+    check_cholesky_by_minors([[M[i][j] + M[j][i] for j in range(n)] for i in range(n)], b)
+    check_cholesky_by_minors(mat_mul(transpose(M), M), b)
     d = det(M)
     assert d == det_cofactor(M)
     if n > 1:
