@@ -317,9 +317,10 @@ def mod_nonprimepower_trace(n, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
 # odd degree
 # --------------------------------------------------------------------------
 
-def mod_odd_degree(field):
+def mod_odd_degree(field, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
     """Level set {1} for any supported Galois field of odd degree, with the
-    square root of the codifferent as the witness ideal."""
+    square root of the codifferent as the witness ideal (materialized up to
+    materialize_limit)."""
     if field.degree % 2 == 0:
         raise SpecError(
             f"{field.spec_string()} has even degree {field.degree}; "
@@ -331,9 +332,11 @@ def mod_odd_degree(field):
             raise InternalInconsistency(
                 f"odd different valuation {v} at {p} in an odd-degree field")
         factors.append(("radical", p, -(v // 2)))
-    recipe = IdealRecipe(field, factors)
-    witness = ConstructionWitness(1, field.one(), field.one(), recipe)
-    return ExistenceVerdict(field.spec_string(), False, (1,), {1: witness},
+    witnesses = {}
+    if field.degree <= materialize_limit:
+        witnesses[1] = ConstructionWitness(1, field.one(), field.one(),
+                                           IdealRecipe(field, factors))
+    return ExistenceVerdict(field.spec_string(), False, (1,), witnesses,
                             "odd-degree-level-one")
 
 
@@ -380,7 +383,7 @@ def classify(field, trace_type=True, materialize_limit=DEFAULT_MATERIALIZE_LIMIT
     if not isinstance(field, NumberField):
         raise SpecError("classify expects a field instance (see make_field)")
     if field.degree % 2 == 1:
-        return mod_odd_degree(field)
+        return mod_odd_degree(field, materialize_limit=materialize_limit)
     if isinstance(field, (RealQuadraticField, ImagQuadraticField)):
         return mod_quadratic(field, trace_type)
     if isinstance(field, CyclotomicField):

@@ -21,6 +21,13 @@ Traces come from Newton power sums of the minimal polynomial, complex
 conjugation from the image of theta, and norms from the determinant of
 the multiplication map.
 
+Tables are built on first arithmetic use.  A field takes its degree from
+the spec (phi(n), halved for the real subfield); the minimal polynomial,
+and with it the power rows, power sums, trace form and lift/descend rows,
+is built by the first computation that needs it.  Level sets and
+ramification data depend only on the factorization of the conductor, so
+they stay cheap at any degree.
+
 Numeric embeddings use mpmath at a caller-chosen precision (default from
 the ``ARAKELOV_PRECISION_BITS`` environment variable, 128 bits).  The
 embedding order fixes sigma_1 = identity; for CM fields embeddings come
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 import mpmath
@@ -60,8 +68,9 @@ class NotInSubfield(ValueError):
     """Descent of an element that does not lie in the target subfield."""
 
 
-class NotRamified(ValueError):
-    """A prime was expected to ramify in the field but does not."""
+class NotRamified(SpecError):
+    """A prime was expected to ramify in the field but does not (a request
+    naming a radical or ramification data the field does not have)."""
 
 
 # --------------------------------------------------------------------------
@@ -214,9 +223,11 @@ class FieldElement:
 
     Instances are immutable values: arithmetic returns new elements.
     Mixed arithmetic with ``int`` and ``Fraction`` coerces the scalar.
+    The private ``_positive`` slot holds the total-positivity verdict once
+    is_totally_positive has decided it; equality and hashing ignore it.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_positive")
 
     def __init__(self, field, coeffs):
         coeffs = tuple(Fraction(c) for c in coeffs)
@@ -225,6 +236,7 @@ class FieldElement:
                 f"expected {field.degree} coefficients, got {len(coeffs)}")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_positive", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
@@ -356,17 +368,18 @@ class FieldElement:
 # --------------------------------------------------------------------------
 
 class NumberField:
-    """Base class: exact arithmetic driven by a monic integer minimal polynomial."""
+    """Base class: exact arithmetic driven by a monic integer minimal polynomial.
+
+    A field knows its degree from its spec alone; the minimal polynomial
+    (``_build_minpoly``) and every table derived from it are built on the
+    first arithmetic call that needs them.
+    """
 
     kind = "abstract"
     is_cm = False
 
-    def __init__(self, minpoly, spec):
-        minpoly = tuple(int(c) for c in minpoly)
-        if minpoly[-1] != 1:
-            raise ValueError("minimal polynomial must be monic")
-        self.minpoly = minpoly
-        self.degree = len(minpoly) - 1
+    def __init__(self, degree, spec):
+        self.degree = degree
         self._spec = spec
         self._power_rows = None
         self._theta_pows = None
@@ -388,6 +401,22 @@ class NumberField:
 
     def __hash__(self):
         return hash(self._spec)
+
+    @cached_property
+    def minpoly(self):
+        """Ascending integer coefficients of the monic minimal polynomial of
+        theta, built and checked on first use."""
+        minpoly = tuple(int(c) for c in self._build_minpoly())
+        if minpoly[-1] != 1:
+            raise ValueError("minimal polynomial must be monic")
+        if len(minpoly) - 1 != self.degree:
+            raise ArithmeticError(
+                f"minimal polynomial of {self._spec} has degree "
+                f"{len(minpoly) - 1}, expected {self.degree}")
+        return minpoly
+
+    def _build_minpoly(self):
+        raise NotImplementedError
 
     # -- element constructors -------------------------------------------------
     def element(self, coeffs):
@@ -641,11 +670,13 @@ class RealQuadraticField(NumberField):
         if not is_squarefree(d):
             raise SpecError(f"d = {d} is not squarefree")
         self.d = d
+        super().__init__(2, f"quad:+{d}")
+
+    def _build_minpoly(self):
+        d = self.d
         if d % 4 == 1:
-            minpoly = (-(d - 1) // 4, -1, 1)      # x^2 - x - (d-1)/4, theta=(1+sqrt d)/2
-        else:
-            minpoly = (-d, 0, 1)                  # x^2 - d, theta = sqrt d
-        super().__init__(minpoly, f"quad:+{d}")
+            return (-(d - 1) // 4, -1, 1)         # x^2 - x - (d-1)/4, theta=(1+sqrt d)/2
+        return (-d, 0, 1)                         # x^2 - d, theta = sqrt d
 
     def sqrt_disc_element(self):
         """The element sqrt(d)."""
@@ -690,11 +721,13 @@ class ImagQuadraticField(NumberField):
         if not is_squarefree(d):
             raise SpecError(f"d = {d} is not squarefree")
         self.d = d
+        super().__init__(2, f"quad:-{d}")
+
+    def _build_minpoly(self):
+        d = self.d
         if d % 4 == 3:
-            minpoly = ((d + 1) // 4, -1, 1)       # x^2 - x + (d+1)/4, theta=(1+sqrt -d)/2
-        else:
-            minpoly = (d, 0, 1)                   # x^2 + d, theta = sqrt -d
-        super().__init__(minpoly, f"quad:-{d}")
+            return ((d + 1) // 4, -1, 1)          # x^2 - x + (d+1)/4, theta=(1+sqrt -d)/2
+        return (d, 0, 1)                          # x^2 + d, theta = sqrt -d
 
     def sqrt_disc_element(self):
         """The element sqrt(-d)."""
@@ -737,7 +770,10 @@ class CyclotomicField(NumberField):
     def __init__(self, n):
         _validate_conductor(n, "cyclo")
         self.n = n
-        super().__init__(_cyclotomic_poly(n), f"cyclo:{n}")
+        super().__init__(euler_phi(n), f"cyclo:{n}")
+
+    def _build_minpoly(self):
+        return _cyclotomic_poly(self.n)
 
     def conj_generator(self):
         return self.theta_power(self.n - 1)
@@ -778,7 +814,10 @@ class RealCyclotomicField(NumberField):
         self._nfac = factorize(n)
         self._lift_rows = None
         self._descend_rows = None
-        super().__init__(_real_cyclotomic_poly(n), f"realcyclo:{n}")
+        super().__init__(euler_phi(n) // 2, f"realcyclo:{n}")
+
+    def _build_minpoly(self):
+        return _real_cyclotomic_poly(self.n)
 
     # -- ambient cyclotomic field and transport -----------------------------
     @property
@@ -1082,7 +1121,14 @@ def is_totally_positive(alpha):
     embedding images of theta, doubling the working precision until every
     interval is separated from zero.  For CM fields alpha must be fixed by
     conjugation; positivity is then decided in the maximal real subfield.
+    The verdict is kept on alpha, so each element is decided once.
     """
+    if alpha._positive is None:
+        object.__setattr__(alpha, "_positive", _decide_total_positivity(alpha))
+    return alpha._positive
+
+
+def _decide_total_positivity(alpha):
     field = alpha.field
     if alpha.is_zero:
         return False

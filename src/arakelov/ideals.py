@@ -317,7 +317,11 @@ def radical_above(field, p):
         return cached
     field._check_ramified(p)
     m = field.degree
-    frob = [_theta_power_mod(field, j * p, p) for j in range(m)]
+    # row j is theta^(j*p) mod (p, minpoly): row j-1 times theta^p
+    theta_p = _theta_power_mod(field, p, p)
+    frob = [[1] + [0] * (m - 1)]
+    for _ in range(1, m):
+        frob.append([c % p for c in field._mul_coeffs(frob[-1], theta_p)])
     power = frob
     ps = p
     while ps < m:
@@ -642,9 +646,12 @@ class IdealRecipe:
       ``(<rational>)^<k>``  principal ideal of a rational number
       ``([c0,c1,...])^<k>`` principal ideal of the element with those coefficients
     ``^<k>`` may be omitted when k = 1; the empty string denotes O_K.
+
+    The private ``_ideal`` slot holds the realized ideal once realize has
+    computed it; equality and hashing ignore it.
     """
 
-    __slots__ = ("field", "factors")
+    __slots__ = ("field", "factors", "_ideal")
 
     def __init__(self, field, factors):
         checked = []
@@ -652,8 +659,11 @@ class IdealRecipe:
             if not isinstance(k, int) or k == 0:
                 raise SpecError(f"recipe exponents must be nonzero integers, got {k!r}")
             if kind == "radical":
-                if payload < 2 or factorize(payload) != {payload: 1}:
+                if payload < 2:
                     raise SpecError(f"P{payload} is not a prime radical")
+                # omega holds the ramified primes only, so this bounded
+                # lookup also turns away composites without factoring them
+                field._check_ramified(payload)
             elif kind == "principal":
                 if not isinstance(payload, FieldElement) or payload.field != field:
                     raise SpecError("principal recipe factors must be field elements")
@@ -664,6 +674,7 @@ class IdealRecipe:
             checked.append((kind, payload, k))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "factors", tuple(checked))
+        object.__setattr__(self, "_ideal", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IdealRecipe is immutable")
@@ -730,10 +741,12 @@ class IdealRecipe:
 
 
 def realize(recipe):
-    """Evaluate a recipe to its canonical fractional ideal."""
-    out = FractionalIdeal.ring(recipe.field)
-    for kind, payload, k in recipe.factors:
-        base = radical_above(recipe.field, payload) if kind == "radical" \
-            else principal(payload)
-        out = ideal_mul(out, ideal_pow(base, k))
-    return out
+    """Evaluate a recipe to its canonical fractional ideal (once per recipe)."""
+    if recipe._ideal is None:
+        out = FractionalIdeal.ring(recipe.field)
+        for kind, payload, k in recipe.factors:
+            base = radical_above(recipe.field, payload) if kind == "radical" \
+                else principal(payload)
+            out = ideal_mul(out, ideal_pow(base, k))
+        object.__setattr__(recipe, "_ideal", out)
+    return recipe._ideal

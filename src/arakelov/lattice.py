@@ -46,15 +46,23 @@ class ModularityFailure(ValueError):
 
 
 class IdealLattice:
-    """An ideal I with the twisted trace form b(x, y) = Tr(alpha * x * conj(y))."""
+    """An ideal I with the twisted trace form b(x, y) = Tr(alpha * x * conj(y)).
 
-    __slots__ = ("field", "ideal", "alpha", "gram")
+    Construction certifies the Gram positive definite with cholesky
+    (Sylvester's criterion on the Bareiss leading minors; FormError
+    otherwise) and keeps its determinant, the product of the pivots d_i.
+    """
+
+    __slots__ = ("field", "ideal", "alpha", "gram", "_det")
 
     def __init__(self, field, ideal, alpha, gram):
+        ldl = cholesky([list(r) for r in gram])
+        d = math.prod(ldl[i][i] for i in range(len(ldl)))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "_det", d.numerator if d.denominator == 1 else d)
 
     def __setattr__(self, name, value):
         raise AttributeError("IdealLattice is immutable")
@@ -64,7 +72,7 @@ class IdealLattice:
         return self.field.degree
 
     def determinant(self):
-        return det(self.gram)
+        return self._det
 
     def is_integral(self):
         return all(x.denominator == 1 for row in self.gram for x in row)
@@ -104,8 +112,8 @@ class LatticeReport:
 
 
 def build(field, ideal, alpha):
-    """Exact Gram of (I, alpha); positive definiteness certified by cholesky
-    (Sylvester's criterion on the Bareiss leading minors)."""
+    """Exact Gram of (I, alpha); the IdealLattice it returns certifies
+    positive definiteness."""
     if not isinstance(ideal, FractionalIdeal) or ideal.field != field:
         raise FieldMismatch("ideal must belong to the lattice field")
     if not isinstance(alpha, FieldElement) or alpha.field != field:
@@ -117,7 +125,6 @@ def build(field, ideal, alpha):
     conj_rows = [b.conj().coeffs for b in basis]
     gram = tuple(tuple(Fraction(t) for t in row)
                  for row in trace_pairing(field, scaled_rows, conj_rows))
-    cholesky([list(r) for r in gram])  # raises FormError if not PD or asymmetric
     return IdealLattice(field, ideal, alpha, gram)
 
 

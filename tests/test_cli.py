@@ -8,6 +8,7 @@ and lattice test suites.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arakelov import cli
+from arakelov import cli, fields
 from arakelov.cli import (
     EXIT_ABSENT,
     EXIT_OK,
@@ -86,6 +87,31 @@ def test_exists_composite_needs_trace_flag(capsys):
     code, _, err = run(capsys, "exists", "--field", "realcyclo:28")
     assert code == EXIT_SPEC
     assert "trace" in err
+
+
+def test_exists_large_specs_never_build_the_minimal_polynomial(capsys, monkeypatch):
+    """Level sets need only the factorization of the conductor, so exists
+    answers for any conductor without building a minimal polynomial."""
+    def refuse(n):
+        raise AssertionError(f"built the minimal polynomial of conductor {n}")
+
+    monkeypatch.setattr(fields, "_real_cyclotomic_poly", refuse)
+    monkeypatch.setattr(fields, "_cyclotomic_poly", refuse)
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+
+    # degree 8000, 16001 = 1 mod 8: empty trace-type level set
+    code, out, _ = run(capsys, "exists", "--field", "realcyclo:16001", "--trace-type")
+    assert code == EXIT_ABSENT
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "11acc2e32e722fffde312779e5f30cafa51af340d951157e8cc73f5a5d499476"
+    # odd degree 50000003: level set {1}, beyond the materialization cap
+    code, doc, _ = run_json(capsys, "exists", "--field", "realcyclo:100000007",
+                            "--trace-type")
+    assert code == EXIT_OK
+    assert doc["levels"] == [1] and doc["witnesses"] == {}
+    # no CM classification beyond the quadratic fields
+    code, _, err = run(capsys, "exists", "--field", "cyclo:100000007")
+    assert code == EXIT_SPEC and "cyclo:100000007" in err
 
 
 # --------------------------------------------------------------------------
@@ -263,10 +289,13 @@ def test_verify_bad_inputs_exit_2(capsys, record28, tmp_path):
     code, _, err = run(capsys, "verify", "--in", str(unramified))
     assert code == EXIT_SPEC and "does not ramify" in err
 
-    # a zero denominator in a principal factor, and a radical P0
+    # a zero denominator in a principal factor, a radical P0, and a radical
+    # of a prime far too large to factor (checked against the ramified
+    # primes, never by trial division)
     for ideal, message in [("(1/0)", "bad rational"),
                            ("([1/0,0,0,0,0,0])", "bad coefficient list"),
-                           ("P0^-1", "not a prime radical")]:
+                           ("P0^-1", "not a prime radical"),
+                           ("P1000000000000000003^-1", "does not ramify")]:
         doc = json.loads(record28.read_text())
         doc["ideal"] = ideal
         bad = tmp_path / "bad_ideal.json"

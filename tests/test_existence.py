@@ -236,6 +236,17 @@ def test_mod_odd_degree_examples():
         .ideal.to_string() == ""
 
 
+def test_mod_odd_degree_honours_materialize_limit():
+    # degree 21 over the cap: the level set stays exact, no witness is built
+    capped = mod_odd_degree(make_field("realcyclo:49"), materialize_limit=20)
+    assert capped.levels == (1,) and capped.witnesses == {}
+    assert capped.rule == "odd-degree-level-one"
+    # classify passes its cap through: realcyclo:1019 has degree 509 > 64
+    big = classify(make_field("realcyclo:1019"))
+    assert big.levels == (1,) and big.witnesses == {}
+    assert classify(make_field("realcyclo:1019"), materialize_limit=0).witnesses == {}
+
+
 def test_mod_odd_degree_rejects_even():
     with pytest.raises(SpecError):
         mod_odd_degree(make_field("quad:+5"))

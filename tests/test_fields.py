@@ -32,8 +32,10 @@ from arakelov.fields import (
     make_field,
     moebius,
     sqrt_integer,
+    _cyclotomic_poly,
+    _real_cyclotomic_poly,
 )
-from arakelov.linalg import FormError, cholesky
+from arakelov.linalg import FormError, cholesky, det
 
 rng = random.Random(1309)
 
@@ -111,6 +113,51 @@ def test_make_field_rejects_bad_specs():
 
 def test_make_field_cache_returns_same_object():
     assert make_field("realcyclo:13") is make_field("realcyclo:13")
+
+
+def _ramanujan_sum(n, k):
+    """c_n(k), the sum of zeta_n^(j*k) over the units j mod n, in closed
+    form: the sum of mu(n/d) * d over the divisors d of gcd(n, k)."""
+    g = math.gcd(n, k)
+    return sum(moebius(n // d) * d for d in range(1, g + 1) if g % d == 0)
+
+
+def _power_sum_oracle(field, k):
+    """Tr(theta^k) from Ramanujan sums: zeta^j for cyclo:n; for realcyclo:n,
+    (zeta^j + zeta^-j)^k expanded binomially, halved over the unit pairs."""
+    n = field.n
+    if isinstance(field, CyclotomicField):
+        return _ramanujan_sum(n, k)
+    total = sum(math.comb(k, i) * _ramanujan_sum(n, abs(2 * i - k)) for i in range(k + 1))
+    assert total % 2 == 0
+    return total // 2
+
+
+LAZY_SPECS = [f"realcyclo:{n}" for n in range(3, 106) if n % 4 != 2] + \
+    [f"cyclo:{n}" for n in range(3, 61) if n % 4 != 2]
+
+
+@pytest.mark.parametrize("spec", LAZY_SPECS)
+def test_lazy_tables_match_eager_ones(spec):
+    """A field takes its degree from the conductor and builds its minimal
+    polynomial on first use; whichever table is asked for first, the
+    result is the eagerly built polynomial, the trace form of the power
+    sums, and the determinant of that trace form."""
+    family, n = spec.split(":")
+    cls, eager = (CyclotomicField, _cyclotomic_poly) if family == "cyclo" \
+        else (RealCyclotomicField, _real_cyclotomic_poly)
+    n = int(n)
+    by_poly, by_form = cls(n), cls(n)
+    assert "minpoly" not in vars(by_poly) and "minpoly" not in vars(by_form)
+    assert by_poly.minpoly == eager(n)
+    assert by_poly.degree == len(eager(n)) - 1
+    form = by_form.trace_form_rows()                 # minimal polynomial built here
+    assert by_form.minpoly == eager(n)
+    m = by_form.degree
+    sums = [_power_sum_oracle(by_form, k) for k in range(2 * m - 1)]
+    assert form == tuple(tuple(sums[i + j] for j in range(m)) for i in range(m))
+    assert by_poly.trace_form_rows() == form
+    assert by_poly.discriminant() == by_form.discriminant() == det([list(r) for r in form])
 
 
 def test_number_theory_helpers():

@@ -36,8 +36,9 @@ from arakelov.ideals import (
     trace_dual,
     trace_dual_via_inverse,
     valuation,
+    _theta_power_mod,
 )
-from arakelov.linalg import FormError
+from arakelov.linalg import FormError, hnf_mod_d, nullspace_mod_p, transpose
 
 
 def random_element(field, rng, span=4):
@@ -177,6 +178,23 @@ def test_radical_is_nilradical_preimage(spec, p):
         ps *= p
     for x in j.basis_elements():
         assert p_ring.contains(x ** ps)
+
+
+@pytest.mark.parametrize("spec,p", [(s, p) for s, p, _ in RADICAL_CASES]
+                         + [("realcyclo:97", 97), ("cyclo:25", 5), ("realcyclo:121", 11)])
+def test_radical_matches_frobenius_rows_by_shifts(spec, p):
+    """The Frobenius matrix built row by row (row j = row j-1 * theta^p)
+    gives the same radical as rows theta^(j*p) reduced one shift at a time."""
+    field = make_field(spec)
+    m = field.degree
+    frob = [_theta_power_mod(field, j * p, p) for j in range(m)]
+    power, ps = frob, p
+    while ps < m:
+        power = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*frob)]
+                 for row in power]
+        ps *= p
+    kernel = nullspace_mod_p(transpose(power), p)
+    assert radical_above(field, p).num == tuple(tuple(r) for r in hnf_mod_d(kernel, p))
 
 
 @pytest.mark.parametrize("spec,p", [(s, p) for s, p, _ in RADICAL_CASES])
