@@ -43,10 +43,6 @@ EXIT_VERIFY = 4
 _USER_ERRORS = (SpecError, FieldMismatch, NotRamified, ZeroIdeal, Unsupported,
                 FormError)
 
-# unlike library calls, an explicit construct/verify request should not be
-# silently capped, so witnesses are materialized at any degree
-_NO_CAP = 10 ** 9
-
 
 # --------------------------------------------------------------------------
 # serialization helpers
@@ -141,6 +137,19 @@ def _construct_record(field, witness, trace_type, embed_bits=None):
 # commands
 # --------------------------------------------------------------------------
 
+def _bounded_field(spec):
+    """The field of a construct or verify request, refused (exit 2) above
+    the degree up to which exists builds witnesses: the work past that
+    grows without a useful bound."""
+    field = make_field(spec)
+    cap = existence.DEFAULT_MATERIALIZE_LIMIT
+    if field.degree > cap:
+        raise SpecError(
+            f"{field.spec_string()} has degree {field.degree}; construct "
+            f"and verify accept degrees up to {cap}")
+    return field
+
+
 def cmd_exists(args):
     field = make_field(args.field)
     verdict = existence.classify(field, trace_type=args.trace_type)
@@ -168,12 +177,11 @@ def cmd_exists(args):
 
 
 def cmd_construct(args):
-    field = make_field(args.field)
+    field = _bounded_field(args.field)
     if args.level < 1:
         raise SpecError(f"level must be a positive integer, got {args.level}")
     ell1, ell2 = _squarefree_split(args.level)
-    verdict = existence.classify(field, trace_type=args.trace_type,
-                                 materialize_limit=_NO_CAP)
+    verdict = existence.classify(field, trace_type=args.trace_type)
     if ell1 not in verdict.levels:
         print(
             f"no Arakelov-modular lattice of level {args.level} over "
@@ -213,7 +221,7 @@ def cmd_verify(args):
     for key in ("field", "ideal", "alpha", "beta", "level"):
         if key not in doc:
             raise SpecError(f"record is missing required key {key!r}")
-    field = make_field(doc["field"])
+    field = _bounded_field(doc["field"])
     alpha = _element_from_strings(field, doc["alpha"], "alpha")
     beta = _element_from_strings(field, doc["beta"], "beta")
     if not isinstance(doc["level"], int):
@@ -287,8 +295,7 @@ _EXAMPLE_ROWS = (
 
 def _catalog_row(index, fixture):
     field = make_field(fixture["field"])
-    verdict = existence.classify(field, trace_type=fixture["trace_type"],
-                                 materialize_limit=_NO_CAP)
+    verdict = existence.classify(field, trace_type=fixture["trace_type"])
     witness = verdict.witnesses[fixture["level"]]
     record, lat = _construct_record(field, witness, fixture["trace_type"])
     expected = {k: v for k, v in fixture.items() if k not in ("name", "note")}

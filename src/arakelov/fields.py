@@ -16,7 +16,9 @@ spec string     field                      generator theta
 Elements are rational coefficient vectors over the power basis; all ring
 and field operations are exact (products are reduced by the integer
 minimal polynomial of theta, inverses solve the multiplication matrix
-fraction-free with the Bareiss core of linalg).
+fraction-free with the Bareiss core of linalg).  An element's inverse is
+solved once and linked both ways, so 1/x, x^-k and the inverse of a
+power of x reuse that one solve.
 Traces come from Newton power sums of the minimal polynomial, complex
 conjugation from the image of theta, and norms from the determinant of
 the multiplication map.
@@ -224,10 +226,15 @@ class FieldElement:
     Instances are immutable values: arithmetic returns new elements.
     Mixed arithmetic with ``int`` and ``Fraction`` coerces the scalar.
     The private ``_positive`` slot holds the total-positivity verdict once
-    is_totally_positive has decided it; equality and hashing ignore it.
+    is_totally_positive has decided it.  The private ``_inv`` slot holds
+    the inverse once it is known, linked both ways (``x._inv._inv is x``):
+    inverse() solves for it once, a negative power inverts the base rather
+    than the power, and positive powers of an element with a known inverse
+    carry the matching inverse along.  Equality and hashing ignore both
+    slots.
     """
 
-    __slots__ = ("field", "coeffs", "_positive")
+    __slots__ = ("field", "coeffs", "_positive", "_inv")
 
     def __init__(self, field, coeffs):
         coeffs = tuple(Fraction(c) for c in coeffs)
@@ -237,6 +244,7 @@ class FieldElement:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_positive", None)
+        object.__setattr__(self, "_inv", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
@@ -300,14 +308,11 @@ class FieldElement:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        base = self if k >= 0 else self.inverse()
-        e = abs(k)
-        out = self.field.one()
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
+        if k < 0:
+            return self.inverse() ** -k
+        out = _power(self, k)
+        if k and self._inv is not None:
+            _link_inverses(out, _power(self._inv, k))
         return out
 
     # -- comparisons ----------------------------------------------------------
@@ -356,11 +361,30 @@ class FieldElement:
         return self.field._norm(self)
 
     def inverse(self):
-        return self.field._inverse(self)
+        """1/x, solved once and then kept on both x and 1/x."""
+        if self._inv is None:
+            _link_inverses(self, self.field._inverse(self))
+        return self._inv
 
     def embed(self, precision=None):
         """Numeric images under all embeddings (mpf/mpc) at the given precision."""
         return self.field._embed_element(self, precision)
+
+
+def _power(x, k):
+    """x^k for k >= 0 by repeated squaring."""
+    out = x.field.one()
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x if k > 1 else x
+        k >>= 1
+    return out
+
+
+def _link_inverses(x, y):
+    object.__setattr__(x, "_inv", y)
+    object.__setattr__(y, "_inv", x)
 
 
 # --------------------------------------------------------------------------

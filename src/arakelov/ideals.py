@@ -411,10 +411,7 @@ def ideal_pow(a, k):
     if k == 0:
         return FractionalIdeal.ring(a.field)
     if a._gen is not None:
-        g, nrm = a._gen, a.norm()
-        if k < 0:
-            g, nrm = g.inverse(), 1 / nrm
-        return _principal(g ** abs(k), nrm ** abs(k))
+        return _principal(a._gen ** k, a.norm() ** k)
     base = a if k > 0 else ideal_inverse(a)
     e = abs(k)
     out = None
@@ -464,7 +461,8 @@ def trace_dual(a, alpha):
     if not is_totally_positive(alpha):
         raise FormError("alpha must be totally positive for the trace form")
     if a._gen is not None and not a.is_ring():
-        g = (alpha * a._gen.conj()).inverse()
+        # inverting the factors apart reuses their known inverses
+        g = alpha.inverse() * a._gen.conj().inverse()
         return _principal_times_module(
             g, 1 / (a.norm() * abs(alpha.norm())), codifferent(field))
     basis = a.basis_elements()

@@ -205,6 +205,21 @@ def test_construct_rejects_tiny_embed(capsys):
     assert code == EXIT_SPEC and "16" in err
 
 
+def test_construct_refuses_fields_above_the_degree_cap(capsys, monkeypatch):
+    """construct refuses a field above degree 64 before it classifies, so
+    the refusal builds no field tables: the minimal-polynomial builder is
+    patched to raise."""
+    def refuse(n):
+        raise AssertionError(f"built the minimal polynomial of conductor {n}")
+
+    monkeypatch.setattr(fields, "_real_cyclotomic_poly", refuse)
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    for spec, degree in [("realcyclo:1019", 509), ("realcyclo:131", 65)]:
+        code, out, err = run(capsys, "construct", "--field", spec, "--level", "1")
+        assert code == EXIT_SPEC and out == ""
+        assert f"degree {degree}" in err and "up to 64" in err
+
+
 # --------------------------------------------------------------------------
 # verify
 # --------------------------------------------------------------------------
@@ -288,6 +303,13 @@ def test_verify_bad_inputs_exit_2(capsys, record28, tmp_path):
     unramified.write_text(json.dumps(doc))
     code, _, err = run(capsys, "verify", "--in", str(unramified))
     assert code == EXIT_SPEC and "does not ramify" in err
+
+    doc = json.loads(record28.read_text())
+    doc["field"] = "realcyclo:1019"  # degree 509, above the cap
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", "--in", str(huge))
+    assert code == EXIT_SPEC and "degree 509" in err and "up to 64" in err
 
     # a zero denominator in a principal factor, a radical P0, and a radical
     # of a prime far too large to factor (checked against the ramified

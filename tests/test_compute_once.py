@@ -1,11 +1,12 @@
 """Values computed once and kept on immutable objects.
 
-Three results are kept where they are first computed: the total-positivity
-verdict on the FieldElement, the realized ideal on the IdealRecipe, and
-the Gram determinant on the IdealLattice.  Oracles: a fresh copy of the
-same value, decided from scratch; an equal recipe parsed again; the
-Bareiss determinant of the Gram.  The kept values never take part in
-equality or hashing.
+Four results are kept where they are first computed: the total-positivity
+verdict and the inverse on the FieldElement, the realized ideal on the
+IdealRecipe, and the Gram determinant on the IdealLattice.  Oracles: a
+fresh copy of the same value, decided or solved from scratch; an equal
+recipe parsed again; the Bareiss determinant of the Gram; the module
+route of the trace dual.  The kept values never take part in equality
+or hashing.
 """
 
 from fractions import Fraction
@@ -14,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arakelov.fields import is_totally_positive, make_field
-from arakelov.ideals import IdealRecipe, realize
+from arakelov.ideals import (
+    IdealRecipe,
+    gamma_element,
+    ideal_pow,
+    radical_above,
+    realize,
+    trace_dual,
+    trace_dual_via_inverse,
+)
 from arakelov.lattice import build
 from arakelov.linalg import det
 
@@ -100,3 +109,69 @@ def test_lattice_determinant_is_the_pivot_product(case, coeffs):
     d = det(lat.gram)
     assert lat.determinant() == d
     assert type(lat.determinant()) is type(d)
+
+
+@st.composite
+def nonzero_elements(draw):
+    spec = draw(st.sampled_from(REAL_SPECS + CM_SPECS))
+    field = make_field(spec)
+    coeffs = draw(st.lists(_COEFF, min_size=field.degree, max_size=field.degree)
+                  .filter(any))
+    return field.element(coeffs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(nonzero_elements(), st.integers(1, 6))
+def test_inverse_is_solved_once_and_linked_both_ways(x, k):
+    field = x.field
+
+    def solved(y):
+        """1/y from the Bareiss solve, on a copy that knows no inverse."""
+        return field._inverse(field.element(y.coeffs))
+
+    plain = field.element(x.coeffs)
+    # a power of an element with no known inverse carries none
+    plain_power = plain ** k
+    assert plain_power._inv is None
+
+    inv = x.inverse()
+    assert inv == solved(x)
+    assert x._inv is inv and inv._inv is x
+    assert x.inverse() is inv and inv.inverse() is x
+
+    # x^-k inverts the base; positive powers carry the matching inverse
+    neg = x ** -k
+    pos = x ** k
+    assert pos == plain_power
+    assert neg == plain_power.inverse() == solved(pos)
+    assert pos._inv == solved(pos) and pos._inv._inv is pos
+    assert neg._inv == pos and neg._inv._inv is neg
+
+    # conj(x)^-1 = conj(x^-1)
+    c = x.conj()
+    assert c.inverse() == solved(c) == inv.conj()
+    assert c.inverse().inverse() is c
+
+    # the memo takes no part in equality or hashing
+    assert plain._inv is None
+    assert x == plain and hash(x) == hash(plain)
+    assert inv == field.element(inv.coeffs)
+    assert hash(inv) == hash(field.element(inv.coeffs))
+
+
+# fields whose radical above p has a known generator, so P^k is principal
+PRINCIPAL_RADICALS = [("realcyclo:13", 13), ("realcyclo:9", 3),
+                      ("realcyclo:25", 5), ("cyclo:7", 7), ("cyclo:9", 3),
+                      ("cyclo:5", 5)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(PRINCIPAL_RADICALS), st.integers(-4, 4),
+       st.sampled_from(["one", "gamma_inv"]))
+def test_principal_trace_dual_matches_the_module_route(case, k, alpha_kind):
+    spec, p = case
+    field = make_field(spec)
+    a = ideal_pow(radical_above(field, p), k)
+    assert a._gen is not None
+    alpha = field.one() if alpha_kind == "one" else gamma_element(field, p) ** -1
+    assert trace_dual(a, alpha) == trace_dual_via_inverse(a, alpha)
