@@ -4,7 +4,7 @@ The top level re-exports the working vocabulary: build a field with
 make_field, classify it (classify or the per-family rules), realize the
 witness ideal, build the lattice, and verify it against the witness.
 Everything is exact; floating point appears only in optional numeric
-embeddings and as a steering heuristic inside enumeration.
+embeddings and in the certified interval test of total positivity.
 """
 
 from .existence import (

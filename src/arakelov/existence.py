@@ -317,10 +317,11 @@ def mod_nonprimepower_trace(n, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
 # odd degree
 # --------------------------------------------------------------------------
 
-def mod_odd_degree(field, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
+def mod_odd_degree(field, trace_type=True, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
     """Level set {1} for any supported Galois field of odd degree, with the
     square root of the codifferent as the witness ideal (materialized up to
-    materialize_limit)."""
+    materialize_limit).  The witness has alpha = 1, so {1} holds for the
+    trace type as well, and the verdict echoes trace_type."""
     if field.degree % 2 == 0:
         raise SpecError(
             f"{field.spec_string()} has even degree {field.degree}; "
@@ -336,7 +337,7 @@ def mod_odd_degree(field, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
     if field.degree <= materialize_limit:
         witnesses[1] = ConstructionWitness(1, field.one(), field.one(),
                                            IdealRecipe(field, factors))
-    return ExistenceVerdict(field.spec_string(), False, (1,), witnesses,
+    return ExistenceVerdict(field.spec_string(), trace_type, (1,), witnesses,
                             "odd-degree-level-one")
 
 
@@ -383,7 +384,7 @@ def classify(field, trace_type=True, materialize_limit=DEFAULT_MATERIALIZE_LIMIT
     if not isinstance(field, NumberField):
         raise SpecError("classify expects a field instance (see make_field)")
     if field.degree % 2 == 1:
-        return mod_odd_degree(field, materialize_limit=materialize_limit)
+        return mod_odd_degree(field, trace_type, materialize_limit=materialize_limit)
     if isinstance(field, (RealQuadraticField, ImagQuadraticField)):
         return mod_quadratic(field, trace_type)
     if isinstance(field, CyclotomicField):

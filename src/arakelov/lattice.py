@@ -6,9 +6,8 @@ canonical basis of I, kept as exact rationals.  Modularity is verified by
 the defining module identity (beta) * tracedual(I, alpha) = I -- never by
 isometry search -- together with the level, integrality, and determinant
 clauses.  Vector enumeration runs Fincke-Pohst on the exactly LLL-reduced
-Gram matrix: floating-point partial sums steer the tree with a widened
-bound, and every surviving leaf is re-checked in exact arithmetic, so the
-reported minimum, kissing number, and theta counts are exact.
+Gram matrix with integer partial sums, so the reported minimum, kissing
+number, and theta counts are exact.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .fields import (
     trace_pairing,
 )
 from .ideals import FractionalIdeal, ideal_mul, principal, trace_dual
-from .linalg import FormError, cholesky, det, lll_reduce
+from .linalg import FormError, det, ldl_integral, lll_reduce
 
 __all__ = [
     "IdealLattice", "LatticeReport", "ModularityFailure",
@@ -48,16 +47,17 @@ class ModularityFailure(ValueError):
 class IdealLattice:
     """An ideal I with the twisted trace form b(x, y) = Tr(alpha * x * conj(y)).
 
-    Construction certifies the Gram positive definite with cholesky
+    Construction certifies the Gram positive definite with ldl_integral
     (Sylvester's criterion on the Bareiss leading minors; FormError
-    otherwise) and keeps its determinant, the product of the pivots d_i.
+    otherwise) and keeps its determinant P_{n-1} / D^n, the last Bareiss
+    pivot of the cleared Gram D*G over the clearing scale.
     """
 
     __slots__ = ("field", "ideal", "alpha", "gram", "_det")
 
     def __init__(self, field, ideal, alpha, gram):
-        ldl = cholesky([list(r) for r in gram])
-        d = math.prod(ldl[i][i] for i in range(len(ldl)))
+        scale, A = ldl_integral(gram)
+        d = Fraction(A[-1][-1], scale ** len(A))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "alpha", alpha)
@@ -234,7 +234,7 @@ def verify_modularity(lat, witness):
 
 
 # --------------------------------------------------------------------------
-# exact enumeration (Fincke-Pohst with float steering, exact leaf recheck)
+# exact enumeration (Fincke-Pohst on integers)
 # --------------------------------------------------------------------------
 
 def _as_gram(lat_or_gram):
@@ -243,104 +243,82 @@ def _as_gram(lat_or_gram):
     return [[Fraction(x) for x in row] for row in lat_or_gram]
 
 
-_SLACK = 0.26
-
-
 def _enumerate_representatives(gram, bound, on_vector):
-    """Visit all nonzero vectors x (one per +-x pair) with exact norm at most
-    the current bound; report (exact_norm, x) through on_vector, which may
-    return a new, smaller bound to steer the rest of the walk.
+    """Visit all nonzero vectors x (one per +-x pair) with norm at most the
+    current bound; report each norm through on_vector, which may return a
+    new, smaller bound to steer the rest of the walk.
 
-    The float tree bound is widened by a constant slack, and each surviving
-    leaf is re-evaluated with exact rationals, so no vector within the exact
-    bound is ever missed and no overweight vector is ever reported.
+    With (D, A) = ldl_integral(gram), pivots P_i and y_i = sum_{j>=i}
+    A[i][j] x_j, D * x^t G x = sum_i y_i^2 / (P_i P_{i-1}); over
+    L = lcm(P_i P_{i-1}) every term is c_i * y_i^2 with an integer c_i.
+    So the walk keeps the norm scaled by L*D as an integer, the range of
+    x_i is one isqrt, and every comparison is exact.
     """
     n = len(gram)
-    ldl = cholesky(gram)
-    df = [float(ldl[i][i]) for i in range(n)]
-    uf = [[float(ldl[i][j]) for j in range(n)] for i in range(n)]
+    scale, A = ldl_integral(gram)
+    prev = [1] + [A[i][i] for i in range(n - 1)]
+    unit = math.lcm(*(A[i][i] * prev[i] for i in range(n)))
+    c = [unit // (A[i][i] * prev[i]) for i in range(n)]
+    unit *= scale
+    cap = math.floor(Fraction(bound) * unit)
     x = [0] * n
-    state = {"bound": float(bound) + _SLACK}
 
-    def exact_norm():
-        total = Fraction(0)
-        for i in range(n):
-            xi = x[i]
-            if xi:
-                row = gram[i]
-                total += xi * xi * row[i]
-                for j in range(i):
-                    if x[j]:
-                        total += 2 * xi * x[j] * row[j]
-        return total
-
-    def walk(i, partial, nonzero):
+    def walk(i, used, nonzero):
+        nonlocal cap
         if i < 0:
             if nonzero:
-                new_bound = on_vector(exact_norm(), x)
+                new_bound = on_vector(Fraction(used, unit))
                 if new_bound is not None:
-                    state["bound"] = new_bound + _SLACK
+                    cap = math.floor(new_bound * unit)
             return
-        center = 0.0
-        for j in range(i + 1, n):
-            if x[j]:
-                center += uf[i][j] * x[j]
-        budget = state["bound"] - partial
-        if budget < 0:
-            return
-        radius = math.sqrt(budget / df[i]) if budget > 0 else 0.0
-        lo = math.ceil(-center - radius)
+        row = A[i]
+        s = sum(row[j] * x[j] for j in range(i + 1, n) if x[j])
+        P = row[i]
+        r = math.isqrt((cap - used) // c[i])
+        lo = -((r + s) // P)
         if not nonzero:
             lo = max(lo, 0)
-        hi = math.floor(-center + radius)
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            step = df[i] * (xi + center) ** 2
-            if partial + step <= state["bound"]:
-                walk(i - 1, partial + step, nonzero or xi != 0)
+        for xi in range(lo, (r - s) // P + 1):
+            y = P * xi + s
+            step = used + c[i] * y * y
+            if step <= cap:  # on_vector may have lowered cap since r
+                x[i] = xi
+                walk(i - 1, step, nonzero or xi != 0)
         x[i] = 0
 
-    walk(n - 1, 0.0, False)
+    walk(n - 1, 0, False)
 
 
 def minimum(lat_or_gram):
     """Exact (minimum, kissing number); kissing counts both signs."""
-    gram = _as_gram(lat_or_gram)
-    reduced, _ = lll_reduce(gram)
-    best = {"mu": min(reduced[i][i] for i in range(len(reduced))), "count": 0}
+    reduced, _ = lll_reduce(_as_gram(lat_or_gram))
+    mu, count = min(reduced[i][i] for i in range(len(reduced))), 0
 
-    def on_vector(norm, _x):
-        if norm < best["mu"]:
-            best["mu"] = norm
-            best["count"] = 1
-            return float(norm)
-        if norm == best["mu"]:
-            best["count"] += 1
+    def on_vector(norm):
+        nonlocal mu, count
+        if norm < mu:
+            mu, count = norm, 1
+            return norm
+        if norm == mu:
+            count += 1
         return None
 
-    _enumerate_representatives(reduced, best["mu"], on_vector)
-    mu = best["mu"]
-    if best["count"] == 0:
-        # the starting bound itself is the minimum, attained by a basis
-        # vector the tree also visits; count == 0 cannot happen since the
-        # diagonal vector e_i is enumerated -- keep a hard failure anyway
+    _enumerate_representatives(reduced, mu, on_vector)
+    if count == 0:
+        # the basis vector of the starting bound is always visited
         raise ArithmeticError("enumeration missed the witness basis vector")
-    return (int(mu) if mu.denominator == 1 else mu), 2 * best["count"]
+    return (int(mu) if mu.denominator == 1 else mu), 2 * count
 
 
 def theta_prefix(lat_or_gram, bound):
     """Exact vector counts per norm value up to bound (0 included once)."""
     if bound < 0:
         raise SpecError("theta bound must be nonnegative")
-    gram = _as_gram(lat_or_gram)
-    reduced, _ = lll_reduce(gram)
-    bound = Fraction(bound)
+    reduced, _ = lll_reduce(_as_gram(lat_or_gram))
     counts = {}
 
-    def on_vector(norm, _x):
-        if norm <= bound:
-            counts[norm] = counts.get(norm, 0) + 1
-        return None
+    def on_vector(norm):
+        counts[norm] = counts.get(norm, 0) + 1
 
     _enumerate_representatives(reduced, bound, on_vector)
     out = [(Fraction(0), 1)] + [(nrm, 2 * c) for nrm, c in sorted(counts.items())]

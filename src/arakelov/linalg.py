@@ -1,12 +1,11 @@
 """Exact linear algebra kernel: HNF, determinants, inversion, LLL, LDL.
 
 All routines work on plain lists of lists.  Integer matrices use Python
-ints, rational ones use fractions.Fraction; nothing here ever touches
-floating point except as a navigation accelerator inside lll_reduce,
-whose output is always recomputed and certified exactly.  det, invert,
-solve_bareiss, solve_integral and cholesky share one fraction-free
-(Bareiss) elimination core; LLL takes its Gram-Schmidt data from
-cholesky.
+ints, rational ones use fractions.Fraction; nothing here touches
+floating point.  det, invert, solve_bareiss, solve_integral and
+ldl_integral share one fraction-free (Bareiss) elimination core;
+cholesky reads its pivots off ldl_integral, and LLL takes its
+Gram-Schmidt data from cholesky.
 
 Canonical Hermite form used throughout the package: *lower-triangular*
 row-style HNF.  For a nonsingular square matrix H this means
@@ -394,24 +393,24 @@ def lll_reduce(G, delta=Fraction(99, 100)):
     return Gw, transpose(U)
 
 
-def cholesky(G):
-    """Exact LDL-style decomposition of a positive definite Gram matrix.
+def ldl_integral(G):
+    """Integer LDL data of a positive definite Gram matrix: (D, A).
 
-    Returns a single RatMatrix R holding the positive pivots d_i = R[i][i]
-    and the unit-triangular coefficients u_ij = R[i][j] for j > i, so that
-    x^t G x == sum_i d_i * (x_i + sum_{j>i} u_ij x_j)^2.  Raises FormError
-    if G is not symmetric positive definite.
+    D is the lcm of the denominators of G, so D*G is an integer symmetric
+    matrix, and A is its Bareiss upper triangle: with pivots P_i = A[i][i]
+    and P_-1 = 1, and y_i = sum_{j>=i} A[i][j] x_j,
+    D * x^t G x == sum_i y_i^2 / (P_i * P_{i-1}).  Raises FormError if G
+    is not symmetric positive definite.
 
-    Row i of G is cleared to integers by its positive scale s_i and the
-    result A eliminated by the Bareiss core.  Sylvester's criterion: G is
-    positive definite iff every leading principal minor is positive, and
-    with no row swap the pivot P_i is the leading minor of order i+1 of A,
-    which is s_0*...*s_i times that of G; so a swap, a singular matrix or
-    a pivot P_i <= 0 rejects G.  Otherwise d_i = P_i / (P_{i-1} * s_i) and
-    u_ij = A[i][j] / P_i, in which the scales cancel.
+    Sylvester's criterion: G is positive definite iff every leading
+    principal minor is positive, and with no row swap the pivot P_i is
+    the leading minor of order i+1 of D*G; so a swap, a singular matrix
+    or a pivot P_i <= 0 rejects G.
     """
     n = _check_gram(G)
-    A, scales = _cleared([[Fraction(x) for x in row] for row in G])
+    G = [[Fraction(x) for x in row] for row in G]
+    D = lcm(*(x.denominator for row in G for x in row))
+    A = [[int(x * D) for x in row] for row in G]
     try:
         swaps, _ = _bareiss(A, [[] for _ in range(n)])
         definite = not swaps and all(A[i][i] > 0 for i in range(n))
@@ -419,11 +418,25 @@ def cholesky(G):
         definite = False
     if not definite:
         raise FormError("matrix is not positive definite")
+    return D, A
+
+
+def cholesky(G):
+    """Exact LDL-style decomposition of a positive definite Gram matrix.
+
+    Returns a single RatMatrix R holding the positive pivots d_i = R[i][i]
+    and the unit-triangular coefficients u_ij = R[i][j] for j > i, so that
+    x^t G x == sum_i d_i * (x_i + sum_{j>i} u_ij x_j)^2, read off
+    ldl_integral: d_i = P_i / (P_{i-1} * D) and u_ij = A[i][j] / P_i.
+    Raises FormError if G is not symmetric positive definite.
+    """
+    D, A = ldl_integral(G)
+    n = len(A)
     R = [[Fraction(0)] * n for _ in range(n)]
     prev = 1
     for i in range(n):
         P = A[i][i]
-        R[i][i] = Fraction(P, prev * scales[i])
+        R[i][i] = Fraction(P, prev * D)
         for j in range(i + 1, n):
             R[i][j] = Fraction(A[i][j], P)
         prev = P

@@ -83,6 +83,15 @@ def test_exists_modular_prime_power(capsys):
     assert doc["trace_type"] is False
 
 
+def test_exists_odd_degree_echoes_trace_type(capsys):
+    # the odd-degree witness has alpha = 1, so {1} holds for either request
+    for flags, trace_type in (([], False), (["--trace-type"], True)):
+        code, doc, _ = run_json(capsys, "exists", "--field", "realcyclo:7", *flags)
+        assert code == EXIT_OK
+        assert doc["levels"] == [1] and doc["rule"] == "odd-degree-level-one"
+        assert doc["trace_type"] is trace_type
+
+
 def test_exists_composite_needs_trace_flag(capsys):
     code, _, err = run(capsys, "exists", "--field", "realcyclo:28")
     assert code == EXIT_SPEC
@@ -109,6 +118,7 @@ def test_exists_large_specs_never_build_the_minimal_polynomial(capsys, monkeypat
                             "--trace-type")
     assert code == EXIT_OK
     assert doc["levels"] == [1] and doc["witnesses"] == {}
+    assert doc["trace_type"] is True
     # no CM classification beyond the quadratic fields
     code, _, err = run(capsys, "exists", "--field", "cyclo:100000007")
     assert code == EXIT_SPEC and "cyclo:100000007" in err

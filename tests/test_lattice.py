@@ -22,6 +22,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arakelov.existence import classify
 from arakelov.fields import FieldMismatch, SpecError, make_field
@@ -364,3 +366,52 @@ def test_theta_invariant_under_unimodular_change():
 def test_theta_rejects_negative_bound():
     with pytest.raises(SpecError):
         theta_prefix([[1, 0], [0, 1]], -1)
+
+
+def test_theta_keeps_the_boundary_vector_at_large_entries():
+    # e2 lies exactly on the bound; at entries of about 2^52 float partial
+    # sums cannot tell it from a vector just outside
+    a, b, c = 2354869172509933, 248682255888662, 4546772473154696
+    assert theta_prefix([[a, b], [b, c]], c) == [(0, 1), (a, 2), (c, 2)]
+
+
+@st.composite
+def reduced_forms(draw):
+    """(G/k, bound): G an LLL-reduced 2-3-dim integer Gram with entries of
+    20-60 bits whose diagonal spans at most a factor 2, so the brute-force
+    box stays small; in near-boundary forms every off-diagonal entry is
+    about half the diagonal and the diagonal entries nearly agree.  The
+    bound is the largest diagonal entry of G/k, moved by -1/3, 0 or 1/3."""
+    n = draw(st.integers(2, 3))
+    bits = draw(st.integers(20, 60))
+    a = draw(st.integers(1 << (bits - 1), 1 << bits))
+    if draw(st.booleans()):
+        diag = [a + draw(st.integers(0, 3)) for _ in range(n)]
+        off = [draw(st.sampled_from([-1, 1])) * (a // 2 - draw(st.integers(0, 3)))
+               for _ in range(n * (n - 1) // 2)]
+    else:
+        diag = [draw(st.integers(a, 2 * a)) for _ in range(n)]
+        off = [draw(st.integers(-(a // 2), a // 2)) for _ in range(n * (n - 1) // 2)]
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        G[i][i] = diag[i]
+    for (i, j), g in zip([(1, 0), (2, 0), (2, 1)], off):
+        G[i][j] = G[j][i] = g
+    try:
+        assume(lll_reduce(G)[0] == G)
+    except FormError:
+        assume(False)
+    k = draw(st.integers(1, 6))
+    bound = Fraction(max(diag), k) + Fraction(draw(st.integers(-1, 1)), 3)
+    return [[Fraction(g, k) for g in row] for row in G], bound
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(reduced_forms())
+def test_enumeration_matches_brute_force_at_large_entries(case):
+    gram, bound = case
+    counts = brute_force_norms(gram, max(bound, max(row[i] for i, row in enumerate(gram))))
+    mu = min(counts)
+    assert minimum(gram) == (mu, counts[mu])
+    assert theta_prefix(gram, bound) == \
+        [(0, 1)] + sorted((nrm, c) for nrm, c in counts.items() if nrm <= bound)

@@ -15,6 +15,7 @@ from arakelov.linalg import (
     hnf_mod_d,
     identity,
     invert,
+    ldl_integral,
     lll_reduce,
     mat_mul,
     nullspace_mod_p,
@@ -324,6 +325,15 @@ def test_cholesky_known_pivots():
     R = cholesky([[2, 1], [1, 2]])
     assert R[0][0] == 2 and R[1][1] == Fraction(3, 2)
     assert R[0][1] == Fraction(1, 2)
+
+
+def test_ldl_integral_clears_with_one_scale():
+    # 6G = [[3, 2], [2, 6]] stays symmetric; its pivots are the leading
+    # minors 3 and 14
+    D, A = ldl_integral([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]])
+    assert D == 6 and A == [[3, 2], [0, 14]]
+    with pytest.raises(FormError):
+        ldl_integral([[1, 2], [2, 1]])
 
 
 def test_cholesky_reconstructs():
