@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -24,7 +25,6 @@ from .fields import (
     NotRamified,
     SpecError,
     default_precision,
-    factorize,
     make_field,
 )
 from .ideals import IdealRecipe, Unsupported, ZeroIdeal, realize
@@ -80,14 +80,27 @@ def _emit(doc, out_path=None):
         sys.stdout.write(text)
 
 
-def _squarefree_split(level):
-    """level = ell1 * ell2^2 with ell1 squarefree (unique)."""
-    ell1, ell2 = 1, 1
-    for p, e in factorize(level).items():
+def _squarefree_split(field, level):
+    """level = ell1 * ell2^2, split over the ramified primes only.
+
+    Each ramified prime goes into ell1 by the parity of its exponent.  The
+    cofactor goes into ell2 when it is a square; otherwise it holds a
+    prime outside omega to an odd power and goes whole into ell1, which
+    then matches no verdict level.  So a huge level is never factored.
+    """
+    ell1, ell2, rest = 1, 1, level
+    for p in field.omega():
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
         if e % 2:
             ell1 *= p
         ell2 *= p ** (e // 2)
-    return ell1, ell2
+    root = math.isqrt(rest)
+    if root * root == rest:
+        return ell1, ell2 * root
+    return ell1 * rest, ell2
 
 
 class _RecordWitness:
@@ -180,7 +193,7 @@ def cmd_construct(args):
     field = _bounded_field(args.field)
     if args.level < 1:
         raise SpecError(f"level must be a positive integer, got {args.level}")
-    ell1, ell2 = _squarefree_split(args.level)
+    ell1, ell2 = _squarefree_split(field, args.level)
     verdict = existence.classify(field, trace_type=args.trace_type)
     if ell1 not in verdict.levels:
         print(

@@ -10,7 +10,10 @@ valuation-parity equation k_p = (v_p(alpha^-1 * beta * D_K^-1)) / 2 at
 every ramified prime, and every constructed witness re-verifies the
 defining identities exactly (level = beta * conj(beta), alpha totally
 positive, half-level valuations of beta, and I * conj(I) equal to
-alpha^-1 * beta * D_K^-1 as fractional ideals).
+alpha^-1 * beta * D_K^-1 as fractional ideals).  The last is checked as
+I * conj(I) * (alpha * beta^-1) = D_K^-1, with beta^-1 = conj(beta)/level
+from the first identity, so it needs no inverse; the product compares
+with the codifferent's rows.
 """
 
 from __future__ import annotations
@@ -85,16 +88,19 @@ class ConstructionWitness:
                 f"beta * conj(beta) != {level} for beta = {beta}")
         if not is_totally_positive(alpha):
             raise InternalInconsistency(f"alpha = {alpha} is not totally positive")
+        beta_ideal = principal(beta)
+        level_ideal = principal(field.rational(level))
         for p in sorted(field.omega()):
-            v_beta = valuation(principal(beta), p)
-            v_level = valuation(principal(field.rational(level)), p)
+            v_beta = valuation(beta_ideal, p)
+            v_level = valuation(level_ideal, p)
             if 2 * v_beta != v_level:
                 raise InternalInconsistency(
                     f"v_{p}(beta) = {v_beta} but v_{p}(level)/2 = {v_level}/2")
         lattice_ideal = realize(ideal)
-        lhs = ideal_mul(lattice_ideal, conj_ideal(lattice_ideal))
-        rhs = ideal_mul(principal(alpha.inverse() * beta), codifferent(field))
-        if lhs != rhs:
+        # beta^-1 = conj(beta) / level by the first identity: no solve
+        twist = principal(alpha * beta.conj() / level)
+        lhs = ideal_mul(ideal_mul(lattice_ideal, conj_ideal(lattice_ideal)), twist)
+        if lhs != codifferent(field):
             raise InternalInconsistency(
                 "I * conj(I) != alpha^-1 * beta * D_K^-1 for the proposed recipe")
         object.__setattr__(self, "level", level)

@@ -10,18 +10,21 @@ generator rows are Hermite-reduced modulo the exact determinant of the
 product module (hnf_mod_d), which is known in advance because covolumes
 multiply.  When a principal generator of an operand is known -- recorded
 privately on the ideal, never part of its value -- products, powers,
-conjugates and inverses shrink to element arithmetic plus one m-row
-reduction.  Radical generators are only ever attached after an exact
-module-equality check, never assumed.
+conjugates and inverses shrink to element arithmetic.  A principal ideal
+keeps only its generator and norm, and builds its rows (one m-row
+reduction) on first read; two such ideals compare on their generators.
+Radical generators are only ever attached after an exact module-equality
+check, never assumed.
 
 Radicals above ramified primes are computed as the preimage of the
 nilradical of O_K/p (the kernel of an iterated Frobenius map on the
 GF(p)-algebra O_K/p); each radical is checked against the Galois norm
 identity norm(J_p) = p^(degree/e_p).  Inverses go through the trace-dual
 identity A^-1 = D_K * tracedual(conj(A), 1), with the different D_K
-certified once per field against the codifferent.  Valuations are
-certified: a norm computation proposes the exponent and an exact
-containment test proves all primes above p carry it with equal
+certified once per field against the codifferent.  With one prime above
+p, of residue degree 1, the valuation is read off the norm; otherwise
+valuations are certified: a norm computation proposes the exponent and
+an exact containment test proves all primes above p carry it with equal
 multiplicity.
 """
 
@@ -75,21 +78,59 @@ class FractionalIdeal:
     """Full-rank Z-module in the field: canonical HNF numerator / denominator.
 
     A known principal generator may ride along in the private ``_gen``
-    slot.  It is never part of the value (equality and hashing ignore
-    it); it only lets products, powers and inverses run on the element
-    instead of on m^2 generator rows.
+    slot; it lets products, powers, conjugates and inverses run on the
+    element instead of on m^2 generator rows.  An ideal made from a
+    generator keeps only (gen, |N(gen)|): its canonical rows ``num`` and
+    ``den`` are built on first read (``num``, ``den``, ``basis_elements``,
+    ``contains``, hashing, or comparison with an ideal that has only
+    rows), and ``norm()`` returns the stored norm.  Two ideals that both
+    know a generator compare on the generators: (a) = (b) exactly when
+    |N(a)| = |N(b)| and a/b has integer power-basis coordinates, since
+    O_K = Z[theta] and an integral element of norm +-1 is a unit.
+    Neither slot is part of the value: equal modules compare and hash
+    equal whichever form they are kept in.
     """
 
-    __slots__ = ("field", "num", "den", "_gen")
+    __slots__ = ("field", "_num", "_den", "_gen", "_norm")
 
     def __init__(self, field, num, den, gen=None):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_gen", gen)
+        object.__setattr__(self, "_norm", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FractionalIdeal is immutable")
+
+    @property
+    def num(self):
+        if self._num is None:
+            self._build_rows()
+        return self._num
+
+    @property
+    def den(self):
+        if self._num is None:
+            self._build_rows()
+        return self._den
+
+    def _build_rows(self):
+        """Rows of (gen): m shift rows, Hermite-reduced mod the exact
+        determinant |N(den*gen)| of the scaled row module, then certified
+        against it, so nothing ever outgrows the answer."""
+        field = self.field
+        m = field.degree
+        den, vec = _den_scaled(self._gen)
+        rows = []
+        cur = vec
+        for _ in range(m):
+            rows.append(cur)
+            cur = field._shift_reduce(cur)
+        w = _certified_hnf(rows, Fraction(den) ** m * self._norm, "principal ideal")
+        num, den = _canonical(w, den)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -122,16 +163,26 @@ class FractionalIdeal:
     def norm(self):
         """Generalized index [O_K : A] as a positive rational.
 
-        The numerator is lower triangular by construction, so its
+        An ideal kept as a generator returns the stored |N(gen)|; otherwise
+        the numerator is lower triangular by construction, so its
         determinant is the product of the diagonal.
         """
-        d = 1
-        for i, row in enumerate(self.num):
-            d *= row[i]
-        return Fraction(abs(d), self.den ** self.field.degree)
+        if self._norm is None:
+            d = 1
+            for i, row in enumerate(self.num):
+                d *= row[i]
+            object.__setattr__(self, "_norm",
+                               Fraction(abs(d), self.den ** self.field.degree))
+        return self._norm
 
     def is_ring(self):
-        return self == FractionalIdeal.ring(self.field)
+        """O_K is the integral ideal of norm 1: a known generator must be
+        integral, and rows must have denominator 1."""
+        if self.norm() != 1:
+            return False
+        if self._gen is not None:
+            return _is_integral(self._gen)
+        return self.den == 1
 
     def contains(self, x):
         """Exact membership test for a field element."""
@@ -169,7 +220,13 @@ class FractionalIdeal:
     def __eq__(self, other):
         if not isinstance(other, FractionalIdeal):
             return NotImplemented
-        return (self.field, self.num, self.den) == (other.field, other.num, other.den)
+        if self.field != other.field:
+            return False
+        if (self._num is None or other._num is None) \
+                and self._gen is not None and other._gen is not None:
+            return self.norm() == other.norm() and \
+                _is_integral(self._gen * other._gen.inverse())
+        return (self.num, self.den) == (other.num, other.den)
 
     def __hash__(self):
         return hash((self.field, self.num, self.den))
@@ -183,7 +240,7 @@ class FractionalIdeal:
 # shared canonicalization helpers
 # --------------------------------------------------------------------------
 
-def _reduced(field, hnf_rows, den, gen=None):
+def _canonical(hnf_rows, den):
     """Strip the joint content of an HNF/denominator pair, then freeze it."""
     g = den
     for row in hnf_rows:
@@ -194,7 +251,16 @@ def _reduced(field, hnf_rows, den, gen=None):
     if g > 1:
         hnf_rows = [[e // g for e in row] for row in hnf_rows]
         den //= g
-    return FractionalIdeal(field, tuple(tuple(r) for r in hnf_rows), den, gen)
+    return tuple(tuple(r) for r in hnf_rows), den
+
+
+def _reduced(field, hnf_rows, den):
+    return FractionalIdeal(field, *_canonical(hnf_rows, den))
+
+
+def _is_integral(x):
+    """x lies in O_K = Z[theta]: integer power-basis coordinates."""
+    return all(c.denominator == 1 for c in x.coeffs)
 
 
 def _int_entries(rows):
@@ -250,19 +316,10 @@ def principal(gamma):
 
 
 def _principal(gamma, abs_norm):
-    """(gamma) given |N(gamma)|: m shift rows, Hermite-reduced mod the
-    exact determinant |N(den*gamma)| of the scaled row module, then
-    certified against it, so nothing ever outgrows the answer."""
-    field = gamma.field
-    m = field.degree
-    den, vec = _den_scaled(gamma)
-    rows = []
-    cur = vec
-    for _ in range(m):
-        rows.append(cur)
-        cur = field._shift_reduce(cur)
-    w = _certified_hnf(rows, Fraction(den) ** m * abs_norm, "principal ideal")
-    return _reduced(field, w, den, gen=gamma)
+    """(gamma) given |N(gamma)|, kept as its generator until rows are read."""
+    ideal = FractionalIdeal(gamma.field, None, None, gamma)
+    object.__setattr__(ideal, "_norm", abs_norm)
+    return ideal
 
 
 def _principal_times_module(g, abs_norm_g, mod):
@@ -277,8 +334,7 @@ def _principal_times_module(g, abs_norm_g, mod):
     rows = _int_entries([field._mul_coeffs(g_vec, list(row)) for row in mod.num])
     w = _certified_hnf(rows, Fraction(den_g) ** m * abs_norm_g * det_num,
                        "principal product")
-    gen = g * mod._gen if mod._gen is not None else None
-    return _reduced(field, w, den_g * mod.den, gen)
+    return _reduced(field, w, den_g * mod.den)
 
 
 def _theta_power_mod(field, k, p):
@@ -362,7 +418,7 @@ def _radical_generator(field, p, radical):
     nrm = abs(cand.norm())
     if nrm != radical.norm():
         return None
-    if _principal(cand, nrm) == radical:
+    if _principal(cand, nrm) == radical:  # radical has rows only: a module check
         return cand
     return None
 
@@ -465,10 +521,16 @@ def trace_dual(a, alpha):
         g = alpha.inverse() * a._gen.conj().inverse()
         return _principal_times_module(
             g, 1 / (a.norm() * abs(alpha.norm())), codifferent(field))
-    basis = a.basis_elements()
-    scaled_rows = [(alpha * x).coeffs for x in basis]
-    conj_rows = [x.conj().coeffs for x in basis]
-    gram = trace_pairing(field, scaled_rows, conj_rows)
+    if a.is_ring() and alpha == 1:
+        # the Gram of O_K under alpha = 1 is the cached trace form; on a CM
+        # field it pairs with theta^j instead of conj(theta^j), which spans
+        # the same dual, as conjugation maps O_K onto itself
+        gram = field.trace_form_rows()
+    else:
+        basis = a.basis_elements()
+        scaled_rows = [(alpha * x).coeffs for x in basis]
+        conj_rows = [x.conj().coeffs for x in basis]
+        gram = trace_pairing(field, scaled_rows, conj_rows)
     # the dual rows are gram^-1 * num / den = Y / (d * den) with
     # gram * Y = d * num; dividing out the content g of (d * den, Y),
     # signed like d, leaves the least positive common denominator
@@ -588,15 +650,18 @@ def _int_val(n, p):
 def valuation(a, p):
     """Common exponent of the primes above p in A (certified).
 
-    The norm proposes k = v_p(norm A)/(f*g); the certificate checks that
-    A * J_p^-k is p-integral, which together with its norm being a p-unit
-    forces every prime above p to zero exponent.  Ideals with unequal
-    exponents above p raise Unsupported.
+    With one prime above p, of residue degree 1 (f*g = 1), the exponent is
+    v_p(norm A) itself.  Otherwise the norm proposes k = v_p(norm A)/(f*g);
+    the certificate checks that A * J_p^-k is p-integral, which together
+    with its norm being a p-unit forces every prime above p to zero
+    exponent.  Ideals with unequal exponents above p raise Unsupported.
     """
     field = a.field
     fg = field.residue_product(p)  # raises NotRamified for unramified p
     nrm = a.norm()
     kn = _int_val(nrm.numerator, p) - _int_val(nrm.denominator, p)
+    if fg == 1:
+        return kn
     if kn % fg:
         raise Unsupported(
             f"norm valuation {kn} at {p} is not a multiple of f*g = {fg}: "

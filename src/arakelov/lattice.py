@@ -215,7 +215,10 @@ def verify_modularity(lat, witness):
     if beta * beta.conj() != field.rational(level):
         raise ModularityFailure("i", f"beta * conj(beta) != {level}")
     dual_ideal = trace_dual(lat.ideal, lat.alpha)
-    if ideal_mul(principal(beta), dual_ideal) != lat.ideal:
+    # compared on HNF rows, never on generators: the module route stays
+    # independent of the witness self-check
+    lhs = ideal_mul(principal(beta), dual_ideal)
+    if (lhs.num, lhs.den) != (lat.ideal.num, lat.ideal.den):
         raise ModularityFailure("ii", "(beta) * dual(I) != I as modules")
     if not lat.is_integral():
         raise ModularityFailure("iii", "Gram matrix is not integral")

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arakelov import cli, fields
+from arakelov import cli, existence, fields, ideals
 from arakelov.cli import (
     EXIT_ABSENT,
     EXIT_OK,
@@ -162,6 +162,38 @@ def test_construct_inadmissible_level(capsys):
     assert code == EXIT_ABSENT
     assert out == ""
     assert "odd-degree-level-one" in err
+
+
+HUGE_PRIME = 1000000000000000003
+
+
+def test_construct_level_is_split_over_the_ramified_primes(capsys, monkeypatch):
+    """construct divides the level by the ramified primes only, so a huge
+    prime level is refused at once: factorize is patched to raise on it."""
+    def guarded(original):
+        def factorize(n):
+            if n % HUGE_PRIME == 0:
+                raise AssertionError(f"factored the level {n}")
+            return original(n)
+        return factorize
+
+    for module in (fields, existence, ideals, cli):
+        if hasattr(module, "factorize"):
+            monkeypatch.setattr(module, "factorize", guarded(module.factorize))
+    args = ["construct", "--field", "realcyclo:44", "--trace-type", "--level"]
+    code, out, err = run(capsys, *args, str(HUGE_PRIME))
+    assert code == EXIT_ABSENT and out == ""
+    assert err == (f"no Arakelov-modular lattice of level {HUGE_PRIME} over "
+                   "realcyclo:44: the admissible squarefree levels are [11] "
+                   "(rule: composite-conductor-trace)\n")
+    # 99 = 11 * 3^2: the square cofactor rescales the level-11 witness
+    code, doc, _ = run_json(capsys, *args, "99")
+    assert code == EXIT_OK
+    assert doc["level"] == 99 and doc["ideal"] == "P2^-1*P11^-2*(3)"
+    # 13 does not ramify, so it can be no admissible level
+    code, out, err = run(capsys, *args, "13")
+    assert code == EXIT_ABSENT and out == ""
+    assert "level 13 over realcyclo:44" in err and "[11]" in err
 
 
 def test_construct_rescaled_level(capsys, tmp_path):

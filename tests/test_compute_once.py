@@ -1,12 +1,14 @@
 """Values computed once and kept on immutable objects.
 
-Four results are kept where they are first computed: the total-positivity
+Five results are kept where they are first computed: the total-positivity
 verdict and the inverse on the FieldElement, the realized ideal on the
-IdealRecipe, and the Gram determinant on the IdealLattice.  Oracles: a
-fresh copy of the same value, decided or solved from scratch; an equal
-recipe parsed again; the Bareiss determinant of the Gram; the module
-route of the trace dual.  The kept values never take part in equality
-or hashing.
+IdealRecipe, the Gram determinant on the IdealLattice, and the HNF rows
+of a principal ideal, built on first read.  Oracles: a fresh copy of the
+same value, decided or solved from scratch; an equal recipe parsed
+again; the Bareiss determinant of the Gram; the module route of the
+trace dual; the rows of the generator's shift module and containment in
+powers of the radical.  The kept values never take part in equality or
+hashing.
 """
 
 from fractions import Fraction
@@ -14,15 +16,27 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arakelov.fields import is_totally_positive, make_field
+from math import gcd, lcm
+
+from arakelov.fields import (
+    CyclotomicField,
+    RealCyclotomicField,
+    factorize,
+    is_totally_positive,
+    make_field,
+)
 from arakelov.ideals import (
+    FractionalIdeal,
     IdealRecipe,
+    Unsupported,
     gamma_element,
     ideal_pow,
+    principal,
     radical_above,
     realize,
     trace_dual,
     trace_dual_via_inverse,
+    valuation,
 )
 from arakelov.lattice import build
 from arakelov.linalg import det
@@ -175,3 +189,103 @@ def test_principal_trace_dual_matches_the_module_route(case, k, alpha_kind):
     assert a._gen is not None
     alpha = field.one() if alpha_kind == "one" else gamma_element(field, p) ** -1
     assert trace_dual(a, alpha) == trace_dual_via_inverse(a, alpha)
+
+
+LAZY_SPECS = ["quad:+5", "quad:-7", "quad:+6", "quad:-3",
+              "realcyclo:13", "realcyclo:9", "realcyclo:25", "realcyclo:28",
+              "realcyclo:36", "cyclo:5", "cyclo:7", "cyclo:9", "cyclo:12"]
+
+
+def _galois(x, a):
+    """The automorphism zeta -> zeta^a; on a quadratic field, the
+    nontrivial one, x -> Tr(x) - x."""
+    field = x.field
+    if isinstance(field, RealCyclotomicField):
+        return field.descend(_galois(field.lift(x), a))
+    if isinstance(field, CyclotomicField):
+        out = field.zero()
+        for k, c in enumerate(x.coeffs):
+            if c:
+                out = out + field.theta_power(a * k) * c
+        return out
+    return x.trace() - x
+
+
+def _p_exponent(q, p):
+    """v_p of a nonzero rational."""
+    v, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def _rows_route(x):
+    """(x) from the m shift rows of x, with no generator attached."""
+    field = x.field
+    return FractionalIdeal.from_rows(field, [(x * w).coeffs for w in field.power_basis()])
+
+
+@st.composite
+def principal_pairs(draw):
+    """(x, y) with y = x times a unit, x*gamma, x/2, or x/sigma(x), which
+    has norm +-1 and is rarely integral."""
+    field = make_field(draw(st.sampled_from(LAZY_SPECS)))
+    x = field.element(draw(st.lists(_COEFF, min_size=field.degree,
+                                    max_size=field.degree).filter(any)))
+    kind = draw(st.sampled_from(["unit", "gamma", "half", "galois"]))
+    n = getattr(field, "n", None)
+    a = None if n is None else \
+        draw(st.sampled_from([a for a in range(2, n) if gcd(a, n) == 1]))
+    if kind == "unit":
+        if n is None or len(factorize(n)) > 1:
+            return x, -x
+        # the cyclotomic unit (1 - zeta^a)/(1 - zeta), times its complex
+        # conjugate on the real subfield
+        base = field.one() - field.gen() if isinstance(field, CyclotomicField) \
+            else gamma_element(field, field.omega()[0])
+        return x, x * _galois(base, a) / base
+    if kind == "gamma":
+        gamma = field.sqrt_disc_element() if n is None \
+            else gamma_element(field, field.omega()[0])
+        return x, x * gamma
+    if kind == "half":
+        return x, x / 2
+    return x, x / _galois(x, a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(principal_pairs())
+def test_lazy_principal_ideal_agrees_with_its_rows(case):
+    x, y = case
+    field = x.field
+    a, b = principal(x), principal(y)
+    rows_a, rows_b = _rows_route(x), _rows_route(y)
+    # equality and is_ring are answered from the generators, building no rows
+    assert (a == b) == (b == a) == (rows_a == rows_b)
+    assert a.is_ring() == rows_a.is_ring() and b.is_ring() == rows_b.is_ring()
+    assert a._num is None and b._num is None
+    for ideal, gen in ((a, x), (b, y)):
+        assert ideal.norm() == abs(gen.norm())
+        # the valuation k: all f*g primes above p carry it in the norm, and
+        # the integral d*gen lies in J_p^(k + e*v_p(d)) but not in the next
+        # power
+        d = lcm(*(c.denominator for c in gen.coeffs))
+        for p in field.omega():
+            try:
+                k = valuation(ideal, p)
+            except Unsupported:
+                continue
+            assert _p_exponent(abs(gen.norm()), p) == k * field.residue_product(p)
+            k += field.ramification_index(p) * _p_exponent(Fraction(d), p)
+            radical = radical_above(field, p)
+            assert ideal_pow(radical, k).contains(gen * d)
+            assert not ideal_pow(radical, k + 1).contains(gen * d)
+    # rows built on first read are the shift-row module's rows
+    assert hash(a) == hash(rows_a) and hash(b) == hash(rows_b)
+    assert (a.num, a.den) == (rows_a.num, rows_a.den)
+    assert (b.num, b.den) == (rows_b.num, rows_b.den)
+    assert (a == b) == (rows_a == rows_b)

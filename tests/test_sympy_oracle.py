@@ -6,11 +6,20 @@ the residue product f*g of each ramified prime.  sympy computes the same
 data on its own: round_two gives the maximal order and the discriminant
 of Q[x]/(T), prime_decomp the primes above p with their (e, f), and the
 ramified primes are those dividing the discriminant.  The canonical
-HNF of a full-rank module is checked against sympy's hermite_normal_form.
+HNF of a full-rank module is checked against sympy's hermite_normal_form,
+and the valuation of a principal ideal against v_P of its HNF rows at
+each prime P of sympy's prime_decomp.  That covers the families with one
+prime above each ramified p (prime-power conductors and quadratic
+fields), where valuation reads the exponent off the norm, and composite
+conductors, where it certifies equal exponents or raises Unsupported.
 sympy is a test dependency; a missing oracle fails the run rather than
 skipping.
 """
 
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix, Poly, factorint
@@ -20,7 +29,8 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.numberfields.basis import round_two
 from sympy.polys.numberfields.primes import prime_decomp
 
-from arakelov.fields import make_field
+from arakelov.fields import euler_phi, factorize, make_field
+from arakelov.ideals import Unsupported, principal, valuation
 from arakelov.linalg import det, hnf_mod_d, row_module_hnf
 
 _CONDUCTORS = st.integers(3, 150).filter(lambda n: n % 4 != 2)
@@ -77,3 +87,105 @@ def test_hnf_mod_d_matches_sympy(M):
     H = hermite_normal_form(Matrix(M).T, D=d)
     cols = [[int(h) for h in H.col(j)] for j in range(H.cols)]
     assert hnf_mod_d(M, d) == row_module_hnf(cols)
+
+
+
+# prime-power conductors up to degree 21, the quadratic fields, and four
+# composite conductors with several primes above a ramified p
+_PRIME_POWERS = [q for q in range(3, 50) if q % 4 != 2 and len(factorize(q)) == 1]
+_VALUATION_SPECS = sorted(
+    [f"realcyclo:{q}" for q in _PRIME_POWERS if 2 <= euler_phi(q) // 2 <= 21]
+    + [f"cyclo:{q}" for q in _PRIME_POWERS if euler_phi(q) <= 21]
+    + _QUADRATIC + ["realcyclo:44", "realcyclo:28", "cyclo:12", "cyclo:28"])
+
+
+@lru_cache(maxsize=None)
+def _sympy_primes(spec, p):
+    """(e, beta_rows) for each prime P above p: beta_rows[j] holds the
+    coordinates of theta^j * beta, with beta sympy's test factor of P."""
+    field = make_field(spec)
+    m = field.degree
+    T = Poly(list(reversed(field.minpoly)), x, domain=ZZ)
+    ZK, dK = round_two(T)
+    out = []
+    for P in prime_decomp(p, T, ZK=ZK, dK=dK):
+        beta = P.test_factor()
+        rows = []
+        for j in range(m):
+            unit = DomainMatrix([[ZZ(int(i == j))] for i in range(m)], (m, 1), ZZ)
+            product = ZK.parent(unit) * beta
+            assert product.denom == 1
+            rows.append([int(c) for c in product.coeffs])
+        out.append((P.e, rows))
+    return out
+
+
+def _exponent_at(p, beta_rows, coords, limit):
+    """min(limit, v_P(x)) for the integral element x with these power-basis
+    coordinates.
+
+    sympy's test factor beta has p/P = pZ_K + beta Z_K, so beta/p has
+    valuation -1 at P and is integral at every other prime: v_P(x) is the
+    largest k with x * (beta/p)^k integral (Cohen, Algorithm 4.8.17).
+    Integral means integer coordinates, as Z_K = Z[theta].
+    """
+    k = 0
+    while k < limit:
+        y = [sum(c * row[i] for c, row in zip(coords, beta_rows) if c)
+             for i in range(len(coords))]
+        if any(c % p for c in y):
+            return k
+        coords = [c // p for c in y]
+        k += 1
+    return k
+
+
+def _ideal_exponent_at(p, e, beta_rows, ideal):
+    """v_P(A) = min v_P over the rows of num, minus v_P(den) = e * v_p(den)."""
+    v = float("inf")
+    for row in reversed(ideal.num):
+        v = _exponent_at(p, beta_rows, row, v)
+    den, v_den = ideal.den, 0
+    while den % p == 0:
+        den //= p
+        v_den += 1
+    return v - e * v_den
+
+
+@st.composite
+def principal_generators(draw):
+    spec = draw(st.sampled_from(_VALUATION_SPECS))
+    field = make_field(spec)
+    coeffs = draw(st.lists(
+        st.fractions(min_value=-6, max_value=6, max_denominator=4),
+        min_size=field.degree, max_size=field.degree).filter(any))
+    # a power of a ramified prime moves the valuation away from 0
+    p = draw(st.sampled_from(field.omega()))
+    return field.element(coeffs) * Fraction(p) ** draw(st.integers(-2, 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(principal_generators())
+@example(make_field("quad:+6").rational(2))
+# exponents (2, 0) at the two primes above 2
+@example(make_field("cyclo:28").element([1, 1, 0, 1] + [0] * 8) ** 2)
+def test_principal_valuation_matches_sympy(gen):
+    """valuation(principal(x), p) is v_P over the HNF rows of (x), with
+    P from sympy's prime_decomp and v_P from its test factor.
+
+    sympy's own prime_valuation is no oracle here: it stops the loop of
+    Algorithm 4.8.17 on one matrix entry and raises CoercionFailed when
+    that entry is divisible by p but the rest is not, so it fails on
+    ideals of every family, e.g. (2) at 2 in quad:+6, and on realcyclo:44
+    at 11, realcyclo:28 at 7 and cyclo:12 at 2.
+    """
+    field = gen.field
+    ideal = principal(gen)
+    for p in field.omega():
+        exponents = {_ideal_exponent_at(p, e, beta_rows, ideal)
+                     for e, beta_rows in _sympy_primes(field.spec_string(), p)}
+        if len(exponents) == 1:
+            assert valuation(ideal, p) == exponents.pop()
+        else:
+            with pytest.raises(Unsupported):
+                valuation(ideal, p)
