@@ -13,12 +13,14 @@ spec string     field                      generator theta
 ``realcyclo:n`` Q(zeta_n + zeta_n^-1)      zeta_n + zeta_n^-1
 ==============  =========================  =====================================
 
-Elements are rational coefficient vectors over the power basis; all ring
-and field operations are exact (products are reduced by the integer
-minimal polynomial of theta, inverses solve the multiplication matrix
-fraction-free with the Bareiss core of linalg).  An element's inverse is
-solved once and linked both ways, so 1/x, x^-k and the inverse of a
-power of x reuse that one solve.
+An element is an integer coordinate vector over the power basis and one
+positive common denominator, kept in lowest terms; Fractions appear only
+at the API boundary (``coeffs``, traces, norms).  All ring and field
+operations are exact and run on integers: products are reduced by the
+integer minimal polynomial of theta, inverses solve the multiplication
+matrix fraction-free with the Bareiss core of linalg.  An element's
+inverse is solved once and linked both ways, so 1/x, x^-k and the
+inverse of a power of x reuse that one solve; its norm is kept too.
 Traces come from Newton power sums of the minimal polynomial, complex
 conjugation from the image of theta, and norms from the determinant of
 the multiplication map.
@@ -50,7 +52,7 @@ import mpmath
 from .linalg import (
     SingularError as _SingularError,
     det as _int_det,
-    solve_bareiss as _solve_bareiss,
+    solve_integral as _solve_integral,
 )
 
 
@@ -221,33 +223,44 @@ def _real_cyclotomic_poly(n):
 # --------------------------------------------------------------------------
 
 class FieldElement:
-    """Exact element sum_k c_k theta^k of a supported field (c_k rational).
+    """Exact element (sum_k num_k theta^k) / den of a supported field.
 
+    ``num`` is a tuple of ints and ``den`` a positive int with
+    gcd(den, *num) == 1, so equal elements have equal storage and compare
+    and hash on (num, den).  ``coeffs`` is the read-only Fraction view for
+    the API boundary; internal arithmetic builds elements through the
+    field's normalizing ``_element`` and never forms a Fraction.
     Instances are immutable values: arithmetic returns new elements.
     Mixed arithmetic with ``int`` and ``Fraction`` coerces the scalar.
     The private ``_positive`` slot holds the total-positivity verdict once
-    is_totally_positive has decided it.  The private ``_inv`` slot holds
-    the inverse once it is known, linked both ways (``x._inv._inv is x``):
-    inverse() solves for it once, a negative power inverts the base rather
-    than the power, and positive powers of an element with a known inverse
-    carry the matching inverse along.  Equality and hashing ignore both
-    slots.
+    is_totally_positive has decided it, and ``_norm`` the norm once norm()
+    has computed it.  The private ``_inv`` slot holds the inverse once it
+    is known, linked both ways (``x._inv._inv is x``): inverse() solves for
+    it once, a negative power inverts the base rather than the power,
+    positive powers of an element with a known inverse carry the matching
+    inverse along, and an inverse pair shares one norm computation.
+    Equality and hashing ignore all three slots.
     """
 
-    __slots__ = ("field", "coeffs", "_positive", "_inv")
+    __slots__ = ("field", "num", "den", "_positive", "_inv", "_norm")
 
     def __init__(self, field, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != field.degree:
             raise ValueError(
                 f"expected {field.degree} coefficients, got {len(coeffs)}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_positive", None)
-        object.__setattr__(self, "_inv", None)
+        # reduced Fractions over the lcm of their denominators are already
+        # in lowest terms: gcd(den, *num) == 1
+        den = lcm(*(c.denominator for c in coeffs))
+        _fill(self, field, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
+
+    @property
+    def coeffs(self):
+        """Power-basis coordinates as a tuple of Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     # -- coercion ----------------------------------------------------------
     def _coerce(self, other):
@@ -262,11 +275,17 @@ class FieldElement:
         return None
 
     # -- ring operations ----------------------------------------------------
+    def _plus(self, o, sign):
+        """self + sign * o over the least common denominator."""
+        den = lcm(self.den, o.den)
+        fa, fb = den // self.den, sign * (den // o.den)
+        return self.field._element([a * fa + b * fb for a, b in zip(self.num, o.num)], den)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
@@ -274,22 +293,22 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self._plus(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, [b - a for a, b in zip(self.coeffs, o.coeffs)])
+        return o._plus(self, -1)
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coeffs])
+        return self.field._element([-a for a in self.num], self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._mul_coeffs(self.coeffs, o.coeffs))
+        return self.field._element(self.field._mul_coeffs(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -323,13 +342,13 @@ class FieldElement:
             return False
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.num, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __repr__(self):
         return f"FieldElement({self.field.spec_string()}, {[str(c) for c in self.coeffs]})"
@@ -337,28 +356,36 @@ class FieldElement:
     # -- field-theoretic queries ------------------------------------------
     @property
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.num)
 
     @property
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self):
         if not self.is_rational:
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def trace(self):
         """Exact trace to Q as a Fraction."""
-        return self.field._trace(self.coeffs)
+        return self.field._trace(self)
 
     def conj(self):
         """Complex conjugate (identity on totally real fields)."""
         return self.field._conj(self)
 
     def norm(self):
-        """Exact field norm to Q as a Fraction."""
-        return self.field._norm(self)
+        """Exact field norm to Q as a Fraction, computed once; a known
+        inverse with a known norm gives it as N(1/x) = 1/N(x)."""
+        if self._norm is None:
+            inv = self._inv
+            if inv is not None and inv._norm is not None:
+                nrm = 1 / inv._norm
+            else:
+                nrm = Fraction(self.field._norm(self.num), self.den ** self.field.degree)
+            object.__setattr__(self, "_norm", nrm)
+        return self._norm
 
     def inverse(self):
         """1/x, solved once and then kept on both x and 1/x."""
@@ -369,6 +396,15 @@ class FieldElement:
     def embed(self, precision=None):
         """Numeric images under all embeddings (mpf/mpc) at the given precision."""
         return self.field._embed_element(self, precision)
+
+
+def _fill(x, field, num, den):
+    object.__setattr__(x, "field", field)
+    object.__setattr__(x, "num", num)
+    object.__setattr__(x, "den", den)
+    object.__setattr__(x, "_positive", None)
+    object.__setattr__(x, "_inv", None)
+    object.__setattr__(x, "_norm", None)
 
 
 def _power(x, k):
@@ -446,8 +482,24 @@ class NumberField:
     def element(self, coeffs):
         return FieldElement(self, coeffs)
 
+    def _element(self, num, den=1):
+        """The element num/den for integer coordinates num and a nonzero
+        integer den, brought to lowest terms with den > 0: the one
+        constructor of internal arithmetic."""
+        if den < 0:
+            num, den = [-a for a in num], -den
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num, den = [a // g for a in num], den // g
+        x = object.__new__(FieldElement)
+        _fill(x, self, tuple(num), den)
+        return x
+
     def rational(self, q):
-        return FieldElement(self, (q,) + (0,) * (self.degree - 1))
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return self._element((q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def zero(self):
         return self.rational(0)
@@ -458,7 +510,7 @@ class NumberField:
     def gen(self):
         if self.degree == 1:
             return self.rational(-self.minpoly[0])
-        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2))
+        return self._element((0, 1) + (0,) * (self.degree - 2))
 
     def power_basis(self):
         """The integral basis 1, theta, ..., theta^(m-1) as elements."""
@@ -495,25 +547,18 @@ class NumberField:
         pows = self._theta_pows
         while len(pows) <= k:
             pows.append(tuple(self._shift_reduce(list(pows[-1]))))
-        return FieldElement(self, pows[k])
+        return self._element(pows[k])
 
     def _mul_coeffs(self, a, b):
-        """Product coefficients; the convolution runs over the integers
-        (denominators are cleared first and restored once at the end)."""
+        """Integer coordinates of the product of two integer coordinate
+        vectors: the convolution reduced by the minimal polynomial."""
         m = self.degree
         if m == 1:
-            return (a[0] * b[0],)
-        da = db = 1
-        for c in a:
-            da = lcm(da, c.denominator)
-        for c in b:
-            db = lcm(db, c.denominator)
-        ai_ = [int(c * da) for c in a] if da != 1 else [int(c) for c in a]
-        bi_ = [int(c * db) for c in b] if db != 1 else [int(c) for c in b]
+            return [a[0] * b[0]]
         conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(ai_):
+        for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(bi_):
+                for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
         out = conv[:m]
@@ -525,10 +570,7 @@ class NumberField:
                 for j in range(m):
                     if row[j]:
                         out[j] += ck * row[j]
-        den = da * db
-        if den == 1:
-            return out
-        return [Fraction(v, den) for v in out]
+        return out
 
     def _trace_powers(self):
         """Power sums s_k = Tr(theta^k), 0 <= k < degree (Newton's identities)."""
@@ -543,9 +585,9 @@ class NumberField:
             self._power_sums = tuple(s)
         return self._power_sums
 
-    def _trace(self, coeffs):
+    def _trace(self, x):
         s = self._trace_powers()
-        return Fraction(sum(c * s[k] for k, c in enumerate(coeffs)))
+        return Fraction(sum(a * s[k] for k, a in enumerate(x.num) if a), x.den)
 
     def trace_form_rows(self):
         """Integer rows of the trace form T[i][j] = Tr(theta^(i+j)).
@@ -575,65 +617,64 @@ class NumberField:
         """Image of theta under complex conjugation, or None for the identity."""
         return None
 
-    def _conj(self, x):
-        g = self.conj_generator()
-        if g is None:
-            return x
+    def _conj_num(self, vec):
+        """Integer coordinates of conj(x) for the integer coordinates of x
+        (conjugation maps O_K onto itself, so its matrix is integral)."""
+        m = self.degree
         if self._conj_rows is None:
+            g = self.conj_generator()
             rows = []
             cur = self.one()
-            for _ in range(self.degree):
-                rows.append(cur.coeffs)
+            for _ in range(m):
+                rows.append(cur.num)
                 cur = cur * g
             self._conj_rows = tuple(rows)
-        out = [Fraction(0)] * self.degree
-        for k, c in enumerate(x.coeffs):
+        out = [0] * m
+        for k, c in enumerate(vec):
             if c:
                 row = self._conj_rows[k]
-                for j in range(self.degree):
+                for j in range(m):
                     if row[j]:
                         out[j] += c * row[j]
-        return FieldElement(self, out)
+        return out
+
+    def _conj(self, x):
+        if not self.is_cm:
+            return x
+        return self._element(self._conj_num(x.num), x.den)
+
+    def _mul_rows(self, vec):
+        """Integer rows vec * theta^k, k < degree: the multiplication matrix."""
+        rows = []
+        for _ in range(self.degree):
+            rows.append(vec)
+            vec = self._shift_reduce(vec)
+        return rows
 
     def _inverse(self, x):
-        """Coordinates of 1/x, solved fraction-free from x's multiplication
-        matrix: with u = den*x integral, y*u = 1 reads M_u^T y = e_0 in the
-        power basis, and 1/x = den*y.  Polynomial xgcd over the rationals
-        would swell catastrophically for elements with large coordinates."""
+        """1/x solved fraction-free from the multiplication matrix of the
+        integer numerator u = den*x: y*u = 1 reads M_u^T y = e_0 in the
+        power basis, solve_integral gives (Y, d) with y = Y/d, and
+        1/x = den*Y/d.  Polynomial xgcd over the rationals would swell
+        catastrophically for elements with large coordinates."""
         if x.is_zero:
             raise DivError(f"division by zero in {self._spec}")
-        if x.is_rational:
-            return self.rational(1 / x.coeffs[0])
         m = self.degree
-        den = 1
-        for c in x.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        cur = [int(c * den) for c in x.coeffs]
-        cols = []
-        for _ in range(m):
-            cols.append(cur)
-            cur = self._shift_reduce(cur)
-        mt = [[cols[j][i] for j in range(m)] for i in range(m)]
-        rhs = [1] + [0] * (m - 1)
+        if x.is_rational:
+            return self._element((x.den,) + (0,) * (m - 1), x.num[0])
+        mt = [list(col) for col in zip(*self._mul_rows(list(x.num)))]
         try:
-            sol = _solve_bareiss(mt, rhs)
+            Y, d = _solve_integral(mt, [[1]] + [[0]] * (m - 1))
         except _SingularError:
             raise DivError("element has no inverse (zero divisor coordinates)")
-        return FieldElement(self, [den * c for c in sol])
+        return self._element([x.den * row[0] for row in Y], d)
 
-    def _norm(self, x):
-        if x.is_rational:
-            return x.coeffs[0] ** self.degree
-        den = 1
-        for c in x.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        vec = [int(c * den) for c in x.coeffs]
-        rows = []
-        cur = vec
-        for _ in range(self.degree):
-            rows.append(list(cur))
-            cur = self._shift_reduce(cur)
-        return Fraction(_int_det(rows), den ** self.degree)
+    def _norm(self, num):
+        """Norm of the integral element with coordinates num: the det of
+        its multiplication rows (N(x) = N(num) / den^degree)."""
+        if not any(num[1:]):
+            return num[0] ** self.degree
+        return _int_det(self._mul_rows(list(num)))
 
     # -- numeric embeddings -------------------------------------------------
     def _theta_numeric(self):
@@ -882,14 +923,14 @@ class RealCyclotomicField(NumberField):
             raise FieldMismatch("lift expects an element of this real subfield")
         rows = self._lift_matrix()
         amb = self.ambient
-        out = [Fraction(0)] * amb.degree
-        for j, c in enumerate(x.coeffs):
+        out = [0] * amb.degree
+        for j, c in enumerate(x.num):
             if c:
                 row = rows[j]
                 for i in range(amb.degree):
                     if row[i]:
                         out[i] += c * row[i]
-        return amb.element(out)
+        return amb._element(out, x.den)
 
     def _descend_matrix(self):
         """Rows k < ambient degree: coordinates of zeta^k + zeta^-k = v_k(theta).
@@ -917,13 +958,13 @@ class RealCyclotomicField(NumberField):
         """
         if w.field != self.ambient:
             raise FieldMismatch("descend expects an element of the ambient cyclotomic field")
-        out = [Fraction(0)] * self.degree
-        for a, row in zip(w.coeffs, self._descend_matrix()):
+        out = [0] * self.degree
+        for a, row in zip(w.num, self._descend_matrix()):
             if a:
                 for j, v in enumerate(row):
                     if v:
                         out[j] += a * v
-        x = self.element([c / 2 for c in out])
+        x = self._element(out, 2 * w.den)
         if self.lift(x) != w:
             raise NotInSubfield(
                 f"element of cyclo:{self.n} is not fixed by conjugation")
@@ -1025,39 +1066,33 @@ def make_field(spec):
     return field
 
 
-def trace_pairing(field, rows_x, rows_y):
-    """Exact matrix [Tr(x_i * y_j)] for power-basis coefficient rows.
+def trace_pairing(alpha, x, y):
+    """Integer Gram of the form Tr(alpha * u * conj(v)) between two modules.
 
-    Bilinearity of the trace turns each entry into x_i . T . y_j with T
-    the cached trace form, so the whole table costs two integer matrix
-    products (denominators are cleared first and restored once at the
-    end).  No conjugation is applied; pass conjugated rows when the
-    Hermitian pairing is wanted.  Entries are ints when the shared
-    denominator is 1, Fractions otherwise.
+    x and y carry integer power-basis rows ``num`` over one positive
+    ``den`` (fractional ideals do).  Returns (rows, scale) with
+    Tr(alpha * x_i * conj(y_j)) = rows[i][j] / scale, where
+    rows[i][j] = (a * n_i) . T . conj(n'_j) for a = alpha.num and the
+    cached trace form T, and scale = alpha.den * x.den * y.den.  By
+    bilinearity, u . T_a . v = Tr(a * u * v) with the Hankel matrix
+    T_a[k][l] = Tr(a * theta^(k+l)), so the table costs two integer
+    matrix products and forms no Fraction.
     """
-    T = field.trace_form_rows()
+    field = alpha.field
     m = field.degree
-    dx = dy = 1
-    for r in rows_x:
-        for c in r:
-            dx = lcm(dx, c.denominator)
-    for r in rows_y:
-        for c in r:
-            dy = lcm(dy, c.denominator)
-    ix = [[int(c * dx) for c in r] for r in rows_x] if dx != 1 \
-        else [[int(c) for c in r] for r in rows_x]
-    iy = [[int(c * dy) for c in r] for r in rows_y] if dy != 1 \
-        else [[int(c) for c in r] for r in rows_y]
-    left = []
-    for r in ix:
-        left.append([sum(r[k] * T[k][j] for k in range(m) if r[k])
-                     for j in range(m)])
-    den = dx * dy
-    out = []
-    for lr in left:
-        row = [sum(lr[k] * yr[k] for k in range(m) if lr[k]) for yr in iy]
-        out.append(row if den == 1 else [Fraction(v, den) for v in row])
-    return out
+    T = field.trace_form_rows()
+    a = alpha.num
+    # t[k] = Tr(a * theta^k): directly below the degree, then through the
+    # reduction rows of theta^m .. theta^(2m-2)
+    t = [sum(c * T[l][k] for l, c in enumerate(a) if c) for k in range(m)]
+    for row in field._power_table():
+        t.append(sum(c * t[j] for j, c in enumerate(row) if c))
+    left = [[sum(c * t[k + j] for k, c in enumerate(r) if c) for j in range(m)]
+            for r in x.num]
+    conj_y = [field._conj_num(r) for r in y.num] if field.is_cm else y.num
+    rows = [[sum(c * v[k] for k, c in enumerate(lr) if c) for v in conj_y]
+            for lr in left]
+    return rows, alpha.den * x.den * y.den
 
 
 def lift_descend(x, target):
@@ -1078,14 +1113,14 @@ def _gauss_sum(amb, p):
     """Quadratic Gauss sum sum_j (j/p) zeta_p^j inside Q(zeta_n), p odd prime, p | n."""
     n = amb.n
     step = n // p
-    out = [Fraction(0)] * amb.degree
+    out = [0] * amb.degree
     for j in range(1, p):
         s = _legendre(j, p)
-        vec = amb.theta_power(step * j).coeffs
+        vec = amb.theta_power(step * j).num
         for i in range(amb.degree):
             if vec[i]:
                 out[i] += s * vec[i]
-    return amb.element(out)
+    return amb._element(out)
 
 
 def sqrt_integer(field, m):
@@ -1160,11 +1195,11 @@ def _decide_total_positivity(alpha):
         if alpha.conj() != alpha:
             return False
         if isinstance(field, ImagQuadraticField):
-            return alpha.coeffs[0] > 0
+            return alpha.num[0] > 0
         real_subfield = make_field(f"realcyclo:{field.n}")
         return is_totally_positive(real_subfield.descend(alpha))
     if alpha.is_rational:
-        return alpha.coeffs[0] > 0
+        return alpha.num[0] > 0
     ivctx = mpmath.iv
     saved = ivctx.prec
     try:
@@ -1172,10 +1207,11 @@ def _decide_total_positivity(alpha):
         while bits <= (1 << 14):
             ivctx.prec = bits
             values = []
+            # den > 0, so num has the signs of alpha at every embedding
             for t in field._interval_thetas(ivctx):
                 acc = ivctx.mpf(0)
-                for c in reversed(alpha.coeffs):
-                    acc = acc * t + ivctx.mpf(c.numerator) / ivctx.mpf(c.denominator)
+                for c in reversed(alpha.num):
+                    acc = acc * t + ivctx.mpf(c)
                 values.append(acc)
             if all(v > 0 for v in values):
                 return True

@@ -119,28 +119,20 @@ class FractionalIdeal:
         """Rows of (gen): m shift rows, Hermite-reduced mod the exact
         determinant |N(den*gen)| of the scaled row module, then certified
         against it, so nothing ever outgrows the answer."""
-        field = self.field
-        m = field.degree
-        den, vec = _den_scaled(self._gen)
-        rows = []
-        cur = vec
-        for _ in range(m):
-            rows.append(cur)
-            cur = field._shift_reduce(cur)
-        w = _certified_hnf(rows, Fraction(den) ** m * self._norm, "principal ideal")
-        num, den = _canonical(w, den)
+        gen = self._gen
+        rows = self.field._mul_rows(list(gen.num))
+        w = _certified_hnf(rows, gen.den ** self.field.degree * self._norm,
+                           "principal ideal")
+        num, den = _canonical(w, gen.den)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
 
     @classmethod
     def from_rows(cls, field, rows):
         """Canonicalize a generating set of coefficient rows (rational entries)."""
-        den = 1
-        for row in rows:
-            for c in row:
-                c = Fraction(c)
-                den = lcm(den, c.denominator)
-        int_rows = [[int(Fraction(c) * den) for c in row] for row in rows]
+        rows = [[Fraction(c) for c in row] for row in rows]
+        den = lcm(*(c.denominator for row in rows for c in row))
+        int_rows = [[c.numerator * (den // c.denominator) for c in row] for row in rows]
         hnf_rows = row_module_hnf(int_rows)
         if len(hnf_rows) != field.degree:
             raise ZeroIdeal(
@@ -157,8 +149,7 @@ class FractionalIdeal:
 
     # -- accessors ------------------------------------------------------------
     def basis_elements(self):
-        return [self.field.element([Fraction(e, self.den) for e in row])
-                for row in self.num]
+        return [self.field._element(row, self.den) for row in self.num]
 
     def norm(self):
         """Generalized index [O_K : A] as a positive rational.
@@ -181,21 +172,26 @@ class FractionalIdeal:
         if self.norm() != 1:
             return False
         if self._gen is not None:
-            return _is_integral(self._gen)
+            return self._gen.den == 1  # O_K = Z[theta]
         return self.den == 1
 
     def contains(self, x):
         """Exact membership test for a field element."""
         if x.field != self.field:
             raise FieldMismatch("element belongs to a different field")
-        target = [c * self.den for c in x.coeffs]
+        # den * x must have integer coordinates; as gcd(x.den, *x.num) == 1,
+        # that holds exactly when x.den divides den
+        if self.den % x.den:
+            return False
+        scale = self.den // x.den
+        target = [c * scale for c in x.num]
         m = self.field.degree
         # lower-triangular back-substitution from the last coordinate
-        coeffs = [Fraction(0)] * m
+        coeffs = [0] * m
         for i in range(m - 1, -1, -1):
             resid = target[i] - sum(coeffs[j] * self.num[j][i] for j in range(i + 1, m))
-            q = resid / self.num[i][i]
-            if q.denominator != 1:
+            q, r = divmod(resid, self.num[i][i])
+            if r:
                 return False
             coeffs[i] = q
         return True
@@ -225,7 +221,7 @@ class FractionalIdeal:
         if (self._num is None or other._num is None) \
                 and self._gen is not None and other._gen is not None:
             return self.norm() == other.norm() and \
-                _is_integral(self._gen * other._gen.inverse())
+                (self._gen * other._gen.inverse()).den == 1
         return (self.num, self.den) == (other.num, other.den)
 
     def __hash__(self):
@@ -258,24 +254,6 @@ def _reduced(field, hnf_rows, den):
     return FractionalIdeal(field, *_canonical(hnf_rows, den))
 
 
-def _is_integral(x):
-    """x lies in O_K = Z[theta]: integer power-basis coordinates."""
-    return all(c.denominator == 1 for c in x.coeffs)
-
-
-def _int_entries(rows):
-    """Rows of exactly-integral Fractions as plain ints (checked)."""
-    out = []
-    for row in rows:
-        r = []
-        for c in row:
-            if c.denominator != 1:
-                raise ArithmeticError("expected integral coordinates")
-            r.append(c.numerator)
-        out.append(r)
-    return out
-
-
 def _certified_hnf(rows, d_det, what):
     """Canonical HNF of integer rows whose module has the known determinant
     d_det: reduced modulo d_det (Cohen, §2.4), then certified by the pivot
@@ -292,14 +270,6 @@ def _certified_hnf(rows, d_det, what):
             f"{what} reduction lost index: pivot product {piv} != "
             f"determinant {d_int}")
     return w
-
-
-def _den_scaled(x):
-    """(den, integer coefficient vector of den*x) for a field element."""
-    den = 1
-    for c in x.coeffs:
-        den = lcm(den, c.denominator)
-    return den, [int(c * den) for c in x.coeffs]
 
 
 # --------------------------------------------------------------------------
@@ -326,15 +296,13 @@ def _principal_times_module(g, abs_norm_g, mod):
     """g * M from m generator rows; exact determinant known in advance
     because scaling by g multiplies every covolume by |N(g)|."""
     field = mod.field
-    m = field.degree
-    den_g, g_vec = _den_scaled(g)
     det_num = 1
     for i, row in enumerate(mod.num):
         det_num *= row[i]
-    rows = _int_entries([field._mul_coeffs(g_vec, list(row)) for row in mod.num])
-    w = _certified_hnf(rows, Fraction(den_g) ** m * abs_norm_g * det_num,
+    rows = [field._mul_coeffs(g.num, row) for row in mod.num]
+    w = _certified_hnf(rows, g.den ** field.degree * abs_norm_g * det_num,
                        "principal product")
-    return _reduced(field, w, den_g * mod.den)
+    return _reduced(field, w, g.den * mod.den)
 
 
 def _theta_power_mod(field, k, p):
@@ -454,12 +422,8 @@ def ideal_mul(a, b):
     for i in range(field.degree):
         det_a *= a.num[i][i]
         det_b *= b.num[i][i]
-    rows = []
-    for x in a.num:
-        x = list(x)
-        for y in b.num:
-            rows.append(field._mul_coeffs(x, list(y)))
-    w = hnf_mod_d(_int_entries(rows), det_a * det_b)
+    rows = [field._mul_coeffs(x, y) for x in a.num for y in b.num]
+    w = hnf_mod_d(rows, det_a * det_b)
     return _reduced(field, w, a.den * b.den)
 
 
@@ -483,8 +447,7 @@ def ideal_pow(a, k):
 def conj_ideal(a):
     """Image of the ideal under complex conjugation."""
     field = a.field
-    g = field.conj_generator()
-    if g is None:
+    if not field.is_cm:
         return a
     if a._gen is not None:
         return _principal(a._gen.conj(), a.norm())
@@ -494,8 +457,8 @@ def conj_ideal(a):
     rows = []
     for i, row in enumerate(a.num):
         det_a *= row[i]
-        rows.append(field._conj(field.element(list(row))).coeffs)
-    w = _certified_hnf(_int_entries(rows), det_a, "conjugation")
+        rows.append(field._conj_num(row))
+    w = _certified_hnf(rows, det_a, "conjugation")
     return _reduced(field, w, a.den)
 
 
@@ -508,33 +471,33 @@ def trace_dual(a, alpha):
     solve against the Gram matrix.
 
     A known generator g of A turns the dual into the single principal
-    product (alpha * conj(g))^-1 * D_K^-1 (the ring itself stays on the
-    generic path, which is what defines the codifferent).
+    product (alpha * conj(g))^-1 * D_K^-1; only the dual of O_K under
+    alpha = 1, which defines the codifferent, takes the Gram route.
     """
     field = a.field
     if not isinstance(alpha, FieldElement) or alpha.field != field:
         raise FieldMismatch("alpha must be an element of the ideal's field")
     if not is_totally_positive(alpha):
         raise FormError("alpha must be totally positive for the trace form")
-    if a._gen is not None and not a.is_ring():
+    codiff_route = a.is_ring() and alpha == 1
+    if a._gen is not None and not codiff_route:
         # inverting the factors apart reuses their known inverses
         g = alpha.inverse() * a._gen.conj().inverse()
         return _principal_times_module(
             g, 1 / (a.norm() * abs(alpha.norm())), codifferent(field))
-    if a.is_ring() and alpha == 1:
+    if codiff_route:
         # the Gram of O_K under alpha = 1 is the cached trace form; on a CM
         # field it pairs with theta^j instead of conj(theta^j), which spans
         # the same dual, as conjugation maps O_K onto itself
-        gram = field.trace_form_rows()
+        gram, scale = field.trace_form_rows(), 1
     else:
-        basis = a.basis_elements()
-        scaled_rows = [(alpha * x).coeffs for x in basis]
-        conj_rows = [x.conj().coeffs for x in basis]
-        gram = trace_pairing(field, scaled_rows, conj_rows)
-    # the dual rows are gram^-1 * num / den = Y / (d * den) with
-    # gram * Y = d * num; dividing out the content g of (d * den, Y),
-    # signed like d, leaves the least positive common denominator
-    Y, d = solve_integral(gram, a.num)
+        gram, scale = trace_pairing(alpha, a, a)
+    # the Gram is gram / scale, so the dual rows are
+    # scale * gram^-1 * num / den = Y / (d * den) with
+    # gram * Y = d * scale * num; dividing out the content g of
+    # (d * den, Y), signed like d, leaves the least positive common
+    # denominator
+    Y, d = solve_integral(gram, [[scale * e for e in row] for row in a.num])
     den_d = d * a.den
     g = gcd(den_d, *(e for row in Y for e in row))
     if den_d < 0:
@@ -568,18 +531,14 @@ def _module_inverse(a):
     the sum of their duals.
     """
     field = a.field
-    m = field.degree
     dual_rows = []
     for b in a.basis_elements():
         binv = b.inverse()
-        rows = [[Fraction(c) for c in (binv * w).coeffs] for w in field.power_basis()]
+        rows = [list((binv * w).coeffs) for w in field.power_basis()]
         for row in transpose(invert(rows)):
             dual_rows.append(row)
-    den = 1
-    for row in dual_rows:
-        for c in row:
-            den = lcm(den, c.denominator)
-    int_rows = [[int(c * den) for c in row] for row in dual_rows]
+    den = lcm(*(c.denominator for row in dual_rows for c in row))
+    int_rows = [[c.numerator * (den // c.denominator) for c in row] for row in dual_rows]
     summed = row_module_hnf(int_rows)
     s_rational = [[Fraction(e, den) for e in row] for row in summed]
     inv_rows = transpose(invert(s_rational))

@@ -47,21 +47,24 @@ class ModularityFailure(ValueError):
 class IdealLattice:
     """An ideal I with the twisted trace form b(x, y) = Tr(alpha * x * conj(y)).
 
-    Construction certifies the Gram positive definite with ldl_integral
+    It is made from the integer Gram rows and their scale that
+    trace_pairing returns (the Gram is rows / scale).  Construction
+    certifies the integer rows positive definite with ldl_integral
     (Sylvester's criterion on the Bareiss leading minors; FormError
-    otherwise) and keeps its determinant P_{n-1} / D^n, the last Bareiss
-    pivot of the cleared Gram D*G over the clearing scale.
+    otherwise) and keeps the determinant P_{n-1} / scale^n from the last
+    Bareiss pivot; the rational ``gram`` is formed once, here.
     """
 
     __slots__ = ("field", "ideal", "alpha", "gram", "_det")
 
-    def __init__(self, field, ideal, alpha, gram):
-        scale, A = ldl_integral(gram)
+    def __init__(self, field, ideal, alpha, rows, scale):
+        _, A = ldl_integral(rows)
         d = Fraction(A[-1][-1], scale ** len(A))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "gram",
+                           tuple(tuple(Fraction(e, scale) for e in row) for row in rows))
         object.__setattr__(self, "_det", d.numerator if d.denominator == 1 else d)
 
     def __setattr__(self, name, value):
@@ -120,12 +123,7 @@ def build(field, ideal, alpha):
         raise FieldMismatch("alpha must belong to the lattice field")
     if not is_totally_positive(alpha):
         raise FormError("alpha must be totally positive")
-    basis = ideal.basis_elements()
-    scaled_rows = [(alpha * b).coeffs for b in basis]
-    conj_rows = [b.conj().coeffs for b in basis]
-    gram = tuple(tuple(Fraction(t) for t in row)
-                 for row in trace_pairing(field, scaled_rows, conj_rows))
-    return IdealLattice(field, ideal, alpha, gram)
+    return IdealLattice(field, ideal, alpha, *trace_pairing(alpha, ideal, ideal))
 
 
 def generator_matrix(lat, precision=None):
@@ -182,17 +180,10 @@ def dual(lat):
     out = build(lat.field, dual_ideal, lat.alpha)
     # certificate: the pairing matrix between the two bases is integral and
     # unimodular, which is exactly "out is the dual lattice of lat"
-    scaled_rows = [(lat.alpha * d_el).coeffs for d_el in dual_ideal.basis_elements()]
-    conj_rows = [b.conj().coeffs for b in lat.ideal.basis_elements()]
-    pairing = []
-    for raw in trace_pairing(lat.field, scaled_rows, conj_rows):
-        row = []
-        for t in raw:
-            if t.denominator != 1:
-                raise ArithmeticError("dual pairing is not integral")
-            row.append(int(t))
-        pairing.append(row)
-    if abs(det(pairing)) != 1:
+    rows, scale = trace_pairing(lat.alpha, dual_ideal, lat.ideal)
+    if any(e % scale for row in rows for e in row):
+        raise ArithmeticError("dual pairing is not integral")
+    if abs(det([[e // scale for e in row] for row in rows])) != 1:
         raise ArithmeticError("dual pairing is not unimodular")
     return out
 

@@ -408,9 +408,9 @@ def ldl_integral(G):
     or a pivot P_i <= 0 rejects G.
     """
     n = _check_gram(G)
-    G = [[Fraction(x) for x in row] for row in G]
+    G = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in G]
     D = lcm(*(x.denominator for row in G for x in row))
-    A = [[int(x * D) for x in row] for row in G]
+    A = [[x.numerator * (D // x.denominator) for x in row] for row in G]
     try:
         swaps, _ = _bareiss(A, [[] for _ in range(n)])
         definite = not swaps and all(A[i][i] > 0 for i in range(n))

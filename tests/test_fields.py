@@ -3,8 +3,10 @@
 Oracles used here are independent of the implementation under test:
 numeric embeddings cross-check exact ring arithmetic, direct root sums
 cross-check Newton-identity traces, ambient-evaluation checks the real
-cyclotomic minimal polynomial, and an exact trace-form Cholesky decides
-total positivity without intervals.
+cyclotomic minimal polynomial, an exact trace-form Cholesky decides
+total positivity without intervals, and Fraction coordinates with a
+schoolbook product reduced by the minimal polynomial check the integer
+num/den representation.
 """
 
 import cmath
@@ -14,6 +16,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arakelov.fields import (
     CyclotomicField,
@@ -581,3 +585,102 @@ def test_different_exponent_formulas():
         make_field("quad:+5").different_exponent(3)
     with pytest.raises(NotRamified):
         make_field("realcyclo:13").different_exponent(5)
+
+
+# ---------------------------------------------------------------------------
+# integer representation: num / den in lowest terms
+# ---------------------------------------------------------------------------
+
+_REP_SPECS = ["quad:+5", "quad:+6", "quad:-7", "quad:-1",
+              "realcyclo:13", "realcyclo:28", "realcyclo:9",
+              "cyclo:12", "cyclo:7", "cyclo:9"]
+_BIG = 2 ** 60
+_RATIONAL = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)))
+
+
+@st.composite
+def _coefficient_lists(draw):
+    field = make_field(draw(st.sampled_from(_REP_SPECS)))
+    return field, draw(st.lists(_RATIONAL, min_size=field.degree, max_size=field.degree))
+
+
+def _ref_mul(field, a, b):
+    """Schoolbook product of Fraction coordinates, reduced top-down by the
+    monic minimal polynomial."""
+    m, mp_ = field.degree, field.minpoly
+    conv = [Fraction(0)] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            conv[i + j] += ai * bj
+    for k in range(2 * m - 2, m - 1, -1):
+        c, conv[k] = conv[k], Fraction(0)
+        for j in range(m):
+            conv[k - m + j] -= c * mp_[j]
+    return conv[:m]
+
+
+def _ref_mult_matrix(field, a):
+    m = field.degree
+    return [_ref_mul(field, a, [Fraction(int(i == k)) for i in range(m)]) for k in range(m)]
+
+
+def _ref_conj(field, a):
+    if not field.is_cm:
+        return list(a)
+    g = field.conj_generator().coeffs
+    out, power = [Fraction(0)] * field.degree, [Fraction(1)] + [Fraction(0)] * (field.degree - 1)
+    for c in a:
+        out = [o + c * p for o, p in zip(out, power)]
+        power = _ref_mul(field, power, g)
+    return out
+
+
+def _assert_canonical(x):
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+    again = x.field.element(x.coeffs)
+    assert again == x and (again.num, again.den) == (x.num, x.den)
+    assert hash(again) == hash(x)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_coefficient_lists(), _coefficient_lists(), _RATIONAL)
+def test_integer_representation_matches_fraction_reference(a_case, b_case, q):
+    field, a = a_case
+    b = b_case[1] if b_case[0] == field else a_case[1][::-1]
+    x, y = field.element(a), field.element(b)
+    assert x.coeffs == tuple(Fraction(c) for c in a)
+    assert y.coeffs == tuple(Fraction(c) for c in b)
+
+    results = {
+        "x": (x, a),
+        "x+y": (x + y, [s + t for s, t in zip(a, b)]),
+        "x-y": (x - y, [s - t for s, t in zip(a, b)]),
+        "x+x": (x + x, [2 * s for s in a]),
+        "q*x": (q * x, [q * s for s in a]),
+        "x*y": (x * y, _ref_mul(field, a, b)),
+        "conj": (x.conj(), _ref_conj(field, a)),
+        "-x": (-x, [-s for s in a]),
+    }
+    for name, (got, want) in results.items():
+        _assert_canonical(got)
+        assert got.coeffs == tuple(want), name
+
+    mult = _ref_mult_matrix(field, a)
+    assert x.trace() == sum(mult[k][k] for k in range(field.degree))
+    assert x.norm() == det(mult)
+    assert x.norm() is x.norm()  # kept on the element
+
+    if not x.is_zero:
+        inv = x.inverse()
+        _assert_canonical(inv)
+        assert x * inv == 1
+        assert inv.norm() == 1 / x.norm() == field.element(inv.coeffs).norm()
+
+    if q > 0:
+        square = x * x.conj()
+        for z in (x, square):
+            assert is_totally_positive(q * z) == is_totally_positive(z)
+        assert is_totally_positive(square) == (not x.is_zero)
