@@ -3,9 +3,9 @@
 All routines work on plain lists of lists.  Integer matrices use Python
 ints, rational ones use fractions.Fraction; nothing here touches
 floating point.  det, invert, solve_bareiss, solve_integral and
-ldl_integral share one fraction-free (Bareiss) elimination core;
-cholesky reads its pivots off ldl_integral, and LLL takes its
-Gram-Schmidt data from cholesky.
+ldl_integral share one fraction-free (Bareiss) elimination core.
+LLL is integral: it starts from the Bareiss triangle of ldl_integral
+and stays on integers; cholesky is the rational view of the same data.
 
 Canonical Hermite form used throughout the package: *lower-triangular*
 row-style HNF.  For a nonsingular square matrix H this means
@@ -126,31 +126,39 @@ def hnf_mod_d(rows, d):
     m, n = _dims(rows)
     if not isinstance(d, int) or d <= 0:
         raise ShapeError("hnf_mod_d needs a positive integer modulus")
-    W = [[d if i == j else 0 for j in range(n)] for i in range(n)]
+    # W[c] is kept as its first c+1 entries: it is zero beyond column c
+    W = [[0] * c + [d] for c in range(n)]
     for row in rows:
         r = [x % d for x in row]
         # fold r into the triangular W from the highest column down; the
         # 2x2 step [[s, t], [af, -bf]] on (W[c], r) is unimodular, and
-        # mod-d reductions only shift vectors by elements of d*Z^n
+        # mod-d reductions only shift vectors by elements of d*Z^n.  r is
+        # zero beyond column c, so after popping r[c] both rows are
+        # combined on their first c entries only
         for c in range(n - 1, -1, -1):
-            if r[c] == 0:
+            b = r.pop()
+            if b == 0:
                 continue
-            a, b = W[c][c], r[c]
-            g, s, t = _xgcd(a, b)
-            af, bf = a // g, b // g
             wc = W[c]
-            new_wc = [(s * x + t * y) % d for x, y in zip(wc, r)]
+            a = wc[c]
+            g, s, t = _xgcd(a, b)
+            if g == a:
+                # the pivot divides r[c]: W[c] stays, only r moves
+                bf = b // a
+                r = [(y - bf * x) % d for x, y in zip(wc, r)]
+                continue
+            af, bf = a // g, b // g
+            W[c] = [(s * x + t * y) % d for x, y in zip(wc, r)] + [g]
             r = [(af * y - bf * x) % d for x, y in zip(wc, r)]
-            new_wc[c] = g  # exact: g == d would otherwise reduce to 0
-            r[c] = 0
-            W[c] = new_wc
-    # normalize off-diagonal entries into [0, pivot)
+    # normalize off-diagonal entries into [0, pivot); W[j] ends at column j
     for i in range(n):
+        wi = W[i]
         for j in range(i - 1, -1, -1):
-            q = W[i][j] // W[j][j]
+            q = wi[j] // W[j][j]
             if q:
-                W[i] = [x - q * y for x, y in zip(W[i], W[j])]
-    return W
+                wi = [x - q * y for x, y in zip(wi, W[j])] + wi[j + 1:]
+        W[i] = wi
+    return [wi + [0] * (n - 1 - i) for i, wi in enumerate(W)]
 
 
 def _cleared(rows):
@@ -320,77 +328,79 @@ def _check_gram(G):
     return n
 
 
-def _row_combine(G, U, k, j, q):
-    """Apply basis_k <- basis_k - q*basis_j to the Gram matrix and transform."""
-    n = len(G)
-    gkk = G[k][k] - 2 * q * G[k][j] + q * q * G[j][j]
-    U[k] = [x - q * y for x, y in zip(U[k], U[j])]
-    for t in range(n):
-        G[k][t] = G[k][t] - q * G[j][t]
-    for t in range(n):
-        G[t][k] = G[k][t]
-    G[k][k] = gkk
-
-
-def _swap_rows(G, U, k):
-    n = len(G)
-    U[k - 1], U[k] = U[k], U[k - 1]
-    G[k - 1], G[k] = G[k], G[k - 1]
-    for t in range(n):
-        G[t][k - 1], G[t][k] = G[t][k], G[t][k - 1]
+def _integral_gram(G):
+    """(D, D*G): D is the lcm of the denominators of G, so D*G is integral."""
+    G = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in G]
+    D = lcm(*(x.denominator for row in G for x in row))
+    return D, [[x.numerator * (D // x.denominator) for x in row] for row in G]
 
 
 def lll_reduce(G, delta=Fraction(99, 100)):
     """LLL-reduce a positive definite Gram matrix with exact arithmetic.
 
     Returns (G2, T) with T unimodular and G2 == T^t * G * T satisfying the
-    size-reduction and Lovasz conditions for the given delta.  Only the
-    Gram matrix is needed: the starting Gram-Schmidt data is read off
-    cholesky (mu[i][j] = R[j][i] for j < i, B[i] = R[i][i]) and then
-    maintained incrementally with Fraction arithmetic (no floating point
-    anywhere), so the Lovasz condition of the result can be re-checked
-    exactly from G2.
+    size-reduction and Lovasz conditions for the given delta.  This is
+    integral LLL (Cohen, Algorithm 2.6.7; de Weger 1987) on the integer
+    Gram D*G, started from the Bareiss triangle of (D, A) = ldl_integral(G):
+    d[i+1] = A[i][i] are the leading minors (d[0] = 1) and
+    lam[k][j] = A[j][k] = d[j+1] * mu[k][j] for j < k.  Size reduction,
+    the Lovasz test and the swap update run on these integers (every
+    division is exact) and take the decisions of the rational
+    Gram-Schmidt recurrence, mu rounded half to even.  No floating point
+    is used anywhere and the only Fractions are the entries of G2 = the
+    moved D*G over D, so the Lovasz condition of the result can be
+    re-checked exactly from G2.
     """
     n = _check_gram(G)
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise FormError("delta must lie in (1/4, 1)")
-    Gw = [[Fraction(x) for x in row] for row in G]
+    p, q = delta.numerator, delta.denominator
+    D, DG = _integral_gram(G)
+    _, A = ldl_integral(DG)  # raises FormError if G is not positive definite
+    d = [1] + [A[i][i] for i in range(n)]
+    lam = [[A[j][k] for j in range(k)] for k in range(n)]
     U = identity(n)
-    R = cholesky(Gw)  # raises FormError if Gw is not positive definite
-    mu = [[R[j][i] for j in range(i)] for i in range(n)]
-    B = [R[i][i] for i in range(n)]
 
-    def reduce_entry(k, l):
-        if 2 * abs(mu[k][l]) > 1:
-            q = round(mu[k][l])
-            _row_combine(Gw, U, k, l, q)
-            mu[k][l] -= q
-            for j in range(l):
-                mu[k][j] -= q * mu[l][j]
+    def size_reduce(k, ls):
+        lamk = lam[k]
+        for l in ls:
+            dl = d[l + 1]
+            if 2 * abs(lamk[l]) > dl:
+                c, r = divmod(lamk[l], dl)
+                if 2 * r > dl or (2 * r == dl and c % 2):
+                    c += 1
+                U[k] = [x - c * y for x, y in zip(U[k], U[l])]
+                lamk[l] -= c * dl
+                for j, y in enumerate(lam[l]):
+                    lamk[j] -= c * y
 
     k = 1
     while k < n:
-        reduce_entry(k, k - 1)
-        if B[k] < (delta - mu[k][k - 1] * mu[k][k - 1]) * B[k - 1]:
-            _swap_rows(Gw, U, k)
-            m = mu[k][k - 1]
-            Bp = B[k] + m * m * B[k - 1]
-            mu[k][k - 1] = m * B[k - 1] / Bp
-            B[k] = B[k - 1] * B[k] / Bp
-            B[k - 1] = Bp
-            for j in range(k - 1):
-                mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+        size_reduce(k, (k - 1,))
+        m = lam[k][k - 1]
+        # B_k < (delta - mu^2) B_(k-1), times q * d[k] * d[k-1] > 0, with
+        # B_i = d[i+1] / d[i] and mu = m / d[k]
+        if q * d[k + 1] * d[k - 1] < p * d[k] * d[k] - q * m * m:
+            # Cohen's SWAPI; lam[k][k-1] is unchanged and only d[k] moves
+            U[k - 1], U[k] = U[k], U[k - 1]
+            lam[k - 1], lam[k] = lam[k][:k - 1], lam[k - 1] + [m]
+            dk, dk1 = d[k + 1], d[k]
+            b = (d[k - 1] * dk + m * m) // dk1
             for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                lami = lam[i]
+                t = lami[k]
+                lami[k] = (dk * lami[k - 1] - m * t) // dk1
+                lami[k - 1] = (b * t + m * lami[k]) // dk
+            d[k] = b
             k = max(k - 1, 1)
         else:
-            for l in range(k - 2, -1, -1):
-                reduce_entry(k, l)
+            size_reduce(k, range(k - 2, -1, -1))
             k += 1
-    return Gw, transpose(U)
+    # the working Gram D*G is moved once, at the end
+    T = transpose(U)
+    G2 = mat_mul(U, mat_mul(DG, T))
+    return [[Fraction(x, D) for x in row] for row in G2], T
 
 
 def ldl_integral(G):
@@ -408,9 +418,7 @@ def ldl_integral(G):
     or a pivot P_i <= 0 rejects G.
     """
     n = _check_gram(G)
-    G = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in G]
-    D = lcm(*(x.denominator for row in G for x in row))
-    A = [[x.numerator * (D // x.denominator) for x in row] for row in G]
+    D, A = _integral_gram(G)
     try:
         swaps, _ = _bareiss(A, [[] for _ in range(n)])
         definite = not swaps and all(A[i][i] > 0 for i in range(n))
@@ -428,7 +436,8 @@ def cholesky(G):
     and the unit-triangular coefficients u_ij = R[i][j] for j > i, so that
     x^t G x == sum_i d_i * (x_i + sum_{j>i} u_ij x_j)^2, read off
     ldl_integral: d_i = P_i / (P_{i-1} * D) and u_ij = A[i][j] / P_i.
-    Raises FormError if G is not symmetric positive definite.
+    Raises FormError if G is not symmetric positive definite.  Public API
+    only: the package itself reads the integer data of ldl_integral.
     """
     D, A = ldl_integral(G)
     n = len(A)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arakelov import linalg
@@ -319,6 +319,90 @@ def test_lll_rejects_bad_input():
         lll_reduce([[1, 2], [2, 1]])  # indefinite
     with pytest.raises(FormError):
         lll_reduce([[1, 2], [3, 4]])  # asymmetric
+
+
+def fraction_lll(G, delta):
+    """Reference LLL: the rational Gram-Schmidt recurrence on a Fraction
+    Gram, started from cholesky (mu[i][j] = R[j][i], B[i] = R[i][i])."""
+    n = len(G)
+    Gw = [[Fraction(x) for x in row] for row in G]
+    U = identity(n)
+    R = cholesky(Gw)
+    mu = [[R[j][i] for j in range(i)] for i in range(n)]
+    B = [R[i][i] for i in range(n)]
+
+    def reduce_entry(k, l):
+        if 2 * abs(mu[k][l]) > 1:
+            q = round(mu[k][l])
+            gkk = Gw[k][k] - 2 * q * Gw[k][l] + q * q * Gw[l][l]
+            U[k] = [x - q * y for x, y in zip(U[k], U[l])]
+            Gw[k] = [x - q * y for x, y in zip(Gw[k], Gw[l])]
+            for t in range(n):
+                Gw[t][k] = Gw[k][t]
+            Gw[k][k] = gkk
+            mu[k][l] -= q
+            for j in range(l):
+                mu[k][j] -= q * mu[l][j]
+
+    k = 1
+    while k < n:
+        reduce_entry(k, k - 1)
+        if B[k] < (delta - mu[k][k - 1] * mu[k][k - 1]) * B[k - 1]:
+            U[k - 1], U[k] = U[k], U[k - 1]
+            Gw[k - 1], Gw[k] = Gw[k], Gw[k - 1]
+            for row in Gw:
+                row[k - 1], row[k] = row[k], row[k - 1]
+            m = mu[k][k - 1]
+            Bp = B[k] + m * m * B[k - 1]
+            mu[k][k - 1] = m * B[k - 1] / Bp
+            B[k] = B[k - 1] * B[k] / Bp
+            B[k - 1] = Bp
+            for j in range(k - 1):
+                mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+            for i in range(k + 1, n):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce_entry(k, l)
+            k += 1
+    return Gw, transpose(U)
+
+
+@st.composite
+def lll_grams(draw):
+    """A positive definite Gram B * B^t of dimension 1 to 8, integer or
+    rational with mixed denominators; the basis B is skewed by drawn
+    elementary row operations, so LLL has reductions and swaps to make."""
+    n = draw(st.integers(1, 8))
+    entries = draw(st.sampled_from([st.integers(-9, 9), _ENTRIES]))
+    B = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    assume(det(B) != 0)
+    if n > 1:
+        for _ in range(draw(st.integers(0, 3 * n))):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.integers(-3, 3))
+            B[i] = [x + c * y for x, y in zip(B[i], B[j])]
+    return [[sum(x * y for x, y in zip(r, s)) for s in B] for r in B]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lll_grams(), st.sampled_from([Fraction(99, 100), Fraction(3, 4)]))
+def test_integral_lll_matches_the_fraction_recurrence(G, delta):
+    assert lll_reduce(G, delta) == fraction_lll(G, delta)
+
+
+def test_lll_rounds_ties_half_to_even():
+    # mu = 5/2: half to even subtracts 2 times the first vector (half up
+    # would subtract 3), and the Lovasz condition then holds
+    G2, T = lll_reduce([[2, 5], [5, 20]])
+    assert T == [[1, -2], [0, 1]]
+    assert G2 == [[2, 1], [1, 8]]
+    assert fraction_lll([[2, 5], [5, 20]], Fraction(99, 100)) == (G2, T)
+    # B_1 = 3 == (3/4 - 0) * B_0: the Lovasz test is strict, so no swap
+    assert lll_reduce([[4, 0], [0, 3]], Fraction(3, 4)) == ([[4, 0], [0, 3]], identity(2))
 
 
 def test_cholesky_known_pivots():

@@ -7,11 +7,13 @@ data on its own: round_two gives the maximal order and the discriminant
 of Q[x]/(T), prime_decomp the primes above p with their (e, f), and the
 ramified primes are those dividing the discriminant.  The canonical
 HNF of a full-rank module is checked against sympy's hermite_normal_form,
-and the valuation of a principal ideal against v_P of its HNF rows at
-each prime P of sympy's prime_decomp.  That covers the families with one
-prime above each ramified p (prime-power conductors and quadratic
-fields), where valuation reads the exponent off the norm, and composite
-conductors, where it certifies equal exponents or raises Unsupported.
+the valuation of a principal ideal against v_P of its HNF rows at
+each prime P of sympy's prime_decomp, and the realized radical powers
+P^k against sympy's prime ideal to the k-th power.  That covers the
+families with one prime above each ramified p (prime-power conductors
+and quadratic fields), where valuation reads the exponent off the norm
+and the radical is the one prime above p, and composite conductors,
+where valuation certifies equal exponents or raises Unsupported.
 sympy is a test dependency; a missing oracle fails the run rather than
 skipping.
 """
@@ -30,7 +32,7 @@ from sympy.polys.numberfields.basis import round_two
 from sympy.polys.numberfields.primes import prime_decomp
 
 from arakelov.fields import euler_phi, factorize, make_field
-from arakelov.ideals import Unsupported, principal, valuation
+from arakelov.ideals import IdealRecipe, Unsupported, principal, realize, valuation
 from arakelov.linalg import det, hnf_mod_d, row_module_hnf
 
 _CONDUCTORS = st.integers(3, 150).filter(lambda n: n % 4 != 2)
@@ -93,27 +95,34 @@ def test_hnf_mod_d_matches_sympy(M):
 # prime-power conductors up to degree 21, the quadratic fields, and four
 # composite conductors with several primes above a ramified p
 _PRIME_POWERS = [q for q in range(3, 50) if q % 4 != 2 and len(factorize(q)) == 1]
+_COMPOSITES = ["realcyclo:44", "realcyclo:28", "cyclo:12", "cyclo:28"]
 _VALUATION_SPECS = sorted(
     [f"realcyclo:{q}" for q in _PRIME_POWERS if 2 <= euler_phi(q) // 2 <= 21]
     + [f"cyclo:{q}" for q in _PRIME_POWERS if euler_phi(q) <= 21]
-    + _QUADRATIC + ["realcyclo:44", "realcyclo:28", "cyclo:12", "cyclo:28"])
+    + _QUADRATIC + _COMPOSITES)
+
+
+@lru_cache(maxsize=None)
+def _prime_decomp(spec, p):
+    """sympy's primes above p in the field of spec."""
+    field = make_field(spec)
+    T = Poly(list(reversed(field.minpoly)), x, domain=ZZ)
+    ZK, dK = round_two(T)
+    return prime_decomp(p, T, ZK=ZK, dK=dK)
 
 
 @lru_cache(maxsize=None)
 def _sympy_primes(spec, p):
     """(e, beta_rows) for each prime P above p: beta_rows[j] holds the
     coordinates of theta^j * beta, with beta sympy's test factor of P."""
-    field = make_field(spec)
-    m = field.degree
-    T = Poly(list(reversed(field.minpoly)), x, domain=ZZ)
-    ZK, dK = round_two(T)
+    m = make_field(spec).degree
     out = []
-    for P in prime_decomp(p, T, ZK=ZK, dK=dK):
+    for P in _prime_decomp(spec, p):
         beta = P.test_factor()
         rows = []
         for j in range(m):
             unit = DomainMatrix([[ZZ(int(i == j))] for i in range(m)], (m, 1), ZZ)
-            product = ZK.parent(unit) * beta
+            product = P.ZK.parent(unit) * beta
             assert product.denom == 1
             rows.append([int(c) for c in product.coeffs])
         out.append((P.e, rows))
@@ -189,3 +198,28 @@ def test_principal_valuation_matches_sympy(gen):
         else:
             with pytest.raises(Unsupported):
                 valuation(ideal, p)
+
+
+# the families with one prime above each ramified p, up to degree 18:
+# sympy's Submodule power takes seconds per field from degree 20 on
+_ONE_PRIME_SPECS = [spec for spec in _VALUATION_SPECS
+                    if spec not in _COMPOSITES and make_field(spec).degree <= 18]
+
+
+@pytest.mark.parametrize("spec", _ONE_PRIME_SPECS)
+def test_realized_prime_powers_match_sympy(spec):
+    """realize(P<p>^k), k = 1..3, is sympy's prime above p to the k-th
+    power, and its norm is p^(k f)."""
+    field = make_field(spec)
+    for p in field.omega():
+        (P,) = _prime_decomp(spec, p)
+        for k in (1, 2, 3):
+            power = P.as_submodule() ** k
+            assert power.denom == 1
+            H = power.matrix.to_Matrix()
+            # the columns of sympy's matrix are the power-basis coordinates
+            # of a Z-basis of P^k
+            cols = [[int(h) for h in H.col(j)] for j in range(H.cols)]
+            ideal = realize(IdealRecipe.parse(field, f"P{p}^{k}"))
+            assert ideal.den == 1 and [list(row) for row in ideal.num] == row_module_hnf(cols)
+            assert ideal.norm() == p ** (k * P.f)
