@@ -12,8 +12,9 @@ defining identities exactly (level = beta * conj(beta), alpha totally
 positive, half-level valuations of beta, and I * conj(I) equal to
 alpha^-1 * beta * D_K^-1 as fractional ideals).  The last is checked as
 I * conj(I) * (alpha * beta^-1) = D_K^-1, with beta^-1 = conj(beta)/level
-from the first identity, so it needs no inverse; the product compares
-with the codifferent's rows.
+from the first identity, so it needs no inverse.  The codifferent is the
+principal ideal (1/f'(theta)), so a product that keeps a generator
+compares with it on generators, without building rows.
 """
 
 from __future__ import annotations

@@ -607,6 +607,15 @@ class NumberField:
                                      for i in range(m))
         return self._trace_form
 
+    def _hankel_traces(self, a):
+        """t[k] = Tr(a * theta^k), k <= 2m-2, for integer coordinates a: from
+        the trace form, then the reduction rows of theta^m .. theta^(2m-2)."""
+        T = self.trace_form_rows()
+        t = [sum(c * T[l][k] for l, c in enumerate(a) if c) for k in range(self.degree)]
+        for row in self._power_table():
+            t.append(sum(c * t[j] for j, c in enumerate(row) if c))
+        return t
+
     def discriminant(self):
         """Field discriminant: determinant of the trace form on O_K."""
         if self._disc is None:
@@ -1080,13 +1089,7 @@ def trace_pairing(alpha, x, y):
     """
     field = alpha.field
     m = field.degree
-    T = field.trace_form_rows()
-    a = alpha.num
-    # t[k] = Tr(a * theta^k): directly below the degree, then through the
-    # reduction rows of theta^m .. theta^(2m-2)
-    t = [sum(c * T[l][k] for l, c in enumerate(a) if c) for k in range(m)]
-    for row in field._power_table():
-        t.append(sum(c * t[j] for j, c in enumerate(row) if c))
+    t = field._hankel_traces(alpha.num)
     left = [[sum(c * t[k + j] for k, c in enumerate(r) if c) for j in range(m)]
             for r in x.num]
     conj_y = [field._conj_num(r) for r in y.num] if field.is_cm else y.num

@@ -19,12 +19,13 @@ check, never assumed.
 Radicals above ramified primes are computed as the preimage of the
 nilradical of O_K/p (the kernel of an iterated Frobenius map on the
 GF(p)-algebra O_K/p); each radical is checked against the Galois norm
-identity norm(J_p) = p^(degree/e_p).  Inverses go through the trace-dual
-identity A^-1 = D_K * tracedual(conj(A), 1), with the different D_K
-certified once per field against the codifferent.  With one prime above
-p, of residue degree 1, the valuation is read off the norm; otherwise
-valuations are certified: a norm computation proposes the exponent and
-an exact containment test proves all primes above p carry it with equal
+identity norm(J_p) = p^(degree/e_p).  By Euler's lemma the codifferent
+is (1/f'(theta)), so the trace dual of a principal ideal is one element
+and the different is (f'(theta)); other inverses use the identity
+A^-1 = D_K * tracedual(conj(A), 1).  With one prime above p, of residue
+degree 1, the valuation is read off the norm; otherwise valuations are
+certified: a norm computation proposes the exponent and an exact
+containment test proves all primes above p carry it with equal
 multiplicity.
 """
 
@@ -467,31 +468,23 @@ def conj_ideal(a):
 # --------------------------------------------------------------------------
 
 def trace_dual(a, alpha):
-    """{x : Tr(alpha * x * conj(y)) in Z for all y in A}, via one integer
-    solve against the Gram matrix.
+    """{x : Tr(alpha * x * conj(y)) in Z for all y in A}.
 
-    A known generator g of A turns the dual into the single principal
-    product (alpha * conj(g))^-1 * D_K^-1; only the dual of O_K under
-    alpha = 1, which defines the codifferent, takes the Gram route.
+    A known generator g of A gives the single element
+    (alpha * conj(g))^-1 * f'(theta)^-1, as D_K^-1 = (f'(theta)^-1); an
+    ideal held as rows only takes one integer solve against its Gram.
     """
     field = a.field
     if not isinstance(alpha, FieldElement) or alpha.field != field:
         raise FieldMismatch("alpha must be an element of the ideal's field")
     if not is_totally_positive(alpha):
         raise FormError("alpha must be totally positive for the trace form")
-    codiff_route = a.is_ring() and alpha == 1
-    if a._gen is not None and not codiff_route:
+    if a._gen is not None:
         # inverting the factors apart reuses their known inverses
-        g = alpha.inverse() * a._gen.conj().inverse()
-        return _principal_times_module(
-            g, 1 / (a.norm() * abs(alpha.norm())), codifferent(field))
-    if codiff_route:
-        # the Gram of O_K under alpha = 1 is the cached trace form; on a CM
-        # field it pairs with theta^j instead of conj(theta^j), which spans
-        # the same dual, as conjugation maps O_K onto itself
-        gram, scale = field.trace_form_rows(), 1
-    else:
-        gram, scale = trace_pairing(alpha, a, a)
+        codiff = codifferent(field)
+        g = alpha.inverse() * a._gen.inverse().conj() * codiff._gen
+        return _principal(g, codiff.norm() / (a.norm() * abs(alpha.norm())))
+    gram, scale = trace_pairing(alpha, a, a)
     # the Gram is gram / scale, so the dual rows are
     # scale * gram^-1 * num / den = Y / (d * den) with
     # gram * Y = d * scale * num; dividing out the content g of
@@ -515,10 +508,26 @@ _CODIFF_CACHE = {}
 _DIFF_CACHE = {}
 
 
+def _euler_certificate(field, g):
+    """Prove g*O_K = D_K^-1, else raise ArithmeticError: the pairing of
+    g*theta^i with theta^j is the Hankel matrix of c_k = Tr(g*theta^k),
+    k <= 2m-2; integral c_k, zero below k = m-1 and c_(m-1) = 1 make it
+    integral and unimodular, so g*O_K is the trace dual of Z[theta]."""
+    m = field.degree
+    t = field._hankel_traces(g.num)  # c_k = t[k] / g.den
+    if t[:m] != [0] * (m - 1) + [g.den] or any(c % g.den for c in t[m:]):
+        raise ArithmeticError(
+            f"{g} fails the Euler certificate for the codifferent of "
+            f"{field.spec_string()}")
+
+
 def codifferent(field):
-    """The inverse different D_K^-1 = trace dual of O_K."""
+    """D_K^-1 = (1/f'(theta)) for the minimal polynomial f, by Euler's lemma
+    (Serre, Local Fields III.6) as O_K = Z[theta]; certified, cached."""
     if field not in _CODIFF_CACHE:
-        _CODIFF_CACHE[field] = trace_dual(FractionalIdeal.ring(field), field.one())
+        g = field._element([k * c for k, c in enumerate(field.minpoly)][1:]).inverse()
+        _euler_certificate(field, g)
+        _CODIFF_CACHE[field] = _principal(g, Fraction(1, abs(field.discriminant())))
     return _CODIFF_CACHE[field]
 
 
@@ -546,32 +555,17 @@ def _module_inverse(a):
 
 
 def different(field):
-    """The different ideal D_K (certified inverse of the codifferent, cached).
-
-    A candidate assembled from radical powers is tried first (fast when
-    the radicals carry proved generators); candidate * D_K^-1 == O_K pins
-    it as the exact module inverse, since norms multiply to 1 and the
-    product being O_K forces equality of full modules.  If no candidate
-    certifies, the direct module inversion of the codifferent decides.
-    """
+    """D_K = (f'(theta)), checked against the closed form prod_p J_p^(v_p)
+    (ArithmeticError on a mismatch); cached."""
     if field not in _DIFF_CACHE:
-        codiff = codifferent(field)
-        ring = FractionalIdeal.ring(field)
-        diff = None
-        try:
-            cand = ring
-            for p in sorted(field.omega()):
-                cand = ideal_mul(
-                    cand, ideal_pow(radical_above(field, p),
-                                    field.different_exponent(p)))
-            if ideal_mul(cand, codiff) == ring:
-                diff = cand
-        except (ValueError, ArithmeticError):
-            diff = None
-        if diff is None:
-            diff = _module_inverse(codiff)
-            if ideal_mul(diff, codiff) != ring:
-                raise ArithmeticError("different bootstrap failed the inverse check")
+        diff = ideal_inverse(codifferent(field))
+        closed = FractionalIdeal.ring(field)
+        for p in sorted(field.omega()):
+            closed = ideal_mul(closed, ideal_pow(radical_above(field, p),
+                                                 field.different_exponent(p)))
+        if closed != diff:
+            raise ArithmeticError(
+                f"closed-form different of {field.spec_string()} is not (f'(theta))")
         _DIFF_CACHE[field] = diff
     return _DIFF_CACHE[field]
 

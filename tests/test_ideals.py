@@ -9,13 +9,17 @@ Oracles used here, deliberately distinct from the implementation paths:
   * the definitional dual property Tr(alpha * d_i * conj(a_j)) = delta_ij,
     versus the Gram-inversion construction;
   * trace duals recomputed through pure ideal arithmetic
-    (alpha^-1 * codifferent * conj(A)^-1).
+    (alpha^-1 * codifferent * conj(A)^-1);
+  * the Gram solve on an ideal held as rows only, versus the one-element
+    dual of a principal ideal and the f'(theta) codifferent.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arakelov.fields import FieldMismatch, NotRamified, SpecError, make_field
 from arakelov.ideals import (
@@ -36,6 +40,7 @@ from arakelov.ideals import (
     trace_dual,
     trace_dual_via_inverse,
     valuation,
+    _euler_certificate,
     _theta_power_mod,
 )
 from arakelov.linalg import FormError, hnf_mod_d, nullspace_mod_p, transpose
@@ -289,7 +294,53 @@ def test_different_data_shape():
     assert exponents == {2: 2, 7: 5}
     cd = codifferent(field)
     assert cd.field is field
-    assert cd == trace_dual(FractionalIdeal.ring(field), field.one())
+    # O_K held as rows only, with no generator, takes the Gram route: the
+    # reference for the f'(theta) generator of the codifferent
+    ring_rows = FractionalIdeal(field, FractionalIdeal.ring(field).num, 1)
+    assert ring_rows._gen is None
+    assert cd == trace_dual(ring_rows, field.one())
+
+
+@pytest.mark.parametrize("spec", ["quad:+5", "quad:-7", "quad:+6", "cyclo:12",
+                                  "cyclo:9", "realcyclo:13", "realcyclo:28"])
+def test_euler_certificate_rejects_a_wrong_generator(spec):
+    field = make_field(spec)
+    g = codifferent(field)._gen
+    _euler_certificate(field, g)  # 1/f'(theta) itself passes
+    fprime = g.inverse()
+    for wrong in (2 * g, g / 2, (fprime + 1).inverse(), g + 1):
+        with pytest.raises(ArithmeticError):
+            _euler_certificate(field, wrong)
+
+
+HYP_SPECS = ["quad:+2", "quad:+5", "quad:+13", "quad:-1", "quad:-3", "quad:-7",
+             "quad:-10", "cyclo:5", "cyclo:7", "cyclo:9", "cyclo:12",
+             "realcyclo:7", "realcyclo:13", "realcyclo:15", "realcyclo:20",
+             "realcyclo:28"]
+_HYP_COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(HYP_SPECS), st.data())
+def test_principal_trace_dual_is_the_gram_route(spec, data):
+    """trace_dual of (g) is one element; the same module held as rows only
+    goes through the Gram solve.  Both agree, and both are bidual."""
+    field = make_field(spec)
+    vec = st.lists(_HYP_COEFF, min_size=field.degree, max_size=field.degree)
+    g = field.element(data.draw(vec))
+    x = field.element(data.draw(vec))
+    assume(not g.is_zero and not x.is_zero)
+    # x * conj(x) is totally positive; a nonnegative rational keeps it so
+    alpha = x * x.conj() + data.draw(st.integers(0, 3))
+    a = principal(g)
+    a_rows = FractionalIdeal(field, a.num, a.den)
+    d_gen = trace_dual(a, alpha)
+    d_rows = trace_dual(a_rows, alpha)
+    assert d_gen._gen is not None and d_rows._gen is None
+    assert d_gen == d_rows
+    bidual = trace_dual(d_gen, alpha)
+    assert (bidual.num, bidual.den) == (a.num, a.den)
+    assert trace_dual(d_rows, alpha) == a_rows
 
 
 def test_ideal_inverse_roundtrip():
