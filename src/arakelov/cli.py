@@ -17,8 +17,6 @@ import math
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from . import existence, lattice
 from .fields import (
     FieldMismatch,
@@ -136,6 +134,7 @@ def _construct_record(field, witness, trace_type, embed_bits=None):
         "witness_checked": True,
     }
     if embed_bits is not None:
+        import mpmath
         digits = max(int(embed_bits * 0.302) + 2, 8)
         with mpmath.workprec(embed_bits + 32):
             rows = lattice.generator_matrix(lat, precision=embed_bits)
@@ -165,6 +164,8 @@ def _bounded_field(spec):
 
 def cmd_exists(args):
     field = make_field(args.field)
+    if args.level is not None and args.level < 1:
+        raise SpecError(f"level must be a positive integer, got {args.level}")
     verdict = existence.classify(field, trace_type=args.trace_type)
     doc = {
         "field": field.spec_string(),

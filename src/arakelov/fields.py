@@ -32,12 +32,14 @@ is built by the first computation that needs it.  Level sets and
 ramification data depend only on the factorization of the conductor, so
 they stay cheap at any degree.
 
+Total positivity is exact: alpha >> 0 iff its integer trace form on O_K
+passes Sylvester's criterion, one fraction-free elimination.
+
 Numeric embeddings use mpmath at a caller-chosen precision (default from
-the ``ARAKELOV_PRECISION_BITS`` environment variable, 128 bits).  The
-embedding order fixes sigma_1 = identity; for CM fields embeddings come
-in adjacent conjugate pairs (sigma_2 = conj sigma_1, ...).  Total
-positivity is decided by certified interval evaluation with doubling
-precision -- never by unvalidated floating point.
+the ``ARAKELOV_PRECISION_BITS`` environment variable, 128 bits); only
+they import mpmath.  The embedding order fixes sigma_1 = identity; for
+CM fields embeddings come in adjacent conjugate pairs (sigma_2 = conj
+sigma_1, ...).
 """
 
 from __future__ import annotations
@@ -46,12 +48,13 @@ import os
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-
-import mpmath
+from types import SimpleNamespace
 
 from .linalg import (
+    FormError as _FormError,
     SingularError as _SingularError,
     det as _int_det,
+    ldl_integral as _ldl_integral,
     solve_integral as _solve_integral,
 )
 
@@ -691,6 +694,7 @@ class NumberField:
         raise NotImplementedError
 
     def embedding_values(self, precision=None):
+        import mpmath
         bits = precision if precision is not None else default_precision()
         if bits not in self._embed_cache:
             with mpmath.workprec(bits + 32):
@@ -698,6 +702,7 @@ class NumberField:
         return self._embed_cache[bits]
 
     def _embed_element(self, x, precision=None):
+        import mpmath
         bits = precision if precision is not None else default_precision()
         thetas = self.embedding_values(bits)
         out = []
@@ -708,10 +713,6 @@ class NumberField:
                     acc = acc * t + mpmath.mpf(c.numerator) / c.denominator
                 out.append(acc)
         return out
-
-    def _interval_thetas(self, ivctx):
-        """Certified interval enclosures of theta at each real embedding."""
-        raise NotImplementedError
 
     # -- ramification data ---------------------------------------------------
     def omega(self):
@@ -773,13 +774,8 @@ class RealQuadraticField(NumberField):
         return 2 if self.d % 4 == 3 else 3
 
     def _theta_numeric(self):
+        import mpmath
         s = mpmath.sqrt(self.d)
-        if self.d % 4 == 1:
-            return [(1 + s) / 2, (1 - s) / 2]
-        return [s, -s]
-
-    def _interval_thetas(self, ivctx):
-        s = ivctx.sqrt(self.d)
         if self.d % 4 == 1:
             return [(1 + s) / 2, (1 - s) / 2]
         return [s, -s]
@@ -829,6 +825,7 @@ class ImagQuadraticField(NumberField):
         return 2 if self.d % 4 == 1 else 3
 
     def _theta_numeric(self):
+        import mpmath
         s = mpmath.sqrt(self.d)
         if self.d % 4 == 3:
             t = mpmath.mpc(mpmath.mpf(1) / 2, s / 2)
@@ -869,6 +866,7 @@ class CyclotomicField(NumberField):
         return p ** (r - 1) * (p * r - r - 1)
 
     def _theta_numeric(self):
+        import mpmath
         out = []
         n = self.n
         for k in self._embedding_exponents():
@@ -1013,14 +1011,10 @@ class RealCyclotomicField(NumberField):
         return [k for k in range(1, n // 2 + 1) if gcd(k, n) == 1]
 
     def _theta_numeric(self):
+        import mpmath
         n = self.n
         return [2 * mpmath.cos(2 * mpmath.pi * k / n)
                 for k in self._embedding_exponents()]
-
-    def _interval_thetas(self, ivctx):
-        n = self.n
-        two_pi = 2 * ivctx.pi
-        return [2 * ivctx.cos(two_pi * k / n) for k in self._embedding_exponents()]
 
 
 def _validate_conductor(n, family):
@@ -1085,17 +1079,22 @@ def trace_pairing(alpha, x, y):
     cached trace form T, and scale = alpha.den * x.den * y.den.  By
     bilinearity, u . T_a . v = Tr(a * u * v) with the Hankel matrix
     T_a[k][l] = Tr(a * theta^(k+l)), so the table costs two integer
-    matrix products and forms no Fraction.
+    matrix products over the nonzero entries of the module rows and
+    forms no Fraction.
     """
     field = alpha.field
     m = field.degree
     t = field._hankel_traces(alpha.num)
-    left = [[sum(c * t[k + j] for k, c in enumerate(r) if c) for j in range(m)]
-            for r in x.num]
+    left = [[sum(c * t[k + j] for k, c in nz) for j in range(m)]
+            for nz in _nonzero_entries(x.num)]
     conj_y = [field._conj_num(r) for r in y.num] if field.is_cm else y.num
-    rows = [[sum(c * v[k] for k, c in enumerate(lr) if c) for v in conj_y]
-            for lr in left]
+    cols = _nonzero_entries(conj_y)
+    rows = [[sum(c * lr[k] for k, c in nz) for nz in cols] for lr in left]
     return rows, alpha.den * x.den * y.den
+
+
+def _nonzero_entries(rows):
+    return [[(k, c) for k, c in enumerate(r) if c] for r in rows]
 
 
 def lift_descend(x, target):
@@ -1176,14 +1175,23 @@ def sqrt_integer(field, m):
     return cand
 
 
+def trace_form(alpha):
+    """(H, alpha.den): H[k][l] / alpha.den = Tr(alpha * theta^k *
+    conj(theta^l)), the trace_pairing of alpha on O_K = Z[theta], whose
+    rows are the identity."""
+    m = alpha.field.degree
+    ok = SimpleNamespace(num=[[int(i == j) for j in range(m)] for i in range(m)], den=1)
+    return trace_pairing(alpha, ok, ok)
+
+
 def is_totally_positive(alpha):
     """True iff every embedding value of alpha is positive.
 
-    Decided by certified interval evaluation of the (explicitly known)
-    embedding images of theta, doubling the working precision until every
-    interval is separated from zero.  For CM fields alpha must be fixed by
-    conjugation; positivity is then decided in the maximal real subfield.
-    The verdict is kept on alpha, so each element is decided once.
+    Tr(alpha * x * conj(x)) = sum_sigma sigma(alpha) * |sigma(x)|^2, so
+    alpha >> 0 iff its trace form H is positive definite: ldl_integral
+    decides it on integers, with no precision and no cap.  On a CM field
+    H is symmetric iff alpha = conj(alpha).  Zero and rationals are read
+    off directly.  The verdict is kept on alpha.
     """
     if alpha._positive is None:
         object.__setattr__(alpha, "_positive", _decide_total_positivity(alpha))
@@ -1191,40 +1199,15 @@ def is_totally_positive(alpha):
 
 
 def _decide_total_positivity(alpha):
-    field = alpha.field
     if alpha.is_zero:
         return False
-    if field.is_cm:
-        if alpha.conj() != alpha:
-            return False
-        if isinstance(field, ImagQuadraticField):
-            return alpha.num[0] > 0
-        real_subfield = make_field(f"realcyclo:{field.n}")
-        return is_totally_positive(real_subfield.descend(alpha))
     if alpha.is_rational:
         return alpha.num[0] > 0
-    ivctx = mpmath.iv
-    saved = ivctx.prec
     try:
-        bits = 64
-        while bits <= (1 << 14):
-            ivctx.prec = bits
-            values = []
-            # den > 0, so num has the signs of alpha at every embedding
-            for t in field._interval_thetas(ivctx):
-                acc = ivctx.mpf(0)
-                for c in reversed(alpha.num):
-                    acc = acc * t + ivctx.mpf(c)
-                values.append(acc)
-            if all(v > 0 for v in values):
-                return True
-            if any(v < 0 for v in values):
-                return False
-            bits *= 2
-    finally:
-        ivctx.prec = saved
-    raise ArithmeticError(
-        "interval refinement failed to separate an embedding value from zero")
+        _ldl_integral(trace_form(alpha)[0])
+    except _FormError:
+        return False
+    return True
 
 
 class EmbeddingMatrix:
@@ -1245,6 +1228,7 @@ def embedding_matrix(field, precision=None):
     pairs (sqrt 2 * Re sigma(theta^i), sqrt 2 * Im conj(sigma)(theta^i))
     over one embedding sigma per conjugate pair.
     """
+    import mpmath
     bits = precision if precision is not None else default_precision()
     thetas = field.embedding_values(bits)
     m = field.degree

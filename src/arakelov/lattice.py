@@ -15,15 +15,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
-
 from .fields import (
     FieldElement,
     FieldMismatch,
     SpecError,
     default_precision,
     embedding_matrix,
-    is_totally_positive,
+    trace_form,
     trace_pairing,
 )
 from .ideals import FractionalIdeal, ideal_mul, principal, trace_dual
@@ -48,18 +46,25 @@ class IdealLattice:
     """An ideal I with the twisted trace form b(x, y) = Tr(alpha * x * conj(y)).
 
     It is made from the integer Gram rows and their scale that
-    trace_pairing returns (the Gram is rows / scale).  Construction
-    certifies the integer rows positive definite with ldl_integral
-    (Sylvester's criterion on the Bareiss leading minors; FormError
-    otherwise) and keeps the determinant P_{n-1} / scale^n from the last
-    Bareiss pivot; the rational ``gram`` is formed once, here.
+    trace_pairing returns (the Gram is rows / scale).  The rows are
+    N * H * N^t for the HNF rows N of I and the trace form H of alpha
+    (fields.trace_form), so ldl_integral(H) certifies the Gram positive
+    definite, as N is nonsingular; it is the test of is_totally_positive.
+    The determinant is det(N)^2 * P_{m-1} / scale^m, with det(N) the
+    product of the HNF pivots and P_{m-1} the last Bareiss pivot of H.
+    The rational ``gram`` is formed once, here.
     """
 
     __slots__ = ("field", "ideal", "alpha", "gram", "_det")
 
     def __init__(self, field, ideal, alpha, rows, scale):
-        _, A = ldl_integral(rows)
-        d = Fraction(A[-1][-1], scale ** len(A))
+        try:
+            _, A = ldl_integral(trace_form(alpha)[0])
+        except FormError:
+            raise FormError("alpha must be totally positive") from None
+        m = len(A)
+        pivots = math.prod(ideal.num[i][i] for i in range(m))
+        d = Fraction(pivots * pivots * A[-1][-1], scale ** m)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "alpha", alpha)
@@ -116,13 +121,11 @@ class LatticeReport:
 
 def build(field, ideal, alpha):
     """Exact Gram of (I, alpha); the IdealLattice it returns certifies
-    positive definiteness."""
+    positive definiteness, and with it the total positivity of alpha."""
     if not isinstance(ideal, FractionalIdeal) or ideal.field != field:
         raise FieldMismatch("ideal must belong to the lattice field")
     if not isinstance(alpha, FieldElement) or alpha.field != field:
         raise FieldMismatch("alpha must belong to the lattice field")
-    if not is_totally_positive(alpha):
-        raise FormError("alpha must be totally positive")
     return IdealLattice(field, ideal, alpha, *trace_pairing(alpha, ideal, ideal))
 
 
@@ -132,6 +135,7 @@ def generator_matrix(lat, precision=None):
     The product M * M^t is checked against the exact Gram within
     2^(-precision/2); rows follow the canonical ideal basis.
     """
+    import mpmath
     if precision is None:
         precision = default_precision()
     field = lat.field

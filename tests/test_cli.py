@@ -12,11 +12,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import arakelov
 from arakelov import cli, existence, fields, ideals
 from arakelov.cli import (
     EXIT_ABSENT,
@@ -25,6 +29,7 @@ from arakelov.cli import (
     EXIT_VERIFY,
     main,
 )
+from test_fields import cos7_convergents
 
 
 def run(capsys, *argv):
@@ -74,6 +79,17 @@ def test_exists_level_query(capsys):
                             "--trace-type", "--level", "7")
     assert code == EXIT_ABSENT and doc["admissible"] is False
     assert doc["queried_level"] == 7
+
+
+@pytest.mark.parametrize("level", ["0", "-11"])
+def test_exists_refuses_a_nonpositive_level(capsys, level):
+    """A level below 1 is malformed input, as for construct: exit 2 and
+    no JSON body."""
+    for extra in ([], ["--trace-type"]):
+        code, out, err = run(capsys, "exists", "--field", "realcyclo:44",
+                             "--level", level, *extra)
+        assert code == EXIT_SPEC and out == ""
+        assert "positive integer" in err
 
 
 def test_exists_modular_prime_power(capsys):
@@ -316,6 +332,27 @@ def test_verify_corrupted_beta_exits_4(capsys, record28, tmp_path):
     assert "clause i" in err
 
 
+def test_verify_alpha_past_any_precision_exits_cleanly(tmp_path):
+    """The realcyclo:7 level-1 record with alpha = r - theta, r a
+    convergent of 2cos(2pi/7) with a 12,000-bit denominator on either
+    side: positivity is decided exactly, so alpha below the root is
+    refused (exit 2) and alpha above it builds a lattice that fails the
+    module identity (exit 4); neither exits with a traceback."""
+    path = tmp_path / "r7.json"
+    assert main(["construct", "--field", "realcyclo:7", "--level", "1",
+                 "--out", str(path)]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    below, above = cos7_convergents(12000)
+    for r, want in ((below, EXIT_SPEC), (above, EXIT_VERIFY)):
+        doc["alpha"] = [cli._rat_str(r), "-1", "0"]
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--in", str(path)])
+        assert code == want and out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+
+
 def test_verify_bad_inputs_exit_2(capsys, record28, tmp_path):
     code, _, err = run(capsys, "verify", "--in", str(tmp_path / "missing.json"))
     assert code == EXIT_SPEC and "cannot read" in err
@@ -425,6 +462,48 @@ def test_verify_fuzzed_record_exit_codes(record28_doc, mutation):
         code = main(["verify", "--in", str(mutated)])
     assert code in (EXIT_OK, EXIT_SPEC, EXIT_ABSENT, EXIT_VERIFY)
     assert "Traceback" not in err.getvalue()
+
+
+# --------------------------------------------------------------------------
+# cold start
+# --------------------------------------------------------------------------
+
+_COLD_RUN = """
+import contextlib, hashlib, io, json, sys
+from arakelov.cli import main
+record = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["exists", "--field", "realcyclo:13"]),
+             main(["construct", "--field", "realcyclo:13", "--level", "13",
+                   "--out", record]),
+             main(["verify", "--in", record, "--min", "--theta", "2"])]
+exact = "mpmath" in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    codes.append(main(["construct", "--field", "quad:-3", "--level", "3",
+                       "--embed", "96"]))
+print(json.dumps({"codes": codes, "exact_path_loads_mpmath": exact,
+                  "embed_loads_mpmath": "mpmath" in sys.modules,
+                  "embed_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}))
+"""
+
+
+def test_exact_path_never_imports_mpmath(tmp_path):
+    """In a fresh interpreter, exists, construct and verify without
+    --embed leave mpmath unloaded; construct --embed loads it and prints
+    the pinned record."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arakelov.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_RUN, str(tmp_path / "r13.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [EXIT_OK] * 4
+    assert got["exact_path_loads_mpmath"] is False
+    assert got["embed_loads_mpmath"] is True
+    assert got["embed_sha256"] == \
+        "5e48634cdba652c80d3313e80eeff999cea70427b5ceb3eb13e01f999ef74dfd"
 
 
 # --------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 Oracles used here are independent of the implementation under test:
 numeric embeddings cross-check exact ring arithmetic, direct root sums
 cross-check Newton-identity traces, ambient-evaluation checks the real
-cyclotomic minimal polynomial, an exact trace-form Cholesky decides
-total positivity without intervals, and Fraction coordinates with a
-schoolbook product reduced by the minimal polynomial check the integer
-num/den representation.
+cyclotomic minimal polynomial, sympy's exact real-root count of the
+characteristic polynomial (a resultant with the minimal polynomial)
+decides total positivity, and Fraction coordinates with a schoolbook
+product reduced by the minimal polynomial check the integer num/den
+representation.  The implementation decides total positivity on its
+trace form, so that form is not an oracle here.
 """
 
 import cmath
@@ -18,6 +20,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Poly, oo, resultant, symbols
 
 from arakelov.fields import (
     CyclotomicField,
@@ -39,7 +42,7 @@ from arakelov.fields import (
     _cyclotomic_poly,
     _real_cyclotomic_poly,
 )
-from arakelov.linalg import FormError, cholesky, det
+from arakelov.linalg import det
 
 rng = random.Random(1309)
 
@@ -466,17 +469,59 @@ def test_sqrt_in_ambient_cyclotomic():
 # total positivity
 # ---------------------------------------------------------------------------
 
+_X, _Y = symbols("x y")
+
+
 def totally_positive_oracle(x):
-    """Exact oracle: x is totally positive iff the trace form Tr(x a conj(b))
-    on the power basis is positive definite (its Cholesky pivots exist)."""
+    """Exact oracle: chi(y) = Res_x(f(x), y - a(x)) is the characteristic
+    polynomial prod_sigma (y - sigma(x)) for the minimal polynomial f of
+    theta and the coordinate polynomial a of x.  x is totally positive iff
+    every root of chi is real and none lies in (-oo, 0]; sympy counts real
+    roots exactly (Sturm sequences), and its count is of distinct roots,
+    so it reads the squarefree part."""
     f = x.field
-    basis = f.power_basis()
-    gram = [[(x * a * b.conj()).trace() for b in basis] for a in basis]
-    try:
-        cholesky(gram)
-        return True
-    except FormError:
-        return False
+    fx = sum(c * _X ** k for k, c in enumerate(f.minpoly))
+    ax = sum(c * _X ** k for k, c in enumerate(x.coeffs))
+    chi = Poly(resultant(fx, _Y - ax, _X), _Y).sqf_part()
+    return chi.count_roots() == chi.degree() and chi.count_roots(-oo, 0) == 0
+
+
+def cos7_convergents(bits):
+    """(below, above): two consecutive continued-fraction convergents p/q of
+    2cos(2pi/7), the root of f(x) = x^3 + x^2 - 2x - 1 in (1, 2), the
+    second the first with q above 2^bits.  Integer Newton steps from 2
+    give h with h/2^B < 2cos(2pi/7) < (h+1)/2^B, B = 3*bits; Euclid on
+    h/2^B gives the convergents, and the exact sign of q^3 f(p/q) (f
+    increases on (1, 2)) says on which side each one lies."""
+    big = 3 * bits
+    one = 1 << big
+
+    def F(h):  # 2^(3B) f(h / 2^B)
+        return ((h + one) * h - 2 * one * one) * h - one ** 3
+
+    h = 2 * one
+    while True:
+        step = F(h) // (3 * h * h + 2 * h * one - 2 * one * one)
+        if step == 0:
+            break
+        h -= step
+    while F(h) > 0:
+        h -= 1
+    assert F(h) < 0 < F(h + 1)
+    num, den = h, one
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while q1.bit_length() <= bits:
+        a, rest = divmod(num, den)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        num, den = den, rest
+
+    def above_root(p, q):  # q^3 f(p/q) > 0
+        return p ** 3 + p * p * q - 2 * p * q * q - q ** 3 > 0
+
+    assert above_root(p0, q0) != above_root(p1, q1)
+    if above_root(p0, q0):
+        p0, q0, p1, q1 = p1, q1, p0, q0
+    return Fraction(p0, q0), Fraction(p1, q1)
 
 
 def test_totally_positive_fixtures():
@@ -517,6 +562,59 @@ def test_totally_positive_cm():
     g = make_field("quad:-3")
     assert is_totally_positive(g.rational(Fraction(1, 2)))
     assert not is_totally_positive(g.gen())
+
+
+def test_total_positivity_decides_past_any_precision():
+    """r - theta in realcyclo:7 for the two convergents r of 2cos(2pi/7)
+    around q = 2^12000: both lie within 1/(q*q') < 2^-16384 of an
+    embedding value, which a 2^14-bit numeric evaluation cannot separate
+    from zero, and the exact decision still goes each way."""
+    f = make_field("realcyclo:7")
+    below, above = cos7_convergents(12000)
+    assert below.denominator * above.denominator > 2 ** 16384
+    theta = f.gen()
+    assert is_totally_positive(above - theta)
+    assert not is_totally_positive(below - theta)
+
+
+_POSITIVITY_SPECS = ["quad:+5", "quad:+2", "quad:+6", "quad:-1", "quad:-3",
+                     "quad:-7", "realcyclo:7", "realcyclo:9", "realcyclo:13",
+                     "realcyclo:28", "cyclo:5", "cyclo:7", "cyclo:12", "cyclo:16"]
+
+
+@st.composite
+def _positivity_cases(draw):
+    """Random elements, and near-boundary ones: y - r for a real y and a
+    rational r within 10^-k of an embedding value of y (the least one or
+    any), k up to 60.  On CM fields y is x + conj(x) or x * conj(x), and a
+    drawn multiple of theta - conj(theta) can make the result non-real."""
+    field = make_field(draw(st.sampled_from(_POSITIVITY_SPECS)))
+    coeffs = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                      min_size=field.degree, max_size=field.degree)
+    x = field.element(draw(coeffs))
+    shape = draw(st.sampled_from(["random", "near", "near-square"]))
+    if shape == "random" or x.is_rational:
+        return x
+    y = x * x.conj() if shape == "near-square" else x + x.conj()
+    if y.is_rational:
+        return y
+    values = sorted(mpmath.re(v) for v in y.embed(precision=256))
+    v = values[0] if draw(st.booleans()) else draw(st.sampled_from(values))
+    k = draw(st.integers(1, 60))
+    with mpmath.workprec(256):
+        r = Fraction(int(mpmath.nint(v * 10 ** k)), 10 ** k) \
+            + Fraction(draw(st.integers(-2, 2)), 10 ** k)
+    alpha = y - r
+    if field.is_cm and draw(st.booleans()):
+        theta = field.gen()
+        alpha = alpha + Fraction(1, 10 ** draw(st.integers(1, 60))) * (theta - theta.conj())
+    return alpha
+
+
+@settings(max_examples=150, deadline=None)
+@given(_positivity_cases())
+def test_total_positivity_matches_sympy_root_count(alpha):
+    assert is_totally_positive(alpha) == totally_positive_oracle(alpha)
 
 
 # ---------------------------------------------------------------------------
