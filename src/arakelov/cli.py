@@ -238,14 +238,17 @@ def cmd_verify(args):
     field = _bounded_field(doc["field"])
     alpha = _element_from_strings(field, doc["alpha"], "alpha")
     beta = _element_from_strings(field, doc["beta"], "beta")
-    if not isinstance(doc["level"], int):
+    level = doc["level"]
+    if type(level) is not int:  # a JSON true or false is no level
         raise SpecError("record level must be an integer")
+    if level < 1:
+        raise SpecError(f"record level must be a positive integer, got {level}")
     recipe = IdealRecipe.parse(field, doc["ideal"])
 
     # everything below is re-derived from field/ideal/alpha/beta; a cached
     # gram in the record is only compared against, never trusted
     lat = lattice.build(field, realize(recipe), alpha)
-    witness = _RecordWitness(field, alpha, doc["level"], beta)
+    witness = _RecordWitness(field, alpha, level, beta)
     report = lattice.verify_modularity(lat, witness)
     out = {
         "determinant": _rat_str(report.determinant),
@@ -413,6 +416,8 @@ def _build_parser():
 
 
 def main(argv=None):
+    if hasattr(sys, "set_int_max_str_digits"):  # exact output may pass 4,300 digits
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -849,10 +849,6 @@ class CyclotomicField(NumberField):
     def conj_generator(self):
         return self.theta_power(self.n - 1)
 
-    def _embedding_exponents(self):
-        n = self.n
-        return [k for k in range(1, n // 2 + 1) if gcd(k, n) == 1]
-
     def omega(self):
         return sorted(factorize(self.n))
 
@@ -869,7 +865,7 @@ class CyclotomicField(NumberField):
         import mpmath
         out = []
         n = self.n
-        for k in self._embedding_exponents():
+        for k in _embedding_exponents(n):
             t = mpmath.expjpi(mpmath.mpf(2 * k) / n)
             out.append(t)
             out.append(mpmath.conj(t))
@@ -1006,15 +1002,16 @@ class RealCyclotomicField(NumberField):
         return p ** (r - 1) * (p * r - r - 1)
 
     # -- embeddings ------------------------------------------------------------
-    def _embedding_exponents(self):
-        n = self.n
-        return [k for k in range(1, n // 2 + 1) if gcd(k, n) == 1]
-
     def _theta_numeric(self):
         import mpmath
         n = self.n
         return [2 * mpmath.cos(2 * mpmath.pi * k / n)
-                for k in self._embedding_exponents()]
+                for k in _embedding_exponents(n)]
+
+
+def _embedding_exponents(n):
+    """The k in [1, n/2] prime to n: zeta -> zeta^k, one per conjugate pair."""
+    return [k for k in range(1, n // 2 + 1) if gcd(k, n) == 1]
 
 
 def _validate_conductor(n, family):

@@ -5,9 +5,9 @@ The Gram matrix of (I, alpha) is Tr(alpha * w_i * conj(w_j)) over the
 canonical basis of I, kept as exact rationals.  Modularity is verified by
 the defining module identity (beta) * tracedual(I, alpha) = I -- never by
 isometry search -- together with the level, integrality, and determinant
-clauses.  Vector enumeration runs Fincke-Pohst on the exactly LLL-reduced
-Gram matrix with integer partial sums, so the reported minimum, kissing
-number, and theta counts are exact.
+clauses.  Vector enumeration runs Fincke-Pohst with integer partial sums
+on the Bareiss triangle that integral LLL ends with, so the reported
+minimum, kissing number, and theta counts are exact.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .fields import (
     trace_pairing,
 )
 from .ideals import FractionalIdeal, ideal_mul, principal, trace_dual
-from .linalg import FormError, det, ldl_integral, lll_reduce
+from .linalg import FormError, _lll, det, ldl_integral
 
 __all__ = [
     "IdealLattice", "LatticeReport", "ModularityFailure",
@@ -95,27 +95,23 @@ class IdealLattice:
 
 
 class LatticeReport:
-    """Computed lattice facts; minimum/kissing/theta stay None until computed."""
+    """Lattice facts established by verify_modularity."""
 
-    __slots__ = ("dimension", "determinant", "integral", "even", "minimum",
-                 "kissing", "theta", "modular_level", "witness_checked")
+    __slots__ = ("dimension", "determinant", "integral", "even",
+                 "modular_level", "witness_checked")
 
     def __init__(self, dimension, determinant, integral, even,
-                 minimum=None, kissing=None, theta=None,
                  modular_level=None, witness_checked=False):
         self.dimension = dimension
         self.determinant = determinant
         self.integral = integral
         self.even = even
-        self.minimum = minimum
-        self.kissing = kissing
-        self.theta = theta
         self.modular_level = modular_level
         self.witness_checked = witness_checked
 
     def __repr__(self):
         return (f"LatticeReport(dim={self.dimension}, det={self.determinant}, "
-                f"integral={self.integral}, even={self.even}, min={self.minimum}, "
+                f"integral={self.integral}, even={self.even}, "
                 f"level={self.modular_level}, checked={self.witness_checked})")
 
 
@@ -235,30 +231,30 @@ def verify_modularity(lat, witness):
 # exact enumeration (Fincke-Pohst on integers)
 # --------------------------------------------------------------------------
 
-def _as_gram(lat_or_gram):
-    if isinstance(lat_or_gram, IdealLattice):
-        return [list(row) for row in lat_or_gram.gram]
-    return [[Fraction(x) for x in row] for row in lat_or_gram]
-
-
-def _enumerate_representatives(gram, bound, on_vector):
+def _enumerate_representatives(lat_or_gram, bound, on_vector):
     """Visit all nonzero vectors x (one per +-x pair) with norm at most the
-    current bound; report each norm through on_vector, which may return a
-    new, smaller bound to steer the rest of the walk.
+    current bound, or the least basis norm when bound is None; report each
+    norm through on_vector, which may return a new, smaller bound to steer
+    the rest of the walk.
 
-    With (D, A) = ldl_integral(gram), pivots P_i and y_i = sum_{j>=i}
+    x runs over coordinates on the LLL-reduced basis, whose Bareiss
+    triangle (D, A) _lll returns: with pivots P_i and y_i = sum_{j>=i}
     A[i][j] x_j, D * x^t G x = sum_i y_i^2 / (P_i P_{i-1}); over
     L = lcm(P_i P_{i-1}) every term is c_i * y_i^2 with an integer c_i.
     So the walk keeps the norm scaled by L*D as an integer, the range of
     x_i is one isqrt, and every comparison is exact.
     """
-    n = len(gram)
-    scale, A = ldl_integral(gram)
+    gram = lat_or_gram.gram if isinstance(lat_or_gram, IdealLattice) else lat_or_gram
+    scale, _, _, A = _lll(gram)
+    n = len(A)
     prev = [1] + [A[i][i] for i in range(n - 1)]
     unit = math.lcm(*(A[i][i] * prev[i] for i in range(n)))
     c = [unit // (A[i][i] * prev[i]) for i in range(n)]
     unit *= scale
-    cap = math.floor(Fraction(bound) * unit)
+    if bound is None:  # basis vector k has y_i = A[i][k] for i <= k
+        cap = min(sum(c[i] * A[i][k] ** 2 for i in range(k + 1)) for k in range(n))
+    else:
+        cap = math.floor(Fraction(bound) * unit)
     x = [0] * n
 
     def walk(i, used, nonzero):
@@ -289,20 +285,19 @@ def _enumerate_representatives(gram, bound, on_vector):
 
 def minimum(lat_or_gram):
     """Exact (minimum, kissing number); kissing counts both signs."""
-    reduced, _ = lll_reduce(_as_gram(lat_or_gram))
-    mu, count = min(reduced[i][i] for i in range(len(reduced))), 0
+    mu, count = None, 0
 
     def on_vector(norm):
         nonlocal mu, count
-        if norm < mu:
+        if mu is None or norm < mu:
             mu, count = norm, 1
             return norm
         if norm == mu:
             count += 1
         return None
 
-    _enumerate_representatives(reduced, mu, on_vector)
-    if count == 0:
+    _enumerate_representatives(lat_or_gram, None, on_vector)
+    if mu is None:
         # the basis vector of the starting bound is always visited
         raise ArithmeticError("enumeration missed the witness basis vector")
     return (int(mu) if mu.denominator == 1 else mu), 2 * count
@@ -312,12 +307,11 @@ def theta_prefix(lat_or_gram, bound):
     """Exact vector counts per norm value up to bound (0 included once)."""
     if bound < 0:
         raise SpecError("theta bound must be nonnegative")
-    reduced, _ = lll_reduce(_as_gram(lat_or_gram))
     counts = {}
 
     def on_vector(norm):
         counts[norm] = counts.get(norm, 0) + 1
 
-    _enumerate_representatives(reduced, bound, on_vector)
+    _enumerate_representatives(lat_or_gram, bound, on_vector)
     out = [(Fraction(0), 1)] + [(nrm, 2 * c) for nrm, c in sorted(counts.items())]
     return [(int(nrm) if nrm.denominator == 1 else nrm, c) for nrm, c in out]

@@ -4,8 +4,8 @@ All routines work on plain lists of lists.  Integer matrices use Python
 ints, rational ones use fractions.Fraction; nothing here touches
 floating point.  det, invert, solve_bareiss, solve_integral and
 ldl_integral share one fraction-free (Bareiss) elimination core.
-LLL is integral: it starts from the Bareiss triangle of ldl_integral
-and stays on integers; cholesky is the rational view of the same data.
+LLL is integral, from the Bareiss triangle of ldl_integral to that of the
+reduced Gram, which the enumeration walks; cholesky is a rational view.
 
 Canonical Hermite form used throughout the package: *lower-triangular*
 row-style HNF.  For a nonsingular square matrix H this means
@@ -335,21 +335,14 @@ def _integral_gram(G):
     return D, [[x.numerator * (D // x.denominator) for x in row] for row in G]
 
 
-def lll_reduce(G, delta=Fraction(99, 100)):
-    """LLL-reduce a positive definite Gram matrix with exact arithmetic.
-
-    Returns (G2, T) with T unimodular and G2 == T^t * G * T satisfying the
-    size-reduction and Lovasz conditions for the given delta.  This is
-    integral LLL (Cohen, Algorithm 2.6.7; de Weger 1987) on the integer
-    Gram D*G, started from the Bareiss triangle of (D, A) = ldl_integral(G):
-    d[i+1] = A[i][i] are the leading minors (d[0] = 1) and
-    lam[k][j] = A[j][k] = d[j+1] * mu[k][j] for j < k.  Size reduction,
-    the Lovasz test and the swap update run on these integers (every
-    division is exact) and take the decisions of the rational
-    Gram-Schmidt recurrence, mu rounded half to even.  No floating point
-    is used anywhere and the only Fractions are the entries of G2 = the
-    moved D*G over D, so the Lovasz condition of the result can be
-    re-checked exactly from G2.
+def _lll(G, delta=Fraction(99, 100)):
+    """Integral LLL (Cohen, Algorithm 2.6.7; de Weger 1987) on the integer
+    Gram D*G, from (D, A) = ldl_integral(G): d[i+1] = A[i][i] are the
+    leading minors (d[0] = 1) and lam[k][j] = A[j][k] = d[j+1] * mu[k][j]
+    for j < k; every step is exact on these integers and takes the
+    decisions of the rational recurrence, mu rounded half to even.
+    Returns (D, D*G, U, A): U is the unimodular row transform; A holds the
+    final d and lam and is the Bareiss triangle of the reduced U*(D*G)*U^t.
     """
     n = _check_gram(G)
     delta = Fraction(delta)
@@ -397,7 +390,18 @@ def lll_reduce(G, delta=Fraction(99, 100)):
         else:
             size_reduce(k, range(k - 2, -1, -1))
             k += 1
-    # the working Gram D*G is moved once, at the end
+    A = [[0] * i + [d[i + 1]] + [lam[j][i] for j in range(i + 1, n)] for i in range(n)]
+    return D, DG, U, A
+
+
+def lll_reduce(G, delta=Fraction(99, 100)):
+    """LLL-reduce a positive definite Gram matrix with exact arithmetic:
+    (G2, T) with T unimodular and G2 == T^t * G * T satisfying the
+    size-reduction and Lovasz conditions for delta.  The integral LLL of
+    _lll forms no Fraction; G2 is the moved D*G over D, so the Lovasz
+    condition of the result can be re-checked exactly from G2.
+    """
+    D, DG, U, _ = _lll(G, delta)
     T = transpose(U)
     G2 = mat_mul(U, mat_mul(DG, T))
     return [[Fraction(x, D) for x in row] for row in G2], T

@@ -405,6 +405,47 @@ def test_verify_bad_inputs_exit_2(capsys, record28, tmp_path):
         assert code == EXIT_SPEC and message in err, (ideal, err)
 
 
+@pytest.mark.parametrize("level", [0, -7, True, False])
+def test_verify_refuses_a_bad_record_level(capsys, record28, tmp_path, level):
+    """A level below 1, or a JSON true or false, is refused before the
+    lattice is built: exit 2 and nothing on stdout."""
+    doc = json.loads(record28.read_text())
+    doc["level"] = level
+    bad = tmp_path / "bad_level.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--in", str(bad))
+    assert code == EXIT_SPEC and out == ""
+    assert "record level must be" in err
+
+
+def test_exact_output_past_the_int_string_limit(capsys, tmp_path):
+    """Level 7 * 10^2000 over realcyclo:28 is admissible (7 times a
+    square); its determinant level^3 has 6,003 digits, past Python's
+    default 4,300-digit limit on int <-> str conversion, and is still
+    written exactly, and the record verifies."""
+    zeros = "0" * 2000
+    path = tmp_path / "huge.json"
+    code, _, err = run(capsys, "construct", "--field", "realcyclo:28",
+                       "--trace-type", "--level", "7" + zeros, "--out", str(path))
+    assert code == EXIT_OK, err
+    doc = json.loads(path.read_text())
+    assert doc["determinant"] == "343" + zeros * 3
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == EXIT_OK, err
+    assert '"determinant": "343' + zeros * 3 + '"' in out
+
+
+def test_record_level_past_the_int_string_limit_is_read(capsys, record28, tmp_path):
+    """A record level of 5,001 digits is parsed and checked: clause (i)
+    fails (exit 4), with no ValueError from the JSON reader."""
+    text = record28.read_text().replace('"level": 7,', '"level": 7' + "0" * 5000 + ",")
+    huge = tmp_path / "huge_level.json"
+    huge.write_text(text)
+    code, out, err = run(capsys, "verify", "--in", str(huge))
+    assert code == EXIT_VERIFY and out == ""
+    assert "clause i" in err
+
+
 # fuzzed records: one key of a valid realcyclo:28 record is replaced or
 # deleted; verify must answer with a contract exit code, never a traceback
 

@@ -9,6 +9,10 @@ again; the Bareiss determinant of the Gram; the module route of the
 trace dual; the rows of the generator's shift module and containment in
 powers of the radical.  The kept values never take part in equality or
 hashing.
+
+An enumeration computes its reduction once: minimum and theta_prefix run
+one Bareiss elimination, and the walk reads the triangle that integral
+LLL ends with, which equals a fresh ldl_integral of the reduced Gram.
 """
 
 from fractions import Fraction
@@ -38,8 +42,10 @@ from arakelov.ideals import (
     trace_dual_via_inverse,
     valuation,
 )
-from arakelov.lattice import build
-from arakelov.linalg import det
+from arakelov import existence, lattice, linalg
+from arakelov.lattice import build, minimum, theta_prefix
+from arakelov.linalg import det, ldl_integral, lll_reduce
+from test_linalg import lll_grams
 
 REAL_SPECS = ["quad:+5", "quad:+6", "realcyclo:13", "realcyclo:28", "realcyclo:36"]
 CM_SPECS = ["quad:-7", "cyclo:12", "cyclo:7"]
@@ -289,3 +295,55 @@ def test_lazy_principal_ideal_agrees_with_its_rows(case):
     assert (a.num, a.den) == (rows_a.num, rows_a.den)
     assert (b.num, b.den) == (rows_b.num, rows_b.den)
     assert (a == b) == (rows_a == rows_b)
+
+
+def _catalog_lattice():
+    """The level-7 catalog row A6^(2) over realcyclo:28."""
+    field = make_field("realcyclo:28")
+    witness = existence.classify(field, trace_type=True).witnesses[7]
+    return build(field, realize(witness.ideal), witness.alpha)
+
+
+def test_enumeration_runs_one_elimination(monkeypatch):
+    lat = _catalog_lattice()
+    gram = [[Fraction(5, 2), Fraction(1, 3), 1],
+            [Fraction(1, 3), Fraction(7, 4), Fraction(-1, 2)],
+            [1, Fraction(-1, 2), 3]]
+    calls = []
+    bareiss = linalg._bareiss
+
+    def counted(A, B):
+        calls.append(len(A))
+        return bareiss(A, B)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    for target, dim in ((lat, 6), (gram, 3)):
+        for run in (lambda: minimum(target), lambda: theta_prefix(target, 4)):
+            calls.clear()
+            run()
+            assert calls == [dim]
+    monkeypatch.undo()
+    assert minimum(lat) == (4, 42)
+
+
+@settings(max_examples=80, deadline=None)
+@given(lll_grams())
+def test_walk_reads_the_triangle_of_the_reduced_gram(G):
+    """The (D, A) the walk receives is ldl_integral of lll_reduce(G)[0]."""
+    handed = []
+    lll = lattice._lll
+
+    def kept(gram):
+        out = lll(gram)
+        handed.append(out)
+        return out
+
+    lattice._lll = kept
+    try:
+        theta_prefix(G, 0)
+    finally:
+        lattice._lll = lll
+    (D, _, _, A), = handed
+    G2, _ = lll_reduce(G)
+    assert ldl_integral(G2) == (D, A)
+    assert ldl_integral([[x * D for x in row] for row in G2]) == (1, A)
