@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -57,11 +58,19 @@ def _coeffs(element):
     return [_rat_str(c) for c in element.coeffs]
 
 
+# the coefficient grammar _rat_str writes; Fraction alone would also take
+# exponent forms such as "1e1000000", whose size has no bound
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _element_from_strings(field, strings, what):
+    if not isinstance(strings, list) or not all(
+            isinstance(s, str) and _RATIONAL.fullmatch(s) for s in strings):
+        raise SpecError(f"bad {what} coefficient vector: expected a list of "
+                        f"strings of the form n or n/d")
     try:
-        coeffs = [Fraction(s) for s in strings]
-        return field.element(coeffs)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        return field.element([Fraction(s) for s in strings])
+    except (ValueError, ZeroDivisionError) as exc:
         raise SpecError(f"bad {what} coefficient vector: {exc}") from None
 
 

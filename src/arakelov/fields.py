@@ -17,13 +17,17 @@ An element is an integer coordinate vector over the power basis and one
 positive common denominator, kept in lowest terms; Fractions appear only
 at the API boundary (``coeffs``, traces, norms).  All ring and field
 operations are exact and run on integers: products are reduced by the
-integer minimal polynomial of theta, inverses solve the multiplication
-matrix fraction-free with the Bareiss core of linalg.  An element's
-inverse is solved once and linked both ways, so 1/x, x^-k and the
-inverse of a power of x reuse that one solve; its norm is kept too.
-Traces come from Newton power sums of the minimal polynomial, complex
-conjugation from the image of theta, and norms from the determinant of
-the multiplication map.
+integer minimal polynomial f of theta.  Norms and inverses come from one
+integer kernel, the sub-resultant PRS of f and the coordinate polynomial
+a of an element (Cohen, Alg. 3.3.7), extended with the cofactor of a:
+N(a) = Res(f, a) as f is monic, and v*a = c mod f with an integer c
+gives 1/a = v/c; neither runs an n x n elimination.  An element's
+inverse is computed once and linked both ways, so 1/x, x^-k and the
+inverse of a power of x reuse that one pass, whose resultant is kept as
+the norm of x and 1/x.  The discriminant is (-1)^(m(m-1)/2) N(f'(theta)),
+read off the pass that inverts f'(theta) for the codifferent.  Traces
+come from Newton power sums of f and complex conjugation from the image
+of theta.
 
 Tables are built on first arithmetic use.  A field takes its degree from
 the spec (phi(n), halved for the real subfield); the minimal polynomial,
@@ -33,7 +37,8 @@ ramification data depend only on the factorization of the conductor, so
 they stay cheap at any degree.
 
 Total positivity is exact: alpha >> 0 iff its integer trace form on O_K
-passes Sylvester's criterion, one fraction-free elimination.
+passes Sylvester's criterion, one fraction-free elimination, whose
+determinant alpha keeps for the lattice certificate.
 
 Numeric embeddings use mpmath at a caller-chosen precision (default from
 the ``ARAKELOV_PRECISION_BITS`` environment variable, 128 bits); only
@@ -52,10 +57,7 @@ from types import SimpleNamespace
 
 from .linalg import (
     FormError as _FormError,
-    SingularError as _SingularError,
-    det as _int_det,
     ldl_integral as _ldl_integral,
-    solve_integral as _solve_integral,
 )
 
 
@@ -221,6 +223,56 @@ def _real_cyclotomic_poly(n):
     return tuple(psi)
 
 
+def _subresultant(f, a):
+    """(Res(f, a), v, c) with v * a = c mod f and c an integer, for a monic
+    integer f and integer coordinates a, not all zero, with deg a < deg f.
+
+    The sub-resultant PRS (Cohen, Alg. 3.3.7) on f and the primitive part
+    a' = a / b, extended with the cofactor of a': each member B of the
+    sequence carries the integer V with V * a' = B mod f, pseudo-divided
+    and divided exactly as B is.  The sequence ends at a nonzero constant
+    c' (gcd(f, a') = 1), so v = V and c = b * c'.  If it ends at zero,
+    Res = 0 and v = c = None.  As f is monic, Res(f, a) = N(a).
+    """
+    m = len(f) - 1
+    b = gcd(*a)
+    B = [x // b for x in a]
+    while not B[-1]:
+        B.pop()
+    A, VA, VB = list(f), [], [1]
+    g = h = s = 1
+    while len(B) > 1:
+        dA, dB = len(A) - 1, len(B) - 1
+        delta = dA - dB
+        if dA & dB & 1:
+            s = -s
+        # pseudo-division lc(B)^(delta+1) * A = Q * B + R, with the
+        # cofactor of R carried along as lc(B)^(delta+1) * VA - Q * VB
+        lb = B[-1]
+        R, VR, e = A, VA, delta + 1
+        while len(R) > dB:
+            k, lr = len(R) - 1 - dB, R[-1]
+            R = [lb * r for r in R[:k]] + [lb * r - lr * t for r, t in zip(R[k:-1], B)]
+            while R and not R[-1]:
+                R.pop()
+            VR = [lb * v for v in VR] + [0] * (k + len(VB) - len(VR))
+            for j, t in enumerate(VB, k):
+                VR[j] -= lr * t
+            e -= 1
+        if not R:
+            return 0, None, None
+        scale, div = lb ** e, g * h ** delta  # the division is exact
+        A, VA = B, VB
+        B = [r * scale // div for r in R]
+        VB = [v * scale // div for v in VR]
+        g, h = lb, lb ** delta // h ** (delta - 1)
+    d = len(A) - 1
+    while not VB[-1]:
+        VB.pop()
+    res = s * b ** m * (B[0] ** d // h ** (d - 1))
+    return res, VB + [0] * (m - len(VB)), b * B[0]
+
+
 # --------------------------------------------------------------------------
 # field elements
 # --------------------------------------------------------------------------
@@ -236,16 +288,18 @@ class FieldElement:
     Instances are immutable values: arithmetic returns new elements.
     Mixed arithmetic with ``int`` and ``Fraction`` coerces the scalar.
     The private ``_positive`` slot holds the total-positivity verdict once
-    is_totally_positive has decided it, and ``_norm`` the norm once norm()
-    has computed it.  The private ``_inv`` slot holds the inverse once it
-    is known, linked both ways (``x._inv._inv is x``): inverse() solves for
-    it once, a negative power inverts the base rather than the power,
-    positive powers of an element with a known inverse carry the matching
-    inverse along, and an inverse pair shares one norm computation.
-    Equality and hashing ignore all three slots.
+    is_totally_positive has decided it, ``_trace_det`` the determinant of
+    the trace form once an elimination has certified it positive definite,
+    and ``_norm`` the norm once norm() or inverse() has computed it.  The
+    private ``_inv`` slot holds the inverse once it is known, linked both
+    ways (``x._inv._inv is x``): inverse() computes it once, a negative
+    power inverts the base rather than the power, positive powers of an
+    element with a known inverse carry the matching inverse along, and an
+    inverse pair shares one norm.  Equality and hashing ignore all four
+    slots.
     """
 
-    __slots__ = ("field", "num", "den", "_positive", "_inv", "_norm")
+    __slots__ = ("field", "num", "den", "_positive", "_inv", "_norm", "_trace_det")
 
     def __init__(self, field, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
@@ -391,7 +445,8 @@ class FieldElement:
         return self._norm
 
     def inverse(self):
-        """1/x, solved once and then kept on both x and 1/x."""
+        """1/x, computed once and then kept on both x and 1/x, with the
+        norm of both from the same pass."""
         if self._inv is None:
             _link_inverses(self, self.field._inverse(self))
         return self._inv
@@ -408,6 +463,7 @@ def _fill(x, field, num, den):
     object.__setattr__(x, "_positive", None)
     object.__setattr__(x, "_inv", None)
     object.__setattr__(x, "_norm", None)
+    object.__setattr__(x, "_trace_det", None)
 
 
 def _power(x, k):
@@ -619,10 +675,21 @@ class NumberField:
             t.append(sum(c * t[j] for j, c in enumerate(row) if c))
         return t
 
+    @cached_property
+    def _fprime(self):
+        """f'(theta) for the minimal polynomial f: it generates the
+        different, and its norm gives the discriminant."""
+        return self._element([k * c for k, c in enumerate(self.minpoly)][1:])
+
     def discriminant(self):
-        """Field discriminant: determinant of the trace form on O_K."""
+        """Field discriminant disc(f) = (-1)^(m(m-1)/2) * N(f'(theta)), as
+        O_K = Z[theta].  The norm comes from the pass that inverts
+        f'(theta) for the codifferent, so a field runs one pass for both."""
         if self._disc is None:
-            self._disc = _int_det([list(r) for r in self.trace_form_rows()])
+            m = self.degree
+            fp = self._fprime
+            fp.inverse()
+            self._disc = (-1) ** (m * (m - 1) // 2) * fp.norm().numerator
         return self._disc
 
     def conj_generator(self):
@@ -664,29 +731,32 @@ class NumberField:
         return rows
 
     def _inverse(self, x):
-        """1/x solved fraction-free from the multiplication matrix of the
-        integer numerator u = den*x: y*u = 1 reads M_u^T y = e_0 in the
-        power basis, solve_integral gives (Y, d) with y = Y/d, and
-        1/x = den*Y/d.  Polynomial xgcd over the rationals would swell
-        catastrophically for elements with large coordinates."""
+        """1/x from one sub-resultant pass on the integer numerator
+        u = den*x: v*u = c mod f gives 1/x = den*v/c, and the resultant
+        of the same pass, Res(f, u) = N(u), is kept as the norm of x and
+        of 1/x."""
         if x.is_zero:
             raise DivError(f"division by zero in {self._spec}")
         m = self.degree
         if x.is_rational:
             return self._element((x.den,) + (0,) * (m - 1), x.num[0])
-        mt = [list(col) for col in zip(*self._mul_rows(list(x.num)))]
-        try:
-            Y, d = _solve_integral(mt, [[1]] + [[0]] * (m - 1))
-        except _SingularError:
+        res, v, c = _subresultant(self.minpoly, x.num)
+        if not res:
             raise DivError("element has no inverse (zero divisor coordinates)")
-        return self._element([x.den * row[0] for row in Y], d)
+        inv = self._element([x.den * a for a in v], c)
+        nrm = Fraction(res, x.den ** m)
+        if x._norm is None:
+            object.__setattr__(x, "_norm", nrm)
+        object.__setattr__(inv, "_norm", 1 / nrm)
+        return inv
 
     def _norm(self, num):
-        """Norm of the integral element with coordinates num: the det of
-        its multiplication rows (N(x) = N(num) / den^degree)."""
+        """Norm of the integral element with coordinates num: the resultant
+        Res(f, num) of the monic minimal polynomial f, from one
+        sub-resultant pass (N(x) = N(num) / den^degree)."""
         if not any(num[1:]):
             return num[0] ** self.degree
-        return _int_det(self._mul_rows(list(num)))
+        return _subresultant(self.minpoly, num)[0]
 
     # -- numeric embeddings -------------------------------------------------
     def _theta_numeric(self):
@@ -1201,10 +1271,21 @@ def _decide_total_positivity(alpha):
     if alpha.is_rational:
         return alpha.num[0] > 0
     try:
-        _ldl_integral(trace_form(alpha)[0])
+        _trace_form_det(alpha)
     except _FormError:
         return False
     return True
+
+
+def _trace_form_det(alpha):
+    """det(H) for the trace form (H, alpha.den) of alpha: the last pivot
+    of ldl_integral(H), which raises FormError unless H is positive
+    definite.  Kept on alpha, so deciding positivity and certifying a
+    lattice on the same alpha eliminate H once."""
+    if alpha._trace_det is None:
+        _, A = _ldl_integral(trace_form(alpha)[0])
+        object.__setattr__(alpha, "_trace_det", A[-1][-1])
+    return alpha._trace_det
 
 
 class EmbeddingMatrix:

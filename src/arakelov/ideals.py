@@ -525,7 +525,7 @@ def codifferent(field):
     """D_K^-1 = (1/f'(theta)) for the minimal polynomial f, by Euler's lemma
     (Serre, Local Fields III.6) as O_K = Z[theta]; certified, cached."""
     if field not in _CODIFF_CACHE:
-        g = field._element([k * c for k, c in enumerate(field.minpoly)][1:]).inverse()
+        g = field._fprime.inverse()
         _euler_certificate(field, g)
         _CODIFF_CACHE[field] = _principal(g, Fraction(1, abs(field.discriminant())))
     return _CODIFF_CACHE[field]

@@ -21,11 +21,11 @@ from .fields import (
     SpecError,
     default_precision,
     embedding_matrix,
-    trace_form,
+    _trace_form_det,
     trace_pairing,
 )
 from .ideals import FractionalIdeal, ideal_mul, principal, trace_dual
-from .linalg import FormError, _lll, det, ldl_integral
+from .linalg import FormError, _lll, det
 
 __all__ = [
     "IdealLattice", "LatticeReport", "ModularityFailure",
@@ -49,9 +49,11 @@ class IdealLattice:
     trace_pairing returns (the Gram is rows / scale).  The rows are
     N * H * N^t for the HNF rows N of I and the trace form H of alpha
     (fields.trace_form), so ldl_integral(H) certifies the Gram positive
-    definite, as N is nonsingular; it is the test of is_totally_positive.
+    definite, as N is nonsingular; it is the test of is_totally_positive,
+    and alpha keeps its result, so H is eliminated once per alpha.
     The determinant is det(N)^2 * P_{m-1} / scale^m, with det(N) the
-    product of the HNF pivots and P_{m-1} the last Bareiss pivot of H.
+    product of the HNF pivots and P_{m-1} = det(H) the last Bareiss pivot
+    of H.
     The rational ``gram`` is formed once, here.
     """
 
@@ -59,12 +61,12 @@ class IdealLattice:
 
     def __init__(self, field, ideal, alpha, rows, scale):
         try:
-            _, A = ldl_integral(trace_form(alpha)[0])
+            trace_det = _trace_form_det(alpha)
         except FormError:
             raise FormError("alpha must be totally positive") from None
-        m = len(A)
+        m = field.degree
         pivots = math.prod(ideal.num[i][i] for i in range(m))
-        d = Fraction(pivots * pivots * A[-1][-1], scale ** m)
+        d = Fraction(pivots * pivots * trace_det, scale ** m)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "alpha", alpha)

@@ -353,6 +353,25 @@ def test_verify_alpha_past_any_precision_exits_cleanly(tmp_path):
         assert "Traceback" not in err.getvalue()
 
 
+def test_verify_refuses_coefficients_outside_the_record_grammar(record28, tmp_path):
+    """A record coefficient is n or n/d, as construct writes it; an
+    exponent form such as 1e1000000 (10^1000000 to Fraction) is refused
+    at once with exit 2, as are decimals, inf and a zero denominator."""
+    doc = json.loads(record28.read_text())
+    bad = tmp_path / "bad.json"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arakelov.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for coeff in ("1e1000000", "1.5", "inf", "1/0"):
+        doc["alpha"] = [coeff] + doc["alpha"][1:]
+        bad.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-m", "arakelov.cli", "verify", "--in", str(bad)],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert proc.returncode == EXIT_SPEC, (coeff, proc.stderr)
+        assert proc.stdout == ""
+        assert "alpha" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_verify_bad_inputs_exit_2(capsys, record28, tmp_path):
     code, _, err = run(capsys, "verify", "--in", str(tmp_path / "missing.json"))
     assert code == EXIT_SPEC and "cannot read" in err

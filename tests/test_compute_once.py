@@ -1,7 +1,8 @@
 """Values computed once and kept on immutable objects.
 
-Five results are kept where they are first computed: the total-positivity
-verdict and the inverse on the FieldElement, the realized ideal on the
+Six results are kept where they are first computed: the total-positivity
+verdict, the determinant of the trace form that decided it and the
+inverse on the FieldElement, the realized ideal on the
 IdealRecipe, the Gram determinant on the IdealLattice, and the HNF rows
 of a principal ideal, built on first read.  Oracles: a fresh copy of the
 same value, decided or solved from scratch; an equal recipe parsed
@@ -129,6 +130,35 @@ def test_lattice_determinant_is_the_pivot_product(case, coeffs):
     d = det(lat.gram)
     assert lat.determinant() == d
     assert type(lat.determinant()) is type(d)
+
+
+def test_positivity_and_build_eliminate_the_trace_form_once(monkeypatch):
+    """A non-trace witness alpha keeps the determinant of its trace form
+    H_alpha from the positivity decision, so building its lattice runs no
+    second elimination of H_alpha; the determinant is still the Bareiss
+    determinant of the Gram."""
+    bareiss = linalg._bareiss
+    calls = []
+
+    def counted(A, B):
+        calls.append(len(A))
+        return bareiss(A, B)
+
+    for spec in ("realcyclo:13", "realcyclo:25"):
+        field = make_field(spec)
+        witness = existence.classify(field, trace_type=False).witnesses[1]
+        ideal = realize(witness.ideal)
+        assert ideal.num  # the HNF rows are built before counting
+        alpha = field.element(witness.alpha.coeffs)  # nothing decided yet
+        assert not alpha.is_rational and alpha._trace_det is None
+        monkeypatch.setattr(linalg, "_bareiss", counted)
+        calls.clear()
+        assert is_totally_positive(alpha)
+        lat = build(field, ideal, alpha)
+        assert calls == [field.degree]
+        monkeypatch.undo()
+        assert lat.determinant() == det(lat.gram)
+        assert alpha == witness.alpha and hash(alpha) == hash(witness.alpha)
 
 
 @st.composite

@@ -8,7 +8,9 @@ characteristic polynomial (a resultant with the minimal polynomial)
 decides total positivity, and Fraction coordinates with a schoolbook
 product reduced by the minimal polynomial check the integer num/den
 representation.  The implementation decides total positivity on its
-trace form, so that form is not an oracle here.
+trace form, so that form is not an oracle here.  Norms, inverses and the
+discriminant come from one sub-resultant pass; the Bareiss determinant
+and integer solve of the multiplication matrix check them.
 """
 
 import cmath
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, oo, resultant, symbols
 
@@ -41,8 +43,9 @@ from arakelov.fields import (
     sqrt_integer,
     _cyclotomic_poly,
     _real_cyclotomic_poly,
+    _subresultant,
 )
-from arakelov.linalg import det
+from arakelov.linalg import det, solve_integral
 
 rng = random.Random(1309)
 
@@ -782,3 +785,75 @@ def test_integer_representation_matches_fraction_reference(a_case, b_case, q):
         for z in (x, square):
             assert is_totally_positive(q * z) == is_totally_positive(z)
         assert is_totally_positive(square) == (not x.is_zero)
+
+
+# --------------------------------------------------------------------------
+# the sub-resultant kernel against elimination on the multiplication matrix
+# --------------------------------------------------------------------------
+
+_RESULTANT_SPECS = ["quad:+5", "quad:+2", "quad:+13", "quad:-1", "quad:-3", "quad:-5",
+                    "cyclo:7", "cyclo:9", "cyclo:12", "cyclo:16", "realcyclo:3",
+                    "realcyclo:13", "realcyclo:20", "realcyclo:28", "realcyclo:49"]
+_WORD = 2 ** 64
+
+
+@st.composite
+def _resultant_cases(draw):
+    """(field, integer coordinates, den): dense, sparse theta^k + c (a
+    non-normal PRS with degree gaps > 1), 64-bit, content > 1 and
+    rational coordinates, each with either sign of the leading term."""
+    field = make_field(draw(st.sampled_from(_RESULTANT_SPECS)))
+    m = field.degree
+    shape = draw(st.sampled_from(["dense", "sparse", "wide", "content", "rational"]))
+    small = st.integers(-4, 4)
+    if shape == "sparse":
+        num = [draw(small)] + [0] * (m - 1)
+        num[draw(st.integers(0, m - 1))] += draw(st.sampled_from([1, -1, 2, -3]))
+    elif shape == "wide":
+        num = draw(st.lists(st.integers(-_WORD, _WORD), min_size=m, max_size=m))
+    elif shape == "rational":
+        num = [draw(st.integers(-9, 9))] + [0] * (m - 1)
+    else:
+        num = draw(st.lists(small, min_size=m, max_size=m))
+        if shape == "content":
+            c = draw(st.integers(2, 12))
+            num = [c * a for a in num]
+    assume(any(num))
+    if draw(st.booleans()):
+        num = [-a for a in num]
+    return field, num, draw(st.integers(1, 7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_resultant_cases())
+def test_norm_inverse_discriminant_match_elimination(case):
+    field, num, den = case
+    m = field.degree
+    rows = field._mul_rows(list(num))
+    # the kernel itself: Res(f, a) = det M_a and v * a = c mod f
+    res, v, c = _subresultant(field.minpoly, num)
+    assert res == det(rows)
+    assert c and field._mul_coeffs(v, num) == [c] + [0] * (m - 1)
+
+    x = field._element(num, den)
+    mult = field._mul_rows(list(x.num))
+    want_norm = Fraction(det(mult), x.den ** m)
+    assert x.norm() == want_norm
+    fresh = field._element(num, den)
+    inv = fresh.inverse()
+    Y, d = solve_integral([list(col) for col in zip(*mult)], [[1]] + [[0]] * (m - 1))
+    assert inv == field._element([x.den * row[0] for row in Y], d)
+    if not x.is_rational:  # one pass gives the norm of x and of 1/x
+        assert fresh._norm == want_norm and inv._norm == 1 / want_norm
+    assert field.element(inv.coeffs).norm() == 1 / want_norm
+    assert field.discriminant() == det([list(r) for r in field.trace_form_rows()])
+
+
+def test_discriminant_and_codifferent_share_one_pass():
+    """disc(f) = (-1)^(m(m-1)/2) N(f'(theta)) reads the norm that inverting
+    f'(theta) keeps; a fresh field computes both from the same element."""
+    field = RealCyclotomicField(35)
+    fp = field._fprime
+    assert field.discriminant() == det([list(r) for r in field.trace_form_rows()])
+    assert fp._inv is not None and fp._norm is not None
+    assert field._fprime is fp and fp * fp.inverse() == field.one()

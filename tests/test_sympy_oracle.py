@@ -7,7 +7,9 @@ data on its own: round_two gives the maximal order and the discriminant
 of Q[x]/(T), prime_decomp the primes above p with their (e, f), and the
 ramified primes are those dividing the discriminant.  The canonical
 HNF of a full-rank module is checked against sympy's hermite_normal_form,
-the valuation of a principal ideal against v_P of its HNF rows at
+the norm of an element against sympy's resultant with the minimal
+polynomial and the field discriminant against sympy's discriminant of
+it, the valuation of a principal ideal against v_P of its HNF rows at
 each prime P of sympy's prime_decomp, and the realized radical powers
 P^k against sympy's prime ideal to the k-th power.  That covers the
 families with one prime above each ramified p (prime-power conductors
@@ -24,7 +26,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy import ZZ, Matrix, Poly, factorint
+from sympy import ZZ, Matrix, Poly, discriminant, factorint, resultant
 from sympy.abc import x
 from sympy.matrices.normalforms import hermite_normal_form
 from sympy.polys.matrices import DomainMatrix
@@ -71,6 +73,46 @@ def test_maximal_order_and_prime_splitting_match_sympy(spec):
         assert {P.e for P in primes} == {field.ramification_index(p)}, p
         assert sum(P.f for P in primes) == field.residue_product(p), p
         assert sum(P.e * P.f for P in primes) == m, p
+
+
+_NORM_SPECS = ["quad:+5", "quad:+6", "quad:-1", "quad:-7", "cyclo:7", "cyclo:9",
+               "cyclo:12", "cyclo:16", "realcyclo:3", "realcyclo:13", "realcyclo:28",
+               "realcyclo:49", "realcyclo:97"]
+
+
+@st.composite
+def norm_cases(draw):
+    """An element: dense, sparse theta^k + c, 64-bit or with content > 1,
+    of either sign, over a denominator."""
+    field = make_field(draw(st.sampled_from(_NORM_SPECS)))
+    m = field.degree
+    shape = draw(st.sampled_from(["dense", "sparse", "wide", "content"]))
+    if shape == "sparse":
+        num = [draw(st.integers(-5, 5))] + [0] * (m - 1)
+        num[draw(st.integers(0, m - 1))] += draw(st.sampled_from([1, -1, 3]))
+    else:
+        bound = 2 ** 64 if shape == "wide" else 4
+        num = draw(st.lists(st.integers(-bound, bound), min_size=m, max_size=m))
+        if shape == "content":
+            num = [6 * a for a in num]
+    assume(any(num))
+    if draw(st.booleans()):
+        num = [-a for a in num]
+    return field.element([Fraction(a, draw(st.integers(1, 5))) for a in num])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(norm_cases())
+@example(make_field("realcyclo:97").theta_power(47) + 2)
+def test_norm_and_discriminant_match_sympy_resultants(elem):
+    """N(x) = Res(f, den*x) / den^m for the monic minimal polynomial f, and
+    disc(K) = disc(f) as O_K = Z[theta]."""
+    field = elem.field
+    T = Poly(list(reversed(field.minpoly)), x, domain=ZZ)
+    A = Poly(list(reversed(elem.num)), x, domain=ZZ)
+    assert elem.norm() == Fraction(int(resultant(T, A)), elem.den ** field.degree)
+    assert field.discriminant() == discriminant(T)
+    assert elem * elem.inverse() == 1
 
 
 @st.composite
