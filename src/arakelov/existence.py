@@ -34,6 +34,7 @@ from .fields import (
     factorize,
     is_squarefree,
     is_totally_positive,
+    _link_inverses,
     make_field,
     sqrt_integer,
 )
@@ -87,6 +88,9 @@ class ConstructionWitness:
         if beta * beta.conj() != field.rational(level):
             raise InternalInconsistency(
                 f"beta * conj(beta) != {level} for beta = {beta}")
+        # beta^-1 = conj(beta) / level by the first identity: no solve
+        if beta._inv is None:
+            _link_inverses(beta, beta.conj() / level)
         if not is_totally_positive(alpha):
             raise InternalInconsistency(f"alpha = {alpha} is not totally positive")
         beta_ideal = principal(beta)
@@ -98,8 +102,7 @@ class ConstructionWitness:
                 raise InternalInconsistency(
                     f"v_{p}(beta) = {v_beta} but v_{p}(level)/2 = {v_level}/2")
         lattice_ideal = realize(ideal)
-        # beta^-1 = conj(beta) / level by the first identity: no solve
-        twist = principal(alpha * beta.conj() / level)
+        twist = principal(alpha * beta.inverse())
         lhs = ideal_mul(ideal_mul(lattice_ideal, conj_ideal(lattice_ideal)), twist)
         if lhs != codifferent(field):
             raise InternalInconsistency(

@@ -5,15 +5,19 @@ lower-triangular Hermite normal form over the field's integral power
 basis, together with a minimal positive denominator, so ideal equality
 is representation equality.
 
-Products never let intermediate entries outgrow the answer: the pairwise
-generator rows are Hermite-reduced modulo the exact determinant of the
-product module (hnf_mod_d), which is known in advance because covolumes
-multiply.  When a principal generator of an operand is known -- recorded
-privately on the ideal, never part of its value -- products, powers,
-conjugates and inverses shrink to element arithmetic.  A principal ideal
-keeps only its generator and norm, and builds its rows (one m-row
-reduction) on first read; two such ideals compare on their generators.
-Radical generators are only ever attached after an exact module-equality
+Products never let intermediate entries outgrow the answer: generator
+rows are Hermite-reduced (hnf_mod_d) modulo a positive integer that lies
+in the module.  Every module here is an O_K-module and O_K = Z[theta], so
+an integer e in it gives e*Z^m inside it; the least one, e = h_00 of a
+lower-triangular HNF, multiplies under products and is the denominator of
+1/g for a principal (g).  The exact determinant, known in advance because
+covolumes multiply, then certifies the result through the pivot product.
+When a principal generator of an operand is known -- recorded privately
+on the ideal, never part of its value -- products, powers, conjugates
+and inverses shrink to element arithmetic.  A principal ideal keeps only
+its generator and norm, and builds its rows (one m-row reduction) on
+first read; two such ideals compare on their generators.  Radical
+generators are only ever attached after an exact containment and norm
 check, never assumed.
 
 Radicals above ramified primes are computed as the preimage of the
@@ -43,6 +47,7 @@ from .fields import (
     SpecError,
     factorize,
     is_totally_positive,
+    _link_inverses,
     trace_pairing,
 )
 from .linalg import (
@@ -117,12 +122,13 @@ class FractionalIdeal:
         return self._den
 
     def _build_rows(self):
-        """Rows of (gen): m shift rows, Hermite-reduced mod the exact
-        determinant |N(den*gen)| of the scaled row module, then certified
-        against it, so nothing ever outgrows the answer."""
+        """Rows of (gen): the m shift rows of u = den*gen, Hermite-reduced
+        mod the least integer of (u), then certified against the exact
+        determinant |N(u)|, so nothing ever outgrows the answer."""
         gen = self._gen
         rows = self.field._mul_rows(list(gen.num))
-        w = _certified_hnf(rows, gen.den ** self.field.degree * self._norm,
+        w = _certified_hnf(rows, _least_integer(gen),
+                           gen.den ** self.field.degree * self._norm,
                            "principal ideal")
         num, den = _canonical(w, gen.den)
         object.__setattr__(self, "_num", num)
@@ -255,14 +261,28 @@ def _reduced(field, hnf_rows, den):
     return FractionalIdeal(field, *_canonical(hnf_rows, den))
 
 
-def _certified_hnf(rows, d_det, what):
-    """Canonical HNF of integer rows whose module has the known determinant
-    d_det: reduced modulo d_det (Cohen, §2.4), then certified by the pivot
-    product, since a lost index would leave a proper supermodule."""
+def _least_integer(g):
+    """The least positive integer in the integral ideal (u), u = den*g.
+
+    n lies in (u) iff n/u is integral, as O_K = Z[theta], that is iff
+    the least denominator of 1/u divides n.  1/u has numerator num(1/g)
+    over den(1/g)*den, and as 1/g is in lowest terms, the two share
+    exactly gcd(den, *num(1/g)).
+    """
+    inv = g.inverse()
+    return inv.den * (g.den // gcd(g.den, *inv.num))
+
+
+def _certified_hnf(rows, modulus, d_det, what):
+    """Canonical HNF of the integer rows of a module M with the known
+    determinant d_det: reduced modulo a positive integer in M (Cohen,
+    §2.4.2), then certified by the pivot product.  A modulus outside M
+    yields M + modulus*Z^m, a proper supermodule whose smaller pivot
+    product raises here, so no wrong module is ever returned."""
     if d_det.denominator != 1:
         raise ArithmeticError(f"{what} determinant must be an integer")
     d_int = int(d_det)
-    w = hnf_mod_d(rows, d_int)
+    w = hnf_mod_d(rows, modulus)
     piv = 1
     for i, row in enumerate(w):
         piv *= row[i]
@@ -294,14 +314,16 @@ def _principal(gamma, abs_norm):
 
 
 def _principal_times_module(g, abs_norm_g, mod):
-    """g * M from m generator rows; exact determinant known in advance
-    because scaling by g multiplies every covolume by |N(g)|."""
+    """g * M from m generator rows, reduced modulo the integer
+    l((den*g)) * h_00(M) of the product; its exact determinant is known
+    in advance because scaling by g multiplies every covolume by |N(g)|."""
     field = mod.field
     det_num = 1
     for i, row in enumerate(mod.num):
         det_num *= row[i]
     rows = [field._mul_coeffs(g.num, row) for row in mod.num]
-    w = _certified_hnf(rows, g.den ** field.degree * abs_norm_g * det_num,
+    w = _certified_hnf(rows, _least_integer(g) * mod.num[0][0],
+                       g.den ** field.degree * abs_norm_g * det_num,
                        "principal product")
     return _reduced(field, w, g.den * mod.den)
 
@@ -372,9 +394,11 @@ def _radical_generator(field, p, radical):
 
     Candidates: the descended (1-zeta_q)(1-zeta_q^-1) in the real
     cyclotomic family and 1-zeta_q in the cyclotomic family, q = p^(r_p).
-    A candidate is attached only when (candidate) equals J_p as a module
-    -- cheap norm filter first, then the exact comparison -- so the fast
-    paths never rest on an unproved principality claim.
+    A candidate is attached only when (candidate) equals J_p as a module,
+    so the fast paths never rest on an unproved principality claim: an
+    integral candidate in J_p with N(candidate) = N(J_p) spans a
+    submodule of index 1.  Its inverse comes from the same pass as its
+    norm, so powers of the generator carry theirs.
     """
     cand = None
     if isinstance(field, RealCyclotomicField):
@@ -384,10 +408,8 @@ def _radical_generator(field, p, radical):
         cand = field.one() - field.theta_power(field.n // q)
     if cand is None or cand.is_zero:
         return None
-    nrm = abs(cand.norm())
-    if nrm != radical.norm():
-        return None
-    if _principal(cand, nrm) == radical:  # radical has rows only: a module check
+    cand.inverse()  # one pass: the norm below, and inverses for its powers
+    if abs(cand.norm()) == radical.norm() and radical.contains(cand):
         return cand
     return None
 
@@ -399,12 +421,14 @@ def _radical_generator(field, p, radical):
 def ideal_mul(a, b):
     """Product ideal: module generated by pairwise basis products.
 
-    Known generators collapse the work to element arithmetic.  The
-    generic path Hermite-reduces the m^2 integer product rows modulo
-    det(num_a) * det(num_b): covolumes of integral modules multiply
-    under products of ideals, and that determinant times Z^m always
-    sits inside the product module, so the reduction is exact and no
-    intermediate entry can outgrow it.
+    Known generators collapse the work to element arithmetic, and a
+    product of generators whose inverses are known keeps the product of
+    the inverses.  The generic path Hermite-reduces the m^2 integer
+    product rows modulo h_00(num_a) * h_00(num_b), an integer of the
+    product module (M cap Z = h_00*Z for a lower-triangular HNF), so no
+    intermediate entry can outgrow it; covolumes of integral modules
+    multiply under products of ideals, so det(num_a) * det(num_b)
+    certifies the result.
     """
     if a.field != b.field:
         raise FieldMismatch("ideal product requires the same field")
@@ -413,7 +437,10 @@ def ideal_mul(a, b):
     if b.is_ring():
         return a
     if a._gen is not None and b._gen is not None:
-        return _principal(a._gen * b._gen, a.norm() * b.norm())
+        gen = a._gen * b._gen
+        if a._gen._inv is not None and b._gen._inv is not None:
+            _link_inverses(gen, a._gen._inv * b._gen._inv)
+        return _principal(gen, a.norm() * b.norm())
     if a._gen is not None:
         return _principal_times_module(a._gen, a.norm(), b)
     if b._gen is not None:
@@ -424,7 +451,8 @@ def ideal_mul(a, b):
         det_a *= a.num[i][i]
         det_b *= b.num[i][i]
     rows = [field._mul_coeffs(x, y) for x in a.num for y in b.num]
-    w = hnf_mod_d(rows, det_a * det_b)
+    w = _certified_hnf(rows, a.num[0][0] * b.num[0][0], det_a * det_b,
+                       "ideal product")
     return _reduced(field, w, a.den * b.den)
 
 
@@ -453,13 +481,14 @@ def conj_ideal(a):
     if a._gen is not None:
         return _principal(a._gen.conj(), a.norm())
     # conjugation permutes O_K, so it is unimodular on coordinates and
-    # the conjugated module has the same determinant
+    # the conjugated module has the same determinant; it fixes Z, so it
+    # keeps the least integer h_00 as well
     det_a = 1
     rows = []
     for i, row in enumerate(a.num):
         det_a *= row[i]
         rows.append(field._conj_num(row))
-    w = _certified_hnf(rows, det_a, "conjugation")
+    w = _certified_hnf(rows, a.num[0][0], det_a, "conjugation")
     return _reduced(field, w, a.den)
 
 
@@ -471,8 +500,9 @@ def trace_dual(a, alpha):
     """{x : Tr(alpha * x * conj(y)) in Z for all y in A}.
 
     A known generator g of A gives the single element
-    (alpha * conj(g))^-1 * f'(theta)^-1, as D_K^-1 = (f'(theta)^-1); an
-    ideal held as rows only takes one integer solve against its Gram.
+    (alpha * conj(g))^-1 * f'(theta)^-1, as D_K^-1 = (f'(theta)^-1), whose
+    inverse alpha * conj(g) * f'(theta) it keeps; an ideal held as rows
+    only takes one integer solve against its Gram.
     """
     field = a.field
     if not isinstance(alpha, FieldElement) or alpha.field != field:
@@ -483,6 +513,7 @@ def trace_dual(a, alpha):
         # inverting the factors apart reuses their known inverses
         codiff = codifferent(field)
         g = alpha.inverse() * a._gen.inverse().conj() * codiff._gen
+        _link_inverses(g, alpha * a._gen.conj() * field._fprime)
         return _principal(g, codiff.norm() / (a.norm() * abs(alpha.norm())))
     gram, scale = trace_pairing(alpha, a, a)
     # the Gram is gram / scale, so the dual rows are
@@ -497,11 +528,13 @@ def trace_dual(a, alpha):
         g = -g
     int_rows = [[e // g for e in row] for row in Y]
     den_d //= g
-    # the dual covolume is forced: 1 / (|N(alpha)| * norm(A) * |disc|),
-    # so the integer rows reduce modulo their exact determinant
+    # the dual covolume is forced: 1 / (|N(alpha)| * norm(A) * |disc|);
+    # no integer of the dual's rows is known in advance, so they reduce
+    # modulo their exact determinant
     d_det = Fraction(den_d) ** field.degree / (abs(alpha.norm()) * a.norm()
                                                * abs(field.discriminant()))
-    return _reduced(field, _certified_hnf(int_rows, d_det, "trace dual"), den_d)
+    w = _certified_hnf(int_rows, d_det.numerator, d_det, "trace dual")
+    return _reduced(field, w, den_d)
 
 
 _CODIFF_CACHE = {}

@@ -21,6 +21,7 @@ from .fields import (
     SpecError,
     default_precision,
     embedding_matrix,
+    _link_inverses,
     _trace_form_det,
     trace_pairing,
 )
@@ -207,6 +208,10 @@ def verify_modularity(lat, witness):
     beta = witness.beta
     if beta * beta.conj() != field.rational(level):
         raise ModularityFailure("i", f"beta * conj(beta) != {level}")
+    # 1/beta = conj(beta) / level by clause (i); level 0 leaves beta = 0,
+    # which clause (ii) refuses as generating no ideal
+    if level and beta._inv is None:
+        _link_inverses(beta, beta.conj() / level)
     dual_ideal = trace_dual(lat.ideal, lat.alpha)
     # compared on HNF rows, never on generators: the module route stays
     # independent of the witness self-check

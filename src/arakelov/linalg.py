@@ -117,11 +117,14 @@ def hnf_mod_d(rows, d):
 
     Every intermediate entry is reduced modulo d, so the cost never
     depends on how large the entries of a plain elimination would grow.
-    When d is a positive multiple of the determinant of the full-rank
-    module M spanned by the rows, d*Z^n is already contained in M
-    (multiply the adjugate identity d*B^-1 * B = d*I by the basis), so
-    the result is the canonical basis of M itself; callers certify that
-    case by checking that the pivot product equals the known determinant.
+    When d*Z^n is contained in the full-rank module M spanned by the
+    rows, the result is the canonical basis of M itself.  A positive
+    multiple of det(M) is one such d (multiply the adjugate identity
+    d*B^-1 * B = d*I by the basis); for a module over Z[theta], any
+    positive integer in M is another, and the least one is usually far
+    smaller.  Otherwise the result spans a proper supermodule, so
+    callers certify the result by checking that the pivot product
+    equals the known determinant of M.
     """
     m, n = _dims(rows)
     if not isinstance(d, int) or d <= 0:

@@ -14,10 +14,19 @@ hashing.
 An enumeration computes its reduction once: minimum and theta_prefix run
 one Bareiss elimination, and the walk reads the triangle that integral
 LLL ends with, which equals a fresh ldl_integral of the reduced Gram.
+
+Principal rows are reduced modulo the least integer of the ideal, the
+denominator of the generator's inverse, and that inverse comes from data
+already at hand: the radical generator's own norm pass, the trace dual's
+generator alpha * conj(g) * f'(theta) and the witness's conj(beta) /
+level.  So the pipeline runs no more sub-resultant passes than it did
+when the rows were reduced modulo the determinant, and the radical
+generator is proved by containment, with no HNF.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,7 +52,7 @@ from arakelov.ideals import (
     trace_dual_via_inverse,
     valuation,
 )
-from arakelov import existence, lattice, linalg
+from arakelov import existence, fields, ideals, lattice, linalg
 from arakelov.lattice import build, minimum, theta_prefix
 from arakelov.linalg import det, ldl_integral, lll_reduce
 from test_linalg import lll_grams
@@ -377,3 +386,50 @@ def test_walk_reads_the_triangle_of_the_reduced_gram(G):
     G2, _ = lll_reduce(G)
     assert ldl_integral(G2) == (D, A)
     assert ldl_integral([[x * D for x in row] for row in G2]) == (1, A)
+
+
+# sub-resultant passes of realize -> build -> verify_modularity over the
+# witnesses of realcyclo:29, from fresh caches, when principal rows were
+# reduced modulo the determinant |N(den*gen)|
+SUBRESULTANT_PASSES_WITH_DETERMINANT_MODULI = {False: 8, True: 5}
+
+
+@pytest.mark.parametrize("trace_type", [False, True])
+def test_least_integer_moduli_run_no_extra_subresultant_pass(monkeypatch, trace_type):
+    for name in ("_RADICAL_CACHE", "_CODIFF_CACHE", "_DIFF_CACHE"):
+        monkeypatch.setattr(ideals, name, {})
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    passes = []
+    subresultant = fields._subresultant
+
+    def counted(f, a):
+        passes.append(len(a))
+        return subresultant(f, a)
+
+    monkeypatch.setattr(fields, "_subresultant", counted)
+    verdict = existence.mod_prime_power(29, 1, trace_type)
+    assert verdict.witnesses
+    for level, w in sorted(verdict.witnesses.items()):
+        lat = build(w.field, realize(w.ideal), w.alpha)
+        assert lattice.verify_modularity(lat, w).modular_level == level
+    assert len(passes) <= SUBRESULTANT_PASSES_WITH_DETERMINANT_MODULI[trace_type]
+
+
+def test_radical_generator_is_proved_without_an_hnf(monkeypatch):
+    moduli = []
+    hnf_mod_d = ideals.hnf_mod_d
+
+    def counted(rows, d):
+        moduli.append(d)
+        return hnf_mod_d(rows, d)
+
+    for spec, p in (("realcyclo:29", 29), ("realcyclo:25", 5), ("cyclo:9", 3)):
+        field = make_field(spec)
+        radical = radical_above(field, p)
+        rows_only = FractionalIdeal(field, radical.num, radical.den)
+        monkeypatch.setattr(ideals, "hnf_mod_d", counted)
+        gen = ideals._radical_generator(field, p, rows_only)
+        monkeypatch.undo()
+        assert moduli == []
+        assert gen == radical._gen and gen._inv is not None
+        assert principal(gen) == rows_only

@@ -11,16 +11,20 @@ Oracles used here, deliberately distinct from the implementation paths:
   * trace duals recomputed through pure ideal arithmetic
     (alpha^-1 * codifferent * conj(A)^-1);
   * the Gram solve on an ideal held as rows only, versus the one-element
-    dual of a principal ideal and the f'(theta) codifferent.
+    dual of a principal ideal and the f'(theta) codifferent;
+  * the same generator rows Hermite-reduced modulo the determinant,
+    versus the reduction modulo an integer of the module.
 """
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arakelov import ideals
 from arakelov.fields import FieldMismatch, NotRamified, SpecError, make_field
 from arakelov.ideals import (
     FractionalIdeal,
@@ -40,7 +44,9 @@ from arakelov.ideals import (
     trace_dual,
     trace_dual_via_inverse,
     valuation,
+    _certified_hnf,
     _euler_certificate,
+    _least_integer,
     _theta_power_mod,
 )
 from arakelov.linalg import FormError, hnf_mod_d, nullspace_mod_p, transpose
@@ -418,6 +424,124 @@ def test_conj_ideal_properties():
     real = make_field("realcyclo:28")
     a = random_ideal(real, rng)
     assert conj_ideal(a) == a  # totally real: conjugation is trivial
+
+
+# --------------------------------------------------------------------------
+# reduction modulo the least integer
+# --------------------------------------------------------------------------
+
+LEAST_INTEGER_SPECS = ["realcyclo:9", "realcyclo:13", "realcyclo:25",
+                       "realcyclo:15", "realcyclo:20", "realcyclo:28",
+                       "cyclo:7", "cyclo:9", "cyclo:12",
+                       "quad:+5", "quad:+6", "quad:-3", "quad:-7"]
+
+
+def _pivots(rows):
+    return prod(row[i] for i, row in enumerate(rows))
+
+
+def _determinant_route(field, rows, d_det, den):
+    """The ideal of integer rows over den, Hermite-reduced modulo its
+    exact determinant d_det, and the integer HNF itself."""
+    w = hnf_mod_d(rows, d_det)
+    return FractionalIdeal.from_rows(
+        field, [[Fraction(e, den) for e in row] for row in w]), w
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(LEAST_INTEGER_SPECS), st.data())
+def test_least_integer_moduli_match_the_determinant_route(spec, data):
+    """Every ideal HNF reduced modulo an integer of its module -- principal
+    rows, principal times rows, rows times rows, the conjugate -- equals
+    the reduction modulo the exact determinant; principal rows use the
+    least integer l((u)) = h_00 itself, the products a multiple of it."""
+    field = make_field(spec)
+    m = field.degree
+    vec = st.lists(_HYP_COEFF, min_size=m, max_size=m).filter(any)
+    rational = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+
+    def element():
+        if data.draw(st.booleans()):
+            return field.rational(data.draw(rational))
+        return field.element(data.draw(vec))
+
+    def rows_only():
+        """x * J_p from the m rows x * b_i over a basis b_i of the radical:
+        an O_K-module with no generator."""
+        x = element()
+        radical = radical_above(field, data.draw(st.sampled_from(sorted(field.omega()))))
+        return FractionalIdeal.from_rows(
+            field, [(x * b).coeffs for b in radical.basis_elements()])
+
+    moduli = []
+
+    def recorded(rows, d):
+        moduli.append(d)
+        return hnf_mod_d(rows, d)
+
+    g, a, b = element(), rows_only(), rows_only()
+    assert a._gen is None and b._gen is None
+    # the module (or its canonical rows) each call site builds, with the
+    # integer rows, exact determinant and denominator of the old route
+    cases = [
+        (lambda: principal(g),
+         field._mul_rows(list(g.num)),
+         g.den ** m * abs(g.norm()), g.den),
+        (lambda: ideal_mul(principal(g), a),
+         [field._mul_coeffs(g.num, row) for row in a.num],
+         g.den ** m * abs(g.norm()) * _pivots(a.num), g.den * a.den),
+        (lambda: ideal_mul(a, b),
+         [field._mul_coeffs(x, y) for x in a.num for y in b.num],
+         _pivots(a.num) * _pivots(b.num), a.den * b.den),
+        (lambda: conj_ideal(a),
+         [field._conj_num(row) if field.is_cm else row for row in a.num],
+         _pivots(a.num), a.den),
+    ]
+    for i, (run, rows, d_det, den) in enumerate(cases):
+        want, w = _determinant_route(field, rows, int(d_det), den)
+        ideals.hnf_mod_d = recorded
+        try:
+            moduli.clear()
+            got = run()
+            got_rows = (got.num, got.den)
+        finally:
+            ideals.hnf_mod_d = hnf_mod_d
+        assert got_rows == (want.num, want.den)
+        # the HNF's first row is (h_00, 0, ..., 0), so the module meets Z in
+        # h_00*Z; a call site that took a shortcut made no reduction
+        assert all(d % w[0][0] == 0 for d in moduli)
+        if i == 0:
+            assert moduli == [w[0][0]] == [_least_integer(g)]
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_least_integer_of_a_ramified_prime_power(k):
+    """13 is totally ramified in realcyclo:13 (degree 6) with P = (gamma)
+    and P^6 = (13), so P^k meets Z in 13^ceil(k/6), many bits below its
+    determinant 13^k."""
+    field = make_field("realcyclo:13")
+    g = gamma_element(field, 13) ** k
+    ell = 13 ** -(-k // 6)
+    assert _least_integer(g) == ell
+    ideal = principal(field.element(g.coeffs))
+    assert ideal.num[0][0] == ell and ideal.den == 1
+    assert _pivots(ideal.num) == ideal.norm() == 13 ** k
+    # a rational generator: u = den * g is the integer 4
+    assert _least_integer(field.rational(Fraction(4, 9))) == 4
+
+
+def test_certified_hnf_refuses_a_modulus_outside_the_module():
+    """M + d*Z^m is a proper supermodule of M when d is not in M, and its
+    smaller pivot product fails the certificate."""
+    field = make_field("realcyclo:13")
+    rows = field._mul_rows(list((gamma_element(field, 13) ** 3).num))
+    d_det = 13 ** 3
+    want = hnf_mod_d(rows, d_det)
+    for modulus in (13, 26, 169):  # P^3 meets Z in 13*Z
+        assert _certified_hnf(rows, modulus, d_det, "P^3") == want
+    for modulus in (1, 2, 12, 14):
+        with pytest.raises(ArithmeticError, match="lost index"):
+            _certified_hnf(rows, modulus, d_det, "P^3")
 
 
 # --------------------------------------------------------------------------
