@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 from fractions import Fraction
 
@@ -23,6 +22,7 @@ from .fields import (
     FieldMismatch,
     NotRamified,
     SpecError,
+    _RATIONAL,
     default_precision,
     make_field,
 )
@@ -56,11 +56,6 @@ def _rat_str(q):
 
 def _coeffs(element):
     return [_rat_str(c) for c in element.coeffs]
-
-
-# the coefficient grammar _rat_str writes; Fraction alone would also take
-# exponent forms such as "1e1000000", whose size has no bound
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _element_from_strings(field, strings, what):

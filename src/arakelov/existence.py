@@ -5,14 +5,19 @@ square-free levels for the field family, a descriptive rule tag, and --
 when the field degree is within the materialization limit -- a fully
 checked ConstructionWitness (level, beta, alpha, ideal recipe) per level.
 
-Witness ideal exponents are never hard-coded: they are solved from the
-valuation-parity equation k_p = (v_p(alpha^-1 * beta * D_K^-1)) / 2 at
-every ramified prime, and every constructed witness re-verifies the
-defining identities exactly (level = beta * conj(beta), alpha totally
-positive, half-level valuations of beta, and I * conj(I) equal to
-alpha^-1 * beta * D_K^-1 as fractional ideals).  The last is checked as
-I * conj(I) * (alpha * beta^-1) = D_K^-1, with beta^-1 = conj(beta)/level
-from the first identity, so it needs no inverse.  The codifferent is the
+Witness ideal exponents are never hard-coded: for all four oracles,
+_radical_exponents solves the valuation-parity equation k_p =
+v_p(alpha^-1 * beta * D_K^-1) / 2 at every ramified prime from the
+field's ramification indices and different exponents, and _verdict
+builds every witness; each oracle keeps only its input checks, level
+set, alpha per level and rule tag.  Every constructed witness
+re-verifies the defining identities exactly (level = beta * conj(beta),
+alpha totally positive, half-level valuations of beta, and I * conj(I)
+equal to alpha^-1 * beta * D_K^-1 as fractional ideals).  The last is
+checked as I * conj(I) * (alpha) * (beta^-1) = D_K^-1, with beta^-1 =
+conj(beta)/level from the first identity, so it needs no inverse, and
+the twist (alpha) * (beta^-1) multiplies the norms and links the
+inverses its factors already carry.  The codifferent is the
 principal ideal (1/f'(theta)), so a product that keeps a generator
 compares with it on generators, without building rows.
 """
@@ -30,7 +35,6 @@ from .fields import (
     RealCyclotomicField,
     RealQuadraticField,
     SpecError,
-    euler_phi,
     factorize,
     is_squarefree,
     is_totally_positive,
@@ -102,7 +106,7 @@ class ConstructionWitness:
                 raise InternalInconsistency(
                     f"v_{p}(beta) = {v_beta} but v_{p}(level)/2 = {v_level}/2")
         lattice_ideal = realize(ideal)
-        twist = principal(alpha * beta.inverse())
+        twist = ideal_mul(principal(alpha), principal(beta.inverse()))
         lhs = ideal_mul(ideal_mul(lattice_ideal, conj_ideal(lattice_ideal)), twist)
         if lhs != codifferent(field):
             raise InternalInconsistency(
@@ -178,7 +182,61 @@ def check_level_bound(field, level):
 
 
 # --------------------------------------------------------------------------
-# quadratic fields
+# the parity equation and the witness tail shared by the four oracles
+# --------------------------------------------------------------------------
+
+def _radical_exponents(field, level, apow):
+    """The witness ideal I = prod J_p^k_p as recipe factors.
+
+    I * conj(I) = alpha^-1 * beta * D_K^-1 reads 2*k_p = v_p(beta) -
+    v_p(alpha) - d_p at each ramified p: v_p(beta) = e_p/2 when p divides
+    the level (beta * conj(beta) = level) and 0 otherwise, v_p(alpha) =
+    apow for alpha = gamma^apow (gamma generates the one ramified prime of
+    a prime-power conductor), and e_p, d_p are the field's ramification
+    index and different exponent.  An odd right-hand side contradicts the
+    theorem that proposed the level and raises InternalInconsistency.
+    """
+    factors = []
+    for p in field.omega():
+        v_beta = field.ramification_index(p) // 2 if level % p == 0 else 0
+        twice_k = v_beta - apow - field.different_exponent(p)
+        if twice_k % 2:
+            raise InternalInconsistency(
+                f"odd parity at p = {p} for level {level} over {field.spec_string()}")
+        if twice_k:
+            factors.append(("radical", p, twice_k // 2))
+    return factors
+
+
+def _verdict(field, trace_type, rows, rule, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
+    """The verdict for (level, apow) rows: the exponents of every row are
+    solved, and up to materialize_limit each witness is built and checked,
+    with alpha = gamma^apow and beta the square root of +-d on a quadratic
+    field (theta = sqrt(-1) on quad:-1, of level 1), else 1 at level 1
+    and the square root of the level above it."""
+    recipes = [(level, apow, _radical_exponents(field, level, apow))
+               for level, apow in rows]
+    witnesses = {}
+    if field.degree <= materialize_limit:
+        quadratic = isinstance(field, (RealQuadraticField, ImagQuadraticField))
+        gamma = gamma_element(field, field.omega()[0]) if any(a for _, a in rows) else None
+        for level, apow, factors in recipes:
+            if quadratic:
+                beta = field.sqrt_disc_element()
+            elif level == 1:
+                beta = field.one()
+            elif (beta := sqrt_integer(field, level)) is None:
+                raise InternalInconsistency(
+                    f"sqrt({level}) should exist in {field.spec_string()} but was not found")
+            alpha = gamma ** apow if apow else field.one()
+            witnesses[level] = ConstructionWitness(level, beta, alpha,
+                                                   IdealRecipe(field, factors))
+    return ExistenceVerdict(field.spec_string(), trace_type,
+                            [level for level, _ in rows], witnesses, rule)
+
+
+# --------------------------------------------------------------------------
+# the four oracles: input checks, level sets, alpha per level, rule tag
 # --------------------------------------------------------------------------
 
 def mod_quadratic(field, trace_type=True):
@@ -191,84 +249,38 @@ def mod_quadratic(field, trace_type=True):
     trace type carries a completeness claim here.)
     """
     if isinstance(field, ImagQuadraticField):
-        imaginary = True
+        rule = "imaginary-quadratic-trace"
     elif isinstance(field, RealQuadraticField):
-        imaginary = False
+        rule = "real-quadratic-trace"
     else:
         raise SpecError(f"mod_quadratic expects a quadratic field, "
                         f"got {field.spec_string()}")
-    d = field.d
-    beta = field.sqrt_disc_element()
-    rule = "imaginary-quadratic-trace" if imaginary else "real-quadratic-trace"
-    use_p2 = (d % 4 in (1, 2)) if imaginary else (d % 4 in (2, 3))
-    recipe = IdealRecipe.parse(field, "P2^-1" if use_p2 else "")
-    witness = ConstructionWitness(d, beta, field.one(), recipe)
-    return ExistenceVerdict(field.spec_string(), trace_type, (d,), {d: witness}, rule)
+    return _verdict(field, trace_type, [(field.d, 0)], rule)
 
-
-# --------------------------------------------------------------------------
-# maximal real subfields, prime-power conductor
-# --------------------------------------------------------------------------
 
 def mod_prime_power(p, r, trace_type, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
     """Level sets over the maximal real subfield of conductor p^r (p odd).
 
-    Trace type: {1} if p = 3 mod 4 (ideal P^(s1/2)); empty if p = 1 mod 8;
-    {p} if p = 5 mod 8 (ideal P^((s1+s2)/2), beta the square root of p).
-    Unrestricted: {1, p} if p = 1 mod 4 (alpha a power of the totally
-    positive radical generator); {1} if p = 3 mod 4.
+    Trace type: {1} if p = 3 mod 4; empty if p = 1 mod 8; {p} if p = 5
+    mod 8 (beta the square root of p).  Unrestricted: {1, p} if p = 1
+    mod 4, with alpha = gamma^-1 at level 1, and at level p unless p = 5
+    mod 8 (gamma the totally positive radical generator); {1} if p = 3
+    mod 4.
     """
     if not isinstance(p, int) or not isinstance(r, int) or r < 1:
         raise SpecError("mod_prime_power expects integer p and r >= 1")
     if p == 2 or factorize(p) != {p: 1}:
         raise SpecError(f"mod_prime_power needs an odd prime, got p = {p}")
-    n = p ** r
-    degree = euler_phi(n) // 2
-    s1 = -((p ** (r - 1) * (p * r - r - 1) - 1) // 2)  # -v_P(different)
-    s2 = p ** (r - 1) * (p - 1) // 4  # v_P(sqrt p); integral only for p = 1 mod 4
-
-    # (level, alpha spec, radical exponent) rows; alpha spec: 0 -> 1,
-    # s -> gamma^s with gamma the totally positive radical generator.
+    # (level, radical exponent of alpha) rows
     if trace_type:
         rule = "prime-power-trace-type"
-        if p % 4 == 3:
-            rows = [(1, 0, s1 // 2)]
-        elif p % 8 == 1:
-            rows = []
-        else:
-            rows = [(p, 0, (s1 + s2) // 2)]
+        rows = [(1, 0)] if p % 4 == 3 else [(p, 0)] if p % 8 == 5 else []
     else:
         rule = "prime-power-modular"
-        if p % 4 == 1:
-            rows = [(1, -1, (1 + s1) // 2)]
-            if (s1 + s2) % 2 == 0:
-                rows.append((p, 0, (s1 + s2) // 2))
-            else:
-                rows.append((p, -1, (1 + s1 + s2) // 2))
-        else:
-            rows = [(1, 0, s1 // 2)]
-    for level, apow, k in rows:
-        parity = (0 if apow == 0 else -apow) + (s2 if level == p else 0) + s1
-        if parity != 2 * k:
-            raise InternalInconsistency(
-                f"parity equation unsolvable at p = {p}, r = {r}, level = {level}")
+        rows = [(1, -1), (p, 0 if p % 8 == 5 else -1)] if p % 4 == 1 else [(1, 0)]
+    return _verdict(make_field(f"realcyclo:{p ** r}"), trace_type, rows, rule,
+                    materialize_limit)
 
-    witnesses = {}
-    if rows and degree <= materialize_limit:
-        field = make_field(f"realcyclo:{n}")
-        gamma = gamma_element(field, p)
-        for level, apow, k in rows:
-            alpha = field.one() if apow == 0 else gamma ** apow
-            beta = field.one() if level == 1 else sqrt_integer(field, level)
-            recipe = IdealRecipe(field, [("radical", p, k)] if k else [])
-            witnesses[level] = ConstructionWitness(level, beta, alpha, recipe)
-    return ExistenceVerdict(f"realcyclo:{n}", trace_type,
-                            [row[0] for row in rows], witnesses, rule)
-
-
-# --------------------------------------------------------------------------
-# maximal real subfields, composite (non-prime-power) conductor
-# --------------------------------------------------------------------------
 
 def mod_nonprimepower_trace(n, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
     """Trace-type level sets over the maximal real subfield of conductor n,
@@ -288,44 +300,16 @@ def mod_nonprimepower_trace(n, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
     if len(fac) == 1:
         raise SpecError(f"{n} is a prime power; use mod_prime_power")
     odd_primes = sorted(q for q in fac if q != 2)
-    rule = "composite-conductor-trace"
-    spec = f"realcyclo:{n}"
+    m = prod(odd_primes)
     if any(q % 4 == 1 for q in odd_primes):
-        return ExistenceVerdict(spec, True, (), {}, rule)
-    ntilde = prod(odd_primes)
-    if n % 2 == 1:
-        levels = [ntilde] if len(odd_primes) % 2 == 0 else []
-    elif n % 8 == 0:
-        levels = [ntilde, 2 * ntilde]
+        levels = []
+    elif n % 2 == 1:
+        levels = [m] if len(odd_primes) % 2 == 0 else []
     else:
-        levels = [ntilde]
+        levels = [m, 2 * m] if n % 8 == 0 else [m]
+    return _verdict(make_field(f"realcyclo:{n}"), True, [(lev, 0) for lev in levels],
+                    "composite-conductor-trace", materialize_limit)
 
-    witnesses = {}
-    if levels and euler_phi(n) // 2 <= materialize_limit:
-        field = make_field(spec)
-        for level in levels:
-            beta = sqrt_integer(field, level)
-            if beta is None:
-                raise InternalInconsistency(
-                    f"sqrt({level}) should exist in {spec} but was not found")
-            factors = []
-            for q in sorted(field.omega()):
-                v_beta = field.ramification_index(q) // 2 if level % q == 0 else 0
-                v_diff = field.different_exponent(q)
-                if (v_beta - v_diff) % 2:
-                    raise InternalInconsistency(
-                        f"odd parity at p = {q} for level {level} over {spec}")
-                k = (v_beta - v_diff) // 2
-                if k:
-                    factors.append(("radical", q, k))
-            witnesses[level] = ConstructionWitness(
-                level, beta, field.one(), IdealRecipe(field, factors))
-    return ExistenceVerdict(spec, True, levels, witnesses, rule)
-
-
-# --------------------------------------------------------------------------
-# odd degree
-# --------------------------------------------------------------------------
 
 def mod_odd_degree(field, trace_type=True, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
     """Level set {1} for any supported Galois field of odd degree, with the
@@ -336,19 +320,8 @@ def mod_odd_degree(field, trace_type=True, materialize_limit=DEFAULT_MATERIALIZE
         raise SpecError(
             f"{field.spec_string()} has even degree {field.degree}; "
             "the odd-degree rule does not apply")
-    factors = []
-    for p in sorted(field.omega()):
-        v = field.different_exponent(p)
-        if v % 2:
-            raise InternalInconsistency(
-                f"odd different valuation {v} at {p} in an odd-degree field")
-        factors.append(("radical", p, -(v // 2)))
-    witnesses = {}
-    if field.degree <= materialize_limit:
-        witnesses[1] = ConstructionWitness(1, field.one(), field.one(),
-                                           IdealRecipe(field, factors))
-    return ExistenceVerdict(field.spec_string(), trace_type, (1,), witnesses,
-                            "odd-degree-level-one")
+    return _verdict(field, trace_type, [(1, 0)], "odd-degree-level-one",
+                    materialize_limit)
 
 
 # --------------------------------------------------------------------------

@@ -50,6 +50,7 @@ sigma_1, ...).
 from __future__ import annotations
 
 import os
+import re
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -478,8 +479,10 @@ def _power(x, k):
 
 
 def _link_inverses(x, y):
+    """Record y = 1/x on both; returns x."""
     object.__setattr__(x, "_inv", y)
     object.__setattr__(y, "_inv", x)
+    return x
 
 
 # --------------------------------------------------------------------------
@@ -1097,13 +1100,31 @@ def _validate_conductor(n, family):
 # public operations
 # --------------------------------------------------------------------------
 
+# The one number grammar of field specs, recipes and records, ASCII only:
+# str.isdigit() and int() also take other scripts' digits (isdigit() even
+# superscripts, which int() then refuses), and Fraction() takes exponent
+# forms such as 1e1000000, whose size has no bound.
+_NATURAL = re.compile(r"[0-9]+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _ascii_rational(text):
+    """The Fraction of an ASCII n or n/d; ValueError for any other text,
+    ZeroDivisionError for d = 0."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational n or n/d: {text!r}")
+    return Fraction(text)
+
+
 _FIELD_CACHE = {}
 
 
 def make_field(spec):
     """Parse a field spec string into a (cached) field descriptor.
 
-    Grammar: ``quad:+<d>`` | ``quad:-<d>`` | ``cyclo:<n>`` | ``realcyclo:<n>``.
+    Grammar: ``quad:+<d>`` | ``quad:-<d>`` | ``cyclo:<n>`` | ``realcyclo:<n>``,
+    with d and n in ASCII digits.
     """
     if not isinstance(spec, str):
         raise SpecError(f"field spec must be a string, got {type(spec).__name__}")
@@ -1115,7 +1136,7 @@ def make_field(spec):
         raise SpecError(f"malformed field spec {spec!r}: expected '<family>:<parameter>'")
     if family == "quad":
         sign, digits = arg[0], arg[1:]
-        if sign not in "+-" or not digits.isdigit():
+        if sign not in "+-" or not _NATURAL.fullmatch(digits):
             raise SpecError(f"malformed quadratic spec {spec!r}: expected quad:+<d> or quad:-<d>")
         d = int(digits)
         if sign == "+":
@@ -1125,7 +1146,7 @@ def make_field(spec):
         else:
             field = ImagQuadraticField(d)
     elif family in ("cyclo", "realcyclo"):
-        if not arg.isdigit():
+        if not _NATURAL.fullmatch(arg):
             raise SpecError(f"malformed spec {spec!r}: conductor must be a positive integer")
         n = int(arg)
         field = CyclotomicField(n) if family == "cyclo" else RealCyclotomicField(n)
@@ -1200,7 +1221,8 @@ def sqrt_integer(field, m):
     i = zeta_4 when the product of the p = 3 mod 4 sums squares to -m) and
     sqrt 2 = zeta_8 + zeta_8^-1; membership holds exactly when the
     conductor of Q(sqrt m) (m for m = 1 mod 4, else 4m) divides n.  The
-    result is verified by exact squaring before it is returned.
+    result is verified by exact squaring before it is returned, with its
+    inverse sqrt(m)/m linked.
     """
     if not isinstance(m, int) or m < 1:
         raise SpecError(f"sqrt_integer needs a positive integer, got {m!r}")
@@ -1209,7 +1231,8 @@ def sqrt_integer(field, m):
     if m == 1:
         return field.one()
     if isinstance(field, RealQuadraticField):
-        return field.sqrt_disc_element() if m == field.d else None
+        root = field.sqrt_disc_element()
+        return _link_inverses(root, root / m) if m == field.d else None
     if isinstance(field, ImagQuadraticField):
         return None
     if not isinstance(field, (CyclotomicField, RealCyclotomicField)):
@@ -1239,7 +1262,7 @@ def sqrt_integer(field, m):
         cand = field.descend(cand)
         if cand * cand != field.rational(m):
             raise ArithmeticError("internal error: descended square root lost exactness")
-    return cand
+    return _link_inverses(cand, cand / m)
 
 
 def trace_form(alpha):

@@ -47,6 +47,9 @@ from .fields import (
     SpecError,
     factorize,
     is_totally_positive,
+    _INTEGER,
+    _NATURAL,
+    _ascii_rational,
     _link_inverses,
     trace_pairing,
 )
@@ -694,7 +697,9 @@ class IdealRecipe:
       ``P<p>^<k>``        radical above the prime p, exponent k
       ``(<rational>)^<k>``  principal ideal of a rational number
       ``([c0,c1,...])^<k>`` principal ideal of the element with those coefficients
-    ``^<k>`` may be omitted when k = 1; the empty string denotes O_K.
+    ``^<k>`` may be omitted when k = 1; the empty string denotes O_K.  The
+    numbers are ASCII: p is ``[0-9]+``, k ``[+-]?[0-9]+``, and a rational
+    or coefficient ``n`` or ``n/d`` with a signed n.
 
     The private ``_ideal`` slot holds the realized ideal once realize has
     computed it; equality and hashing ignore it.
@@ -740,24 +745,24 @@ class IdealRecipe:
             tok = piece.strip()
             base, sep, exp_text = tok.partition("^")
             base = base.strip()
-            try:
-                k = int(exp_text.strip()) if sep else 1
-            except ValueError:
-                raise SpecError(f"bad exponent in recipe factor {tok!r}") from None
-            if base.startswith("P") and base[1:].isdigit():
+            exp_text = exp_text.strip() if sep else "1"
+            if not _INTEGER.fullmatch(exp_text):
+                raise SpecError(f"bad exponent in recipe factor {tok!r}")
+            k = int(exp_text)
+            if base.startswith("P") and _NATURAL.fullmatch(base[1:]):
                 factors.append(("radical", int(base[1:]), k))
             elif base.startswith("(") and base.endswith(")"):
                 inner = base[1:-1].strip()
                 if inner.startswith("[") and inner.endswith("]"):
                     try:
-                        coeffs = [Fraction(c.strip()) for c in inner[1:-1].split(",")]
+                        coeffs = [_ascii_rational(c.strip()) for c in inner[1:-1].split(",")]
                         element = field.element(coeffs)
                     except (ValueError, ZeroDivisionError):
                         raise SpecError(f"bad coefficient list in {tok!r}") from None
                     factors.append(("principal", element, k))
                 else:
                     try:
-                        value = Fraction(inner)
+                        value = _ascii_rational(inner)
                     except (ValueError, ZeroDivisionError):
                         raise SpecError(f"bad rational in recipe factor {tok!r}") from None
                     factors.append(("principal", field.rational(value), k))

@@ -140,6 +140,111 @@ def test_exists_large_specs_never_build_the_minimal_polynomial(capsys, monkeypat
     assert code == EXIT_SPEC and "cyclo:100000007" in err
 
 
+@pytest.mark.parametrize("spec", [
+    "quad:+\u00b2", "quad:-\u00b3", "realcyclo:\u00b9\u00b3", "cyclo:\u2075",
+    "realcyclo:\u0661\u0663", "quad:+\u0663", "cyclo:\uff11\uff13", "realcyclo:1_3"])
+def test_exists_refuses_digits_outside_ascii(capsys, spec):
+    """Conductors and d are ASCII [0-9]+: str.isdigit() takes superscripts
+    that int() then refuses, and int() reads other scripts' digits, so
+    realcyclo:<Arabic-Indic 13> used to answer as realcyclo:13."""
+    for argv in (["exists", "--field", spec],
+                 ["construct", "--field", spec, "--level", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_SPEC and out == "", (argv, err)
+        assert "malformed" in err and "Traceback" not in err
+
+
+# exists output taken from the commit before the parity equation had one
+# solver: per spec and --trace-type flag the exit code, rule, levels and,
+# per level, the ideal and the first 16 hex digits of the sha256 of the
+# JSON alpha and beta coefficient lists; None where exists exits 2
+BOTH = (False, True)
+_ONE, _THETA = "f43b5eadae00b64e", "b35800e69f8197d4"  # ["1", "0"], ["0", "1"]
+_SQRT = "dbbf5872481e3a0d"  # ["-1", "2"] = 2*theta - 1
+EXISTS_PINS = [
+    ("quad:+2", BOTH, 0, "real-quadratic-trace", (2,), {2: ("P2^-1", _ONE, _THETA)}),
+    ("quad:+3", BOTH, 0, "real-quadratic-trace", (3,), {3: ("P2^-1", _ONE, _THETA)}),
+    ("quad:+5", BOTH, 0, "real-quadratic-trace", (5,), {5: ("", _ONE, _SQRT)}),
+    ("quad:-1", BOTH, 0, "imaginary-quadratic-trace", (1,), {1: ("P2^-1", _ONE, _THETA)}),
+    ("quad:-2", BOTH, 0, "imaginary-quadratic-trace", (2,), {2: ("P2^-1", _ONE, _THETA)}),
+    ("quad:-3", BOTH, 0, "imaginary-quadratic-trace", (3,), {3: ("", _ONE, _SQRT)}),
+    ("quad:-7", BOTH, 0, "imaginary-quadratic-trace", (7,), {7: ("", _ONE, _SQRT)}),
+    ("realcyclo:5", (False,), 0, "prime-power-modular", (1, 5), {
+        1: ("", "b5a67d9b4e86c968", _ONE),
+        5: ("", _ONE, "8169cab3831aaa01")}),
+    ("realcyclo:5", (True,), 0, "prime-power-trace-type", (5,), {
+        5: ("", _ONE, "8169cab3831aaa01")}),
+    ("realcyclo:7", BOTH, 0, "odd-degree-level-one", (1,), {
+        1: ("P7^-1", "01fa2168a91d7b65", "01fa2168a91d7b65")}),
+    ("realcyclo:9", BOTH, 0, "odd-degree-level-one", (1,), {
+        1: ("P3^-2", "01fa2168a91d7b65", "01fa2168a91d7b65")}),
+    ("realcyclo:11", BOTH, 0, "odd-degree-level-one", (1,), {
+        1: ("P11^-2", "68c59625ad002e0c", "68c59625ad002e0c")}),
+    ("realcyclo:13", (False,), 0, "prime-power-modular", (1, 13), {
+        1: ("P13^-2", "3daea77ef44557a5", "87e7249b21b12fe3"),
+        13: ("P13^-1", "87e7249b21b12fe3", "a896094c4de65ff7")}),
+    ("realcyclo:13", (True,), 0, "prime-power-trace-type", (13,), {
+        13: ("P13^-1", "87e7249b21b12fe3", "a896094c4de65ff7")}),
+    ("realcyclo:17", (False,), 0, "prime-power-modular", (1, 17), {
+        1: ("P17^-3", "0f4a68725c221cd5", "a522b7b869153bf7"),
+        17: ("P17^-1", "0f4a68725c221cd5", "143620c5df34e6a9")}),
+    ("realcyclo:17", (True,), 3, "prime-power-trace-type", (), {}),
+    ("realcyclo:25", (False,), 0, "prime-power-modular", (1, 5), {
+        1: ("P5^-8", "62769fa907093af2", "8defe245808a7e2d"),
+        5: ("P5^-6", "8defe245808a7e2d", "b3e854489ef3b999")}),
+    ("realcyclo:25", (True,), 0, "prime-power-trace-type", (5,), {
+        5: ("P5^-6", "8defe245808a7e2d", "b3e854489ef3b999")}),
+    ("realcyclo:27", BOTH, 0, "odd-degree-level-one", (1,), {
+        1: ("P3^-11", "05cf2023a1b943f4", "05cf2023a1b943f4")}),
+    ("realcyclo:49", BOTH, 0, "odd-degree-level-one", (1,), {
+        1: ("P7^-19", "264c4b9e3d9cabec", "264c4b9e3d9cabec")}),
+    ("realcyclo:97", (False,), 0, "prime-power-modular", (1, 97), {
+        1: ("P97^-23", "3fc13c1988d58fad", "ebb2c169a86323be"),
+        97: ("P97^-11", "3fc13c1988d58fad", "258ba21b8438d873")}),
+    ("realcyclo:97", (True,), 3, "prime-power-trace-type", (), {}),
+    ("realcyclo:289", (False,), 0, "prime-power-modular", (1, 17), {}),  # degree 136
+    ("realcyclo:289", (True,), 3, "prime-power-trace-type", (), {}),
+    ("realcyclo:28", (False,), 2, None, None, None),
+    ("realcyclo:28", (True,), 0, "composite-conductor-trace", (7,), {
+        7: ("P2^-1*P7^-1", "87e7249b21b12fe3", "895457bb52e7b6fd")}),
+    ("realcyclo:44", (False,), 2, None, None, None),
+    ("realcyclo:44", (True,), 0, "composite-conductor-trace", (11,), {
+        11: ("P2^-1*P11^-2", "8defe245808a7e2d", "c2a44c1c48018e21")}),
+    ("realcyclo:60", (False,), 2, None, None, None),
+    ("realcyclo:60", (True,), 3, "composite-conductor-trace", (), {}),
+    ("realcyclo:63", (False,), 2, None, None, None),
+    ("realcyclo:63", (True,), 0, "composite-conductor-trace", (21,), {
+        21: ("P3^-3*P7^-1", "12d01264e7af2d12", "7880f005479681fe")}),
+    ("realcyclo:92", (False,), 2, None, None, None),
+    ("realcyclo:92", (True,), 0, "composite-conductor-trace", (23,), {
+        23: ("P2^-1*P23^-5", "2eff142961474b00", "4e800b81272eb9a3")}),
+    ("realcyclo:1001", (False,), 2, None, None, None),
+    ("realcyclo:1001", (True,), 3, "composite-conductor-trace", (), {}),  # degree 360
+]
+
+
+@pytest.mark.parametrize("spec, trace_type, pin", [
+    pytest.param(spec, trace_type, pin, id=f"{spec}-{'trace' if trace_type else 'any'}")
+    for spec, modes, *pin in EXISTS_PINS for trace_type in modes])
+def test_exists_witnesses_are_pinned(capsys, spec, trace_type, pin):
+    def digest(coeffs):
+        return hashlib.sha256(json.dumps(coeffs).encode()).hexdigest()[:16]
+
+    want_code, rule, levels, witnesses = pin
+    flags = ["--trace-type"] if trace_type else []
+    code, doc, _ = run_json(capsys, "exists", "--field", spec, *flags)
+    assert code == want_code
+    if rule is None:
+        assert doc is None
+        return
+    assert (doc["rule"], tuple(doc["levels"]), doc["trace_type"]) == \
+        (rule, levels, trace_type)
+    assert {int(level): (w["ideal"], digest(w["alpha"]), digest(w["beta"]))
+            for level, w in doc["witnesses"].items()} == witnesses
+    if spec == "quad:-1":  # level 1, yet beta = theta = sqrt(-1), not 1
+        assert doc["witnesses"]["1"]["beta"] == ["0", "1"]
+
+
 # --------------------------------------------------------------------------
 # construct
 # --------------------------------------------------------------------------
@@ -354,22 +459,26 @@ def test_verify_alpha_past_any_precision_exits_cleanly(tmp_path):
 
 
 def test_verify_refuses_coefficients_outside_the_record_grammar(record28, tmp_path):
-    """A record coefficient is n or n/d, as construct writes it; an
-    exponent form such as 1e1000000 (10^1000000 to Fraction) is refused
-    at once with exit 2, as are decimals, inf and a zero denominator."""
+    """A record coefficient is n or n/d, as construct writes it, and so is
+    a rational in the record's ideal; an exponent form such as 1e1000000
+    (10^1000000 to Fraction) is refused at once with exit 2, as are
+    decimals, inf and a zero denominator."""
     doc = json.loads(record28.read_text())
     bad = tmp_path / "bad.json"
     src = os.path.dirname(os.path.dirname(os.path.abspath(arakelov.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    for coeff in ("1e1000000", "1.5", "inf", "1/0"):
-        doc["alpha"] = [coeff] + doc["alpha"][1:]
-        bad.write_text(json.dumps(doc))
+    cases = [("alpha", [coeff] + doc["alpha"][1:], "alpha")
+             for coeff in ("1e1000000", "1.5", "inf", "1/0")]
+    cases += [("ideal", "(1e1000000)*P2^-1*P7^-1", "bad rational"),
+              ("ideal", "([1e1000000,0,0,0,0,0])*P2^-1*P7^-1", "bad coefficient list")]
+    for key, value, message in cases:
+        bad.write_text(json.dumps(dict(doc, **{key: value})))
         proc = subprocess.run([sys.executable, "-m", "arakelov.cli", "verify", "--in", str(bad)],
                               capture_output=True, text=True, env=env, timeout=20)
-        assert proc.returncode == EXIT_SPEC, (coeff, proc.stderr)
+        assert proc.returncode == EXIT_SPEC, (value, proc.stderr)
         assert proc.stdout == ""
-        assert "alpha" in proc.stderr and "Traceback" not in proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_verify_bad_inputs_exit_2(capsys, record28, tmp_path):
@@ -415,7 +524,15 @@ def test_verify_bad_inputs_exit_2(capsys, record28, tmp_path):
     for ideal, message in [("(1/0)", "bad rational"),
                            ("([1/0,0,0,0,0,0])", "bad coefficient list"),
                            ("P0^-1", "not a prime radical"),
-                           ("P1000000000000000003^-1", "does not ramify")]:
+                           ("P1000000000000000003^-1", "does not ramify"),
+                           # ASCII numbers only: a superscript prime used to
+                           # exit 1 on int(), and other scripts' digits were
+                           # read as ASCII ones
+                           ("P\u00b2^-1*P7^-1", "cannot parse recipe factor"),
+                           ("P\u0662^-1*P7^-1", "cannot parse recipe factor"),
+                           ("P2^-\u0661*P7^-1", "bad exponent"),
+                           ("(\u0663)*P2^-1*P7^-1", "bad rational"),
+                           ("(1.5)*P2^-1*P7^-1", "bad rational")]:
         doc = json.loads(record28.read_text())
         doc["ideal"] = ideal
         bad = tmp_path / "bad_ideal.json"

@@ -433,3 +433,42 @@ def test_radical_generator_is_proved_without_an_hnf(monkeypatch):
         assert moduli == []
         assert gen == radical._gen and gen._inv is not None
         assert principal(gen) == rows_only
+
+
+# sub-resultant passes of mod_nonprimepower_trace(n), from fresh caches,
+# when the witness twist was the plain product alpha * beta^-1 (one norm
+# pass and one inverse pass for its least integer) and sqrt_integer
+# linked no inverse
+SUBRESULTANT_PASSES_WITH_A_PLAIN_TWIST = {12: 4, 24: 8, 28: 5, 63: 6}
+
+
+@pytest.mark.parametrize("n", sorted(SUBRESULTANT_PASSES_WITH_A_PLAIN_TWIST))
+def test_witness_twist_reuses_what_its_factors_know(monkeypatch, n):
+    for name in ("_RADICAL_CACHE", "_CODIFF_CACHE", "_DIFF_CACHE"):
+        monkeypatch.setattr(ideals, name, {})
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    passes = []
+    subresultant = fields._subresultant
+
+    def counted(f, a):
+        passes.append(len(a))
+        return subresultant(f, a)
+
+    monkeypatch.setattr(fields, "_subresultant", counted)
+    verdict = existence.mod_nonprimepower_trace(n)
+    monkeypatch.undo()
+    assert verdict.witnesses and set(verdict.witnesses) == set(verdict.levels)
+    # the twist (alpha) * (beta^-1) multiplies known norms and links the
+    # known inverses: no norm pass and no inverse pass per witness
+    assert len(passes) <= SUBRESULTANT_PASSES_WITH_A_PLAIN_TWIST[n] - 2 * len(verdict.levels)
+
+
+@pytest.mark.parametrize("spec, m", [("realcyclo:28", 7), ("realcyclo:24", 6),
+                                     ("realcyclo:105", 21), ("cyclo:12", 3),
+                                     ("cyclo:20", 5), ("quad:+6", 6)])
+def test_square_roots_carry_their_inverse(spec, m):
+    field = make_field(spec)
+    root = fields.sqrt_integer(field, m)
+    assert root * root == field.rational(m)
+    assert root._inv is not None and root._inv._inv is root
+    assert root._inv == field._inverse(root)  # a fresh solve agrees

@@ -603,6 +603,9 @@ def test_recipe_principal_factors():
     rec3 = IdealRecipe.parse(field, "([0,1,0,0,0,0])")
     assert realize(rec3) == principal(field.gen())
     assert IdealRecipe.parse(field, rec3.to_string()) == rec3
+    # ASCII signs and spaces around factors, exponents and coefficients
+    assert IdealRecipe.parse(field, " P13 ^ +2 * (-3/4)^-1 * ([1, -1/2, 0, 0, 0, +2]) ") \
+        .to_string() == "P13^2*(-3/4)^-1*([1,-1/2,0,0,0,2])"
 
 
 def test_recipe_empty_is_ring():
@@ -613,7 +616,14 @@ def test_recipe_empty_is_ring():
 
 def test_recipe_errors():
     field = make_field("realcyclo:13")
-    for bad in ["P4", "P13^x", "Q13", "(3", "([1,2)", "P13^0", "(nope)"]:
+    # numbers are ASCII: str.isdigit() takes superscripts that int()
+    # refuses, int() reads other scripts' digits and underscores, and
+    # Fraction() reads decimals and exponent forms of unbounded size
+    ascii_only = ["P\u00b9\u00b3^-1", "P\u0661\u0663^-1", "P\uff11\uff13", "P13^-\u0661",
+                  "P13^-\u00b9", "P13^-1_0", "P13^", "(1e1000000)", "([1e1000000,0,0,0,0,0])",
+                  "(1.5)", "([1.5,0,0,0,0,0])", "(\u0663)", "([\u0661,0,0,0,0,0])",
+                  "(1/\u0662)", "(1_0)", "(inf)", "(nan)"]
+    for bad in ["P4", "P13^x", "Q13", "(3", "([1,2)", "P13^0", "(nope)"] + ascii_only:
         with pytest.raises((SpecError, ZeroIdeal)):
             IdealRecipe.parse(field, bad)
     with pytest.raises(SpecError):
