@@ -22,6 +22,7 @@ from .fields import (
     FieldMismatch,
     NotRamified,
     SpecError,
+    _INTEGER,
     _RATIONAL,
     default_precision,
     make_field,
@@ -361,6 +362,14 @@ def cmd_catalog(args):
 # argument parsing
 # --------------------------------------------------------------------------
 
+def _ascii_int(text):
+    """Integer options in the ASCII grammar of specs and records: int()
+    also reads other scripts' digits and underscores."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    return int(text)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="arakelov",
@@ -375,7 +384,7 @@ def _build_parser():
     p_exists.add_argument("--trace-type", dest="trace_type",
                           action="store_true",
                           help="restrict to trace-type lattices (alpha = 1)")
-    p_exists.add_argument("--level", type=int,
+    p_exists.add_argument("--level", type=_ascii_int,
                           help="query one level (exit 3 if inadmissible)")
     p_exists.add_argument("--out", help="write JSON here instead of stdout")
     p_exists.set_defaults(func=cmd_exists)
@@ -383,10 +392,10 @@ def _build_parser():
     p_construct = sub.add_parser(
         "construct", help="construct and verify a lattice of the given level")
     p_construct.add_argument("--field", required=True)
-    p_construct.add_argument("--level", type=int, required=True)
+    p_construct.add_argument("--level", type=_ascii_int, required=True)
     p_construct.add_argument("--trace-type", dest="trace_type",
                              action="store_true")
-    p_construct.add_argument("--embed", type=int, metavar="BITS",
+    p_construct.add_argument("--embed", type=_ascii_int, metavar="BITS",
                              nargs="?", const=0,
                              help="include a numeric generator matrix at "
                                   "this precision (bare flag: use "
@@ -401,7 +410,7 @@ def _build_parser():
     p_verify.add_argument("--min", action="store_true",
                           help="also compute the exact minimum and kissing "
                                "number")
-    p_verify.add_argument("--theta", type=int, metavar="B",
+    p_verify.add_argument("--theta", type=_ascii_int, metavar="B",
                           help="also count vectors of each norm up to B")
     p_verify.add_argument("--out", help="write JSON here instead of stdout")
     p_verify.set_defaults(func=cmd_verify)

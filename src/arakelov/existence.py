@@ -16,15 +16,17 @@ alpha totally positive, half-level valuations of beta, and I * conj(I)
 equal to alpha^-1 * beta * D_K^-1 as fractional ideals).  The last is
 checked as I * conj(I) * (alpha) * (beta^-1) = D_K^-1, with beta^-1 =
 conj(beta)/level from the first identity, so it needs no inverse, and
-the twist (alpha) * (beta^-1) multiplies the norms and links the
-inverses its factors already carry.  The codifferent is the
+the twist (alpha) * (beta)^-1 multiplies the norms and links the
+inverses its factors already carry; |N(beta)| = sqrt(level^m) comes from
+the same identity.  The codifferent is the
 principal ideal (1/f'(theta)), so a product that keeps a generator
 compares with it on generators, without building rows.
 """
 
 from __future__ import annotations
 
-from math import gcd, prod
+from fractions import Fraction
+from math import gcd, isqrt, prod
 
 from .fields import (
     CyclotomicField,
@@ -47,10 +49,12 @@ from .ideals import (
     codifferent,
     conj_ideal,
     gamma_element,
+    ideal_inverse,
     ideal_mul,
     principal,
     realize,
     valuation,
+    _principal,
 )
 
 __all__ = [
@@ -97,7 +101,9 @@ class ConstructionWitness:
             _link_inverses(beta, beta.conj() / level)
         if not is_totally_positive(alpha):
             raise InternalInconsistency(f"alpha = {alpha} is not totally positive")
-        beta_ideal = principal(beta)
+        # |N(beta)|^2 = N(level) = level^m by the first identity: no norm
+        # pass, and the rows, once read, are certified against it
+        beta_ideal = _principal(beta, Fraction(isqrt(level ** field.degree)))
         level_ideal = principal(field.rational(level))
         for p in sorted(field.omega()):
             v_beta = valuation(beta_ideal, p)
@@ -106,7 +112,7 @@ class ConstructionWitness:
                 raise InternalInconsistency(
                     f"v_{p}(beta) = {v_beta} but v_{p}(level)/2 = {v_level}/2")
         lattice_ideal = realize(ideal)
-        twist = ideal_mul(principal(alpha), principal(beta.inverse()))
+        twist = ideal_mul(principal(alpha), ideal_inverse(beta_ideal))
         lhs = ideal_mul(ideal_mul(lattice_ideal, conj_ideal(lattice_ideal)), twist)
         if lhs != codifferent(field):
             raise InternalInconsistency(

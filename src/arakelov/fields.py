@@ -808,33 +808,31 @@ class NumberField:
             raise NotRamified(f"{p} does not ramify in {self._spec}")
 
 
-class RealQuadraticField(NumberField):
-    kind = "real-quadratic"
-    is_cm = False
+class _QuadraticField(NumberField):
+    """Q(sqrt D) for a squarefree D = +-d: theta = (1 + sqrt D)/2 when
+    D = 1 mod 4, else sqrt D, so 2 ramifies unless D = 1 mod 4."""
 
-    def __init__(self, d):
-        if not isinstance(d, int) or d < 2:
-            raise SpecError(f"real quadratic field needs an integer d >= 2, got {d!r}")
+    def __init__(self, d, sign):
         if not is_squarefree(d):
             raise SpecError(f"d = {d} is not squarefree")
         self.d = d
-        super().__init__(2, f"quad:+{d}")
+        self._radicand = sign * d  # D
+        super().__init__(2, f"quad:{'+' if sign > 0 else '-'}{d}")
 
     def _build_minpoly(self):
-        d = self.d
-        if d % 4 == 1:
-            return (-(d - 1) // 4, -1, 1)         # x^2 - x - (d-1)/4, theta=(1+sqrt d)/2
-        return (-d, 0, 1)                         # x^2 - d, theta = sqrt d
+        D = self._radicand
+        if D % 4 == 1:
+            return ((1 - D) // 4, -1, 1)          # x^2 - x - (D-1)/4
+        return (-D, 0, 1)                         # x^2 - D
 
     def sqrt_disc_element(self):
-        """The element sqrt(d)."""
-        if self.d % 4 == 1:
+        """The element sqrt(D)."""
+        if self._radicand % 4 == 1:
             return self.element((-1, 2))          # 2*theta - 1
         return self.gen()
 
     def omega(self):
-        base = self.d if self.d % 4 == 1 else 2 * self.d
-        return sorted(factorize(base))
+        return sorted(factorize(self.d if self._radicand % 4 == 1 else 2 * self.d))
 
     def ramification_index(self, p):
         self._check_ramified(p)
@@ -844,7 +842,17 @@ class RealQuadraticField(NumberField):
         self._check_ramified(p)
         if p % 2 == 1:
             return 1
-        return 2 if self.d % 4 == 3 else 3
+        return 2 if self._radicand % 4 == 3 else 3
+
+
+class RealQuadraticField(_QuadraticField):
+    kind = "real-quadratic"
+    is_cm = False
+
+    def __init__(self, d):
+        if not isinstance(d, int) or d < 2:
+            raise SpecError(f"real quadratic field needs an integer d >= 2, got {d!r}")
+        super().__init__(d, 1)
 
     def _theta_numeric(self):
         import mpmath
@@ -854,48 +862,19 @@ class RealQuadraticField(NumberField):
         return [s, -s]
 
 
-class ImagQuadraticField(NumberField):
+class ImagQuadraticField(_QuadraticField):
     kind = "imag-quadratic"
     is_cm = True
 
     def __init__(self, d):
         if not isinstance(d, int) or d < 1:
             raise SpecError(f"imaginary quadratic field needs an integer d >= 1, got {d!r}")
-        if not is_squarefree(d):
-            raise SpecError(f"d = {d} is not squarefree")
-        self.d = d
-        super().__init__(2, f"quad:-{d}")
-
-    def _build_minpoly(self):
-        d = self.d
-        if d % 4 == 3:
-            return ((d + 1) // 4, -1, 1)          # x^2 - x + (d+1)/4, theta=(1+sqrt -d)/2
-        return (d, 0, 1)                          # x^2 + d, theta = sqrt -d
-
-    def sqrt_disc_element(self):
-        """The element sqrt(-d)."""
-        if self.d % 4 == 3:
-            return self.element((-1, 2))          # 2*theta - 1
-        return self.gen()
+        super().__init__(d, -1)
 
     def conj_generator(self):
         if self.d % 4 == 3:
             return self.element((1, -1))          # conj(theta) = 1 - theta
         return self.element((0, -1))              # conj(theta) = -theta
-
-    def omega(self):
-        base = self.d if self.d % 4 == 3 else 2 * self.d
-        return sorted(factorize(base))
-
-    def ramification_index(self, p):
-        self._check_ramified(p)
-        return 2
-
-    def different_exponent(self, p):
-        self._check_ramified(p)
-        if p % 2 == 1:
-            return 1
-        return 2 if self.d % 4 == 1 else 3
 
     def _theta_numeric(self):
         import mpmath

@@ -23,7 +23,11 @@ check, never assumed.
 Radicals above ramified primes are computed as the preimage of the
 nilradical of O_K/p (the kernel of an iterated Frobenius map on the
 GF(p)-algebra O_K/p); each radical is checked against the Galois norm
-identity norm(J_p) = p^(degree/e_p).  By Euler's lemma the codifferent
+identity norm(J_p) = p^(degree/e_p).  In every supported family some
+power J_p^s, s <= 2, has a proved generator g (_radical_generator), so
+the radical powers of realize, valuation and the different's closed
+form are (g^q) * J_p^r, k = q*s + r, 0 <= r < s, and no pipeline squares
+or inverts a module.  By Euler's lemma the codifferent
 is (1/f'(theta)), so the trace dual of a principal ideal is one element
 and the different is (f'(theta)); other inverses use the identity
 A^-1 = D_K * tracedual(conj(A), 1).  With one prime above p, of residue
@@ -36,7 +40,7 @@ multiplicity.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .fields import (
     CyclotomicField,
@@ -169,11 +173,8 @@ class FractionalIdeal:
         determinant is the product of the diagonal.
         """
         if self._norm is None:
-            d = 1
-            for i, row in enumerate(self.num):
-                d *= row[i]
-            object.__setattr__(self, "_norm",
-                               Fraction(abs(d), self.den ** self.field.degree))
+            object.__setattr__(self, "_norm", Fraction(
+                abs(_pivots(self.num)), self.den ** self.field.degree))
         return self._norm
 
     def is_ring(self):
@@ -276,6 +277,11 @@ def _least_integer(g):
     return inv.den * (g.den // gcd(g.den, *inv.num))
 
 
+def _pivots(rows):
+    """The pivot product of a lower-triangular HNF: its determinant."""
+    return prod(row[i] for i, row in enumerate(rows))
+
+
 def _certified_hnf(rows, modulus, d_det, what):
     """Canonical HNF of the integer rows of a module M with the known
     determinant d_det: reduced modulo a positive integer in M (Cohen,
@@ -286,9 +292,7 @@ def _certified_hnf(rows, modulus, d_det, what):
         raise ArithmeticError(f"{what} determinant must be an integer")
     d_int = int(d_det)
     w = hnf_mod_d(rows, modulus)
-    piv = 1
-    for i, row in enumerate(w):
-        piv *= row[i]
+    piv = _pivots(w)
     if piv != d_int:
         raise ArithmeticError(
             f"{what} reduction lost index: pivot product {piv} != "
@@ -321,12 +325,9 @@ def _principal_times_module(g, abs_norm_g, mod):
     l((den*g)) * h_00(M) of the product; its exact determinant is known
     in advance because scaling by g multiplies every covolume by |N(g)|."""
     field = mod.field
-    det_num = 1
-    for i, row in enumerate(mod.num):
-        det_num *= row[i]
     rows = [field._mul_coeffs(g.num, row) for row in mod.num]
     w = _certified_hnf(rows, _least_integer(g) * mod.num[0][0],
-                       g.den ** field.degree * abs_norm_g * det_num,
+                       g.den ** field.degree * abs_norm_g * _pivots(mod.num),
                        "principal product")
     return _reduced(field, w, g.den * mod.den)
 
@@ -359,12 +360,13 @@ def radical_above(field, p):
 
     Computed as the preimage of the nilradical of O_K/p, i.e. the kernel
     of x -> x^(p^s) on the GF(p)-algebra O_K/p once p^s >= degree; the
-    result is certified by norm(J_p) = p^(degree/e_p).
+    result is certified by norm(J_p) = p^(degree/e_p).  The generator g
+    of J_p^s is proved once and cached beside it; for s = 1 it rides on J_p.
     """
     key = (field, p)
     cached = _RADICAL_CACHE.get(key)
     if cached is not None:
-        return cached
+        return cached[0]
     field._check_ramified(p)
     m = field.degree
     # row j is theta^(j*p) mod (p, minpoly): row j-1 times theta^p
@@ -385,36 +387,49 @@ def radical_above(field, p):
         raise ArithmeticError(
             f"radical above {p} in {field.spec_string()} has norm {radical.norm()}, "
             f"expected {expected}: ramification data inconsistent")
-    gen = _radical_generator(field, p, radical)
-    if gen is not None:
+    gen, s = _radical_generator(field, p, radical)
+    if s == 1:
         radical = FractionalIdeal(field, radical.num, radical.den, gen)
-    _RADICAL_CACHE[key] = radical
+    _RADICAL_CACHE[key] = (radical, gen, s)
     return radical
 
 
 def _radical_generator(field, p, radical):
-    """A proved principal generator of J_p, when a distinguished one exists.
-
-    Candidates: the descended (1-zeta_q)(1-zeta_q^-1) in the real
-    cyclotomic family and 1-zeta_q in the cyclotomic family, q = p^(r_p).
-    A candidate is attached only when (candidate) equals J_p as a module,
-    so the fast paths never rest on an unproved principality claim: an
-    integral candidate in J_p with N(candidate) = N(J_p) spans a
-    submodule of index 1.  Its inverse comes from the same pass as its
-    norm, so powers of the generator carry theirs.
+    """(g, s): a proved generator g of J_p^s, with q = p^(r_p) (Washington,
+    Introduction to Cyclotomic Fields, Ch. 1-2): 1 - zeta_q on cyclo:n
+    (s = 1); gamma_element on realcyclo:n, s = 1 for a prime-power
+    conductor, else s = 2, as Q(zeta_n)/Q(zeta_n)^+ is then unramified at
+    p; p on a quadratic field (s = 2).  An integral g in J_p^s with
+    |N(g)| = N(J_p)^s spans a submodule of index 1; the containment takes
+    no HNF for s = 1 and one m^2-row product for s = 2, and a failed proof
+    raises ArithmeticError.  g's inverse comes from the same pass as its
+    norm, so its powers carry theirs.
     """
-    cand = None
-    if isinstance(field, RealCyclotomicField):
-        cand = gamma_element(field, p)
-    elif isinstance(field, CyclotomicField):
+    if isinstance(field, CyclotomicField):
         q = p ** factorize(field.n)[p]
-        cand = field.one() - field.theta_power(field.n // q)
-    if cand is None or cand.is_zero:
-        return None
-    cand.inverse()  # one pass: the norm below, and inverses for its powers
-    if abs(cand.norm()) == radical.norm() and radical.contains(cand):
-        return cand
-    return None
+        g, s = field.one() - field.theta_power(field.n // q), 1
+    elif isinstance(field, RealCyclotomicField):
+        g, s = gamma_element(field, p), 1 if field.is_prime_power() else 2
+    else:
+        g, s = field.rational(p), 2
+    power = radical if s == 1 else ideal_mul(radical, radical)
+    g.inverse()  # one pass: the norm below, and inverses for its powers
+    if abs(g.norm()) != power.norm() or not power.contains(g):
+        raise ArithmeticError(
+            f"{g} does not generate the radical power J_{p}^{s} of "
+            f"{field.spec_string()}")
+    return g, s
+
+
+def _radical_power(field, p, k):
+    """J_p^k = (g^q) * J_p^r, k = q*s + r, 0 <= r < s, for the generator g
+    of J_p^s: (g^k) for s = 1, at most one principal-times-module product
+    for s = 2."""
+    radical = radical_above(field, p)
+    _, g, s = _RADICAL_CACHE[(field, p)]
+    q, r = divmod(k, s)
+    power = _principal(g ** q, radical.norm() ** (s * q))
+    return ideal_mul(power, radical) if r else power
 
 
 # --------------------------------------------------------------------------
@@ -439,23 +454,22 @@ def ideal_mul(a, b):
         return b
     if b.is_ring():
         return a
-    if a._gen is not None and b._gen is not None:
-        gen = a._gen * b._gen
-        if a._gen._inv is not None and b._gen._inv is not None:
-            _link_inverses(gen, a._gen._inv * b._gen._inv)
+    x, y = a._gen, b._gen
+    if x is not None and y is not None:
+        gen = x * y
+        # a rational's inverse costs no sub-resultant pass
+        if (x._inv is not None or x.is_rational) and \
+                (y._inv is not None or y.is_rational):
+            _link_inverses(gen, x.inverse() * y.inverse())
         return _principal(gen, a.norm() * b.norm())
-    if a._gen is not None:
-        return _principal_times_module(a._gen, a.norm(), b)
-    if b._gen is not None:
-        return _principal_times_module(b._gen, b.norm(), a)
+    if x is not None:
+        return _principal_times_module(x, a.norm(), b)
+    if y is not None:
+        return _principal_times_module(y, b.norm(), a)
     field = a.field
-    det_a = det_b = 1
-    for i in range(field.degree):
-        det_a *= a.num[i][i]
-        det_b *= b.num[i][i]
-    rows = [field._mul_coeffs(x, y) for x in a.num for y in b.num]
-    w = _certified_hnf(rows, a.num[0][0] * b.num[0][0], det_a * det_b,
-                       "ideal product")
+    rows = [field._mul_coeffs(u, v) for u in a.num for v in b.num]
+    w = _certified_hnf(rows, a.num[0][0] * b.num[0][0],
+                       _pivots(a.num) * _pivots(b.num), "ideal product")
     return _reduced(field, w, a.den * b.den)
 
 
@@ -486,12 +500,8 @@ def conj_ideal(a):
     # conjugation permutes O_K, so it is unimodular on coordinates and
     # the conjugated module has the same determinant; it fixes Z, so it
     # keeps the least integer h_00 as well
-    det_a = 1
-    rows = []
-    for i, row in enumerate(a.num):
-        det_a *= row[i]
-        rows.append(field._conj_num(row))
-    w = _certified_hnf(rows, a.num[0][0], det_a, "conjugation")
+    rows = [field._conj_num(row) for row in a.num]
+    w = _certified_hnf(rows, a.num[0][0], _pivots(a.num), "conjugation")
     return _reduced(field, w, a.den)
 
 
@@ -597,8 +607,8 @@ def different(field):
         diff = ideal_inverse(codifferent(field))
         closed = FractionalIdeal.ring(field)
         for p in sorted(field.omega()):
-            closed = ideal_mul(closed, ideal_pow(radical_above(field, p),
-                                                 field.different_exponent(p)))
+            closed = ideal_mul(closed, _radical_power(field, p,
+                                                      field.different_exponent(p)))
         if closed != diff:
             raise ArithmeticError(
                 f"closed-form different of {field.spec_string()} is not (f'(theta))")
@@ -656,7 +666,7 @@ def valuation(a, p):
             f"norm valuation {kn} at {p} is not a multiple of f*g = {fg}: "
             f"unequal exponents above {p}")
     k = kn // fg
-    b = a if k == 0 else ideal_mul(a, ideal_pow(radical_above(field, p), -k))
+    b = ideal_mul(a, _radical_power(field, p, -k))
     exp2 = _int_val(b.den, p) if b.den % p == 0 else 0
     if exp2:
         pk = p ** exp2
@@ -799,8 +809,8 @@ def realize(recipe):
     if recipe._ideal is None:
         out = FractionalIdeal.ring(recipe.field)
         for kind, payload, k in recipe.factors:
-            base = radical_above(recipe.field, payload) if kind == "radical" \
-                else principal(payload)
-            out = ideal_mul(out, ideal_pow(base, k))
+            power = _radical_power(recipe.field, payload, k) if kind == "radical" \
+                else ideal_pow(principal(payload), k)
+            out = ideal_mul(out, power)
         object.__setattr__(recipe, "_ideal", out)
     return recipe._ideal

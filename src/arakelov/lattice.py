@@ -25,7 +25,7 @@ from .fields import (
     _trace_form_det,
     trace_pairing,
 )
-from .ideals import FractionalIdeal, ideal_mul, principal, trace_dual
+from .ideals import FractionalIdeal, ideal_mul, principal, trace_dual, _principal
 from .linalg import FormError, _lll, det
 
 __all__ = [
@@ -208,14 +208,17 @@ def verify_modularity(lat, witness):
     beta = witness.beta
     if beta * beta.conj() != field.rational(level):
         raise ModularityFailure("i", f"beta * conj(beta) != {level}")
-    # 1/beta = conj(beta) / level by clause (i); level 0 leaves beta = 0,
-    # which clause (ii) refuses as generating no ideal
+    # 1/beta = conj(beta) / level and |N(beta)| = sqrt(level^m) by clause
+    # (i); level 0 leaves beta = 0, which clause (ii) refuses as generating
+    # no ideal
     if level and beta._inv is None:
         _link_inverses(beta, beta.conj() / level)
+    beta_ideal = _principal(beta, Fraction(math.isqrt(level ** lat.dimension))) \
+        if level else principal(beta)
     dual_ideal = trace_dual(lat.ideal, lat.alpha)
     # compared on HNF rows, never on generators: the module route stays
     # independent of the witness self-check
-    lhs = ideal_mul(principal(beta), dual_ideal)
+    lhs = ideal_mul(beta_ideal, dual_ideal)
     if (lhs.num, lhs.den) != (lat.ideal.num, lat.ideal.den):
         raise ModularityFailure("ii", "(beta) * dual(I) != I as modules")
     if not lat.is_integral():

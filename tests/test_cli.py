@@ -154,6 +154,25 @@ def test_exists_refuses_digits_outside_ascii(capsys, spec):
         assert "malformed" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--level", "\u0661\u0663"), ("--level", "1_3"), ("--level", "\u00b9\u00b3"),
+    ("--level", " 13"), ("--embed", "\uff11\uff12\uff18"), ("--embed", "12_8"),
+    ("--theta", "\u0664"), ("--theta", "1_0")])
+def test_integer_options_are_ascii(capsys, option, value):
+    """--level, --embed and --theta take the ASCII integer grammar of specs
+    and records: int() reads other scripts' digits, underscores and
+    surrounding blanks, so --level <Arabic-Indic 13> used to answer for 13."""
+    argv = {"--level": ["exists", "--field", "realcyclo:13", "--level", value],
+            "--embed": ["construct", "--field", "realcyclo:13", "--trace-type",
+                        "--level", "13", "--embed", value],
+            "--theta": ["verify", "--in", "record.json", "--theta", value]}[option]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_SPEC and out == ""
+    assert f"argument {option}: invalid integer" in err
+
+
 # exists output taken from the commit before the parity equation had one
 # solver: per spec and --trace-type flag the exit code, rule, levels and,
 # per level, the ideal and the first 16 hex digits of the sha256 of the

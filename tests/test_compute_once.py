@@ -20,8 +20,15 @@ denominator of the generator's inverse, and that inverse comes from data
 already at hand: the radical generator's own norm pass, the trace dual's
 generator alpha * conj(g) * f'(theta) and the witness's conj(beta) /
 level.  So the pipeline runs no more sub-resultant passes than it did
-when the rows were reduced modulo the determinant, and the radical
-generator is proved by containment, with no HNF.
+when the rows were reduced modulo the determinant.  |N(beta)| is read off
+the level once beta * conj(beta) = level is checked, and a product of
+principal ideals links its inverse when each factor's inverse is known
+or rational, so a witness pays no pass for beta.
+
+The generator g of the least principal radical power J_p^s (s <= 2) is
+proved with no HNF for s = 1 and one module product for s = 2, and the
+pipelines form every radical power from it: classify, realize, build and
+verify never call different() or invert an ideal held as rows only.
 """
 
 from fractions import Fraction
@@ -388,6 +395,25 @@ def test_walk_reads_the_triangle_of_the_reduced_gram(G):
     assert ldl_integral([[x * D for x in row] for row in G2]) == (1, A)
 
 
+def _fresh_caches(monkeypatch):
+    for name in ("_RADICAL_CACHE", "_CODIFF_CACHE", "_DIFF_CACHE"):
+        monkeypatch.setattr(ideals, name, {})
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+
+
+def _count_passes(monkeypatch):
+    """The lengths of the sub-resultant passes run from here on."""
+    passes = []
+    subresultant = fields._subresultant
+
+    def counted(f, a):
+        passes.append(len(a))
+        return subresultant(f, a)
+
+    monkeypatch.setattr(fields, "_subresultant", counted)
+    return passes
+
+
 # sub-resultant passes of realize -> build -> verify_modularity over the
 # witnesses of realcyclo:29, from fresh caches, when principal rows were
 # reduced modulo the determinant |N(den*gen)|
@@ -396,17 +422,8 @@ SUBRESULTANT_PASSES_WITH_DETERMINANT_MODULI = {False: 8, True: 5}
 
 @pytest.mark.parametrize("trace_type", [False, True])
 def test_least_integer_moduli_run_no_extra_subresultant_pass(monkeypatch, trace_type):
-    for name in ("_RADICAL_CACHE", "_CODIFF_CACHE", "_DIFF_CACHE"):
-        monkeypatch.setattr(ideals, name, {})
-    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
-    passes = []
-    subresultant = fields._subresultant
-
-    def counted(f, a):
-        passes.append(len(a))
-        return subresultant(f, a)
-
-    monkeypatch.setattr(fields, "_subresultant", counted)
+    _fresh_caches(monkeypatch)
+    passes = _count_passes(monkeypatch)
     verdict = existence.mod_prime_power(29, 1, trace_type)
     assert verdict.witnesses
     for level, w in sorted(verdict.witnesses.items()):
@@ -415,7 +432,42 @@ def test_least_integer_moduli_run_no_extra_subresultant_pass(monkeypatch, trace_
     assert len(passes) <= SUBRESULTANT_PASSES_WITH_DETERMINANT_MODULI[trace_type]
 
 
-def test_radical_generator_is_proved_without_an_hnf(monkeypatch):
+# sub-resultant passes of mod_prime_power(p, 1, trace_type), from fresh
+# caches, when the witness and clause (i) took |N(beta)| from a norm pass
+SUBRESULTANT_PASSES_WITH_A_BETA_NORM_PASS = {
+    (13, False): 5, (13, True): 3, (29, False): 5, (29, True): 3,
+    (97, False): 6, (97, True): 0}
+
+
+@pytest.mark.parametrize("p, trace_type", sorted(SUBRESULTANT_PASSES_WITH_A_BETA_NORM_PASS))
+def test_beta_norm_is_read_off_its_level(monkeypatch, p, trace_type):
+    """|N(beta)| = sqrt(level^m) once beta * conj(beta) = level is checked:
+    a witness with an irrational beta (level > 1) runs one pass fewer, and
+    verify_modularity, which forms (beta) the same way, runs none for it."""
+    _fresh_caches(monkeypatch)
+    passes = _count_passes(monkeypatch)
+    verdict = existence.mod_prime_power(p, 1, trace_type)
+    irrational = sum(level > 1 for level in verdict.witnesses)
+    assert len(passes) <= SUBRESULTANT_PASSES_WITH_A_BETA_NORM_PASS[p, trace_type] - irrational
+    for level, w in sorted(verdict.witnesses.items()):
+        lat = build(w.field, realize(w.ideal), w.alpha)
+        passes.clear()
+        assert lattice.verify_modularity(lat, w).modular_level == level
+        assert passes == []
+
+
+# (spec, p, s): J_p^s has a distinguished generator, s = 1 where J_p itself
+# has one (cyclotomic fields, prime-power real conductors), s = 2 on
+# quadratic fields and composite real conductors
+RADICAL_GENERATORS = [("realcyclo:29", 29, 1), ("realcyclo:25", 5, 1),
+                      ("cyclo:9", 3, 1), ("cyclo:12", 2, 1),
+                      ("quad:+6", 2, 2), ("quad:+6", 3, 2),
+                      ("realcyclo:92", 2, 2), ("realcyclo:92", 23, 2)]
+
+
+def test_radical_generator_is_proved_by_at_most_one_product(monkeypatch):
+    """The generator g of J_p^s is proved by its norm and containment:
+    no HNF for s = 1, one m^2-row module product for s = 2."""
     moduli = []
     hnf_mod_d = ideals.hnf_mod_d
 
@@ -423,44 +475,78 @@ def test_radical_generator_is_proved_without_an_hnf(monkeypatch):
         moduli.append(d)
         return hnf_mod_d(rows, d)
 
-    for spec, p in (("realcyclo:29", 29), ("realcyclo:25", 5), ("cyclo:9", 3)):
+    for spec, p, s in RADICAL_GENERATORS:
         field = make_field(spec)
         radical = radical_above(field, p)
         rows_only = FractionalIdeal(field, radical.num, radical.den)
+        moduli.clear()
         monkeypatch.setattr(ideals, "hnf_mod_d", counted)
-        gen = ideals._radical_generator(field, p, rows_only)
+        gen, got = ideals._radical_generator(field, p, rows_only)
         monkeypatch.undo()
-        assert moduli == []
-        assert gen == radical._gen and gen._inv is not None
-        assert principal(gen) == rows_only
+        assert got == s and len(moduli) == s - 1, spec
+        assert gen._inv is not None
+        assert principal(gen) == ideal_pow(rows_only, s)
+        assert radical._gen == (gen if s == 1 else None)
+
+
+def test_radical_generator_has_no_fallback(monkeypatch):
+    """A candidate that fails the proof raises; nothing else is tried."""
+    field = make_field("realcyclo:92")
+    radical = radical_above(field, 23)
+    rows_only = FractionalIdeal(field, radical.num, radical.den)
+    monkeypatch.setattr(ideals, "gamma_element", lambda f, p: f.rational(p))
+    with pytest.raises(ArithmeticError, match="does not generate"):
+        ideals._radical_generator(field, 23, rows_only)
+
+
+@pytest.mark.parametrize("spec", ["realcyclo:92", "quad:+6"])
+def test_pipeline_inverts_no_module(monkeypatch, spec):
+    """classify -> realize -> build -> verify_modularity forms every radical
+    power as (g^q) * J_p^r: it never calls different() and never takes
+    ideal_inverse's module branch, on fields where only J_p^2 has a known
+    generator."""
+    _fresh_caches(monkeypatch)
+    calls = {"different": 0, "module inverse": 0}
+    different, ideal_inverse = ideals.different, ideals.ideal_inverse
+
+    def counted_different(field):
+        calls["different"] += 1
+        return different(field)
+
+    def counted_inverse(a):
+        calls["module inverse"] += a._gen is None
+        return ideal_inverse(a)
+
+    monkeypatch.setattr(ideals, "different", counted_different)
+    for module in (ideals, existence):
+        monkeypatch.setattr(module, "ideal_inverse", counted_inverse)
+    field = make_field(spec)
+    verdict = existence.classify(field, trace_type=True)
+    assert verdict.witnesses
+    for level, w in sorted(verdict.witnesses.items()):
+        lat = build(field, realize(w.ideal), w.alpha)
+        assert lattice.verify_modularity(lat, w).modular_level == level
+    assert calls == {"different": 0, "module inverse": 0}
 
 
 # sub-resultant passes of mod_nonprimepower_trace(n), from fresh caches,
 # when the witness twist was the plain product alpha * beta^-1 (one norm
-# pass and one inverse pass for its least integer) and sqrt_integer
-# linked no inverse
+# pass and one inverse pass for its least integer), sqrt_integer linked no
+# inverse and the witness took |N(beta)| from a norm pass
 SUBRESULTANT_PASSES_WITH_A_PLAIN_TWIST = {12: 4, 24: 8, 28: 5, 63: 6}
 
 
 @pytest.mark.parametrize("n", sorted(SUBRESULTANT_PASSES_WITH_A_PLAIN_TWIST))
 def test_witness_twist_reuses_what_its_factors_know(monkeypatch, n):
-    for name in ("_RADICAL_CACHE", "_CODIFF_CACHE", "_DIFF_CACHE"):
-        monkeypatch.setattr(ideals, name, {})
-    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
-    passes = []
-    subresultant = fields._subresultant
-
-    def counted(f, a):
-        passes.append(len(a))
-        return subresultant(f, a)
-
-    monkeypatch.setattr(fields, "_subresultant", counted)
+    _fresh_caches(monkeypatch)
+    passes = _count_passes(monkeypatch)
     verdict = existence.mod_nonprimepower_trace(n)
     monkeypatch.undo()
     assert verdict.witnesses and set(verdict.witnesses) == set(verdict.levels)
     # the twist (alpha) * (beta^-1) multiplies known norms and links the
-    # known inverses: no norm pass and no inverse pass per witness
-    assert len(passes) <= SUBRESULTANT_PASSES_WITH_A_PLAIN_TWIST[n] - 2 * len(verdict.levels)
+    # known inverses, and |N(beta)| is read off the level: no norm pass
+    # and no inverse pass per witness
+    assert len(passes) <= SUBRESULTANT_PASSES_WITH_A_PLAIN_TWIST[n] - 3 * len(verdict.levels)
 
 
 @pytest.mark.parametrize("spec, m", [("realcyclo:28", 7), ("realcyclo:24", 6),

@@ -6,6 +6,8 @@ Oracles used here, deliberately distinct from the implementation paths:
   * the definitional nilradical property x^(p^s) in pO_K for radicals,
     versus the Frobenius-kernel construction;
   * the Galois identity J_p^(e_p) = (p);
+  * radical powers in the normal form (g^q) * J_p^r versus the generic
+    module power of J_p held as rows only;
   * the definitional dual property Tr(alpha * d_i * conj(a_j)) = delta_ij,
     versus the Gram-inversion construction;
   * trace duals recomputed through pure ideal arithmetic
@@ -213,6 +215,25 @@ def test_radical_power_is_p_galois_identity(spec, p):
     field = make_field(spec)
     e = field.ramification_index(p)
     assert ideal_pow(radical_above(field, p), e) == principal(field.rational(p))
+
+
+RADICAL_POWER_SPECS = ["quad:+6", "quad:-7", "cyclo:12", "realcyclo:25",
+                       "realcyclo:28", "realcyclo:105"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RADICAL_POWER_SPECS), st.data())
+def test_radical_power_normal_form_is_the_generic_power(spec, data):
+    """J_p^k = (g^q) * J_p^r, k = q*s + r, equals the generic power of J_p
+    held as rows only: repeated module products and, for k < 0, the
+    trace-dual module inverse."""
+    field = make_field(spec)
+    p = data.draw(st.sampled_from(field.omega()), label="p")
+    e = field.ramification_index(p)
+    k = data.draw(st.integers(-2 * e, 2 * e), label="k")
+    radical = radical_above(field, p)
+    rows_only = FractionalIdeal(field, radical.num, radical.den)
+    assert ideals._radical_power(field, p, k) == ideal_pow(rows_only, k)
 
 
 def test_radical_unramified_prime_rejected():
