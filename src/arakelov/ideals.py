@@ -17,24 +17,26 @@ on the ideal, never part of its value -- products, powers, conjugates
 and inverses shrink to element arithmetic.  A principal ideal keeps only
 its generator and norm, and builds its rows (one m-row reduction) on
 first read; two such ideals compare on their generators.  Radical
-generators are only ever attached after an exact containment and norm
-check, never assumed.
+generators are only ever attached after an exact norm and unit check,
+never assumed.
 
 Radicals above ramified primes are computed as the preimage of the
-nilradical of O_K/p (the kernel of an iterated Frobenius map on the
-GF(p)-algebra O_K/p); each radical is checked against the Galois norm
+nilradical of O_K/p, the kernel of the additive map x -> x^(p^j) on the
+GF(p)-algebra O_K/p (Cohen, A Course in Computational Algebraic Number
+Theory, 6.1), whose matrix rows are the powers of the one element
+tau = theta^(p^j) mod p; each radical is checked against the Galois norm
 identity norm(J_p) = p^(degree/e_p).  In every supported family some
-power J_p^s, s <= 2, has a proved generator g (_radical_generator), so
-the radical powers of realize, valuation and the different's closed
-form are (g^q) * J_p^r, k = q*s + r, 0 <= r < s, and no pipeline squares
-or inverts a module.  By Euler's lemma the codifferent
-is (1/f'(theta)), so the trace dual of a principal ideal is one element
-and the different is (f'(theta)); other inverses use the identity
-A^-1 = D_K * tracedual(conj(A), 1).  With one prime above p, of residue
-degree 1, the valuation is read off the norm; otherwise valuations are
-certified: a norm computation proposes the exponent and an exact
-containment test proves all primes above p carry it with equal
-multiplicity.
+power J_p^s, s <= 2, has a generator g (_radical_generator) proved by
+element arithmetic alone, so the radical powers of realize, valuation
+and the different's closed form are (g^q) * J_p^r, k = q*s + r,
+0 <= r < s, and no pipeline squares or inverts a module.  By Euler's
+lemma the codifferent is (1/f'(theta)), so the trace dual of a principal
+ideal is one element and the different is (f'(theta)); other inverses
+use the identity A^-1 = D_K * tracedual(conj(A), 1).  With one prime
+above p, of residue degree 1, the valuation is read off the norm;
+otherwise valuations are certified: a norm computation proposes the
+exponent and an exact p-integrality test proves all primes above p carry
+it with equal multiplicity.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .fields import (
     _NATURAL,
     _ascii_rational,
     _link_inverses,
+    _power,
     trace_pairing,
 )
 from .linalg import (
@@ -332,26 +335,6 @@ def _principal_times_module(g, abs_norm_g, mod):
     return _reduced(field, w, g.den * mod.den)
 
 
-def _theta_power_mod(field, k, p):
-    """Coefficients of theta^k in O_K/p (small-int shift-reduce)."""
-    m = field.degree
-    mp_ = [c % p for c in field.minpoly]
-    cur = [1 % p] + [0] * (m - 1)
-    for _ in range(k):
-        top = cur[m - 1]
-        cur = [0] + cur[: m - 1]
-        if top:
-            for j in range(m):
-                cur[j] = (cur[j] - top * mp_[j]) % p
-    return cur
-
-
-def _mat_mul_mod(a, b, p):
-    n = len(a)
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
-
-
 _RADICAL_CACHE = {}
 
 
@@ -359,9 +342,12 @@ def radical_above(field, p):
     """The radical J_p of pO_K: the product of all primes above p, exponent 1.
 
     Computed as the preimage of the nilradical of O_K/p, i.e. the kernel
-    of x -> x^(p^s) on the GF(p)-algebra O_K/p once p^s >= degree; the
-    result is certified by norm(J_p) = p^(degree/e_p).  The generator g
-    of J_p^s is proved once and cached beside it; for s = 1 it rides on J_p.
+    of the additive map x -> x^(p^j) on the GF(p)-algebra O_K/p, j >= 1
+    least with p^j >= degree.  Its matrix has the rows tau^i, i < degree,
+    for the one element tau = theta^(p^j) mod p, which square-and-multiply
+    forms with every step reduced mod p.  The result is certified by
+    norm(J_p) = p^(degree/e_p).  The generator g of J_p^s is proved once
+    and cached beside it; for s = 1 it rides on J_p.
     """
     key = (field, p)
     cached = _RADICAL_CACHE.get(key)
@@ -369,17 +355,21 @@ def radical_above(field, p):
         return cached[0]
     field._check_ramified(p)
     m = field.degree
-    # row j is theta^(j*p) mod (p, minpoly): row j-1 times theta^p
-    theta_p = _theta_power_mod(field, p, p)
-    frob = [[1] + [0] * (m - 1)]
-    for _ in range(1, m):
-        frob.append([c % p for c in field._mul_coeffs(frob[-1], theta_p)])
-    power = frob
     ps = p
     while ps < m:
-        power = _mat_mul_mod(power, frob, p)
         ps *= p
-    kernel = nullspace_mod_p(transpose([list(r) for r in power]), p)
+    one = [1] + [0] * (m - 1)
+    tau, base = one, [c % p for c in field.theta_power(1).num]
+    while ps:
+        if ps & 1:
+            tau = [c % p for c in field._mul_coeffs(tau, base)]
+        ps >>= 1
+        if ps:
+            base = [c % p for c in field._mul_coeffs(base, base)]
+    power = [one]
+    for _ in range(1, m):
+        power.append([c % p for c in field._mul_coeffs(power[-1], tau)])
+    kernel = nullspace_mod_p(transpose(power), p)
     # span(kernel) + pZ^m is the preimage of the nilradical
     radical = FractionalIdeal(field, tuple(tuple(r) for r in hnf_mod_d(kernel, p)), 1)
     expected = Fraction(p ** field.residue_product(p))
@@ -394,31 +384,45 @@ def radical_above(field, p):
     return radical
 
 
-def _radical_generator(field, p, radical):
-    """(g, s): a proved generator g of J_p^s, with q = p^(r_p) (Washington,
+def _radical_candidate(field, p):
+    """(g, s) with g expected to generate J_p^s, q = p^(r_p) (Washington,
     Introduction to Cyclotomic Fields, Ch. 1-2): 1 - zeta_q on cyclo:n
     (s = 1); gamma_element on realcyclo:n, s = 1 for a prime-power
     conductor, else s = 2, as Q(zeta_n)/Q(zeta_n)^+ is then unramified at
-    p; p on a quadratic field (s = 2).  An integral g in J_p^s with
-    |N(g)| = N(J_p)^s spans a submodule of index 1; the containment takes
-    no HNF for s = 1 and one m^2-row product for s = 2, and a failed proof
-    raises ArithmeticError.  g's inverse comes from the same pass as its
-    norm, so its powers carry theirs.
-    """
+    p; p on a quadratic field (s = 2)."""
     if isinstance(field, CyclotomicField):
         q = p ** factorize(field.n)[p]
-        g, s = field.one() - field.theta_power(field.n // q), 1
-    elif isinstance(field, RealCyclotomicField):
-        g, s = gamma_element(field, p), 1 if field.is_prime_power() else 2
-    else:
-        g, s = field.rational(p), 2
-    power = radical if s == 1 else ideal_mul(radical, radical)
+        return field.one() - field.theta_power(field.n // q), 1
+    if isinstance(field, RealCyclotomicField):
+        return gamma_element(field, p), 1 if field.is_prime_power() else 2
+    return field.rational(p), 2
+
+
+def _radical_generator(field, p, radical):
+    """(g, s): the candidate g of J_p^s, proved by element arithmetic.
+
+    With t = e_p/s, the proof is |N(g)| = N(J_p)^s and g^t/p in O_K, the
+    same two checks for every s, with no HNF and no module product: the
+    norm certificate N(J_p) = p^(degree/e_p) of radical_above makes
+    |N(g^t/p)| = 1, so g^t/p is a unit, (g)^t = (p) = J_p^(e_p), and
+    unique factorization gives (g) = J_p^s.  A failed proof raises
+    ArithmeticError.  g's inverse comes from the same pass as its norm,
+    so its powers carry theirs; g^t is formed without it.
+    """
+    g, s = _radical_candidate(field, p)
+    t, rest = divmod(field.ramification_index(p), s)
     g.inverse()  # one pass: the norm below, and inverses for its powers
-    if abs(g.norm()) != power.norm() or not power.contains(g):
+    if rest or abs(g.norm()) != radical.norm() ** s or \
+            not _is_p_multiple(_power(g, t), p):
         raise ArithmeticError(
             f"{g} does not generate the radical power J_{p}^{s} of "
             f"{field.spec_string()}")
     return g, s
+
+
+def _is_p_multiple(x, p):
+    """x/p in O_K = Z[theta]: x in lowest terms has den 1 and num in pZ^m."""
+    return x.den == 1 and not any(c % p for c in x.num)
 
 
 def _radical_power(field, p, k):
@@ -666,12 +670,10 @@ def valuation(a, p):
             f"norm valuation {kn} at {p} is not a multiple of f*g = {fg}: "
             f"unequal exponents above {p}")
     k = kn // fg
-    b = ideal_mul(a, _radical_power(field, p, -k))
-    exp2 = _int_val(b.den, p) if b.den % p == 0 else 0
-    if exp2:
-        pk = p ** exp2
-        if any(e % pk for row in b.num for e in row):
-            raise Unsupported(f"ideal has unequal exponents at the primes above {p}")
+    # (num, den) is in lowest terms, so A * J_p^-k is p-integral exactly
+    # when p does not divide den
+    if ideal_mul(a, _radical_power(field, p, -k)).den % p == 0:
+        raise Unsupported(f"ideal has unequal exponents at the primes above {p}")
     return k
 
 
@@ -686,11 +688,7 @@ def gamma_element(field, p):
     prime-power conductor it generates the unique prime above p.
     """
     if isinstance(field, RealCyclotomicField):
-        q = p ** field._nfac[p]
-        amb = field.ambient
-        k = field.n // q
-        g = (amb.one() - amb.theta_power(k)) * (amb.one() - amb.theta_power(amb.n - k))
-        return field.descend(g)
+        return field.descend(gamma_element(field.ambient, p))
     if isinstance(field, CyclotomicField):
         q = p ** factorize(field.n)[p]
         k = field.n // q

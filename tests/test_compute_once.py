@@ -26,9 +26,10 @@ principal ideals links its inverse when each factor's inverse is known
 or rational, so a witness pays no pass for beta.
 
 The generator g of the least principal radical power J_p^s (s <= 2) is
-proved with no HNF for s = 1 and one module product for s = 2, and the
-pipelines form every radical power from it: classify, realize, build and
-verify never call different() or invert an ideal held as rows only.
+proved by its norm and by g^(e_p/s)/p being integral, with no HNF and no
+module product for any s, and the pipelines form every radical power
+from it: classify, realize, build and verify never call different() or
+invert an ideal held as rows only.
 """
 
 from fractions import Fraction
@@ -465,28 +466,45 @@ RADICAL_GENERATORS = [("realcyclo:29", 29, 1), ("realcyclo:25", 5, 1),
                       ("realcyclo:92", 2, 2), ("realcyclo:92", 23, 2)]
 
 
-def test_radical_generator_is_proved_by_at_most_one_product(monkeypatch):
-    """The generator g of J_p^s is proved by its norm and containment:
-    no HNF for s = 1, one m^2-row module product for s = 2."""
-    moduli = []
-    hnf_mod_d = ideals.hnf_mod_d
+def test_radical_generator_is_proved_without_a_module_product(monkeypatch):
+    """The generator g of J_p^s is proved by |N(g)| = N(J_p)^s and
+    g^(e_p/s)/p in O_K: no HNF and no module product for any s."""
+    calls = []
+    hnf_mod_d, ideal_mul = ideals.hnf_mod_d, ideals.ideal_mul
 
-    def counted(rows, d):
-        moduli.append(d)
-        return hnf_mod_d(rows, d)
+    def counted(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
 
     for spec, p, s in RADICAL_GENERATORS:
         field = make_field(spec)
         radical = radical_above(field, p)
         rows_only = FractionalIdeal(field, radical.num, radical.den)
-        moduli.clear()
-        monkeypatch.setattr(ideals, "hnf_mod_d", counted)
+        calls.clear()
+        monkeypatch.setattr(ideals, "hnf_mod_d", counted("hnf_mod_d", hnf_mod_d))
+        monkeypatch.setattr(ideals, "ideal_mul", counted("ideal_mul", ideal_mul))
         gen, got = ideals._radical_generator(field, p, rows_only)
         monkeypatch.undo()
-        assert got == s and len(moduli) == s - 1, spec
+        assert got == s and calls == [], spec
         assert gen._inv is not None
         assert principal(gen) == ideal_pow(rows_only, s)
         assert radical._gen == (gen if s == 1 else None)
+
+
+def test_radical_generator_rejects_a_wrong_candidate_of_the_right_norm(monkeypatch):
+    """7 splits into two primes P, P' of cyclo:21 (e = 6): c = -1 + z - z^9
+    has |N(c)| = 49 = N(J_7) but lies outside J_7 = PP', so (c)^6 is not
+    (7) and the proof raises."""
+    field = make_field("cyclo:21")
+    radical = radical_above(field, 7)
+    rows_only = FractionalIdeal(field, radical.num, radical.den)
+    c = field.element([-1, 1] + [0] * 7 + [-1, 0, 0])
+    assert abs(c.norm()) == rows_only.norm() == 49 and not rows_only.contains(c)
+    monkeypatch.setattr(ideals, "_radical_candidate", lambda f, p: (c, 1))
+    with pytest.raises(ArithmeticError, match="does not generate"):
+        ideals._radical_generator(field, 7, rows_only)
 
 
 def test_radical_generator_has_no_fallback(monkeypatch):

@@ -49,7 +49,6 @@ from arakelov.ideals import (
     _certified_hnf,
     _euler_certificate,
     _least_integer,
-    _theta_power_mod,
 )
 from arakelov.linalg import FormError, hnf_mod_d, nullspace_mod_p, transpose
 
@@ -193,11 +192,26 @@ def test_radical_is_nilradical_preimage(spec, p):
         assert p_ring.contains(x ** ps)
 
 
+def _theta_power_mod(field, k, p):
+    """Coefficients of theta^k in O_K/p, reduced one shift at a time."""
+    m = field.degree
+    mp_ = [c % p for c in field.minpoly]
+    cur = [1 % p] + [0] * (m - 1)
+    for _ in range(k):
+        top = cur[m - 1]
+        cur = [0] + cur[: m - 1]
+        if top:
+            for j in range(m):
+                cur[j] = (cur[j] - top * mp_[j]) % p
+    return cur
+
+
 @pytest.mark.parametrize("spec,p", [(s, p) for s, p, _ in RADICAL_CASES]
                          + [("realcyclo:97", 97), ("cyclo:25", 5), ("realcyclo:121", 11)])
 def test_radical_matches_frobenius_rows_by_shifts(spec, p):
-    """The Frobenius matrix built row by row (row j = row j-1 * theta^p)
-    gives the same radical as rows theta^(j*p) reduced one shift at a time."""
+    """The Frobenius matrix with rows theta^(j*p) reduced one shift at a
+    time, powered j times with p^j >= degree, gives the same radical as
+    the powers of the one element theta^(p^j) mod p."""
     field = make_field(spec)
     m = field.degree
     frob = [_theta_power_mod(field, j * p, p) for j in range(m)]
