@@ -3,8 +3,9 @@
 The top level re-exports the working vocabulary: build a field with
 make_field, classify it (classify or the per-family rules), realize the
 witness ideal, build the lattice, and verify it against the witness.
-Everything is exact, total positivity included (one fraction-free
-elimination of the trace form of alpha); floating point appears only in
+Everything is exact, total positivity included (Sylvester's criterion
+on the trace form of alpha, read off one sub-resultant sequence on a
+totally real field); floating point appears only in
 the optional numeric embeddings, the only code that imports mpmath.
 """
 

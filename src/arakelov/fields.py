@@ -37,8 +37,11 @@ ramification data depend only on the factorization of the conductor, so
 they stay cheap at any degree.
 
 Total positivity is exact: alpha >> 0 iff its integer trace form on O_K
-passes Sylvester's criterion, one fraction-free elimination, whose
-determinant alpha keeps for the lattice certificate.
+passes Sylvester's criterion, whose determinant alpha keeps for the
+lattice certificate.  On a totally real field the form is Hankel and its
+leading minors are signed principal sub-resultant coefficients of (f, R),
+R = alpha * f'(theta) read off the traces, so one PRS decides it; on a
+CM field one fraction-free elimination does.
 
 Numeric embeddings use mpmath at a caller-chosen precision (default from
 the ``ARAKELOV_PRECISION_BITS`` environment variable, 128 bits); only
@@ -228,19 +231,42 @@ def _subresultant(f, a):
     """(Res(f, a), v, c) with v * a = c mod f and c an integer, for a monic
     integer f and integer coordinates a, not all zero, with deg a < deg f.
 
-    The sub-resultant PRS (Cohen, Alg. 3.3.7) on f and the primitive part
-    a' = a / b, extended with the cofactor of a': each member B of the
-    sequence carries the integer V with V * a' = B mod f, pseudo-divided
-    and divided exactly as B is.  The sequence ends at a nonzero constant
-    c' (gcd(f, a') = 1), so v = V and c = b * c'.  If it ends at zero,
-    Res = 0 and v = c = None.  As f is monic, Res(f, a) = N(a).
+    The sub-resultant PRS (_prs) on f and the primitive part a' = a / b,
+    extended with the cofactor of a'.  The sequence ends at a nonzero
+    constant c' (gcd(f, a') = 1), so v is the cofactor of c' and
+    c = b * c'.  If it ends at zero, Res = 0 and v = c = None.  As f is
+    monic, Res(f, a) = N(a).
     """
     m = len(f) - 1
     b = gcd(*a)
     B = [x // b for x in a]
     while not B[-1]:
         B.pop()
-    A, VA, VB = list(f), [], [1]
+    res, _, c, v = _prs(f, B, [1])
+    if not res:
+        return 0, None, None
+    while not v[-1]:
+        v.pop()
+    return b ** m * res, v + [0] * (m - len(v)), b * c
+
+
+def _prs(f, B, VB=None):
+    """(Res(f, B), psc, c, V) from the sub-resultant PRS (Cohen, Alg.
+    3.3.7) of a monic integer f and integer coordinates B with B[-1] != 0
+    and deg B < deg f.
+
+    psc[j] is the leading coefficient of the member of degree j, and 0 if
+    the sequence skips degree j; on a normal sequence, one member of each
+    degree deg B, ..., 0, it is the principal sub-resultant coefficient
+    psc_j(f, B).  c is the constant coefficient of the last member.  With
+    VB = [1] each member also carries the integer V with V * B = member
+    mod f, pseudo-divided and divided exactly as the member is, and V is
+    that of the last member; with VB = None no cofactor is carried.  If
+    the sequence ends at zero, Res = 0.
+    """
+    psc = [0] * (len(f) - 1)
+    psc[len(B) - 1] = B[-1]
+    A, VA = list(f), []
     g = h = s = 1
     while len(B) > 1:
         dA, dB = len(A) - 1, len(B) - 1
@@ -256,22 +282,22 @@ def _subresultant(f, a):
             R = [lb * r for r in R[:k]] + [lb * r - lr * t for r, t in zip(R[k:-1], B)]
             while R and not R[-1]:
                 R.pop()
-            VR = [lb * v for v in VR] + [0] * (k + len(VB) - len(VR))
-            for j, t in enumerate(VB, k):
-                VR[j] -= lr * t
+            if VB is not None:
+                VR = [lb * v for v in VR] + [0] * (k + len(VB) - len(VR))
+                for j, t in enumerate(VB, k):
+                    VR[j] -= lr * t
             e -= 1
         if not R:
-            return 0, None, None
+            return 0, psc, 0, None
         scale, div = lb ** e, g * h ** delta  # the division is exact
         A, VA = B, VB
         B = [r * scale // div for r in R]
-        VB = [v * scale // div for v in VR]
+        if VB is not None:
+            VB = [v * scale // div for v in VR]
+        psc[len(B) - 1] = B[-1]
         g, h = lb, lb ** delta // h ** (delta - 1)
     d = len(A) - 1
-    while not VB[-1]:
-        VB.pop()
-    res = s * b ** m * (B[0] ** d // h ** (d - 1))
-    return res, VB + [0] * (m - len(VB)), b * B[0]
+    return s * (B[0] ** d // h ** (d - 1)), psc, B[0], VB
 
 
 # --------------------------------------------------------------------------
@@ -290,14 +316,14 @@ class FieldElement:
     Mixed arithmetic with ``int`` and ``Fraction`` coerces the scalar.
     The private ``_positive`` slot holds the total-positivity verdict once
     is_totally_positive has decided it, ``_trace_det`` the determinant of
-    the trace form once an elimination has certified it positive definite,
-    and ``_norm`` the norm once norm() or inverse() has computed it.  The
-    private ``_inv`` slot holds the inverse once it is known, linked both
-    ways (``x._inv._inv is x``): inverse() computes it once, a negative
-    power inverts the base rather than the power, positive powers of an
-    element with a known inverse carry the matching inverse along, and an
-    inverse pair shares one norm.  Equality and hashing ignore all four
-    slots.
+    the trace form once Sylvester's criterion has certified it positive
+    definite, and ``_norm`` the norm once norm() or inverse() has
+    computed it.  The private ``_inv`` slot holds the inverse once it is
+    known, linked both ways (``x._inv._inv is x``): inverse() computes it
+    once, a negative power inverts the base rather than the power,
+    positive powers of an element with a known inverse carry the matching
+    inverse along, and an inverse pair shares one norm.  Equality and
+    hashing ignore all four slots.
     """
 
     __slots__ = ("field", "num", "den", "_positive", "_inv", "_norm", "_trace_det")
@@ -1257,10 +1283,12 @@ def is_totally_positive(alpha):
     """True iff every embedding value of alpha is positive.
 
     Tr(alpha * x * conj(x)) = sum_sigma sigma(alpha) * |sigma(x)|^2, so
-    alpha >> 0 iff its trace form H is positive definite: ldl_integral
-    decides it on integers, with no precision and no cap.  On a CM field
-    H is symmetric iff alpha = conj(alpha).  Zero and rationals are read
-    off directly.  The verdict is kept on alpha.
+    alpha >> 0 iff its trace form H is positive definite, decided on
+    integers by Sylvester's criterion with no precision and no cap
+    (_trace_form_det): on a totally real field from the sub-resultants of
+    the Hankel form H, on a CM field by ldl_integral, where H is symmetric
+    iff alpha = conj(alpha).  Zero and rationals are read off directly.
+    The verdict is kept on alpha.
     """
     if alpha._positive is None:
         object.__setattr__(alpha, "_positive", _decide_total_positivity(alpha))
@@ -1280,14 +1308,54 @@ def _decide_total_positivity(alpha):
 
 
 def _trace_form_det(alpha):
-    """det(H) for the trace form (H, alpha.den) of alpha: the last pivot
-    of ldl_integral(H), which raises FormError unless H is positive
-    definite.  Kept on alpha, so deciding positivity and certifying a
-    lattice on the same alpha eliminate H once."""
+    """det(H) for the trace form (H, alpha.den) of alpha; raises FormError
+    unless H is positive definite.  On a totally real field (every
+    supported field that is not CM) H is the Hankel matrix of the traces
+    of alpha.num and _hankel_det decides it with one sub-resultant PRS; on
+    a CM field it is the last pivot of ldl_integral(H).  Kept on alpha, so deciding positivity and
+    certifying a lattice on the same alpha decide H once."""
     if alpha._trace_det is None:
-        _, A = _ldl_integral(trace_form(alpha)[0])
-        object.__setattr__(alpha, "_trace_det", A[-1][-1])
+        field = alpha.field
+        if field.is_cm:
+            _, A = _ldl_integral(trace_form(alpha)[0])
+            trace_det = A[-1][-1]
+        else:
+            trace_det = _hankel_det(field, alpha.num)
+        object.__setattr__(alpha, "_trace_det", trace_det)
     return alpha._trace_det
+
+
+def _hankel_numerator(field, a):
+    """R = a * f'(theta), read off the traces s_k = Tr(a * theta^k): the
+    series sum_k s_k x^(-k-1) is R / f, so R_j = sum_(i > j) f_i * s_(i-j-1)."""
+    f, m = field.minpoly, field.degree
+    s = field._hankel_traces(a)
+    return [sum(f[i] * s[i - j - 1] for i in range(j + 1, m + 1)) for j in range(m)]
+
+
+def _hankel_det(field, a):
+    """det(H) of the Hankel trace form H[i][j] = s_(i+j), s_k = Tr(a *
+    theta^k), of a totally real field; raises FormError unless H is
+    positive definite.
+
+    Its leading minor of order k is (-1)^(k(k-1)/2) * psc_(m-k)(f, R) for
+    the minimal polynomial f and R = a * f'(theta), read off the first row
+    of H (_hankel_numerator; Basu, Pollack, Roy, Algorithms in Real
+    Algebraic Geometry, Ch. 9).  So Sylvester's criterion is one PRS in
+    O(m^2) coefficient operations: H is positive definite iff every
+    psc_(m-k) carries the sign (-1)^(k(k-1)/2), which needs deg R = m - 1
+    and no skipped degree, and then det(H) = (-1)^(m(m-1)/2) * Res(f, R).
+    Dividing R by its content b > 0 scales the order-k minor by b^k and
+    keeps its sign.
+    """
+    f, m = field.minpoly, field.degree
+    R = _hankel_numerator(field, a)
+    if R[-1] > 0:  # R[-1] = s_0, the leading minor of order 1
+        b = gcd(*R)
+        res, psc, _, _ = _prs(f, [r // b for r in R])
+        if all((-1) ** (k * (k - 1) // 2) * psc[m - k] > 0 for k in range(1, m + 1)):
+            return (-1) ** (m * (m - 1) // 2) * b ** m * res
+    raise _FormError("matrix is not positive definite")
 
 
 class EmbeddingMatrix:

@@ -49,12 +49,13 @@ class IdealLattice:
     It is made from the integer Gram rows and their scale that
     trace_pairing returns (the Gram is rows / scale).  The rows are
     N * H * N^t for the HNF rows N of I and the trace form H of alpha
-    (fields.trace_form), so ldl_integral(H) certifies the Gram positive
-    definite, as N is nonsingular; it is the test of is_totally_positive,
-    and alpha keeps its result, so H is eliminated once per alpha.
-    The determinant is det(N)^2 * P_{m-1} / scale^m, with det(N) the
-    product of the HNF pivots and P_{m-1} = det(H) the last Bareiss pivot
-    of H.
+    (fields.trace_form), so Sylvester's criterion on H certifies the Gram
+    positive definite, as N is nonsingular; it is the test of
+    is_totally_positive, and alpha keeps det(H), so H is decided once per
+    alpha: by one sub-resultant PRS of the Hankel form on a totally real
+    field, by ldl_integral(H) on a CM field.  The determinant is
+    det(N)^2 * det(H) / scale^m, with det(N) the product of the HNF
+    pivots.
     The rational ``gram`` is formed once, here.
     """
 

@@ -9,7 +9,9 @@ same value, decided or solved from scratch; an equal recipe parsed
 again; the Bareiss determinant of the Gram; the module route of the
 trace dual; the rows of the generator's shift module and containment in
 powers of the radical.  The kept values never take part in equality or
-hashing.
+hashing.  On a totally real field the trace form is decided by one
+sub-resultant PRS and never eliminated; on a CM field by one Bareiss
+elimination.
 
 An enumeration computes its reduction once: minimum and theta_prefix run
 one Bareiss elimination, and the walk reads the triangle that integral
@@ -149,33 +151,69 @@ def test_lattice_determinant_is_the_pivot_product(case, coeffs):
     assert type(lat.determinant()) is type(d)
 
 
-def test_positivity_and_build_eliminate_the_trace_form_once(monkeypatch):
-    """A non-trace witness alpha keeps the determinant of its trace form
-    H_alpha from the positivity decision, so building its lattice runs no
-    second elimination of H_alpha; the determinant is still the Bareiss
-    determinant of the Gram."""
-    bareiss = linalg._bareiss
-    calls = []
+def _count_decisions(monkeypatch):
+    """The dimensions of the Bareiss eliminations and the lengths of the
+    PRS runs from here on."""
+    bareiss, prs = linalg._bareiss, fields._prs
+    calls, runs = [], []
 
     def counted(A, B):
         calls.append(len(A))
         return bareiss(A, B)
 
-    for spec in ("realcyclo:13", "realcyclo:25"):
-        field = make_field(spec)
-        witness = existence.classify(field, trace_type=False).witnesses[1]
-        ideal = realize(witness.ideal)
-        assert ideal.num  # the HNF rows are built before counting
-        alpha = field.element(witness.alpha.coeffs)  # nothing decided yet
-        assert not alpha.is_rational and alpha._trace_det is None
-        monkeypatch.setattr(linalg, "_bareiss", counted)
-        calls.clear()
-        assert is_totally_positive(alpha)
-        lat = build(field, ideal, alpha)
-        assert calls == [field.degree]
-        monkeypatch.undo()
-        assert lat.determinant() == det(lat.gram)
-        assert alpha == witness.alpha and hash(alpha) == hash(witness.alpha)
+    def counted_prs(f, B, VB=None):
+        runs.append(len(B))
+        return prs(f, B, VB)
+
+    monkeypatch.setattr(linalg, "_bareiss", counted)
+    monkeypatch.setattr(fields, "_prs", counted_prs)
+    return calls, runs
+
+
+@pytest.mark.parametrize("spec, level, bareiss_dims, prs_runs", [
+    ("realcyclo:13", 1, [], 1),
+    ("realcyclo:25", 1, [], 1),
+    ("quad:-7", 7, [2], 0),
+], ids=["realcyclo:13", "realcyclo:25", "quad:-7"])
+def test_positivity_and_build_decide_the_trace_form_once(
+        monkeypatch, spec, level, bareiss_dims, prs_runs):
+    """A witness alpha keeps the determinant of its trace form H_alpha from
+    the positivity decision, so building its lattice, even twice, decides
+    H_alpha no second time.  On a totally real field that is one
+    sub-resultant PRS of the Hankel form and no Bareiss elimination; on a
+    CM field it is one elimination of H_alpha (build certifies alpha = 1
+    of quad:-7, whose positivity is read off).  The determinant is still
+    the Bareiss determinant of the Gram."""
+    field = make_field(spec)
+    witness = existence.classify(field, trace_type=False).witnesses[level]
+    ideal = realize(witness.ideal)
+    assert ideal.num  # the HNF rows are built before counting
+    alpha = field.element(witness.alpha.coeffs)  # nothing decided yet
+    assert alpha.is_rational == field.is_cm and alpha._trace_det is None
+    calls, runs = _count_decisions(monkeypatch)
+    assert is_totally_positive(alpha)
+    lat = build(field, ideal, alpha)
+    assert build(field, ideal, alpha).determinant() == lat.determinant()
+    assert calls == bareiss_dims and len(runs) == prs_runs
+    monkeypatch.undo()
+    assert lat.determinant() == det(lat.gram)
+    assert alpha == witness.alpha and hash(alpha) == hash(witness.alpha)
+
+
+def test_dense_positivity_runs_no_elimination(monkeypatch):
+    """1 + x^2 for a dense x at the CLI degree cap (realcyclo:127, degree
+    63) is decided by one PRS of the Hankel form, with no Bareiss
+    elimination of its 63 x 63 trace form: the totally real route never
+    forms that matrix."""
+    field = make_field("realcyclo:127")
+    x = field.element([(3 * k * k + k) % 7 - 3 for k in range(field.degree)])
+    alpha = field.one() + x * x
+    calls, runs = _count_decisions(monkeypatch)
+    monkeypatch.delattr(fields, "trace_form")
+    monkeypatch.delattr(fields, "_ldl_integral")
+    assert is_totally_positive(alpha)
+    assert calls == [] and runs == [field.degree]
+    assert not is_totally_positive(-alpha)
 
 
 @st.composite

@@ -7,10 +7,13 @@ cyclotomic minimal polynomial, sympy's exact real-root count of the
 characteristic polynomial (a resultant with the minimal polynomial)
 decides total positivity, and Fraction coordinates with a schoolbook
 product reduced by the minimal polynomial check the integer num/den
-representation.  The implementation decides total positivity on its
-trace form, so that form is not an oracle here.  Norms, inverses and the
-discriminant come from one sub-resultant pass; the Bareiss determinant
-and integer solve of the multiplication matrix check them.
+representation.  On totally real fields the implementation decides
+total positivity and det(T_alpha) from the sub-resultants of the Hankel
+trace form, which the Bareiss elimination of that form checks; on CM
+fields it eliminates the form, so that form is not an oracle for the
+root-count test.  Norms, inverses and the discriminant come from one
+sub-resultant pass; the Bareiss determinant and integer solve of the
+multiplication matrix check them.
 """
 
 import cmath
@@ -20,7 +23,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Poly, oo, resultant, symbols
 
@@ -41,11 +44,14 @@ from arakelov.fields import (
     make_field,
     moebius,
     sqrt_integer,
+    trace_form,
     _cyclotomic_poly,
+    _hankel_det,
+    _hankel_numerator,
     _real_cyclotomic_poly,
     _subresultant,
 )
-from arakelov.linalg import det, solve_integral
+from arakelov.linalg import FormError, det, ldl_integral, solve_integral
 
 rng = random.Random(1309)
 
@@ -618,6 +624,72 @@ def _positivity_cases(draw):
 @given(_positivity_cases())
 def test_total_positivity_matches_sympy_root_count(alpha):
     assert is_totally_positive(alpha) == totally_positive_oracle(alpha)
+
+
+_HANKEL_SPECS = ["quad:+2", "quad:+5", "quad:+6", "realcyclo:7", "realcyclo:9",
+                 "realcyclo:13", "realcyclo:16", "realcyclo:21", "realcyclo:25",
+                 "realcyclo:28", "realcyclo:44", "realcyclo:60"]
+
+
+@st.composite
+def _hankel_cases(draw):
+    """Elements of totally real fields: random, near-boundary (y - r for y
+    = x or x * x and a rational r within 10^-k of an embedding value of y,
+    the least one or any) and sparse (one or two nonzero coordinates,
+    which give PRS degree gaps, shifted to trace 0 when drawn: a zero
+    leading minor)."""
+    field = make_field(draw(st.sampled_from(_HANKEL_SPECS)))
+    m = field.degree
+    shape = draw(st.sampled_from(["random", "near", "sparse"]))
+    if shape == "sparse":
+        num = [0] * m
+        for _ in range(draw(st.integers(1, 2))):
+            num[draw(st.integers(0, m - 1))] = draw(st.integers(-4, 4))
+        x = field.element(num)
+        if draw(st.booleans()):
+            x = x - x.trace() / m
+        return x
+    coeffs = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                      min_size=m, max_size=m)
+    x = field.element(draw(coeffs))
+    if shape == "random" or x.is_rational:
+        return x
+    y = x * x if draw(st.booleans()) else x
+    if y.is_rational:
+        return y
+    values = sorted(y.embed(precision=256))
+    v = values[0] if draw(st.booleans()) else draw(st.sampled_from(values))
+    k = draw(st.integers(1, 30))
+    with mpmath.workprec(256):
+        r = Fraction(int(mpmath.nint(v * 10 ** k)), 10 ** k) \
+            + Fraction(draw(st.integers(-2, 2)), 10 ** k)
+    return y - r
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hankel_cases())
+@example(make_field("realcyclo:16").element([3, 0, -1, 0]))
+def test_hankel_subresultants_match_trace_form_elimination(alpha):
+    """On a totally real field the PRS of (f, R) decides positive
+    definiteness and gives det(H) exactly as the Bareiss elimination of
+    the trace form H does: FormError on both, or the last pivot; R, read
+    off the traces, is alpha.num * f'(theta).  The example 3 - theta^2 of
+    realcyclo:16 has leading minors 4, 0, 0, 2048: a degree gap of two
+    with no negative minor, so only the zero minors reject it."""
+    field = alpha.field
+    assert _hankel_numerator(field, alpha.num) == \
+        field._mul_coeffs(alpha.num, field._fprime.num)
+    try:
+        want = ldl_integral(trace_form(alpha)[0])[1][-1][-1]
+    except FormError:
+        want = None
+    try:
+        got = _hankel_det(field, alpha.num)
+    except FormError:
+        got = None
+    assert got == want
+    if not alpha.is_zero:
+        assert is_totally_positive(alpha) == (got is not None)
 
 
 # ---------------------------------------------------------------------------
