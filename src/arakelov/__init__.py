@@ -31,7 +31,6 @@ from .fields import (
     default_precision,
     embedding_matrix,
     is_totally_positive,
-    lift_descend,
     make_field,
     sqrt_integer,
 )
@@ -78,7 +77,7 @@ from .linalg import (
 __all__ = [
     # fields
     "make_field", "FieldElement", "sqrt_integer",
-    "is_totally_positive", "lift_descend", "embedding_matrix",
+    "is_totally_positive", "embedding_matrix",
     "default_precision",
     # ideals
     "FractionalIdeal", "IdealRecipe", "principal", "radical_above",

@@ -24,6 +24,7 @@ from .fields import (
     SpecError,
     _INTEGER,
     _RATIONAL,
+    _checked_precision,
     default_precision,
     make_field,
 )
@@ -219,8 +220,8 @@ def cmd_construct(args):
     embed_bits = args.embed
     if embed_bits == 0:
         embed_bits = default_precision()
-    elif embed_bits is not None and embed_bits < 16:
-        raise SpecError("--embed needs at least 16 bits")
+    elif embed_bits is not None:
+        embed_bits = _checked_precision(embed_bits, "--embed")
     record, _ = _construct_record(field, witness, args.trace_type,
                                   embed_bits=embed_bits)
     _emit(record, args.out)
@@ -398,7 +399,7 @@ def _build_parser():
     p_construct.add_argument("--embed", type=_ascii_int, metavar="BITS",
                              nargs="?", const=0,
                              help="include a numeric generator matrix at "
-                                  "this precision (bare flag: use "
+                                  "this precision, 16-4096 (bare flag: use "
                                   "ARAKELOV_PRECISION_BITS, default 128)")
     p_construct.add_argument("--out", help="write JSON here instead of stdout")
     p_construct.set_defaults(func=cmd_construct)

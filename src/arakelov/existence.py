@@ -13,14 +13,11 @@ builds every witness; each oracle keeps only its input checks, level
 set, alpha per level and rule tag.  Every constructed witness
 re-verifies the defining identities exactly (level = beta * conj(beta),
 alpha totally positive, half-level valuations of beta, and I * conj(I)
-equal to alpha^-1 * beta * D_K^-1 as fractional ideals).  The last is
-checked as I * conj(I) * (alpha) * (beta^-1) = D_K^-1, with beta^-1 =
-conj(beta)/level from the first identity, so it needs no inverse, and
-the twist (alpha) * (beta)^-1 multiplies the norms and links the
-inverses its factors already carry; |N(beta)| = sqrt(level^m) comes from
-the same identity.  The codifferent is the
-principal ideal (1/f'(theta)), so a product that keeps a generator
-compares with it on generators, without building rows.
+= alpha^-1 * beta * D_K^-1), on generators alone: the recipe's factored
+form I = G * prod_S J_p, with J_p Galois-stable and J_p^2 = (g_p), makes
+the last G * conj(G) * prod_S (g_p) * (alpha) * (beta)^-1 = (1/f'(theta)),
+and the first gives beta^-1 = conj(beta)/level and |N(beta)| =
+sqrt(level^m) with no sub-resultant pass.
 """
 
 from __future__ import annotations
@@ -52,9 +49,10 @@ from .ideals import (
     ideal_inverse,
     ideal_mul,
     principal,
-    realize,
     valuation,
+    _factored,
     _principal,
+    _principal_radical,
 )
 
 __all__ = [
@@ -64,7 +62,7 @@ __all__ = [
     "rescale", "check_level_bound", "classify",
 ]
 
-# Witnesses are materialized (field elements built, ideals realized, all
+# Witnesses are materialized (field elements built, ideals factored, all
 # invariants re-verified with exact ideal arithmetic) only up to this
 # degree; beyond it verdicts still carry exact level sets and rule tags.
 DEFAULT_MATERIALIZE_LIMIT = 64
@@ -111,9 +109,11 @@ class ConstructionWitness:
             if 2 * v_beta != v_level:
                 raise InternalInconsistency(
                     f"v_{p}(beta) = {v_beta} but v_{p}(level)/2 = {v_level}/2")
-        lattice_ideal = realize(ideal)
+        G, S = _factored(ideal)  # I * conj(I) = G * conj(G) * prod_S (g_p)
         twist = ideal_mul(principal(alpha), ideal_inverse(beta_ideal))
-        lhs = ideal_mul(ideal_mul(lattice_ideal, conj_ideal(lattice_ideal)), twist)
+        lhs = ideal_mul(ideal_mul(G, conj_ideal(G)), twist)
+        for p in S:
+            lhs = ideal_mul(lhs, _principal_radical(field, p)[0])
         if lhs != codifferent(field):
             raise InternalInconsistency(
                 "I * conj(I) != alpha^-1 * beta * D_K^-1 for the proposed recipe")

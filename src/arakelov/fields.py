@@ -1190,20 +1190,6 @@ def _nonzero_entries(rows):
     return [[(k, c) for k, c in enumerate(r) if c] for r in rows]
 
 
-def lift_descend(x, target):
-    """Transport between Q(zeta_n) and Q(zeta_n + zeta_n^-1) (either direction)."""
-    src = x.field
-    if isinstance(src, RealCyclotomicField) and isinstance(target, CyclotomicField) \
-            and src.n == target.n:
-        return src.lift(x)
-    if isinstance(src, CyclotomicField) and isinstance(target, RealCyclotomicField) \
-            and src.n == target.n:
-        return target.descend(x)
-    raise SpecError(
-        f"lift_descend supports only the Q(zeta_n) <-> Q(zeta_n + zeta_n^-1) pair, "
-        f"got {src.spec_string()} -> {target.spec_string()}")
-
-
 def _gauss_sum(amb, p):
     """Quadratic Gauss sum sum_j (j/p) zeta_p^j inside Q(zeta_n), p odd prime, p | n."""
     n = amb.n
@@ -1411,6 +1397,11 @@ def default_precision():
     except ValueError:
         raise SpecError(
             f"ARAKELOV_PRECISION_BITS must be an integer, got {raw!r}") from None
-    if bits < 16:
-        raise SpecError("ARAKELOV_PRECISION_BITS must be at least 16")
+    return _checked_precision(bits, "ARAKELOV_PRECISION_BITS")
+
+
+def _checked_precision(bits, source):
+    """bits in [16, 4096]: an embedding's cost grows steeply with its bits."""
+    if not 16 <= bits <= 4096:
+        raise SpecError(f"{source} must be between 16 and 4096 bits, got {bits}")
     return bits

@@ -26,10 +26,13 @@ GF(p)-algebra O_K/p (Cohen, A Course in Computational Algebraic Number
 Theory, 6.1), whose matrix rows are the powers of the one element
 tau = theta^(p^j) mod p; each radical is checked against the Galois norm
 identity norm(J_p) = p^(degree/e_p).  In every supported family some
-power J_p^s, s <= 2, has a generator g (_radical_generator) proved by
-element arithmetic alone, so the radical powers of realize, valuation
-and the different's closed form are (g^q) * J_p^r, k = q*s + r,
-0 <= r < s, and no pipeline squares or inverts a module.  By Euler's
+power J_p^s, s <= 2, has a generator g proved by element arithmetic
+(_radical_generator).  A recipe keeps one factored form (G, S): with
+J_p^k = (g^q) * J_p^r, k = q*s + r, 0 <= r < s, the principal G holds
+every g^q and principal factor, S every p with r = 1, and realize is
+G * prod_S J_p.  As J_p is Galois-stable and J_p^2 = (g), I * conj(I)
+is principal, so the witness self-check and the valuation certificate
+run on generators and no pipeline squares or inverts a module.  By Euler's
 lemma the codifferent is (1/f'(theta)), so the trace dual of a principal
 ideal is one element and the different is (f'(theta)); other inverses
 use the identity A^-1 = D_K * tracedual(conj(A), 1).  With one prime
@@ -96,11 +99,11 @@ class FractionalIdeal:
     A known principal generator may ride along in the private ``_gen``
     slot; it lets products, powers, conjugates and inverses run on the
     element instead of on m^2 generator rows.  An ideal made from a
-    generator keeps only (gen, |N(gen)|): its canonical rows ``num`` and
-    ``den`` are built on first read (``num``, ``den``, ``basis_elements``,
-    ``contains``, hashing, or comparison with an ideal that has only
-    rows), and ``norm()`` returns the stored norm.  Two ideals that both
-    know a generator compare on the generators: (a) = (b) exactly when
+    generator keeps only (gen, |N(gen)|): its canonical rows ``num`` are
+    built on first read (``num``, ``basis_elements``, ``contains``,
+    hashing, or comparison with an ideal that has only rows), ``den`` is
+    ``gen.den`` and ``norm()`` returns the stored norm.  Two ideals that
+    both know a generator compare on the generators: (a) = (b) exactly when
     |N(a)| = |N(b)| and a/b has integer power-basis coordinates, since
     O_K = Z[theta] and an integral element of norm +-1 is a unit.
     Neither slot is part of the value: equal modules compare and hash
@@ -127,22 +130,19 @@ class FractionalIdeal:
 
     @property
     def den(self):
-        if self._num is None:
-            self._build_rows()
-        return self._den
+        return self._gen.den if self._den is None else self._den
 
     def _build_rows(self):
         """Rows of (gen): the m shift rows of u = den*gen, Hermite-reduced
         mod the least integer of (u), then certified against the exact
-        determinant |N(u)|, so nothing ever outgrows the answer."""
+        determinant |N(u)|, so nothing ever outgrows the answer.  (u) has
+        content gcd(u), prime to den, so (rows, den) is in lowest terms."""
         gen = self._gen
         rows = self.field._mul_rows(list(gen.num))
         w = _certified_hnf(rows, _least_integer(gen),
                            gen.den ** self.field.degree * self._norm,
                            "principal ideal")
-        num, den = _canonical(w, gen.den)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_num", tuple(tuple(r) for r in w))
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -250,8 +250,8 @@ class FractionalIdeal:
 # shared canonicalization helpers
 # --------------------------------------------------------------------------
 
-def _canonical(hnf_rows, den):
-    """Strip the joint content of an HNF/denominator pair, then freeze it."""
+def _reduced(field, hnf_rows, den):
+    """The ideal of an HNF over den, their joint content stripped."""
     g = den
     for row in hnf_rows:
         for e in row:
@@ -261,11 +261,7 @@ def _canonical(hnf_rows, den):
     if g > 1:
         hnf_rows = [[e // g for e in row] for row in hnf_rows]
         den //= g
-    return tuple(tuple(r) for r in hnf_rows), den
-
-
-def _reduced(field, hnf_rows, den):
-    return FractionalIdeal(field, *_canonical(hnf_rows, den))
+    return FractionalIdeal(field, tuple(tuple(r) for r in hnf_rows), den)
 
 
 def _least_integer(g):
@@ -347,7 +343,7 @@ def radical_above(field, p):
     for the one element tau = theta^(p^j) mod p, which square-and-multiply
     forms with every step reduced mod p.  The result is certified by
     norm(J_p) = p^(degree/e_p).  The generator g of J_p^s is proved once
-    and cached beside it; for s = 1 it rides on J_p.
+    and (g) is cached beside it; for s = 1 it rides on J_p.
     """
     key = (field, p)
     cached = _RADICAL_CACHE.get(key)
@@ -380,7 +376,7 @@ def radical_above(field, p):
     gen, s = _radical_generator(field, p, radical)
     if s == 1:
         radical = FractionalIdeal(field, radical.num, radical.den, gen)
-    _RADICAL_CACHE[key] = (radical, gen, s)
+    _RADICAL_CACHE[key] = (radical, _principal(gen, expected ** s), s)
     return radical
 
 
@@ -425,15 +421,12 @@ def _is_p_multiple(x, p):
     return x.den == 1 and not any(c % p for c in x.num)
 
 
-def _radical_power(field, p, k):
-    """J_p^k = (g^q) * J_p^r, k = q*s + r, 0 <= r < s, for the generator g
-    of J_p^s: (g^k) for s = 1, at most one principal-times-module product
-    for s = 2."""
-    radical = radical_above(field, p)
-    _, g, s = _RADICAL_CACHE[(field, p)]
-    q, r = divmod(k, s)
-    power = _principal(g ** q, radical.norm() ** (s * q))
-    return ideal_mul(power, radical) if r else power
+def _principal_radical(field, p):
+    """((g), s): the least principal radical power (g) = J_p^s, s <= 2,
+    as proved by radical_above."""
+    radical_above(field, p)
+    _, power, s = _RADICAL_CACHE[(field, p)]
+    return power, s
 
 
 # --------------------------------------------------------------------------
@@ -480,18 +473,15 @@ def ideal_mul(a, b):
 def ideal_pow(a, k):
     if k == 0:
         return FractionalIdeal.ring(a.field)
+    if k == 1:
+        return a
     if a._gen is not None:
         return _principal(a._gen ** k, a.norm() ** k)
-    base = a if k > 0 else ideal_inverse(a)
-    e = abs(k)
-    out = None
-    while e:
-        if e & 1:
-            out = base if out is None else ideal_mul(out, base)
-        e >>= 1
-        if e:
-            base = ideal_mul(base, base)
-    return out
+    if k < 0:
+        return ideal_pow(ideal_inverse(a), -k)
+    half = ideal_pow(a, k // 2)
+    square = ideal_mul(half, half)
+    return ideal_mul(square, a) if k % 2 else square
 
 
 def conj_ideal(a):
@@ -609,10 +599,8 @@ def different(field):
     (ArithmeticError on a mismatch); cached."""
     if field not in _DIFF_CACHE:
         diff = ideal_inverse(codifferent(field))
-        closed = FractionalIdeal.ring(field)
-        for p in sorted(field.omega()):
-            closed = ideal_mul(closed, _radical_power(field, p,
-                                                      field.different_exponent(p)))
+        closed = realize(IdealRecipe(field, [("radical", p, field.different_exponent(p))
+                                             for p in field.omega()]))
         if closed != diff:
             raise ArithmeticError(
                 f"closed-form different of {field.spec_string()} is not (f'(theta))")
@@ -657,7 +645,8 @@ def valuation(a, p):
     v_p(norm A) itself.  Otherwise the norm proposes k = v_p(norm A)/(f*g);
     the certificate checks that A * J_p^-k is p-integral, which together
     with its norm being a p-unit forces every prime above p to zero
-    exponent.  Ideals with unequal exponents above p raise Unsupported.
+    exponent; it tests A^s * J_p^(-s*k) = A^s * (g^-k), (g) = J_p^s, which
+    is principal when A is.  Unequal exponents above p raise Unsupported.
     """
     field = a.field
     fg = field.residue_product(p)  # raises NotRamified for unramified p
@@ -670,9 +659,9 @@ def valuation(a, p):
             f"norm valuation {kn} at {p} is not a multiple of f*g = {fg}: "
             f"unequal exponents above {p}")
     k = kn // fg
-    # (num, den) is in lowest terms, so A * J_p^-k is p-integral exactly
-    # when p does not divide den
-    if ideal_mul(a, _radical_power(field, p, -k)).den % p == 0:
+    # (num, den) is in lowest terms: p-integral iff p does not divide den
+    power, s = _principal_radical(field, p)
+    if ideal_mul(ideal_pow(a, s), ideal_pow(power, -k)).den % p == 0:
         raise Unsupported(f"ideal has unequal exponents at the primes above {p}")
     return k
 
@@ -709,11 +698,11 @@ class IdealRecipe:
     numbers are ASCII: p is ``[0-9]+``, k ``[+-]?[0-9]+``, and a rational
     or coefficient ``n`` or ``n/d`` with a signed n.
 
-    The private ``_ideal`` slot holds the realized ideal once realize has
-    computed it; equality and hashing ignore it.
+    The private ``_form`` slot holds the factored form (G, S) once
+    _factored has computed it; equality and hashing ignore it.
     """
 
-    __slots__ = ("field", "factors", "_ideal")
+    __slots__ = ("field", "factors", "_form")
 
     def __init__(self, field, factors):
         checked = []
@@ -736,7 +725,7 @@ class IdealRecipe:
             checked.append((kind, payload, k))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "factors", tuple(checked))
-        object.__setattr__(self, "_ideal", None)
+        object.__setattr__(self, "_form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IdealRecipe is immutable")
@@ -802,13 +791,32 @@ class IdealRecipe:
         return f"IdealRecipe({self.field.spec_string()}, {self.to_string()!r})"
 
 
-def realize(recipe):
-    """Evaluate a recipe to its canonical fractional ideal (once per recipe)."""
-    if recipe._ideal is None:
-        out = FractionalIdeal.ring(recipe.field)
+def _factored(recipe):
+    """(G, S) with realize(recipe) = G * prod_S J_p, once per recipe: with
+    J_p^k = (g^q) * J_p^r, k = q*s + r, 0 <= r < s, for (g) = J_p^s, the
+    principal G takes g^q and the principal factors, S each p with r = 1."""
+    if recipe._form is None:
+        field = recipe.field
+        G, exponents, S = FractionalIdeal.ring(field), {}, []
         for kind, payload, k in recipe.factors:
-            power = _radical_power(recipe.field, payload, k) if kind == "radical" \
-                else ideal_pow(principal(payload), k)
-            out = ideal_mul(out, power)
-        object.__setattr__(recipe, "_ideal", out)
-    return recipe._ideal
+            if kind == "radical":
+                exponents[payload] = exponents.get(payload, 0) + k
+            else:
+                G = ideal_mul(G, ideal_pow(principal(payload), k))
+        for p, k in sorted(exponents.items()):
+            power, s = _principal_radical(field, p)
+            q, r = divmod(k, s)
+            G = ideal_mul(G, ideal_pow(power, q))
+            if r:
+                S.append(p)
+        object.__setattr__(recipe, "_form", (G, tuple(S)))
+    return recipe._form
+
+
+def realize(recipe):
+    """Evaluate a recipe to its canonical fractional ideal G * prod_S J_p."""
+    G, S = _factored(recipe)
+    radicals = FractionalIdeal.ring(recipe.field)
+    for p in S:
+        radicals = ideal_mul(radicals, radical_above(recipe.field, p))
+    return ideal_mul(G, radicals)

@@ -387,6 +387,27 @@ def test_construct_rejects_tiny_embed(capsys):
     assert code == EXIT_SPEC and "16" in err
 
 
+@pytest.mark.parametrize("flag, env", [
+    ("4097", None), ("10000000", None), (None, "4097"), (None, "8"),
+], ids=["embed-4097", "embed-10000000", "env-4097", "env-8"])
+def test_construct_rejects_precision_outside_16_to_4096(capsys, monkeypatch, flag, env):
+    """--embed and ARAKELOV_PRECISION_BITS share one check: past 4,096
+    bits construct exits 2 before any embedding is computed."""
+    if env is not None:
+        monkeypatch.setenv("ARAKELOV_PRECISION_BITS", env)
+    embed = ["--embed"] if flag is None else ["--embed", flag]
+    code, out, err = run(capsys, "construct", "--field", "quad:+5",
+                         "--level", "5", *embed)
+    assert code == EXIT_SPEC and out == ""
+    assert "16 and 4096" in err
+
+
+def test_construct_accepts_the_4096_bit_cap(capsys):
+    code, doc, _ = run_json(capsys, "construct", "--field", "quad:+5",
+                            "--level", "5", "--embed", "4096")
+    assert code == EXIT_OK and doc["embedding"]["precision"] == 4096
+
+
 def test_construct_refuses_fields_above_the_degree_cap(capsys, monkeypatch):
     """construct refuses a field above degree 64 before it classifies, so
     the refusal builds no field tables: the minimal-polynomial builder is

@@ -2,9 +2,10 @@
 
 Six results are kept where they are first computed: the total-positivity
 verdict, the determinant of the trace form that decided it and the
-inverse on the FieldElement, the realized ideal on the
+inverse on the FieldElement, the factored form (G, S) on the
 IdealRecipe, the Gram determinant on the IdealLattice, and the HNF rows
-of a principal ideal, built on first read.  Oracles: a fresh copy of the
+of a principal ideal, built on first read (its den is the generator's
+and needs no rows).  Oracles: a fresh copy of the
 same value, decided or solved from scratch; an equal recipe parsed
 again; the Bareiss determinant of the Gram; the module route of the
 trace dual; the rows of the generator's shift module and containment in
@@ -31,7 +32,10 @@ The generator g of the least principal radical power J_p^s (s <= 2) is
 proved by its norm and by g^(e_p/s)/p being integral, with no HNF and no
 module product for any s, and the pipelines form every radical power
 from it: classify, realize, build and verify never call different() or
-invert an ideal held as rows only.
+invert an ideal held as rows only.  classify checks every witness on
+generators, as I * conj(I) = G * conj(G) * prod_S J_p^2 is principal: it
+forms no principal-times-module product, no product or conjugate of
+ideals held as rows only, and no HNF outside radical_above.
 """
 
 from fractions import Fraction
@@ -124,17 +128,21 @@ def recipe_texts(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(recipe_texts())
-def test_realize_runs_once_per_recipe(case):
+def test_factored_form_is_computed_once_per_recipe(case):
     spec, text = case
     field = make_field(spec)
     recipe = IdealRecipe.parse(field, text)
     again = IdealRecipe.parse(field, text)
     assert recipe == again and hash(recipe) == hash(again)
     ideal = realize(recipe)
-    assert recipe._ideal is ideal
-    assert realize(recipe) is ideal
-    assert again._ideal is None
+    form = recipe._form
+    G, S = form
+    assert G._gen is not None and list(S) == sorted(S)
+    assert ideals._factored(recipe) is form
+    assert realize(recipe) == ideal and recipe._form is form
+    assert again._form is None
     assert realize(again) == ideal
+    assert again._form == form and again._form is not form
     assert recipe == again and hash(recipe) == hash(again)
 
 
@@ -375,8 +383,13 @@ def test_lazy_principal_ideal_agrees_with_its_rows(case):
             radical = radical_above(field, p)
             assert ideal_pow(radical, k).contains(gen * d)
             assert not ideal_pow(radical, k + 1).contains(gen * d)
+    # den is the generator's denominator, read without building rows, and
+    # stays so once the rows are built
+    dens = (a.den, b.den)
+    assert dens == (x.den, y.den) and a._num is None and b._num is None
     # rows built on first read are the shift-row module's rows
     assert hash(a) == hash(rows_a) and hash(b) == hash(rows_b)
+    assert (a.den, b.den) == dens
     assert (a.num, a.den) == (rows_a.num, rows_a.den)
     assert (b.num, b.den) == (rows_b.num, rows_b.den)
     assert (a == b) == (rows_a == rows_b)
@@ -583,6 +596,58 @@ def test_pipeline_inverts_no_module(monkeypatch, spec):
         lat = build(field, realize(w.ideal), w.alpha)
         assert lattice.verify_modularity(lat, w).modular_level == level
     assert calls == {"different": 0, "module inverse": 0}
+
+
+@pytest.mark.parametrize("spec", ["realcyclo:28", "realcyclo:60", "realcyclo:92",
+                                  "realcyclo:344", "quad:+6", "quad:-7"])
+def test_classify_runs_on_generators(monkeypatch, spec):
+    """classify checks every witness on generators: I * conj(I) is
+    G * conj(G) * prod_S (g_p) for the factored form (G, S), and the
+    valuations test principal products, so it forms no principal-times-
+    module product, no product or conjugate of ideals held as rows only,
+    and no HNF outside radical_above's certificate (realcyclo:344 has
+    degree 84, past the default materialize limit)."""
+    _fresh_caches(monkeypatch)
+    calls = {"hnf_mod_d": 0, "_principal_times_module": 0,
+             "rows ideal_mul": 0, "rows conj_ideal": 0}
+    inside = [0]
+    radical, hnf = ideals.radical_above, ideals.hnf_mod_d
+    ptm, mul, conj = ideals._principal_times_module, ideals.ideal_mul, ideals.conj_ideal
+
+    def counted_radical(field, p):
+        inside[0] += 1
+        try:
+            return radical(field, p)
+        finally:
+            inside[0] -= 1
+
+    def counted_hnf(rows, modulus):
+        calls["hnf_mod_d"] += not inside[0]
+        return hnf(rows, modulus)
+
+    def counted_ptm(g, abs_norm_g, mod):
+        calls["_principal_times_module"] += 1
+        return ptm(g, abs_norm_g, mod)
+
+    def counted_mul(a, b):
+        calls["rows ideal_mul"] += a._gen is None and b._gen is None
+        return mul(a, b)
+
+    def counted_conj(a):
+        calls["rows conj_ideal"] += a._gen is None
+        return conj(a)
+
+    monkeypatch.setattr(ideals, "radical_above", counted_radical)
+    monkeypatch.setattr(ideals, "hnf_mod_d", counted_hnf)
+    monkeypatch.setattr(ideals, "_principal_times_module", counted_ptm)
+    for module in (ideals, existence):
+        monkeypatch.setattr(module, "ideal_mul", counted_mul)
+        monkeypatch.setattr(module, "conj_ideal", counted_conj)
+    verdict = existence.classify(make_field(spec), materialize_limit=84)
+    monkeypatch.undo()
+    assert calls == {"hnf_mod_d": 0, "_principal_times_module": 0,
+                     "rows ideal_mul": 0, "rows conj_ideal": 0}
+    assert set(verdict.witnesses) == set(verdict.levels)
 
 
 # sub-resultant passes of mod_nonprimepower_trace(n), from fresh caches,

@@ -40,7 +40,6 @@ from arakelov.fields import (
     factorize,
     is_squarefree,
     is_totally_positive,
-    lift_descend,
     make_field,
     moebius,
     sqrt_integer,
@@ -400,13 +399,18 @@ def test_descend_rejects_non_real():
                         real.descend(cand)
 
 
-def test_lift_descend_dispatcher():
+def test_lift_and_descend_refuse_a_wrong_pair():
     real = make_field("realcyclo:13")
     amb = real.ambient
     x = real.gen()
-    assert lift_descend(lift_descend(x, amb), real) == x
-    with pytest.raises(SpecError):
-        lift_descend(x, make_field("cyclo:28"))
+    assert real.descend(real.lift(x)) == x
+    other = make_field("realcyclo:28")
+    with pytest.raises(FieldMismatch):
+        other.lift(x)
+    with pytest.raises(FieldMismatch):
+        other.descend(amb.gen())
+    with pytest.raises(FieldMismatch):
+        real.descend(make_field("cyclo:28").gen())
 
 
 # ---------------------------------------------------------------------------

@@ -247,7 +247,68 @@ def test_radical_power_normal_form_is_the_generic_power(spec, data):
     k = data.draw(st.integers(-2 * e, 2 * e), label="k")
     radical = radical_above(field, p)
     rows_only = FractionalIdeal(field, radical.num, radical.den)
-    assert ideals._radical_power(field, p, k) == ideal_pow(rows_only, k)
+    recipe = IdealRecipe(field, [("radical", p, k)] if k else [])
+    assert realize(recipe) == ideal_pow(rows_only, k)
+
+
+def _rows_only(ideal):
+    """The same module with no generator attached."""
+    return FractionalIdeal(ideal.field, ideal.num, ideal.den)
+
+
+def _row_reference(recipe):
+    """realize(recipe) on rows alone: generic powers of each radical held
+    as rows only, times the shift-row modules of the principal powers."""
+    field = recipe.field
+    out = FractionalIdeal.ring(field)
+    for kind, payload, k in recipe.factors:
+        if kind == "radical":
+            power = ideal_pow(_rows_only(radical_above(field, payload)), k)
+        else:
+            x = payload ** k
+            power = FractionalIdeal.from_rows(
+                field, [(x * w).coeffs for w in field.power_basis()])
+        out = ideal_mul(out, power)
+    return out
+
+
+# prime-power (s = 1) and composite (s = 2) conductors, quad:+-d (s = 2)
+# and CM fields, whose principal factors need not be real
+FACTORED_SPECS = ["realcyclo:13", "realcyclo:25", "realcyclo:21", "realcyclo:28",
+                  "realcyclo:60", "quad:+6", "quad:+5", "quad:-5", "quad:-7",
+                  "cyclo:12", "cyclo:9"]
+
+
+@st.composite
+def factored_recipes(draw):
+    field = make_field(draw(st.sampled_from(FACTORED_SPECS)))
+    factors = [("radical", p, k) for p in field.omega()
+               if (k := draw(st.integers(-3, 3)))]
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=field.degree,
+                               max_size=field.degree).filter(any))
+        factors.append(("principal", field.element(coeffs),
+                        draw(st.sampled_from([-2, -1, 1, 2]))))
+    return IdealRecipe(field, factors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factored_recipes())
+def test_factored_form_matches_the_row_products(recipe):
+    """realize(recipe) = G * prod_S J_p equals the product of rows-only
+    powers, and G * conj(G) * prod_S J_p^2, with J_p^2 = (g_p), equals
+    I * conj(I) formed on rows."""
+    field = recipe.field
+    G, S = ideals._factored(recipe)
+    assert G._gen is not None
+    assert all(ideals._principal_radical(field, p)[1] == 2 for p in S)
+    reference = _row_reference(recipe)
+    assert realize(recipe) == reference
+    square = ideal_mul(G, conj_ideal(G))
+    for p in S:
+        square = ideal_mul(square, ideals._principal_radical(field, p)[0])
+    assert square._gen is not None
+    assert square == ideal_mul(reference, conj_ideal(reference))
 
 
 def test_radical_unramified_prime_rejected():
