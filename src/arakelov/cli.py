@@ -29,7 +29,7 @@ from .fields import (
     make_field,
 )
 from .ideals import IdealRecipe, Unsupported, ZeroIdeal, realize
-from .lattice import ModularityFailure
+from .lattice import EnumerationBudgetExceeded, ModularityFailure
 from .linalg import FormError
 
 __all__ = ["main", "entry", "cmd_exists", "cmd_construct", "cmd_verify",
@@ -40,9 +40,11 @@ EXIT_SPEC = 2
 EXIT_ABSENT = 3
 EXIT_VERIFY = 4
 
-# errors that mean "the request was malformed or out of scope", not a bug
+# errors that mean "the request was malformed or out of scope", not a bug;
+# an exact minimum or theta series past the enumeration budget is out of
+# scope
 _USER_ERRORS = (SpecError, FieldMismatch, NotRamified, ZeroIdeal, Unsupported,
-                FormError)
+                FormError, EnumerationBudgetExceeded)
 
 
 # --------------------------------------------------------------------------

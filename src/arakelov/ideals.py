@@ -30,9 +30,11 @@ power J_p^s, s <= 2, has a generator g proved by element arithmetic
 (_radical_generator).  A recipe keeps one factored form (G, S): with
 J_p^k = (g^q) * J_p^r, k = q*s + r, 0 <= r < s, the principal G holds
 every g^q and principal factor, S every p with r = 1, and realize is
-G * prod_S J_p.  As J_p is Galois-stable and J_p^2 = (g), I * conj(I)
-is principal, so the witness self-check and the valuation certificate
-run on generators and no pipeline squares or inverts a module.  By Euler's
+G * prod_S J_p, where the coprime radicals multiply as their
+intersection sum_p (n/p) * J_p, n = prod_S p, from |S|*m rows reduced
+modulo n.  As J_p is Galois-stable and J_p^2 = (g), I * conj(I) is
+principal, so the witness self-check and the valuation certificate run
+on generators and no pipeline squares or inverts a module.  By Euler's
 lemma the codifferent is (1/f'(theta)), so the trace dual of a principal
 ideal is one element and the different is (f'(theta)); other inverses
 use the identity A^-1 = D_K * tracedual(conj(A), 1).  With one prime
@@ -813,10 +815,28 @@ def _factored(recipe):
     return recipe._form
 
 
+def _radical_product(field, S):
+    """prod_S J_p for distinct ramified primes S.  The J_p are pairwise
+    coprime, so with n = prod_S p their product is their intersection,
+    which is sum_p (n/p)*J_p: (n/p)*J_p lies in J_p, and in every other
+    J_q as q divides n/p.  So |S|*m rows, Hermite-reduced modulo n (an
+    integer of each summand), give the product, and its norm
+    prod_S N(J_p) certifies that no index was lost."""
+    if not S:
+        return FractionalIdeal.ring(field)
+    if len(S) == 1:
+        return radical_above(field, S[0])
+    n = prod(S)
+    rows, norm = [], 1
+    for p in S:
+        radical = radical_above(field, p)
+        rows += [[(n // p) * e for e in row] for row in radical.num]
+        norm *= radical.norm()
+    w = _certified_hnf(rows, n, norm, "radical product")
+    return FractionalIdeal(field, tuple(tuple(r) for r in w), 1)
+
+
 def realize(recipe):
     """Evaluate a recipe to its canonical fractional ideal G * prod_S J_p."""
     G, S = _factored(recipe)
-    radicals = FractionalIdeal.ring(recipe.field)
-    for p in S:
-        radicals = ideal_mul(radicals, radical_above(recipe.field, p))
-    return ideal_mul(G, radicals)
+    return ideal_mul(G, _radical_product(recipe.field, S))

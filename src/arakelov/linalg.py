@@ -338,14 +338,16 @@ def _integral_gram(G):
     return D, [[x.numerator * (D // x.denominator) for x in row] for row in G]
 
 
-def _lll(G, delta=Fraction(99, 100)):
+def _lll(G, delta=Fraction(99, 100), transform=False):
     """Integral LLL (Cohen, Algorithm 2.6.7; de Weger 1987) on the integer
     Gram D*G, from (D, A) = ldl_integral(G): d[i+1] = A[i][i] are the
     leading minors (d[0] = 1) and lam[k][j] = A[j][k] = d[j+1] * mu[k][j]
     for j < k; every step is exact on these integers and takes the
     decisions of the rational recurrence, mu rounded half to even.
-    Returns (D, D*G, U, A): U is the unimodular row transform; A holds the
-    final d and lam and is the Bareiss triangle of the reduced U*(D*G)*U^t.
+    Returns (D, D*G, U, A): A holds the final d and lam and is the Bareiss
+    triangle of the reduced U*(D*G)*U^t.  U, the unimodular row transform,
+    is formed only when transform is true (lll_reduce); the enumeration
+    reads A alone and gets U = None.
     """
     n = _check_gram(G)
     delta = Fraction(delta)
@@ -356,7 +358,7 @@ def _lll(G, delta=Fraction(99, 100)):
     _, A = ldl_integral(DG)  # raises FormError if G is not positive definite
     d = [1] + [A[i][i] for i in range(n)]
     lam = [[A[j][k] for j in range(k)] for k in range(n)]
-    U = identity(n)
+    U = identity(n) if transform else None
 
     def size_reduce(k, ls):
         lamk = lam[k]
@@ -366,7 +368,8 @@ def _lll(G, delta=Fraction(99, 100)):
                 c, r = divmod(lamk[l], dl)
                 if 2 * r > dl or (2 * r == dl and c % 2):
                     c += 1
-                U[k] = [x - c * y for x, y in zip(U[k], U[l])]
+                if U is not None:
+                    U[k] = [x - c * y for x, y in zip(U[k], U[l])]
                 lamk[l] -= c * dl
                 for j, y in enumerate(lam[l]):
                     lamk[j] -= c * y
@@ -379,7 +382,8 @@ def _lll(G, delta=Fraction(99, 100)):
         # B_i = d[i+1] / d[i] and mu = m / d[k]
         if q * d[k + 1] * d[k - 1] < p * d[k] * d[k] - q * m * m:
             # Cohen's SWAPI; lam[k][k-1] is unchanged and only d[k] moves
-            U[k - 1], U[k] = U[k], U[k - 1]
+            if U is not None:
+                U[k - 1], U[k] = U[k], U[k - 1]
             lam[k - 1], lam[k] = lam[k][:k - 1], lam[k - 1] + [m]
             dk, dk1 = d[k + 1], d[k]
             b = (d[k - 1] * dk + m * m) // dk1
@@ -402,9 +406,10 @@ def lll_reduce(G, delta=Fraction(99, 100)):
     (G2, T) with T unimodular and G2 == T^t * G * T satisfying the
     size-reduction and Lovasz conditions for delta.  The integral LLL of
     _lll forms no Fraction; G2 is the moved D*G over D, so the Lovasz
-    condition of the result can be re-checked exactly from G2.
+    condition of the result can be re-checked exactly from G2.  This is
+    the one caller that returns T, so it alone asks _lll for the transform.
     """
-    D, DG, U, _ = _lll(G, delta)
+    D, DG, U, _ = _lll(G, delta, transform=True)
     T = transpose(U)
     G2 = mat_mul(U, mat_mul(DG, T))
     return [[Fraction(x, D) for x in row] for row in G2], T

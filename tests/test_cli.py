@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arakelov
-from arakelov import cli, existence, fields, ideals
+from arakelov import cli, existence, fields, ideals, lattice
 from arakelov.cli import (
     EXIT_ABSENT,
     EXIT_OK,
@@ -757,6 +757,26 @@ def test_catalog_examples_all_pass(capsys):
     dim21 = by_name["extremal odd unimodular, dim 21"]
     assert dim21["got"]["dimension"] == 21
     assert dim21["got"]["minimum"] == "2"
+
+
+def test_enumeration_past_its_budget_exits_2(capsys, monkeypatch, record28, tmp_path):
+    """Every command that walks an enumeration exits 2 with empty stdout,
+    and writes no --out file, once the walk passes ENUMERATION_BUDGET;
+    verify without --min or --theta walks nothing and still passes."""
+    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", 5)
+    out = tmp_path / "out.json"
+    for argv in (["construct", "--field", "realcyclo:28", "--level", "7", "--trace-type"],
+                 ["construct", "--field", "realcyclo:28", "--level", "7", "--trace-type",
+                  "--out", str(out)],
+                 ["verify", "--in", str(record28), "--min"],
+                 ["verify", "--in", str(record28), "--theta", "4"],
+                 ["catalog", "--paper-table"],
+                 ["catalog", "--examples"]):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (EXIT_SPEC, ""), argv
+        assert "in dimension 6 passed its budget of 5 nodes" in err, argv
+    assert not out.exists()
+    assert run(capsys, "verify", "--in", str(record28))[0] == EXIT_OK
 
 
 # --------------------------------------------------------------------------

@@ -427,7 +427,8 @@ def test_enumeration_runs_one_elimination(monkeypatch):
 @settings(max_examples=80, deadline=None)
 @given(lll_grams())
 def test_walk_reads_the_triangle_of_the_reduced_gram(G):
-    """The (D, A) the walk receives is ldl_integral of lll_reduce(G)[0]."""
+    """The (D, A) the walk receives is ldl_integral of lll_reduce(G)[0],
+    and its reduction formed no transform."""
     handed = []
     lll = lattice._lll
 
@@ -441,7 +442,8 @@ def test_walk_reads_the_triangle_of_the_reduced_gram(G):
         theta_prefix(G, 0)
     finally:
         lattice._lll = lll
-    (D, _, _, A), = handed
+    (D, _, U, A), = handed
+    assert U is None
     G2, _ = lll_reduce(G)
     assert ldl_integral(G2) == (D, A)
     assert ldl_integral([[x * D for x in row] for row in G2]) == (1, A)

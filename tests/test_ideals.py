@@ -311,6 +311,28 @@ def test_factored_form_matches_the_row_products(recipe):
     assert square == ideal_mul(reference, conj_ideal(reference))
 
 
+# composite conductors, every ramified prime with s = 2; realcyclo:105 and
+# :140 have three ramified primes, realcyclo:344 has degree 84
+RADICAL_PRODUCT_SPECS = ["realcyclo:60", "realcyclo:84", "realcyclo:105",
+                         "realcyclo:140", "realcyclo:344"]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(RADICAL_PRODUCT_SPECS), st.data())
+def test_radical_product_is_the_chained_row_product(spec, data):
+    """prod_S J_p from |S|*m rows reduced modulo prod_S p has the rows of
+    the chained generic ideal_mul of the rows-only radicals."""
+    field = make_field(spec)
+    S = sorted(data.draw(st.sets(st.sampled_from(field.omega()), min_size=2),
+                         label="S"))
+    chained = FractionalIdeal.ring(field)
+    for p in S:
+        chained = ideal_mul(chained, _rows_only(radical_above(field, p)))
+    product = ideals._radical_product(field, S)
+    assert (product.num, product.den) == (chained.num, chained.den)
+    assert product.norm() == prod(radical_above(field, p).norm() for p in S)
+
+
 def test_radical_unramified_prime_rejected():
     field = make_field("quad:+5")
     with pytest.raises(NotRamified):

@@ -13,6 +13,9 @@ Oracles
   the exact coefficient box |x_i| <= sqrt(B * (G^-1)_ii) -- a bound that
   holds for every vector of norm <= B and is computed with exact
   rational arithmetic, fully independent of the Fincke-Pohst tree.
+* The loop walk is checked node for node against the recursive walk it
+  replaced (``recursive_walk`` below): the same norms in the same order
+  and the same node count, for minimum's shrinking bound and for theta.
 * Modularity verification consumes self-proving witnesses from the
   existence module; negative controls corrupt beta or swap the module.
 """
@@ -25,10 +28,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arakelov import lattice
 from arakelov.existence import classify
 from arakelov.fields import FieldMismatch, SpecError, make_field
 from arakelov.ideals import FractionalIdeal, realize
 from arakelov.lattice import (
+    EnumerationBudgetExceeded,
     IdealLattice,
     ModularityFailure,
     build,
@@ -38,7 +43,7 @@ from arakelov.lattice import (
     theta_prefix,
     verify_modularity,
 )
-from arakelov.linalg import FormError, invert, lll_reduce, mat_mul, transpose
+from arakelov.linalg import FormError, _lll, invert, lll_reduce, mat_mul, transpose
 
 
 def witness_lattice(spec, level, trace_type=True):
@@ -415,3 +420,126 @@ def test_enumeration_matches_brute_force_at_large_entries(case):
     assert minimum(gram) == (mu, counts[mu])
     assert theta_prefix(gram, bound) == \
         [(0, 1)] + sorted((nrm, c) for nrm, c in counts.items() if nrm <= bound)
+
+
+# --------------------------------------------------------------------------
+# the loop walk against the recursive walk it replaced
+# --------------------------------------------------------------------------
+
+def recursive_walk(gram, bound, on_vector):
+    """The recursive Fincke-Pohst walk on the triangle of _lll, each center
+    summed from scratch: the reference for the loop walk of
+    lattice._enumerate_representatives.  Returns its node count, the calls
+    at levels >= 0 (the root and every accepted coordinate above level 0)."""
+    scale, _, _, A = _lll(gram)
+    n = len(A)
+    prev = [1] + [A[i][i] for i in range(n - 1)]
+    unit = math.lcm(*(A[i][i] * prev[i] for i in range(n)))
+    c = [unit // (A[i][i] * prev[i]) for i in range(n)]
+    unit *= scale
+    if bound is None:
+        cap = min(sum(c[i] * A[i][k] ** 2 for i in range(k + 1)) for k in range(n))
+    else:
+        cap = math.floor(Fraction(bound) * unit)
+    x = [0] * n
+    nodes = 0
+
+    def walk(i, used, nonzero):
+        nonlocal cap, nodes
+        if i < 0:
+            if nonzero:
+                new_bound = on_vector(Fraction(used, unit))
+                if new_bound is not None:
+                    cap = math.floor(new_bound * unit)
+            return
+        nodes += 1
+        row = A[i]
+        s = sum(row[j] * x[j] for j in range(i + 1, n) if x[j])
+        P = row[i]
+        r = math.isqrt((cap - used) // c[i])
+        lo = -((r + s) // P)
+        if not nonzero:
+            lo = max(lo, 0)
+        for xi in range(lo, (r - s) // P + 1):
+            y = P * xi + s
+            step = used + c[i] * y * y
+            if step <= cap:
+                x[i] = xi
+                walk(i - 1, step, nonzero or xi != 0)
+        x[i] = 0
+
+    walk(n - 1, 0, False)
+    return nodes
+
+
+def _reports(walk, gram, bound):
+    """(norms in the order reported, node count) of one walk; with bound
+    None the bound is lowered as minimum lowers it."""
+    seen = []
+
+    def on_vector(norm):
+        lower = bound is None and (not seen or norm < min(seen))
+        seen.append(norm)
+        return norm if lower else None
+
+    return seen, walk(gram, bound, on_vector)
+
+
+@st.composite
+def walk_grams(draw):
+    """A 2-8-dim positive definite Gram B * B^t: small entries (integer or
+    rational, from lll_grams' skewed bases) or 40-53-bit entries from a
+    basis of about half that many bits, optionally over a denominator."""
+    n = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        entries = st.sampled_from([st.integers(-9, 9), st.fractions(
+            min_value=-9, max_value=9, max_denominator=6)])
+        entries = draw(entries)
+        den = 1
+    else:
+        bits = draw(st.integers(20, 26))
+        entries = st.integers(-(1 << bits), 1 << bits)
+        den = draw(st.integers(1, 6))
+    B = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-3, 3))
+        B[i] = [x + c * y for x, y in zip(B[i], B[j])]
+    G = [[Fraction(sum(x * y for x, y in zip(r, s)), den) for s in B] for r in B]
+    try:
+        mu, _ = minimum(G)
+    except FormError:
+        assume(False)
+    return G, mu * Fraction(draw(st.integers(2, 8)), 4)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(walk_grams())
+def test_loop_walk_matches_the_recursive_walk(case):
+    gram, theta_bound = case
+    for bound in (None, theta_bound):
+        want = _reports(recursive_walk, gram, bound)
+        assert _reports(lattice._enumerate_representatives, gram, bound) == want
+        assert want[0] or bound is not None
+
+
+def test_walk_counts_nodes_of_the_catalog_lattice():
+    lat, _ = witness_lattice("realcyclo:28", 7)
+    for bound in (None, 6):
+        assert _reports(lattice._enumerate_representatives, lat, bound) == \
+            _reports(recursive_walk, lat.gram, bound)
+
+
+def test_enumeration_budget_raises_a_typed_error(monkeypatch):
+    lat, _ = witness_lattice("realcyclo:28", 7)
+    for bound, run in ((None, lambda: minimum(lat)), (6, lambda: theta_prefix(lat, 6))):
+        monkeypatch.undo()
+        nodes = _reports(lattice._enumerate_representatives, lat, bound)[1]
+        monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", nodes)
+        run()
+        monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", nodes - 1)
+        with pytest.raises(EnumerationBudgetExceeded) as info:
+            run()
+        assert isinstance(info.value, ValueError)
+        assert (info.value.dimension, info.value.budget) == (6, nodes - 1)
+        assert "dimension 6" in str(info.value) and str(nodes - 1) in str(info.value)
