@@ -31,10 +31,13 @@ of theta.
 
 Tables are built on first arithmetic use.  A field takes its degree from
 the spec (phi(n), halved for the real subfield); the minimal polynomial,
-and with it the power rows, power sums, trace form and lift/descend rows,
-is built by the first computation that needs it.  Level sets and
-ramification data depend only on the factorization of the conductor, so
-they stay cheap at any degree.
+and with it the powers of theta, the power sums s_0 .. s_(2m-2) (the
+trace form is their Hankel view) and the conjugation rows, is built by
+the first computation that needs it and kept as a cached property.  lift
+and descend keep no table: they run Horner's rule and Clenshaw's
+recurrence in zeta + zeta^-1.  Level sets and ramification data depend
+only on the factorization of the conductor, so they stay cheap at any
+degree.
 
 Total positivity is exact: alpha >> 0 iff its integer trace form on O_K
 passes Sylvester's criterion, whose determinant alpha keeps for the
@@ -110,8 +113,6 @@ def factorize(n):
 def is_squarefree(n):
     if n < 1:
         return False
-    if n == 1:
-        return True
     return all(e == 1 for e in factorize(n).values())
 
 
@@ -138,12 +139,8 @@ def _divisors(n):
 
 def _legendre(a, p):
     """Legendre symbol (a/p) for an odd prime p."""
-    r = pow(a % p, (p - 1) // 2, p)
-    if r == 1:
-        return 1
-    if r == p - 1:
-        return -1
-    return 0
+    r = pow(a % p, (p - 1) // 2, p)  # Euler's criterion: 0, 1 or p - 1
+    return -1 if r == p - 1 else r
 
 
 # --------------------------------------------------------------------------
@@ -225,6 +222,16 @@ def _real_cyclotomic_poly(n):
     if psi[m] != 1:
         raise ValueError("real cyclotomic minimal polynomial is not monic")
     return tuple(psi)
+
+
+def _combine(coeffs, rows, out):
+    """out + sum_k coeffs[k] * rows[k] on integer vectors, skipping zeros."""
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, r in enumerate(row):
+                if r:
+                    out[j] += c * r
+    return out
 
 
 def _subresultant(f, a):
@@ -314,19 +321,18 @@ class FieldElement:
     field's normalizing ``_element`` and never forms a Fraction.
     Instances are immutable values: arithmetic returns new elements.
     Mixed arithmetic with ``int`` and ``Fraction`` coerces the scalar.
-    The private ``_positive`` slot holds the total-positivity verdict once
-    is_totally_positive has decided it, ``_trace_det`` the determinant of
-    the trace form once Sylvester's criterion has certified it positive
-    definite, and ``_norm`` the norm once norm() or inverse() has
-    computed it.  The private ``_inv`` slot holds the inverse once it is
-    known, linked both ways (``x._inv._inv is x``): inverse() computes it
-    once, a negative power inverts the base rather than the power,
-    positive powers of an element with a known inverse carry the matching
-    inverse along, and an inverse pair shares one norm.  Equality and
-    hashing ignore all four slots.
+    The private ``_trace_det`` slot holds the verdict of Sylvester's
+    criterion on the trace form once it is decided: 0 when the form is not
+    positive definite, else its determinant.  ``_norm`` holds the norm
+    once norm() or inverse() has computed it, and ``_inv`` the inverse
+    once it is known, linked both ways (``x._inv._inv is x``): inverse()
+    computes it once, a negative power inverts the base rather than the
+    power, positive powers of an element with a known inverse carry the
+    matching inverse along, and an inverse pair shares one norm.
+    Equality and hashing ignore all three slots.
     """
 
-    __slots__ = ("field", "num", "den", "_positive", "_inv", "_norm", "_trace_det")
+    __slots__ = ("field", "num", "den", "_inv", "_norm", "_trace_det")
 
     def __init__(self, field, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
@@ -487,7 +493,6 @@ def _fill(x, field, num, den):
     object.__setattr__(x, "field", field)
     object.__setattr__(x, "num", num)
     object.__setattr__(x, "den", den)
-    object.__setattr__(x, "_positive", None)
     object.__setattr__(x, "_inv", None)
     object.__setattr__(x, "_norm", None)
     object.__setattr__(x, "_trace_det", None)
@@ -519,8 +524,8 @@ class NumberField:
     """Base class: exact arithmetic driven by a monic integer minimal polynomial.
 
     A field knows its degree from its spec alone; the minimal polynomial
-    (``_build_minpoly``) and every table derived from it are built on the
-    first arithmetic call that needs them.
+    (``_build_minpoly``) and every table derived from it are cached
+    properties, built on the first arithmetic call that needs them.
     """
 
     kind = "abstract"
@@ -529,12 +534,6 @@ class NumberField:
     def __init__(self, degree, spec):
         self.degree = degree
         self._spec = spec
-        self._power_rows = None
-        self._theta_pows = None
-        self._power_sums = None
-        self._trace_form = None
-        self._disc = None
-        self._conj_rows = None
         self._embed_cache = {}
 
     # -- identity ------------------------------------------------------------
@@ -616,91 +615,67 @@ class NumberField:
                 out[j] -= top * mp_[j]
         return out
 
-    def _power_table(self):
-        """Integer coefficient rows for theta^m .. theta^(2m-2)."""
-        if self._power_rows is None:
-            m = self.degree
-            rows = []
-            cur = [-c for c in self.minpoly[:m]]
-            for _ in range(m - 1):
-                rows.append(tuple(cur))
-                cur = self._shift_reduce(cur)
-            self._power_rows = tuple(rows)
-        return self._power_rows
+    @cached_property
+    def _theta_pows(self):
+        """Integer coordinates of theta^0, theta^1, ...; theta_power extends it."""
+        return [(1,) + (0,) * (self.degree - 1)]
 
     def theta_power(self, k):
         """theta^k as an element (cached; valid for any k >= 0)."""
-        if self._theta_pows is None:
-            self._theta_pows = [tuple([1] + [0] * (self.degree - 1))]
         pows = self._theta_pows
         while len(pows) <= k:
-            pows.append(tuple(self._shift_reduce(list(pows[-1]))))
+            pows.append(tuple(self._shift_reduce(pows[-1])))
         return self._element(pows[k])
+
+    @cached_property
+    def _power_table(self):
+        """Integer coefficient rows for theta^m .. theta^(2m-2)."""
+        m = self.degree
+        self.theta_power(2 * m - 2)
+        return tuple(self._theta_pows[m:2 * m - 1])
 
     def _mul_coeffs(self, a, b):
         """Integer coordinates of the product of two integer coordinate
         vectors: the convolution reduced by the minimal polynomial."""
         m = self.degree
-        if m == 1:
-            return [a[0] * b[0]]
         conv = [0] * (2 * m - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        out = conv[:m]
-        table = self._power_table()
-        for k in range(m, 2 * m - 1):
-            ck = conv[k]
-            if ck:
-                row = table[k - m]
-                for j in range(m):
-                    if row[j]:
-                        out[j] += ck * row[j]
-        return out
+        return _combine(conv[m:], self._power_table, conv[:m])
 
-    def _trace_powers(self):
-        """Power sums s_k = Tr(theta^k), 0 <= k < degree (Newton's identities)."""
-        if self._power_sums is None:
-            m, mp_ = self.degree, self.minpoly
-            s = [m]
-            for k in range(1, m):
-                acc = -k * mp_[m - k]
-                for i in range(1, k):
-                    acc -= mp_[m - i] * s[k - i]
-                s.append(acc)
-            self._power_sums = tuple(s)
-        return self._power_sums
+    @cached_property
+    def _power_sums(self):
+        """Power sums s_k = Tr(theta^k), 0 <= k <= 2m-2: Newton's identities
+        below the degree, then the reduction rows of theta^m .. theta^(2m-2)."""
+        m, f = self.degree, self.minpoly
+        s = [m]
+        for k in range(1, m):
+            s.append(-k * f[m - k] - sum(f[m - i] * s[k - i] for i in range(1, k)))
+        for row in self._power_table:
+            s.append(sum(c * s[j] for j, c in enumerate(row) if c))
+        return tuple(s)
 
     def _trace(self, x):
-        s = self._trace_powers()
+        s = self._power_sums
         return Fraction(sum(a * s[k] for k, a in enumerate(x.num) if a), x.den)
 
     def trace_form_rows(self):
-        """Integer rows of the trace form T[i][j] = Tr(theta^(i+j)).
-
-        Power sums above the degree come from the cached reduction rows
-        for theta^m..theta^(2m-2), so Tr(x*y) = x . T . y for any two
-        coefficient vectors without forming the product element.
-        """
-        if self._trace_form is None:
-            m = self.degree
-            s = list(self._trace_powers())
-            table = self._power_table()
-            for k in range(m, 2 * m - 1):
-                row = table[k - m]
-                s.append(sum(c * s[j] for j, c in enumerate(row) if c))
-            self._trace_form = tuple(tuple(s[i + j] for j in range(m))
-                                     for i in range(m))
-        return self._trace_form
+        """Integer rows of the trace form T[i][j] = Tr(theta^(i+j)) = s_(i+j),
+        so Tr(x*y) = x . T . y for any two coefficient vectors without
+        forming the product element; a view of the power sums."""
+        s, m = self._power_sums, self.degree
+        return tuple(s[i:i + m] for i in range(m))
 
     def _hankel_traces(self, a):
-        """t[k] = Tr(a * theta^k), k <= 2m-2, for integer coordinates a: from
-        the trace form, then the reduction rows of theta^m .. theta^(2m-2)."""
-        T = self.trace_form_rows()
-        t = [sum(c * T[l][k] for l, c in enumerate(a) if c) for k in range(self.degree)]
-        for row in self._power_table():
+        """t[k] = Tr(a * theta^k), k <= 2m-2, for integer coordinates a: the
+        sums of a_l * s_(l+k) below the degree, then the reduction rows of
+        theta^m .. theta^(2m-2)."""
+        s = self._power_sums
+        t = [sum(c * s[l + k] for l, c in enumerate(a) if c) for k in range(self.degree)]
+        for row in self._power_table:
             t.append(sum(c * t[j] for j, c in enumerate(row) if c))
         return t
 
@@ -710,41 +685,36 @@ class NumberField:
         different, and its norm gives the discriminant."""
         return self._element([k * c for k, c in enumerate(self.minpoly)][1:])
 
+    @cached_property
+    def _disc(self):
+        m = self.degree
+        self._fprime.inverse()
+        return (-1) ** (m * (m - 1) // 2) * self._fprime.norm().numerator
+
     def discriminant(self):
         """Field discriminant disc(f) = (-1)^(m(m-1)/2) * N(f'(theta)), as
         O_K = Z[theta].  The norm comes from the pass that inverts
         f'(theta) for the codifferent, so a field runs one pass for both."""
-        if self._disc is None:
-            m = self.degree
-            fp = self._fprime
-            fp.inverse()
-            self._disc = (-1) ** (m * (m - 1) // 2) * fp.norm().numerator
         return self._disc
 
     def conj_generator(self):
         """Image of theta under complex conjugation, or None for the identity."""
         return None
 
+    @cached_property
+    def _conj_rows(self):
+        """Integer rows conj(theta^k), k < degree (conjugation maps O_K onto
+        itself, so its matrix is integral)."""
+        g = self.conj_generator()
+        rows, cur = [], self.one()
+        for _ in range(self.degree):
+            rows.append(cur.num)
+            cur = cur * g
+        return tuple(rows)
+
     def _conj_num(self, vec):
-        """Integer coordinates of conj(x) for the integer coordinates of x
-        (conjugation maps O_K onto itself, so its matrix is integral)."""
-        m = self.degree
-        if self._conj_rows is None:
-            g = self.conj_generator()
-            rows = []
-            cur = self.one()
-            for _ in range(m):
-                rows.append(cur.num)
-                cur = cur * g
-            self._conj_rows = tuple(rows)
-        out = [0] * m
-        for k, c in enumerate(vec):
-            if c:
-                row = self._conj_rows[k]
-                for j in range(m):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return out
+        """Integer coordinates of conj(x) for the integer coordinates of x."""
+        return _combine(vec, self._conj_rows, [0] * self.degree)
 
     def _conj(self, x):
         if not self.is_cm:
@@ -958,8 +928,6 @@ class RealCyclotomicField(NumberField):
         _validate_conductor(n, "realcyclo")
         self.n = n
         self._nfac = factorize(n)
-        self._lift_rows = None
-        self._descend_rows = None
         super().__init__(euler_phi(n) // 2, f"realcyclo:{n}")
 
     def _build_minpoly(self):
@@ -970,81 +938,44 @@ class RealCyclotomicField(NumberField):
     def ambient(self):
         return make_field(f"cyclo:{self.n}")
 
-    def _lift_matrix(self):
-        """Rows j < degree: ambient coefficients of (zeta + zeta^-1)^j.
-
-        Multiplication by zeta + zeta^-1 is one reduced up-shift plus one
-        down-shift on integer vectors; zeta^-1 itself comes from the
-        minimal polynomial (its constant term is 1 for every n >= 2), so
-        the whole matrix is built without rational element products.
-        """
-        if self._lift_rows is None:
-            amb = self.ambient
-            big = amb.degree
-            mp_ = amb.minpoly
-            zinv = [-mp_[t + 1] for t in range(big)]
-            rows = []
-            cur = [1] + [0] * (big - 1)
-            for _ in range(self.degree):
-                rows.append(tuple(cur))
-                up = amb._shift_reduce(cur)
-                down = [cur[t + 1] for t in range(big - 1)] + [0]
-                c0 = cur[0]
-                if c0:
-                    for t in range(big):
-                        if zinv[t]:
-                            down[t] += c0 * zinv[t]
-                cur = [u + d for u, d in zip(up, down)]
-            self._lift_rows = tuple(rows)
-        return self._lift_rows
-
     def lift(self, x):
-        """Rewrite an element on the power basis of zeta_n in Q(zeta_n)."""
+        """Rewrite an element on the power basis of zeta_n in Q(zeta_n).
+
+        Horner's rule in zeta + zeta^-1: each step multiplies by it with one
+        reduced up-shift plus one down-shift of integer vectors; zeta^-1
+        itself comes from the minimal polynomial f, whose constant term is
+        1 for every n >= 3, as zeta^-1 = -sum_(t >= 1) f_t zeta^(t-1).
+        """
         if x.field != self:
             raise FieldMismatch("lift expects an element of this real subfield")
-        rows = self._lift_matrix()
         amb = self.ambient
-        out = [0] * amb.degree
-        for j, c in enumerate(x.num):
-            if c:
-                row = rows[j]
-                for i in range(amb.degree):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return amb._element(out, x.den)
-
-    def _descend_matrix(self):
-        """Rows k < ambient degree: coordinates of zeta^k + zeta^-k = v_k(theta).
-
-        v_0 = 2, v_1 = theta and v_k = theta * v_(k-1) - v_(k-2), each
-        product by theta being one reduced shift of integer coordinates.
-        """
-        if self._descend_rows is None:
-            m = self.degree
-            prev = [2] + [0] * (m - 1)
-            cur = self._shift_reduce([1] + [0] * (m - 1))
-            rows = [tuple(prev)]
-            for _ in range(1, self.ambient.degree):
-                rows.append(tuple(cur))
-                prev, cur = cur, [a - b for a, b in zip(self._shift_reduce(cur), prev)]
-            self._descend_rows = tuple(rows)
-        return self._descend_rows
+        f = amb.minpoly
+        acc = [0] * amb.degree
+        for c in reversed(x.num):
+            down = _combine((-acc[0],), (f[1:],), acc[1:] + [0])
+            acc = [u + d for u, d in zip(amb._shift_reduce(acc), down)]
+            acc[0] += c
+        return amb._element(acc, x.den)
 
     def descend(self, w):
         """Inverse of lift; raises NotInSubfield for non-real elements.
 
         A real w = sum_k a_k zeta^k equals (w + conj w)/2, which is
-        sum_k a_k v_k(theta)/2, so one product gives the candidate and lift
-        certifies it: it reproduces w exactly when w is real.
+        sum_k a_k v_k / 2 for v_k = zeta^k + zeta^-k: v_0 = 2, v_1 = theta
+        and v_k = theta * v_(k-1) - v_(k-2).  Clenshaw's recurrence
+        b_k = a_k + theta * b_(k+1) - b_(k+2) sums it without tabulating
+        v_k, as sum_k a_k v_k = 2 a_0 + theta * b_1 - 2 b_2, each product
+        by theta one reduced shift.  lift certifies the candidate: it
+        reproduces w exactly when w is real.
         """
         if w.field != self.ambient:
             raise FieldMismatch("descend expects an element of the ambient cyclotomic field")
-        out = [0] * self.degree
-        for a, row in zip(w.num, self._descend_matrix()):
-            if a:
-                for j, v in enumerate(row):
-                    if v:
-                        out[j] += a * v
+        b1 = b2 = [0] * self.degree
+        for a in w.num[:0:-1]:
+            b1, b2 = [u - v for u, v in zip(self._shift_reduce(b1), b2)], b1
+            b1[0] += a
+        out = [u - 2 * v for u, v in zip(self._shift_reduce(b1), b2)]
+        out[0] += 2 * w.num[0]
         x = self._element(out, 2 * w.den)
         if self.lift(x) != w:
             raise NotInSubfield(
@@ -1192,16 +1123,10 @@ def _nonzero_entries(rows):
 
 def _gauss_sum(amb, p):
     """Quadratic Gauss sum sum_j (j/p) zeta_p^j inside Q(zeta_n), p odd prime, p | n."""
-    n = amb.n
-    step = n // p
-    out = [0] * amb.degree
-    for j in range(1, p):
-        s = _legendre(j, p)
-        vec = amb.theta_power(step * j).num
-        for i in range(amb.degree):
-            if vec[i]:
-                out[i] += s * vec[i]
-    return amb._element(out)
+    js = range(1, p)
+    return amb._element(_combine([_legendre(j, p) for j in js],
+                                 [amb.theta_power(amb.n // p * j).num for j in js],
+                                 [0] * amb.degree))
 
 
 def sqrt_integer(field, m):
@@ -1273,17 +1198,9 @@ def is_totally_positive(alpha):
     integers by Sylvester's criterion with no precision and no cap
     (_trace_form_det): on a totally real field from the sub-resultants of
     the Hankel form H, on a CM field by ldl_integral, where H is symmetric
-    iff alpha = conj(alpha).  Zero and rationals are read off directly.
-    The verdict is kept on alpha.
+    iff alpha = conj(alpha).  Zero and rationals are read off their sign;
+    any other verdict is kept on alpha.
     """
-    if alpha._positive is None:
-        object.__setattr__(alpha, "_positive", _decide_total_positivity(alpha))
-    return alpha._positive
-
-
-def _decide_total_positivity(alpha):
-    if alpha.is_zero:
-        return False
     if alpha.is_rational:
         return alpha.num[0] > 0
     try:
@@ -1298,16 +1215,22 @@ def _trace_form_det(alpha):
     unless H is positive definite.  On a totally real field (every
     supported field that is not CM) H is the Hankel matrix of the traces
     of alpha.num and _hankel_det decides it with one sub-resultant PRS; on
-    a CM field it is the last pivot of ldl_integral(H).  Kept on alpha, so deciding positivity and
-    certifying a lattice on the same alpha decide H once."""
+    a CM field it is the last pivot of ldl_integral(H).  The verdict is
+    kept on alpha as _trace_det, 0 for a form that is not positive
+    definite, so deciding positivity and certifying a lattice on the same
+    alpha decide H once."""
     if alpha._trace_det is None:
         field = alpha.field
-        if field.is_cm:
-            _, A = _ldl_integral(trace_form(alpha)[0])
-            trace_det = A[-1][-1]
-        else:
-            trace_det = _hankel_det(field, alpha.num)
+        try:
+            if field.is_cm:
+                trace_det = _ldl_integral(trace_form(alpha)[0])[1][-1][-1]
+            else:
+                trace_det = _hankel_det(field, alpha.num)
+        except _FormError:
+            trace_det = 0
         object.__setattr__(alpha, "_trace_det", trace_det)
+    if not alpha._trace_det:
+        raise _FormError("matrix is not positive definite")
     return alpha._trace_det
 
 

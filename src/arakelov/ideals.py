@@ -537,12 +537,13 @@ def trace_dual(a, alpha):
         g = -g
     int_rows = [[e // g for e in row] for row in Y]
     den_d //= g
-    # the dual covolume is forced: 1 / (|N(alpha)| * norm(A) * |disc|);
-    # no integer of the dual's rows is known in advance, so they reduce
-    # modulo their exact determinant
+    # alpha.den * a.den lies in the dual, as Tr(alpha.num * conj(u)) is an
+    # integer for every u in O_K, so den_d * alpha.den * a.den lies in the
+    # rows' module; the forced covolume 1 / (|N(alpha)| * norm(A) * |disc|)
+    # certifies them
     d_det = Fraction(den_d) ** field.degree / (abs(alpha.norm()) * a.norm()
                                                * abs(field.discriminant()))
-    w = _certified_hnf(int_rows, d_det.numerator, d_det, "trace dual")
+    w = _certified_hnf(int_rows, den_d * alpha.den * a.den, d_det, "trace dual")
     return _reduced(field, w, den_d)
 
 

@@ -135,16 +135,40 @@ def generator_matrix(lat, precision=None):
     """Numeric basis-embedding matrix scaled by sqrt(alpha) per embedding.
 
     The product M * M^t is checked against the exact Gram within
-    2^(-precision/2); rows follow the canonical ideal basis.
+    2^(-precision/2); rows follow the canonical ideal basis.  A row entry
+    sums coordinates times powers of the embedded theta, so it can lose
+    bits to cancellation; when the check fails at precision + 32 working
+    bits, the rows are recomputed with guard bits for the largest term of
+    a Gram entry and checked again.
     """
-    import mpmath
     if precision is None:
         precision = default_precision()
+    try:
+        return _generator_rows(lat, precision, precision)
+    except ArithmeticError:
+        pass
+    # a Gram entry sums m products of two row entries, and a row entry is
+    # sqrt(alpha_j) times a sum of m coordinates times powers of theta_j, as
+    # is alpha_j: with b and a the bits of the ideal's and alpha's
+    # coordinates and s >= (m-1) * log2 max|theta_j| (int(t).bit_length()
+    # bounds log2 t for t >= 1), no term has more than 2b + a + 3(s + bits(m))
+    m = lat.field.degree
+    top = max(abs(t) for t in lat.field.embedding_values(precision))
+    s = (m - 1) * int(top).bit_length()
+    b = max(abs(e) for row in lat.ideal.num for e in row).bit_length()
+    a = max(abs(e) for e in lat.alpha.num).bit_length()
+    return _generator_rows(lat, precision, precision + 2 * b + a + 3 * (s + m.bit_length()))
+
+
+def _generator_rows(lat, precision, bits):
+    """The rows of generator_matrix computed at bits + 32 working bits and
+    checked within 2^(-precision/2); ArithmeticError if they disagree."""
+    import mpmath
     field = lat.field
     m = field.degree
-    power = embedding_matrix(field, precision).entries
-    with mpmath.workprec(precision + 32):
-        alpha_vals = lat.alpha.embed(precision)
+    power = embedding_matrix(field, bits).entries
+    with mpmath.workprec(bits + 32):
+        alpha_vals = lat.alpha.embed(bits)
         if field.is_cm:
             reps = alpha_vals[0::2]
             scales = []

@@ -373,6 +373,26 @@ def test_construct_embed(capsys):
             assert math.isclose(dot, gram[i][j], abs_tol=1e-9)
 
 
+def test_construct_embed_recovers_bits_lost_to_cancellation(capsys, monkeypatch):
+    """At degree 44 the rows of realcyclo:89, sums of coordinates times
+    powers of 2*cos(2*pi*k/89), lose more than the 32 extra working bits
+    to cancellation; construct recomputes them with guard bits and exits 0,
+    and the printed rows, 40 significant digits, still give the exact
+    Gram to 30 digits."""
+    import mpmath
+    monkeypatch.delenv("ARAKELOV_PRECISION_BITS", raising=False)
+    code, doc, _ = run_json(capsys, "construct", "--field", "realcyclo:89",
+                            "--level", "1", "--embed")
+    assert code == EXIT_OK and doc["embedding"]["precision"] == 128
+    with mpmath.workprec(256):
+        rows = [[mpmath.mpf(v) for v in row] for row in doc["embedding"]["rows"]]
+        for i in (0, 16, 43):
+            for j in range(44):
+                dot = mpmath.fsum(a * b for a, b in zip(rows[i], rows[j]))
+                exact = doc["gram"][i][j]
+                assert abs(dot - exact) <= mpmath.mpf(10) ** -30 * max(1, abs(exact))
+
+
 def test_construct_embed_env_default(capsys, monkeypatch):
     monkeypatch.setenv("ARAKELOV_PRECISION_BITS", "64")
     code, doc, _ = run_json(capsys, "construct", "--field", "quad:+5",

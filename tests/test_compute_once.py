@@ -1,11 +1,12 @@
 """Values computed once and kept on immutable objects.
 
-Six results are kept where they are first computed: the total-positivity
-verdict, the determinant of the trace form that decided it and the
-inverse on the FieldElement, the factored form (G, S) on the
-IdealRecipe, the Gram determinant on the IdealLattice, and the HNF rows
-of a principal ideal, built on first read (its den is the generator's
-and needs no rows).  Oracles: a fresh copy of the
+Six results are kept where they are first computed: the trace-form
+verdict (0, or the determinant that certifies total positivity) and the
+inverse on the FieldElement, the powers of theta and power sums on the
+field, the factored form (G, S) on the IdealRecipe, the Gram determinant
+on the IdealLattice, and the HNF rows of a principal ideal, built on
+first read (its den is the generator's and needs no rows).  Oracles: a
+fresh copy of the
 same value, decided or solved from scratch; an equal recipe parsed
 again; the Bareiss determinant of the Gram; the module route of the
 trace dual; the rows of the generator's shift module and containment in
@@ -98,10 +99,15 @@ def elements(draw):
 def test_total_positivity_is_decided_once(case):
     x, expected = case
     verdict = is_totally_positive(x)
-    assert x._positive is verdict
+    # a rational is read off its sign; any other verdict is kept as the
+    # trace-form determinant, 0 when the form is not positive definite
+    if x.is_rational:
+        assert x._trace_det is None
+    else:
+        assert x._trace_det is not None and (x._trace_det > 0) is verdict
     assert is_totally_positive(x) is verdict
     fresh = x.field.element(x.coeffs)
-    assert fresh._positive is None
+    assert fresh._trace_det is None
     assert is_totally_positive(fresh) == verdict
     if expected is not None:
         assert verdict == expected
@@ -206,6 +212,34 @@ def test_positivity_and_build_decide_the_trace_form_once(
     monkeypatch.undo()
     assert lat.determinant() == det(lat.gram)
     assert alpha == witness.alpha and hash(alpha) == hash(witness.alpha)
+
+
+@pytest.mark.parametrize("spec", ["realcyclo:13", "realcyclo:28", "quad:+5", "quad:-7"])
+def test_field_tables_are_built_once(monkeypatch, spec):
+    """A field builds its powers of theta, power sums and conjugation rows
+    on first use and keeps them: the first build on a fresh field object
+    runs reduced shifts, a second build with a fresh alpha runs none and
+    reads the same table objects."""
+    level, witness = min(existence.classify(make_field(spec)).witnesses.items())
+    ideal = realize(witness.ideal)
+    assert ideal.num  # the HNF rows are built before counting
+    shifts, shift = [], fields.NumberField._shift_reduce
+
+    def counted(self, vec):
+        shifts.append(len(vec))
+        return shift(self, vec)
+
+    monkeypatch.setattr(fields.NumberField, "_shift_reduce", counted)
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    field = make_field(spec)  # a fresh field object, no table built yet
+    lat = build(field, ideal, field.element(witness.alpha.coeffs))
+    first = len(shifts)
+    names = ["_theta_pows", "_power_table", "_power_sums"] + ["_conj_rows"] * field.is_cm
+    tables = {name: vars(field)[name] for name in names}
+    again = build(field, ideal, field.element(witness.alpha.coeffs))
+    assert first > 0 and len(shifts) == first
+    assert all(vars(field)[name] is table for name, table in tables.items())
+    assert again.gram == lat.gram and again.determinant() == lat.determinant()
 
 
 def test_dense_positivity_runs_no_elimination(monkeypatch):

@@ -399,6 +399,32 @@ def test_descend_rejects_non_real():
                         real.descend(cand)
 
 
+# prime powers, 4 * odd, and 105 = 3 * 5 * 7, where phi(n) = 48 < n / 2
+LIFT_CONDUCTORS = [5, 7, 8, 9, 16, 25, 27, 12, 20, 28, 36, 44, 105]
+_LIFT_COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LIFT_CONDUCTORS), st.data())
+def test_lift_is_the_power_sum_in_zeta_plus_inverse(n, data):
+    """lift(x) = sum_j x_j (zeta + zeta^-1)^j, formed by ambient element
+    arithmetic on theta_power; descend inverts it and refuses w + q*(zeta -
+    zeta^-1), q != 0, which conjugation does not fix."""
+    real = make_field(f"realcyclo:{n}")
+    amb = real.ambient
+    coeffs = data.draw(st.lists(_LIFT_COEFF, min_size=real.degree, max_size=real.degree))
+    x = real.element(coeffs)
+    z = amb.theta_power(1) + amb.theta_power(n - 1)
+    want, power = amb.zero(), amb.one()
+    for c in coeffs:
+        want, power = want + power * c, power * z
+    assert real.lift(x) == want
+    assert real.descend(want) == x
+    q = data.draw(_LIFT_COEFF.filter(bool))
+    with pytest.raises(NotInSubfield):
+        real.descend(want + (amb.theta_power(1) - amb.theta_power(n - 1)) * q)
+
+
 def test_lift_and_descend_refuse_a_wrong_pair():
     real = make_field("realcyclo:13")
     amb = real.ambient
