@@ -46,6 +46,9 @@ EXIT_VERIFY = 4
 _USER_ERRORS = (SpecError, FieldMismatch, NotRamified, ZeroIdeal, Unsupported,
                 FormError, EnumerationBudgetExceeded)
 
+# a bare --embed; argparse passes a non-string const through unconverted
+_BARE_EMBED = object()
+
 
 # --------------------------------------------------------------------------
 # serialization helpers
@@ -220,7 +223,7 @@ def cmd_construct(args):
                   file=sys.stderr)
             return EXIT_ABSENT
     embed_bits = args.embed
-    if embed_bits == 0:
+    if embed_bits is _BARE_EMBED:
         embed_bits = default_precision()
     elif embed_bits is not None:
         embed_bits = _checked_precision(embed_bits, "--embed")
@@ -399,7 +402,7 @@ def _build_parser():
     p_construct.add_argument("--trace-type", dest="trace_type",
                              action="store_true")
     p_construct.add_argument("--embed", type=_ascii_int, metavar="BITS",
-                             nargs="?", const=0,
+                             nargs="?", const=_BARE_EMBED,
                              help="include a numeric generator matrix at "
                                   "this precision, 16-4096 (bare flag: use "
                                   "ARAKELOV_PRECISION_BITS, default 128)")

@@ -33,11 +33,11 @@ Tables are built on first arithmetic use.  A field takes its degree from
 the spec (phi(n), halved for the real subfield); the minimal polynomial,
 and with it the powers of theta, the power sums s_0 .. s_(2m-2) (the
 trace form is their Hankel view) and the conjugation rows, is built by
-the first computation that needs it and kept as a cached property.  lift
-and descend keep no table: they run Horner's rule and Clenshaw's
-recurrence in zeta + zeta^-1.  Level sets and ramification data depend
-only on the factorization of the conductor, so they stay cheap at any
-degree.
+the first computation that needs it and kept as a cached property.  A
+cyclotomic family sums sum_t c_t zeta^t in itself (``_zeta_sum``); the
+real subfield never builds its cyclotomic cover.  Level sets and
+ramification data depend only on the factorization of the conductor, so
+they stay cheap at any degree.
 
 Total positivity is exact: alpha >> 0 iff its integer trace form on O_K
 passes Sylvester's criterion, whose determinant alpha keeps for the
@@ -78,10 +78,6 @@ class FieldMismatch(ValueError):
 
 class DivError(ZeroDivisionError):
     """Division by the zero element of a field."""
-
-
-class NotInSubfield(ValueError):
-    """Descent of an element that does not lie in the target subfield."""
 
 
 class NotRamified(SpecError):
@@ -897,6 +893,11 @@ class CyclotomicField(NumberField):
     def conj_generator(self):
         return self.theta_power(self.n - 1)
 
+    def _zeta_sum(self, terms):
+        """sum_t c_t zeta^t for integer terms {t: c_t}, 0 <= t < n."""
+        rows = [self.theta_power(t).num for t in terms]
+        return self._element(_combine(terms.values(), rows, [0] * self.degree))
+
     def omega(self):
         return sorted(factorize(self.n))
 
@@ -933,54 +934,26 @@ class RealCyclotomicField(NumberField):
     def _build_minpoly(self):
         return _real_cyclotomic_poly(self.n)
 
-    # -- ambient cyclotomic field and transport -----------------------------
-    @property
-    def ambient(self):
-        return make_field(f"cyclo:{self.n}")
+    def _zeta_sum(self, terms):
+        """The real part sum_t c_t v_t / 2 of sum_t c_t zeta^t, for integer
+        terms {t: c_t}, 0 <= t < n, and v_t = zeta^t + zeta^-t = v_(n-t).
 
-    def lift(self, x):
-        """Rewrite an element on the power basis of zeta_n in Q(zeta_n).
-
-        Horner's rule in zeta + zeta^-1: each step multiplies by it with one
-        reduced up-shift plus one down-shift of integer vectors; zeta^-1
-        itself comes from the minimal polynomial f, whose constant term is
-        1 for every n >= 3, as zeta^-1 = -sum_(t >= 1) f_t zeta^(t-1).
+        v_0 = 2, v_1 = theta and v_t = theta * v_(t-1) - v_(t-2), so
+        Clenshaw's recurrence b_t = c_t + theta * b_(t+1) - b_(t+2) sums it
+        without tabulating v_t, as sum_t c_t v_t = 2 c_0 + theta * b_1 -
+        2 b_2, each product by theta one reduced shift.
         """
-        if x.field != self:
-            raise FieldMismatch("lift expects an element of this real subfield")
-        amb = self.ambient
-        f = amb.minpoly
-        acc = [0] * amb.degree
-        for c in reversed(x.num):
-            down = _combine((-acc[0],), (f[1:],), acc[1:] + [0])
-            acc = [u + d for u, d in zip(amb._shift_reduce(acc), down)]
-            acc[0] += c
-        return amb._element(acc, x.den)
-
-    def descend(self, w):
-        """Inverse of lift; raises NotInSubfield for non-real elements.
-
-        A real w = sum_k a_k zeta^k equals (w + conj w)/2, which is
-        sum_k a_k v_k / 2 for v_k = zeta^k + zeta^-k: v_0 = 2, v_1 = theta
-        and v_k = theta * v_(k-1) - v_(k-2).  Clenshaw's recurrence
-        b_k = a_k + theta * b_(k+1) - b_(k+2) sums it without tabulating
-        v_k, as sum_k a_k v_k = 2 a_0 + theta * b_1 - 2 b_2, each product
-        by theta one reduced shift.  lift certifies the candidate: it
-        reproduces w exactly when w is real.
-        """
-        if w.field != self.ambient:
-            raise FieldMismatch("descend expects an element of the ambient cyclotomic field")
+        n = self.n
+        c = [0] * (max(min(t, n - t) for t in terms) + 1)
+        for t, ct in terms.items():
+            c[min(t, n - t)] += ct
         b1 = b2 = [0] * self.degree
-        for a in w.num[:0:-1]:
+        for a in c[:0:-1]:
             b1, b2 = [u - v for u, v in zip(self._shift_reduce(b1), b2)], b1
             b1[0] += a
         out = [u - 2 * v for u, v in zip(self._shift_reduce(b1), b2)]
-        out[0] += 2 * w.num[0]
-        x = self._element(out, 2 * w.den)
-        if self.lift(x) != w:
-            raise NotInSubfield(
-                f"element of cyclo:{self.n} is not fixed by conjugation")
-        return x
+        out[0] += 2 * c[0]
+        return self._element(out, 2)
 
     # -- ramification ---------------------------------------------------------
     def is_prime_power(self):
@@ -1121,24 +1094,26 @@ def _nonzero_entries(rows):
     return [[(k, c) for k, c in enumerate(r) if c] for r in rows]
 
 
-def _gauss_sum(amb, p):
-    """Quadratic Gauss sum sum_j (j/p) zeta_p^j inside Q(zeta_n), p odd prime, p | n."""
-    js = range(1, p)
-    return amb._element(_combine([_legendre(j, p) for j in js],
-                                 [amb.theta_power(amb.n // p * j).num for j in js],
-                                 [0] * amb.degree))
+def _group_ring_mul(a, b, n):
+    """Product of sparse maps {t: c_t} in the group ring Z[Z/n]."""
+    out = {}
+    for s, c in a.items():
+        for t, d in b.items():
+            out[(s + t) % n] = out.get((s + t) % n, 0) + c * d
+    return out
 
 
 def sqrt_integer(field, m):
     """An exact square root of the squarefree integer m >= 1, or None.
 
-    For the cyclotomic families the root is assembled from quadratic Gauss
-    sums (sqrt p = sum_j (j/p) zeta_p^j for p = 1 mod 4; divided by
-    i = zeta_4 when the product of the p = 3 mod 4 sums squares to -m) and
-    sqrt 2 = zeta_8 + zeta_8^-1; membership holds exactly when the
-    conductor of Q(sqrt m) (m for m = 1 mod 4, else 4m) divides n.  The
-    result is verified by exact squaring before it is returned, with its
-    inverse sqrt(m)/m linked.
+    For the cyclotomic families the root is a sum of powers of zeta_n,
+    multiplied out in the group ring Z[Z/n] and summed once in the field
+    by its ``_zeta_sum``: sqrt 2 = zeta_8 + zeta_8^-1 times the quadratic
+    Gauss sums sum_j (j/p) zeta_p^j of the odd p | m, each of which squares
+    to (-1)^((p-1)/2) p, times zeta_4 when an odd number of those p are
+    3 mod 4.  Membership holds exactly when the conductor of Q(sqrt m) (m
+    for m = 1 mod 4, else 4m) divides n.  The result is verified by exact
+    squaring before it is returned, with its inverse sqrt(m)/m linked.
     """
     if not isinstance(m, int) or m < 1:
         raise SpecError(f"sqrt_integer needs a positive integer, got {m!r}")
@@ -1158,26 +1133,17 @@ def sqrt_integer(field, m):
     conductor = m if m % 4 == 1 else 4 * m
     if n % conductor != 0:
         return None
-    amb = field if isinstance(field, CyclotomicField) else field.ambient
-    cand = amb.one()
-    odd_part = m
-    if m % 2 == 0:
-        cand = amb.theta_power(n // 8) + amb.theta_power(7 * n // 8)  # sqrt 2
-        odd_part //= 2
-    for p in sorted(factorize(odd_part)):
-        cand = cand * _gauss_sum(amb, p)
-    square = cand * cand
-    if square == amb.rational(-m):
-        cand = cand * amb.theta_power(n // 4)
-        square = cand * cand
-    if square != amb.rational(m):
+    terms = {n // 8: 1, 7 * n // 8: 1} if m % 2 == 0 else {0: 1}
+    odd_primes = factorize(m // gcd(m, 2))
+    for p in odd_primes:
+        terms = _group_ring_mul(terms, {n // p * j: _legendre(j, p) for j in range(1, p)}, n)
+    if sum(p % 4 == 3 for p in odd_primes) % 2:
+        terms = _group_ring_mul(terms, {n // 4: 1}, n)
+    cand = field._zeta_sum(terms)
+    if cand * cand != field.rational(m):
         raise ArithmeticError(
-            f"internal error: Gauss-sum construction of sqrt({m}) in {amb.spec_string()} "
-            f"squared to {square!r}")
-    if isinstance(field, RealCyclotomicField):
-        cand = field.descend(cand)
-        if cand * cand != field.rational(m):
-            raise ArithmeticError("internal error: descended square root lost exactness")
+            f"internal error: Gauss-sum construction of sqrt({m}) in {field.spec_string()} "
+            f"squared to {cand * cand!r}")
     return _link_inverses(cand, cand / m)
 
 

@@ -389,8 +389,7 @@ def _radical_candidate(field, p):
     conductor, else s = 2, as Q(zeta_n)/Q(zeta_n)^+ is then unramified at
     p; p on a quadratic field (s = 2)."""
     if isinstance(field, CyclotomicField):
-        q = p ** factorize(field.n)[p]
-        return field.one() - field.theta_power(field.n // q), 1
+        return field._zeta_sum({0: 1, field.n // p ** factorize(field.n)[p]: -1}), 1
     if isinstance(field, RealCyclotomicField):
         return gamma_element(field, p), 1 if field.is_prime_power() else 2
     return field.rational(p), 2
@@ -674,20 +673,17 @@ def valuation(a, p):
 # --------------------------------------------------------------------------
 
 def gamma_element(field, p):
-    """The totally positive generator (1 - zeta_q)(1 - zeta_q^-1), q = p^(r_p).
-
-    In the real subfield this is 2 - (zeta_q + zeta_q^-1); for a
-    prime-power conductor it generates the unique prime above p.
-    """
-    if isinstance(field, RealCyclotomicField):
-        return field.descend(gamma_element(field.ambient, p))
-    if isinstance(field, CyclotomicField):
-        q = p ** factorize(field.n)[p]
-        k = field.n // q
-        return (field.one() - field.theta_power(k)) * \
-            (field.one() - field.theta_power(field.n - k))
-    raise SpecError(
-        f"gamma_element is defined for the cyclotomic families, not {field.spec_string()}")
+    """The totally positive generator (1 - zeta_q)(1 - zeta_q^-1) = 2 -
+    zeta_q - zeta_q^-1, q = p^(r_p), of a prime p dividing the conductor;
+    for a prime-power conductor it generates the unique prime above p."""
+    if not isinstance(field, (CyclotomicField, RealCyclotomicField)):
+        raise SpecError(
+            f"gamma_element is defined for the cyclotomic families, not {field.spec_string()}")
+    r = factorize(field.n).get(p)
+    if r is None:
+        raise SpecError(f"{p!r} is not a prime dividing the conductor of {field.spec_string()}")
+    k = field.n // p ** r
+    return field._zeta_sum({0: 2, k: -1, field.n - k: -1})
 
 
 class IdealRecipe:

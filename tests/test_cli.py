@@ -408,8 +408,8 @@ def test_construct_rejects_tiny_embed(capsys):
 
 
 @pytest.mark.parametrize("flag, env", [
-    ("4097", None), ("10000000", None), (None, "4097"), (None, "8"),
-], ids=["embed-4097", "embed-10000000", "env-4097", "env-8"])
+    ("4097", None), ("10000000", None), ("0", None), (None, "4097"), (None, "8"),
+], ids=["embed-4097", "embed-10000000", "embed-0", "env-4097", "env-8"])
 def test_construct_rejects_precision_outside_16_to_4096(capsys, monkeypatch, flag, env):
     """--embed and ARAKELOV_PRECISION_BITS share one check: past 4,096
     bits construct exits 2 before any embedding is computed."""

@@ -334,7 +334,10 @@ def _galois(x, a):
     nontrivial one, x -> Tr(x) - x."""
     field = x.field
     if isinstance(field, RealCyclotomicField):
-        return field.descend(_galois(field.lift(x), a))
+        image, out = field._zeta_sum({a: 1, field.n - a: 1}), field.zero()
+        for c in reversed(x.coeffs):
+            out = out * image + c
+        return out
     if isinstance(field, CyclotomicField):
         out = field.zero()
         for k, c in enumerate(x.coeffs):
@@ -632,6 +635,37 @@ def test_pipeline_inverts_no_module(monkeypatch, spec):
         lat = build(field, realize(w.ideal), w.alpha)
         assert lattice.verify_modularity(lat, w).modular_level == level
     assert calls == {"different": 0, "module inverse": 0}
+
+
+def _no_cyclotomic_field(self, n):
+    raise AssertionError(f"built cyclo:{n}")
+
+
+@pytest.mark.parametrize("spec", ["realcyclo:28", "realcyclo:92", "realcyclo:97"])
+def test_real_pipeline_builds_no_cyclotomic_field(monkeypatch, spec):
+    """gamma, its radicals and every sqrt(level) are summed in the real
+    subfield itself: classify -> realize -> build -> verify_modularity
+    never constructs the cyclotomic cover."""
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(fields.CyclotomicField, "__init__", _no_cyclotomic_field)
+    field = make_field(spec)
+    verified = []
+    # a composite conductor is classified for the trace type only
+    for trace_type in (False, True) if field.is_prime_power() else (True,):
+        verdict = existence.classify(field, trace_type=trace_type)
+        for level, w in sorted(verdict.witnesses.items()):
+            lat = build(field, realize(w.ideal), w.alpha)
+            assert lattice.verify_modularity(lat, w).modular_level == level
+            verified.append(level)
+    assert verified
+
+
+def test_real_construct_builds_no_cyclotomic_field(monkeypatch, capsys):
+    from arakelov.cli import main
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(fields.CyclotomicField, "__init__", _no_cyclotomic_field)
+    assert main(["construct", "--field", "realcyclo:92", "--level", "23", "--trace-type"]) == 0
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("spec", ["realcyclo:28", "realcyclo:60", "realcyclo:92",

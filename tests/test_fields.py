@@ -31,7 +31,6 @@ from arakelov.fields import (
     CyclotomicField,
     DivError,
     FieldMismatch,
-    NotInSubfield,
     NotRamified,
     RealCyclotomicField,
     SpecError,
@@ -202,8 +201,7 @@ def test_realcyclo5_minimal_relation():
 def test_minimal_polynomial_vanishes_in_ambient():
     # evaluate the real-subfield minimal polynomial at zeta + zeta^-1
     for n in [5, 13, 28, 36]:
-        real = make_field(f"realcyclo:{n}")
-        amb = real.ambient
+        real, amb = make_field(f"realcyclo:{n}"), make_field(f"cyclo:{n}")
         b = amb.theta_power(1) + amb.theta_power(n - 1)
         acc = amb.zero()
         for c in reversed(real.minpoly):
@@ -362,81 +360,30 @@ def test_norm_multiplicative():
 
 
 # ---------------------------------------------------------------------------
-# lift / descend
+# sums of powers of zeta
 # ---------------------------------------------------------------------------
 
-def test_lift_of_generator():
-    real = make_field("realcyclo:13")
-    amb = real.ambient
-    assert real.lift(real.gen()) == amb.theta_power(1) + amb.theta_power(12)
-
-
-def test_lift_descend_roundtrip():
-    # degree 1 (3, 4), prime-power and composite conductors
-    for n in [3, 4, 5, 13, 20, 21, 28, 36, 105]:
-        real = make_field(f"realcyclo:{n}")
-        x = random_element(real)
-        assert real.descend(real.lift(x)) == x
-        y, z = random_element(real), random_element(real)
-        assert real.lift(y * z) == real.lift(y) * real.lift(z)
-
-
-def test_descend_rejects_non_real():
-    real = make_field("realcyclo:13")
-    with pytest.raises(NotInSubfield):
-        real.descend(real.ambient.gen())
-    # descend succeeds exactly on the elements fixed by conjugation
-    for n in [3, 4, 5, 12, 20, 21, 28]:
-        real = make_field(f"realcyclo:{n}")
-        amb = real.ambient
-        for _ in range(4):
-            w = random_element(amb)
-            for cand in (w, w + w.conj(), w - w.conj()):
-                if cand == cand.conj():
-                    assert real.lift(real.descend(cand)) == cand
-                else:
-                    with pytest.raises(NotInSubfield):
-                        real.descend(cand)
-
-
 # prime powers, 4 * odd, and 105 = 3 * 5 * 7, where phi(n) = 48 < n / 2
-LIFT_CONDUCTORS = [5, 7, 8, 9, 16, 25, 27, 12, 20, 28, 36, 44, 105]
-_LIFT_COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+ZETA_SUM_CONDUCTORS = [5, 7, 8, 9, 16, 25, 27, 12, 20, 28, 36, 44, 105]
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(LIFT_CONDUCTORS), st.data())
-def test_lift_is_the_power_sum_in_zeta_plus_inverse(n, data):
-    """lift(x) = sum_j x_j (zeta + zeta^-1)^j, formed by ambient element
-    arithmetic on theta_power; descend inverts it and refuses w + q*(zeta -
-    zeta^-1), q != 0, which conjugation does not fix."""
-    real = make_field(f"realcyclo:{n}")
-    amb = real.ambient
-    coeffs = data.draw(st.lists(_LIFT_COEFF, min_size=real.degree, max_size=real.degree))
-    x = real.element(coeffs)
+@given(st.sampled_from(ZETA_SUM_CONDUCTORS), st.data())
+def test_zeta_sum_is_the_power_sum_in_zeta_plus_inverse(n, data):
+    """For symmetric terms, c_t = c_(n-t), the real subfield's _zeta_sum x
+    satisfies sum_j x_j (zeta + zeta^-1)^j = the cyclotomic _zeta_sum of
+    the same terms, the former formed by element arithmetic on
+    theta_power."""
+    real, amb = make_field(f"realcyclo:{n}"), make_field(f"cyclo:{n}")
+    half = data.draw(st.lists(st.integers(-9, 9), min_size=n // 2 + 1, max_size=n // 2 + 1))
+    terms = {t: c for t, c in enumerate(half)}
+    terms.update({n - t: c for t, c in enumerate(half) if t})
+    x = real._zeta_sum(terms)
     z = amb.theta_power(1) + amb.theta_power(n - 1)
     want, power = amb.zero(), amb.one()
-    for c in coeffs:
+    for c in x.coeffs:
         want, power = want + power * c, power * z
-    assert real.lift(x) == want
-    assert real.descend(want) == x
-    q = data.draw(_LIFT_COEFF.filter(bool))
-    with pytest.raises(NotInSubfield):
-        real.descend(want + (amb.theta_power(1) - amb.theta_power(n - 1)) * q)
-
-
-def test_lift_and_descend_refuse_a_wrong_pair():
-    real = make_field("realcyclo:13")
-    amb = real.ambient
-    x = real.gen()
-    assert real.descend(real.lift(x)) == x
-    other = make_field("realcyclo:28")
-    with pytest.raises(FieldMismatch):
-        other.lift(x)
-    with pytest.raises(FieldMismatch):
-        other.descend(amb.gen())
-    with pytest.raises(FieldMismatch):
-        real.descend(make_field("cyclo:28").gen())
+    assert want == amb._zeta_sum(terms)
 
 
 # ---------------------------------------------------------------------------

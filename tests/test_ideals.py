@@ -690,9 +690,13 @@ def test_gamma_element_cyclotomic_and_errors():
     g = gamma_element(field, 7)
     assert principal(g) == ideal_pow(radical_above(field, 7), 2)
     real = make_field("realcyclo:7")
-    assert real.lift(gamma_element(real, 7)) == g
+    assert gamma_element(real, 7) == 2 - real.gen()
     with pytest.raises(SpecError):
         gamma_element(make_field("quad:+5"), 5)
+    # p must be a prime dividing the conductor
+    for spec, p in [("realcyclo:13", 5), ("realcyclo:13", 4), ("cyclo:13", 5), ("cyclo:12", 4)]:
+        with pytest.raises(SpecError):
+            gamma_element(make_field(spec), p)
 
 
 # --------------------------------------------------------------------------
