@@ -28,7 +28,7 @@ from .fields import (
     default_precision,
     make_field,
 )
-from .ideals import IdealRecipe, Unsupported, ZeroIdeal, realize
+from .ideals import IdealRecipe, Unsupported, ZeroIdeal, _int_val, realize
 from .lattice import EnumerationBudgetExceeded, ModularityFailure
 from .linalg import FormError
 
@@ -83,8 +83,11 @@ def _theta_pairs(theta):
 def _emit(doc, out_path=None):
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SpecError(f"cannot write output: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -99,10 +102,8 @@ def _squarefree_split(field, level):
     """
     ell1, ell2, rest = 1, 1, level
     for p in field.omega():
-        e = 0
-        while rest % p == 0:
-            rest //= p
-            e += 1
+        e = _int_val(rest, p)
+        rest //= p ** e
         if e % 2:
             ell1 *= p
         ell2 *= p ** (e // 2)
@@ -110,6 +111,23 @@ def _squarefree_split(field, level):
     if root * root == rest:
         return ell1, ell2 * root
     return ell1 * rest, ell2
+
+
+def _split_level(field, verdict, level):
+    """(ell1, ell2, refusal) for level = ell1 * ell2^2 split over the
+    ramified primes: admitted (refusal None) iff ell1 is a verdict level
+    and, on a CM field, gcd(ell2, ell1) = 1, as existence.rescale asks."""
+    ell1, ell2 = _squarefree_split(field, level)
+    if ell1 not in verdict.levels:
+        return ell1, ell2, (
+            f"no Arakelov-modular lattice of level {level} over "
+            f"{field.spec_string()}: the admissible squarefree levels are "
+            f"{list(verdict.levels)} (rule: {verdict.rule})")
+    try:
+        existence._check_rescaling(field, ell1, ell2)
+    except SpecError as exc:
+        return ell1, ell2, f"level {level} is not constructible: {exc}"
+    return ell1, ell2, None
 
 
 class _RecordWitness:
@@ -192,36 +210,25 @@ def cmd_exists(args):
             for level, w in sorted(verdict.witnesses.items())
         },
     }
+    found = bool(verdict.levels)
     if args.level is not None:
+        found = _split_level(field, verdict, args.level)[2] is None
         doc["queried_level"] = args.level
-        doc["admissible"] = args.level in verdict.levels
-        _emit(doc, args.out)
-        return EXIT_OK if doc["admissible"] else EXIT_ABSENT
+        doc["admissible"] = found
     _emit(doc, args.out)
-    return EXIT_OK if verdict.levels else EXIT_ABSENT
+    return EXIT_OK if found else EXIT_ABSENT
 
 
 def cmd_construct(args):
     field = _bounded_field(args.field)
     if args.level < 1:
         raise SpecError(f"level must be a positive integer, got {args.level}")
-    ell1, ell2 = _squarefree_split(field, args.level)
     verdict = existence.classify(field, trace_type=args.trace_type)
-    if ell1 not in verdict.levels:
-        print(
-            f"no Arakelov-modular lattice of level {args.level} over "
-            f"{field.spec_string()}: the admissible squarefree levels are "
-            f"{list(verdict.levels)} (rule: {verdict.rule})",
-            file=sys.stderr)
+    ell1, ell2, refusal = _split_level(field, verdict, args.level)
+    if refusal:
+        print(refusal, file=sys.stderr)
         return EXIT_ABSENT
-    witness = verdict.witnesses[ell1]
-    if ell2 > 1:
-        try:
-            witness = existence.rescale(witness, ell2)
-        except SpecError as exc:
-            print(f"level {args.level} is not constructible: {exc}",
-                  file=sys.stderr)
-            return EXIT_ABSENT
+    witness = existence.rescale(verdict.witnesses[ell1], ell2)
     embed_bits = args.embed
     if embed_bits is _BARE_EMBED:
         embed_bits = default_precision()

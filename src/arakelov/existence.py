@@ -334,6 +334,15 @@ def mod_odd_degree(field, trace_type=True, materialize_limit=DEFAULT_MATERIALIZE
 # rescaling
 # --------------------------------------------------------------------------
 
+def _check_rescaling(field, level, ell2):
+    """Raise SpecError unless a witness of this level rescales by ell2:
+    over a CM field ell2 must be coprime with the level."""
+    if field.is_cm and gcd(ell2, level) != 1:
+        raise SpecError(
+            f"CM rescaling needs gcd(ell2, level) = 1; "
+            f"got ell2 = {ell2}, level = {level}")
+
+
 def rescale(witness, ell2):
     """(I, alpha) of level l1 to (ell2*I, ell2^-1*alpha) of level l1*ell2^2.
 
@@ -345,10 +354,7 @@ def rescale(witness, ell2):
     if ell2 == 1:
         return witness
     field = witness.field
-    if field.is_cm and gcd(ell2, witness.level) != 1:
-        raise SpecError(
-            f"CM rescaling needs gcd(ell2, level) = 1; "
-            f"got ell2 = {ell2}, level = {witness.level}")
+    _check_rescaling(field, witness.level, ell2)
     scale = field.rational(ell2)
     recipe = IdealRecipe(field, witness.ideal.factors + (("principal", scale, 1),))
     return ConstructionWitness(witness.level * ell2 * ell2,

@@ -55,6 +55,7 @@ sigma_1, ...).
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 from fractions import Fraction
@@ -126,13 +127,6 @@ def moebius(n):
     return -1 if len(fac) % 2 else 1
 
 
-def _divisors(n):
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def _legendre(a, p):
     """Legendre symbol (a/p) for an odd prime p."""
     r = pow(a % p, (p - 1) // 2, p)  # Euler's criterion: 0, 1 or p - 1
@@ -143,47 +137,27 @@ def _legendre(a, p):
 # integer polynomials (ascending coefficients) for minimal polynomials
 # --------------------------------------------------------------------------
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_divexact(num, den):
-    """Exact quotient of integer polynomials; den must be monic."""
-    num = list(num)
-    dn = len(den) - 1
-    if den[dn] != 1:
-        raise ValueError("divisor must be monic")
-    q = [0] * (len(num) - dn)
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + dn]
-        q[k] = c
-        if c:
-            for j in range(dn + 1):
-                num[k + j] -= c * den[j]
-    if any(num):
-        raise ValueError("inexact polynomial division")
-    return q
-
-
 def _cyclotomic_poly(n):
-    """Coefficients (ascending) of the n-th cyclotomic polynomial."""
-    num = [1]
-    den = [1]
-    for d in _divisors(n):
-        mu = moebius(n // d)
-        if mu == 0:
-            continue
-        factor = [-1] + [0] * (d - 1) + [1]  # x^d - 1
-        if mu == 1:
-            num = _poly_mul(num, factor)
+    """Coefficients (ascending) of the n-th cyclotomic polynomial, n >= 2:
+    prod_{d|n} (x^d - 1)^mu(n/d) (Washington, Introduction to Cyclotomic
+    Fields, Sec. 2) is prod_{d|n} (1 - x^d)^mu(n/d) as sum_{d|n} mu(n/d) = 0
+    (n = 1 would give 1 - x), a power series formed modulo x^(phi(n)+1):
+    multiplying by 1 - x^d is one descending pass c[k] -= c[k-d], dividing
+    by it one ascending pass c[k] += c[k-d]."""
+    squarefree = [1]  # the e dividing n with mu(e) != 0
+    for p in factorize(n):
+        squarefree += [e * p for e in squarefree]
+    deg = euler_phi(n)
+    c = [1] + [0] * deg
+    for e in squarefree:
+        d = n // e
+        if moebius(e) == 1:
+            for k in range(deg, d - 1, -1):
+                c[k] -= c[k - d]
         else:
-            den = _poly_mul(den, factor)
-    return tuple(_poly_divexact(num, den))
+            for k in range(d, deg + 1):
+                c[k] += c[k - d]
+    return tuple(c)
 
 
 def _real_cyclotomic_poly(n):
@@ -202,19 +176,11 @@ def _real_cyclotomic_poly(n):
     m = deg // 2
     if any(phi[k] != phi[deg - k] for k in range(deg + 1)):
         raise ValueError("cyclotomic polynomial is not palindromic")
-    psi = [0] * (m + 1)
-    psi[0] = phi[m]
-    v_prev = [2]      # v_0
-    v_cur = [0, 1]    # v_1
+    psi = [phi[m]] + [0] * m
+    v_prev, v_cur = [2], [0, 1]  # v_0, v_1
     for k in range(1, m + 1):
-        c = phi[m + k]
-        if c:
-            for i, a in enumerate(v_cur):
-                psi[i] += c * a
-        nxt = [0] + v_cur
-        for i, a in enumerate(v_prev):
-            nxt[i] -= a
-        v_prev, v_cur = v_cur, nxt
+        _combine([phi[m + k]], [v_cur], psi)
+        v_prev, v_cur = v_cur, _combine([-1], [v_prev], [0] + v_cur)
     if psi[m] != 1:
         raise ValueError("real cyclotomic minimal polynomial is not monic")
     return tuple(psi)
@@ -494,13 +460,16 @@ def _fill(x, field, num, den):
     object.__setattr__(x, "_trace_det", None)
 
 
-def _power(x, k):
-    """x^k for k >= 0 by repeated squaring."""
-    out = x.field.one()
+def _power(x, k, one=None, mul=operator.mul):
+    """x^k for k >= 0 by repeated squaring from the unit one under the
+    product mul: by default the field's one and the element product;
+    ideal_pow passes O_K and ideal_mul, radical_above coefficient lists
+    and their product mod p."""
+    out = x.field.one() if one is None else one
     while k:
         if k & 1:
-            out = out * x
-        x = x * x if k > 1 else x
+            out = mul(out, x)
+        x = mul(x, x) if k > 1 else x
         k >>= 1
     return out
 

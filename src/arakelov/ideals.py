@@ -342,8 +342,8 @@ def radical_above(field, p):
     Computed as the preimage of the nilradical of O_K/p, i.e. the kernel
     of the additive map x -> x^(p^j) on the GF(p)-algebra O_K/p, j >= 1
     least with p^j >= degree.  Its matrix has the rows tau^i, i < degree,
-    for the one element tau = theta^(p^j) mod p, which square-and-multiply
-    forms with every step reduced mod p.  The result is certified by
+    for the one element tau = theta^(p^j) mod p, which _power forms with
+    every product reduced mod p.  The result is certified by
     norm(J_p) = p^(degree/e_p).  The generator g of J_p^s is proved once
     and (g) is cached beside it; for s = 1 it rides on J_p.
     """
@@ -356,17 +356,15 @@ def radical_above(field, p):
     ps = p
     while ps < m:
         ps *= p
+
+    def mul_mod_p(a, b):
+        return [c % p for c in field._mul_coeffs(a, b)]
+
     one = [1] + [0] * (m - 1)
-    tau, base = one, [c % p for c in field.theta_power(1).num]
-    while ps:
-        if ps & 1:
-            tau = [c % p for c in field._mul_coeffs(tau, base)]
-        ps >>= 1
-        if ps:
-            base = [c % p for c in field._mul_coeffs(base, base)]
+    tau = _power([c % p for c in field.theta_power(1).num], ps, one, mul_mod_p)
     power = [one]
     for _ in range(1, m):
-        power.append([c % p for c in field._mul_coeffs(power[-1], tau)])
+        power.append(mul_mod_p(power[-1], tau))
     kernel = nullspace_mod_p(transpose(power), p)
     # span(kernel) + pZ^m is the preimage of the nilradical
     radical = FractionalIdeal(field, tuple(tuple(r) for r in hnf_mod_d(kernel, p)), 1)
@@ -472,17 +470,11 @@ def ideal_mul(a, b):
 
 
 def ideal_pow(a, k):
-    if k == 0:
-        return FractionalIdeal.ring(a.field)
-    if k == 1:
-        return a
     if a._gen is not None:
         return _principal(a._gen ** k, a.norm() ** k)
     if k < 0:
         return ideal_pow(ideal_inverse(a), -k)
-    half = ideal_pow(a, k // 2)
-    square = ideal_mul(half, half)
-    return ideal_mul(square, a) if k % 2 else square
+    return _power(a, k, FractionalIdeal.ring(a.field), ideal_mul)
 
 
 def conj_ideal(a):

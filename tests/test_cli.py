@@ -308,8 +308,9 @@ HUGE_PRIME = 1000000000000000003
 
 
 def test_construct_level_is_split_over_the_ramified_primes(capsys, monkeypatch):
-    """construct divides the level by the ramified primes only, so a huge
-    prime level is refused at once: factorize is patched to raise on it."""
+    """construct and exists divide the level by the ramified primes only,
+    so a huge prime level is refused at once: factorize is patched to raise
+    on it."""
     def guarded(original):
         def factorize(n):
             if n % HUGE_PRIME == 0:
@@ -334,6 +335,26 @@ def test_construct_level_is_split_over_the_ramified_primes(capsys, monkeypatch):
     code, out, err = run(capsys, *args, "13")
     assert code == EXIT_ABSENT and out == ""
     assert "level 13 over realcyclo:44" in err and "[11]" in err
+    # exists splits the level the same way
+    code, doc, _ = run_json(capsys, "exists", *args[1:], str(HUGE_PRIME))
+    assert code == EXIT_ABSENT and doc["admissible"] is False
+
+
+@pytest.mark.parametrize("spec, trace_type, level", [
+    ("realcyclo:44", True, 11), ("realcyclo:44", True, 99),
+    ("realcyclo:44", True, 13), ("realcyclo:44", True, HUGE_PRIME),
+    ("quad:+5", False, 5), ("quad:+5", False, 20), ("quad:+5", False, 45),
+    ("quad:-3", False, 3), ("quad:-3", False, 12), ("quad:-3", False, 27),
+    ("realcyclo:28", True, 7), ("realcyclo:28", True, 28),
+])
+def test_exists_admits_a_level_iff_construct_builds_it(capsys, spec, trace_type, level):
+    """exists --level admits a level exactly when construct builds it: both
+    split ell1 * ell2^2 over the ramified primes, with the CM rule
+    gcd(ell2, ell1) = 1 of existence.rescale."""
+    args = ["--field", spec, "--level", str(level)] + ["--trace-type"] * trace_type
+    code, doc, _ = run_json(capsys, "exists", *args)
+    assert doc["admissible"] is (code == EXIT_OK) and doc["queried_level"] == level
+    assert run(capsys, "construct", *args)[0] == code
 
 
 def test_construct_rescaled_level(capsys, tmp_path):
@@ -599,6 +620,21 @@ def test_verify_bad_inputs_exit_2(capsys, record28, tmp_path):
         bad.write_text(json.dumps(doc))
         code, _, err = run(capsys, "verify", "--in", str(bad))
         assert code == EXIT_SPEC and message in err, (ideal, err)
+
+
+@pytest.mark.parametrize("command", ["exists", "construct", "verify", "catalog"])
+@pytest.mark.parametrize("target", ["missing-dir/x.json", "."])
+def test_unwritable_out_exits_2(capsys, request, tmp_path, command, target):
+    """--out into a missing directory, or onto a directory, exits 2 with
+    empty stdout for every subcommand."""
+    argv = {"exists": ["exists", "--field", "quad:+5"],
+            "construct": ["construct", "--field", "realcyclo:13", "--level", "4"],
+            "catalog": ["catalog", "--examples"]}.get(command)
+    if argv is None:
+        argv = ["verify", "--in", str(request.getfixturevalue("record28"))]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / target))
+    assert code == EXIT_SPEC and out == ""
+    assert err.startswith("error: cannot write output") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("level", [0, -7, True, False])

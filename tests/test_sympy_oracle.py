@@ -3,7 +3,8 @@
 Every HNF in ideals is a module over the power basis, so it assumes
 O_K = Z[theta]; valuations and radicals read the ramification index and
 the residue product f*g of each ramified prime.  sympy computes the same
-data on its own: round_two gives the maximal order and the discriminant
+data on its own: cyclotomic_poly and minimal_polynomial give the
+defining polynomials, round_two gives the maximal order and the discriminant
 of Q[x]/(T), prime_decomp the primes above p with their (e, f), and the
 ramified primes are those dividing the discriminant.  The canonical
 HNF of a full-rank module is checked against sympy's hermite_normal_form,
@@ -26,14 +27,21 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy import ZZ, Matrix, Poly, discriminant, factorint, resultant
+from sympy import (ZZ, Matrix, Poly, cos, cyclotomic_poly, discriminant, factorint,
+                   minimal_polynomial, pi, resultant)
 from sympy.abc import x
 from sympy.matrices.normalforms import hermite_normal_form
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.numberfields.basis import round_two
 from sympy.polys.numberfields.primes import prime_decomp
 
-from arakelov.fields import euler_phi, factorize, make_field
+from arakelov.fields import (
+    _cyclotomic_poly,
+    _real_cyclotomic_poly,
+    euler_phi,
+    factorize,
+    make_field,
+)
 from arakelov.ideals import IdealRecipe, Unsupported, principal, realize, valuation
 from arakelov.linalg import det, hnf_mod_d, row_module_hnf
 
@@ -47,6 +55,21 @@ specs = st.one_of(
     _CONDUCTORS.map(lambda n: f"cyclo:{n}"),
     st.sampled_from(_QUADRATIC),
 )
+
+
+def _ascending(expr):
+    return [int(c) for c in reversed(Poly(expr, x).all_coeffs())]
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    """Phi_n, built as a truncated power series, is sympy's cyclotomic_poly
+    for every 2 <= n <= 250 and for conductors with many divisors; the real
+    form is sympy's minimal polynomial of 2*cos(2*pi/n)."""
+    for n in [*range(2, 251), 420, 660, 780, 840, 924, 1020, 1155, 2310]:
+        assert list(_cyclotomic_poly(n)) == _ascending(cyclotomic_poly(n, x)), n
+    for n in (3, 5, 7, 8, 9, 12, 13, 15, 16, 20, 21, 24, 28, 44):
+        want = _ascending(minimal_polynomial(2 * cos(2 * pi / n), x))
+        assert list(_real_cyclotomic_poly(n)) == want, n
 
 
 # a fixed draw, so the run time is the same from run to run; the slowest
