@@ -12,6 +12,7 @@ emit -> parse -> emit cycle is byte-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -383,7 +384,10 @@ def _ascii_int(text):
     return int(text)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state on it between calls."""
     parser = argparse.ArgumentParser(
         prog="arakelov",
         description="Existence, construction and exact verification of "

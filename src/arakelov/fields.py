@@ -1041,26 +1041,53 @@ def trace_pairing(alpha, x, y):
     x and y carry integer power-basis rows ``num`` over one positive
     ``den`` (fractional ideals do).  Returns (rows, scale) with
     Tr(alpha * x_i * conj(y_j)) = rows[i][j] / scale, where
-    rows[i][j] = (a * n_i) . T . conj(n'_j) for a = alpha.num and the
-    cached trace form T, and scale = alpha.den * x.den * y.den.  By
+    rows = N * T_a * conj(N')^t for the rows N of x and N' of y,
+    a = alpha.num and scale = alpha.den * x.den * y.den.  By
     bilinearity, u . T_a . v = Tr(a * u * v) with the Hankel matrix
-    T_a[k][l] = Tr(a * theta^(k+l)), so the table costs two integer
-    matrix products over the nonzero entries of the module rows and
-    forms no Fraction.
+    T_a[k][l] = Tr(a * theta^(k+l)) = t[k+l].  Row i of L = N * T_a is the
+    sum of the slices c * t[k:k+m] over the nonzero entries c = N[i][k],
+    and column j of the Gram the sum of the columns c * L[:, k] over the
+    nonzero entries c of conj(N'_j), so a unit row of an HNF costs one
+    slice.  When x is y and alpha = conj(alpha) (always on a totally real
+    field, on a CM field when alpha is real) the Gram is symmetric: only
+    the entries i >= j are formed, and mirrored.  No Fraction is formed.
     """
     field = alpha.field
     m = field.degree
     t = field._hankel_traces(alpha.num)
-    left = [[sum(c * t[k + j] for k, c in nz) for j in range(m)]
-            for nz in _nonzero_entries(x.num)]
-    conj_y = [field._conj_num(r) for r in y.num] if field.is_cm else y.num
-    cols = _nonzero_entries(conj_y)
-    rows = [[sum(c * lr[k] for k, c in nz) for nz in cols] for lr in left]
-    return rows, alpha.den * x.den * y.den
+    left = [_scaled_sum(((c, t[k:k + m]) for k, c in enumerate(row) if c), m)
+            for row in x.num]
+    lcols = list(zip(*left))
+    size = len(left)
+    scale = alpha.den * x.den * y.den
+    if field.is_cm:
+        conj_y = [field._conj_num(row) for row in y.num]
+        # Tr(alpha * y * conj(x)) = Tr(conj(alpha) * x * conj(y))
+        mirror = x is y and field._conj_num(alpha.num) == list(alpha.num)
+    else:
+        conj_y, mirror = y.num, x is y
+    if not mirror:
+        cols = [_scaled_sum(((c, lcols[k]) for k, c in enumerate(row) if c), size)
+                for row in conj_y]
+        return [list(r) for r in zip(*cols)], scale
+    # column j from entry j down, which is row j from entry j on
+    cols = [_scaled_sum(((c, lcols[k][j:]) for k, c in enumerate(row) if c), size - j)
+            for j, row in enumerate(conj_y)]
+    return [[cols[j][i - j] for j in range(i)] + cols[i] for i in range(size)], scale
 
 
-def _nonzero_entries(rows):
-    return [[(k, c) for k, c in enumerate(r) if c] for r in rows]
+def _scaled_sum(terms, length):
+    """The integer vector sum of c * v over the pairs (c, v), zero (of the
+    given length) when there is none."""
+    out = None
+    for c, v in terms:
+        if out is None:
+            out = list(v) if c == 1 else [c * e for e in v]
+        elif c == 1:
+            out = [a + e for a, e in zip(out, v)]
+        else:
+            out = [a + c * e for a, e in zip(out, v)]
+    return [0] * length if out is None else out
 
 
 def _group_ring_mul(a, b, n):

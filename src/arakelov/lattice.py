@@ -58,7 +58,10 @@ class IdealLattice:
     field, by ldl_integral(H) on a CM field.  The determinant is
     det(N)^2 * det(H) / scale^m, with det(N) the product of the HNF
     pivots.
-    The rational ``gram`` is formed once, here.
+    The rational ``gram`` is formed once, here.  alpha is totally
+    positive, so alpha = conj(alpha) and trace_pairing forms only the
+    entries i >= j and mirrors them; each pair of mirrored entries that
+    are equal, rows[i][j] == rows[j][i], shares one Fraction.
     """
 
     __slots__ = ("field", "ideal", "alpha", "gram", "_det")
@@ -74,8 +77,12 @@ class IdealLattice:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "gram",
-                           tuple(tuple(Fraction(e, scale) for e in row) for row in rows))
+        gram = []
+        for i, row in enumerate(rows):
+            gram.append(tuple([gram[j][i] if e == rows[j][i] else Fraction(e, scale)
+                               for j, e in enumerate(row[:i])]
+                              + [Fraction(e, scale) for e in row[i:]]))
+        object.__setattr__(self, "gram", tuple(gram))
         object.__setattr__(self, "_det", d.numerator if d.denominator == 1 else d)
 
     def __setattr__(self, name, value):

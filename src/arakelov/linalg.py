@@ -125,42 +125,81 @@ def hnf_mod_d(rows, d):
     smaller.  Otherwise the result spans a proper supermodule, so
     callers certify the result by checking that the pivot product
     equals the known determinant of M.
+
+    Cohen, A Course in Computational Algebraic Number Theory, §2.4.2.
+    Each row is folded into the triangular basis W as one packed int, its
+    entry j in a slot of w = 2*bits(d) + bits(n) bits: slot c is read mod
+    d and dropped, and a pivot that divides it moves the row by one
+    multiply-add of the packed W[c].  Slots stay nonnegative and below
+    n*d^2 < 2^w, so no carry crosses a slot.  A step that changes a pivot
+    unpacks the row, combines it with W[c] mod d and repacks both.  The
+    rows are then normalized in ascending order, each by the nonzero
+    entries of the normalized rows before it.  The HNF of
+    span(rows) + d*Z^n is unique, so the result does not depend on how
+    the rows were folded.
     """
     m, n = _dims(rows)
     if not isinstance(d, int) or d <= 0:
         raise ShapeError("hnf_mod_d needs a positive integer modulus")
-    # W[c] is kept as its first c+1 entries: it is zero beyond column c
+    # slot bound: a slot starts below d, and each fold step adds
+    # (-b/a mod d) * W[c] with every entry of W[c] in [0, d), so less than
+    # d^2; a slot gains at most n - 1 such terms before it is read, so it
+    # stays below n * d^2 < 2^w and no carry crosses into the next slot
+    w = 2 * d.bit_length() + n.bit_length()
+    slot = (1 << w) - 1
+
+    def pack(vec):
+        p = 0
+        for x in reversed(vec):
+            p = (p << w) | x
+        return p
+
+    def unpack(p, k):
+        return [((p >> (w * j)) & slot) % d for j in range(k)]
+
+    # W[c] is kept as its first c+1 entries: it is zero beyond column c;
+    # P[c] packs its first c entries, the ones below the pivot
     W = [[0] * c + [d] for c in range(n)]
+    P = [0] * n
+    low = [(1 << (w * c)) - 1 for c in range(n)]
     for row in rows:
-        r = [x % d for x in row]
+        r = pack([x % d for x in row])
         # fold r into the triangular W from the highest column down; the
         # 2x2 step [[s, t], [af, -bf]] on (W[c], r) is unimodular, and
-        # mod-d reductions only shift vectors by elements of d*Z^n.  r is
-        # zero beyond column c, so after popping r[c] both rows are
-        # combined on their first c entries only
+        # mod-d reductions only shift vectors by elements of d*Z^n.  Slot c
+        # is read mod d and then dropped, which shifts r by a multiple of
+        # d * e_c; r is then zero beyond column c - 1
         for c in range(n - 1, -1, -1):
-            b = r.pop()
+            if not r:
+                break
+            b = (r >> (w * c)) % d
+            r &= low[c]
             if b == 0:
                 continue
             wc = W[c]
             a = wc[c]
-            g, s, t = _xgcd(a, b)
-            if g == a:
+            if b % a == 0:
                 # the pivot divides r[c]: W[c] stays, only r moves
-                bf = b // a
-                r = [(y - bf * x) % d for x, y in zip(wc, r)]
+                r += (-(b // a)) % d * P[c]
                 continue
+            g, s, t = _xgcd(a, b)
             af, bf = a // g, b // g
-            W[c] = [(s * x + t * y) % d for x, y in zip(wc, r)] + [g]
-            r = [(af * y - bf * x) % d for x, y in zip(wc, r)]
-    # normalize off-diagonal entries into [0, pivot); W[j] ends at column j
+            rc = unpack(r, c)
+            W[c] = [(s * x + t * y) % d for x, y in zip(wc, rc)] + [g]
+            P[c] = pack(W[c][:c])
+            r = pack([(af * y - bf * x) % d for x, y in zip(wc, rc)])
+    # normalize off-diagonal entries into [0, pivot), in ascending order,
+    # each row by the normalized W[j] over its nonzero entries alone: a
+    # column whose pivot is 1 is zero in every other row
+    nonzero = []
     for i in range(n):
         wi = W[i]
         for j in range(i - 1, -1, -1):
             q = wi[j] // W[j][j]
             if q:
-                wi = [x - q * y for x, y in zip(wi, W[j])] + wi[j + 1:]
-        W[i] = wi
+                for k, y in nonzero[j]:
+                    wi[k] -= q * y
+        nonzero.append([(k, y) for k, y in enumerate(wi) if y])
     return [wi + [0] * (n - 1 - i) for i, wi in enumerate(W)]
 
 

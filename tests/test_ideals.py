@@ -650,16 +650,19 @@ def test_least_integer_of_a_ramified_prime_power(k):
 
 def test_certified_hnf_refuses_a_modulus_outside_the_module():
     """M + d*Z^m is a proper supermodule of M when d is not in M, and its
-    smaller pivot product fails the certificate."""
+    smaller pivot product fails the certificate.  P^3 has three pivots 13
+    and three pivots 1, P^6 = (13) six pivots 13; the moduli include
+    200-bit ones inside and outside the module."""
     field = make_field("realcyclo:13")
-    rows = field._mul_rows(list((gamma_element(field, 13) ** 3).num))
-    d_det = 13 ** 3
-    want = hnf_mod_d(rows, d_det)
-    for modulus in (13, 26, 169):  # P^3 meets Z in 13*Z
-        assert _certified_hnf(rows, modulus, d_det, "P^3") == want
-    for modulus in (1, 2, 12, 14):
-        with pytest.raises(ArithmeticError, match="lost index"):
-            _certified_hnf(rows, modulus, d_det, "P^3")
+    for k in (3, 6):
+        rows = field._mul_rows(list((gamma_element(field, 13) ** k).num))
+        d_det = 13 ** k
+        want = hnf_mod_d(rows, d_det)
+        for modulus in (13, 26, 169, 13 * 2 ** 200):  # P^k meets Z in 13*Z
+            assert _certified_hnf(rows, modulus, d_det, f"P^{k}") == want
+        for modulus in (1, 2, 12, 14, 2 ** 200 + 1):
+            with pytest.raises(ArithmeticError, match="lost index"):
+                _certified_hnf(rows, modulus, d_det, f"P^{k}")
 
 
 # --------------------------------------------------------------------------

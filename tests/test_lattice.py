@@ -25,13 +25,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arakelov import lattice
 from arakelov.existence import classify
-from arakelov.fields import FieldMismatch, SpecError, make_field
-from arakelov.ideals import FractionalIdeal, realize
+from arakelov.fields import FieldMismatch, SpecError, make_field, trace_pairing
+from arakelov.ideals import FractionalIdeal, principal, radical_above, realize, trace_dual
 from arakelov.lattice import (
     EnumerationBudgetExceeded,
     IdealLattice,
@@ -206,6 +206,77 @@ def test_dual_of_unimodular_lattice_is_itself():
     assert d.ideal == lat.ideal
     assert d.gram == lat.gram
     assert lat.determinant() == 1
+
+
+def _two_product_pairing(alpha, x, y):
+    """The Gram of Tr(alpha * u * conj(v)) as two products over the nonzero
+    entries of the rows, L = N * T_a and then every entry of
+    L * conj(N')^t: the formula trace_pairing used before it summed Hankel
+    slices and mirrored, kept as its reference."""
+    field = alpha.field
+    m = field.degree
+    t = field._hankel_traces(alpha.num)
+
+    def nonzero(rows):
+        return [[(k, c) for k, c in enumerate(r) if c] for r in rows]
+
+    left = [[sum(c * t[k + j] for k, c in nz) for j in range(m)] for nz in nonzero(x.num)]
+    conj_y = [field._conj_num(r) for r in y.num] if field.is_cm else y.num
+    return ([[sum(c * lr[k] for k, c in nz) for nz in nonzero(conj_y)] for lr in left],
+            alpha.den * x.den * y.den)
+
+
+_PAIRING_SPECS = ["quad:+5", "realcyclo:13", "realcyclo:28", "realcyclo:44",
+                  "quad:-7", "cyclo:7", "cyclo:12", "cyclo:16"]
+
+
+@st.composite
+def _pairing_cases(draw):
+    """(spec, u, v, alpha kind, x kind, y kind), with u and v coordinates;
+    the test builds the field, so the examples name no field element."""
+    spec = draw(st.sampled_from(_PAIRING_SPECS))
+    m = make_field(spec).degree
+    coords = st.lists(st.integers(-4, 4), min_size=m, max_size=m).filter(any)
+    return (spec, draw(coords), draw(coords),
+            draw(st.sampled_from(["real", "any"])),
+            draw(st.sampled_from(["radical", "integer", "element"])),
+            draw(st.sampled_from(["same", "copy", "dual", "other"])))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_pairing_cases())
+@example(("cyclo:7", [1, 1, 0, 0, 0, 0], [2, 0, 1, 0, 0, 0], "any", "element", "same"))
+@example(("cyclo:12", [0, 1, 0, 0], [1, 1, 0, 0], "any", "radical", "same"))
+@example(("realcyclo:44", [1, 0, 2, 0, 0, 0, 0, 0, 0, -1], [1] * 10, "any", "integer", "same"))
+def test_trace_pairing_matches_the_two_product_formula(case):
+    """trace_pairing on totally real and CM fields, alpha real (u * conj(u)
+    + 1, totally positive) or any u, which on a CM field is mostly not
+    real; x is y, an equal copy of x, the trace dual of x paired with x as
+    lattice.dual pairs them, or another ideal; x a radical (a single pivot
+    above 1 where p has one prime of degree 1), an integer times O_K
+    (every pivot above 1) or a principal ideal.  When x is y and alpha is
+    totally positive, the IdealLattice's Gram is that Gram over its scale."""
+    spec, u, v, alpha_kind, x_kind, y_kind = case
+    field = make_field(spec)
+    u, v = field.element(u), field.element(v)
+    alpha = u * u.conj() + 1 if alpha_kind == "real" else u
+    if x_kind == "radical":
+        x = radical_above(field, max(field.omega()))
+    elif x_kind == "integer":
+        x = principal(field.rational(1 + max(field.omega())))
+    else:
+        x = principal(v)
+    y = {"same": lambda: x,
+         "copy": lambda: FractionalIdeal(field, x.num, x.den),
+         "dual": lambda: trace_dual(x, field.one()),
+         "other": lambda: principal(v + 1) if v + 1 != 0 else x}[y_kind]()
+    if y_kind == "dual":
+        x, y = y, x
+    rows, scale = trace_pairing(alpha, x, y)
+    assert (rows, scale) == _two_product_pairing(alpha, x, y)
+    if alpha_kind == "real" and x is y:
+        assert build(field, x, alpha).gram == tuple(
+            tuple(Fraction(e, scale) for e in row) for row in rows)
 
 
 # --------------------------------------------------------------------------

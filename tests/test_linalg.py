@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arakelov import linalg
@@ -238,6 +238,57 @@ def test_hnf_mod_d():
         assert hnf_mod_d(M, d) == row_module_hnf(aug)
     with pytest.raises(ShapeError):
         hnf_mod_d([[1, 2]], 0)
+
+
+# moduli of every kind: 1, 2, small primes, prime powers, composites, the
+# Mersenne prime 2^61 - 1, and 200 bits and more
+_HNF_MODULI = st.one_of(
+    st.sampled_from([1, 2, 3, 5, 7, 97, 4, 8, 27, 49, 1024, 6, 12, 30, 210, 2 ** 61 - 1]),
+    st.integers(2, 10 ** 6),
+    st.integers(2 ** 200, 2 ** 256),
+)
+
+
+def _carry_heavy_rows(d, n):
+    """Rows whose fold fills the packed slots of hnf_mod_d the most: the
+    first n - 2 rows make W[c] = (d-1, ..., d-1, 1) for c >= 2, and the
+    last row reads 1 at each of those columns when it is folded, so each
+    of them adds (d-1) * (d-1) to every slot below it, and slot 0 gains
+    n - 2 such terms before slot 1 is read; columns 0 and 1 keep the pivot
+    d, so the result depends on what reaches them."""
+    rows = [[d - 1] * c + [1] + [0] * (n - 1 - c) for c in range(n - 1, 1, -1)]
+    rows.append([d - 1, d - 1] + [(j + 2 - n) % d for j in range(2, n)])
+    return rows
+
+
+@st.composite
+def _hnf_mod_d_cases(draw):
+    d = draw(_HNF_MODULI)
+    n = draw(st.integers(1, 7))
+    if n >= 3 and draw(st.booleans()):
+        return _carry_heavy_rows(d, n), d
+    # fewer, as many or more rows than columns; entries negative or >= d
+    k = draw(st.integers(1, n + 2))
+    entry = st.one_of(st.integers(-9, 9), st.integers(-3 * d, 3 * d))
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)], d
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hnf_mod_d_cases())
+@example((_carry_heavy_rows(2 ** 61 - 1, 7), 2 ** 61 - 1))
+@example((_carry_heavy_rows(2 ** 211 - 1, 7), 2 ** 211 - 1))
+@example(([[5, -3, 12]], 7))
+@example(([[-10]], 3))
+def test_hnf_mod_d_is_the_hnf_of_the_rows_and_d_times_identity(case):
+    """hnf_mod_d(rows, d) is the canonical basis of span(rows) + d*Z^n,
+    which row_module_hnf computes from the rows and d*I by plain
+    elimination.  On the two carry-heavy examples slot 0 passes 2^(w-1)
+    before slot 1 is read, so a slot one bit narrower carries into slot 1
+    there."""
+    rows, d = case
+    n = len(rows[0])
+    want = row_module_hnf(rows + [[d * (i == j) for j in range(n)] for i in range(n)])
+    assert hnf_mod_d(rows, d) == want
 
 
 def test_nullspace_mod_p():
