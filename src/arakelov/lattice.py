@@ -62,9 +62,11 @@ class IdealLattice:
     positive, so alpha = conj(alpha) and trace_pairing forms only the
     entries i >= j and mirrors them; each pair of mirrored entries that
     are equal, rows[i][j] == rows[j][i], shares one Fraction.
+    The walk's reduction (the scale D and the triangle A of _lll) is kept
+    on first use, so minimum and theta_prefix of one lattice reduce it once.
     """
 
-    __slots__ = ("field", "ideal", "alpha", "gram", "_det")
+    __slots__ = ("field", "ideal", "alpha", "gram", "_det", "_walk")
 
     def __init__(self, field, ideal, alpha, rows, scale):
         try:
@@ -84,6 +86,7 @@ class IdealLattice:
                               + [Fraction(e, scale) for e in row[i:]]))
         object.__setattr__(self, "gram", tuple(gram))
         object.__setattr__(self, "_det", d.numerator if d.denominator == 1 else d)
+        object.__setattr__(self, "_walk", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IdealLattice is immutable")
@@ -101,6 +104,13 @@ class IdealLattice:
     def is_even(self):
         return self.is_integral() and all(row[i] % 2 == 0
                                           for i, row in enumerate(self.gram))
+
+    def _reduced(self):
+        """(D, A) of the walk's reduction of the Gram, reduced on first use."""
+        if self._walk is None:
+            D, _, _, A = _lll(self.gram)
+            object.__setattr__(self, "_walk", (D, A))
+        return self._walk
 
     def __repr__(self):
         return (f"IdealLattice({self.field.spec_string()}, dim={self.dimension}, "
@@ -277,10 +287,10 @@ def verify_modularity(lat, witness):
 
 # The most nodes one enumeration enters: the root and every coordinate it
 # accepts above level 0 (the leaves at level 0 are not counted).  A count,
-# not a time, so a walk ends the same way on every run.  The largest
-# count seen on this package's lattices is the theta series to 16 of the
-# dim-22 catalog lattice after a random basis change: 132,000-235,000
-# nodes.  The dim-56 lattice of realcyclo:113 at level 113, whose walk
+# not a time, so a walk ends the same way on every run.  The theta series
+# to 16 of the dim-22 catalog lattice after a random basis change takes
+# ~120,000 nodes, and the minimum of realcyclo:73 at level 73 (dim 36)
+# 587,122.  The dim-56 lattice of realcyclo:113 at level 113, whose walk
 # would not end, passes the budget instead.
 ENUMERATION_BUDGET = 3_000_000
 
@@ -304,9 +314,15 @@ def _enumerate_representatives(lat_or_gram, bound, on_vector):
     the rest of the walk.  Returns the number of nodes entered; past
     ENUMERATION_BUDGET raises EnumerationBudgetExceeded.
 
-    x runs over coordinates on the LLL-reduced basis, whose Bareiss
-    triangle (D, A) _lll returns: with pivots P_i and y_i = sum_{j>=i}
-    A[i][j] x_j, D * x^t G x = sum_i y_i^2 / (P_i P_{i-1}); over
+    x runs over coordinates on the reduced basis, whose Bareiss triangle
+    (D, A) _lll returns: the walk's reduction is a plain LLL pass at
+    delta = 3/4 and a pass at delta = 0.99 with deep insertions of depth 5
+    (Schnorr-Euchner, Math. Programming 66, 1994), which cuts the nodes
+    the walk enters; lll_reduce keeps one plain pass, the textbook LLL
+    basis its callers expect.  An IdealLattice keeps (D, A) for its later
+    walks; a Gram given as rows is reduced on every call.  With pivots
+    P_i and y_i = sum_{j>=i} A[i][j] x_j,
+    D * x^t G x = sum_i y_i^2 / (P_i P_{i-1}); over
     L = lcm(P_i P_{i-1}) every term is c_i * y_i^2 with an integer c_i.
     So the walk keeps the norm scaled by L*D as an integer, the range of
     x_i is one isqrt, and every comparison is exact.
@@ -320,8 +336,10 @@ def _enumerate_representatives(lat_or_gram, bound, on_vector):
     summed, so descending to level l-1 re-sums that row from begin[l]
     down only, and each center costs O(1) amortized.
     """
-    gram = lat_or_gram.gram if isinstance(lat_or_gram, IdealLattice) else lat_or_gram
-    scale, _, _, A = _lll(gram)
+    if isinstance(lat_or_gram, IdealLattice):
+        scale, A = lat_or_gram._reduced()
+    else:
+        scale, _, _, A = _lll(lat_or_gram)
     n = len(A)
     piv = [A[i][i] for i in range(n)]
     prev = [1] + piv[:-1]

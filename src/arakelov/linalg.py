@@ -5,7 +5,8 @@ ints, rational ones use fractions.Fraction; nothing here touches
 floating point.  det, invert, solve_bareiss, solve_integral and
 ldl_integral share one fraction-free (Bareiss) elimination core.
 LLL is integral, from the Bareiss triangle of ldl_integral to that of the
-reduced Gram, which the enumeration walks; cholesky is a rational view.
+reduced Gram, which the enumeration walks after a second pass with deep
+insertions; cholesky is a rational view.
 
 Canonical Hermite form used throughout the package: *lower-triangular*
 row-style HNF.  For a nonsingular square matrix H this means
@@ -377,22 +378,47 @@ def _integral_gram(G):
     return D, [[x.numerator * (D // x.denominator) for x in row] for row in G]
 
 
-def _lll(G, delta=Fraction(99, 100), transform=False):
+# The reduction the enumeration walks: two passes of the loop of _lll.  A
+# plain pass at delta = 3/4 makes the bulk of the large-number swaps at
+# half the cost of a plain pass at 0.99; a pass at delta = 0.99 with deep
+# insertions of depth 5 (Schnorr-Euchner, Math. Programming 66, 1994) then
+# finds a basis with fewer walk nodes.  On the moved catalog Grams of dims
+# 6-22 the two passes take 0.34 s where one plain pass at 0.99 took
+# 0.60 s, and the realcyclo:73 level-73 walk falls from 1,938,983 to
+# 587,122 nodes.  Deeper is dearer: at full depth the dim-56 reduction of
+# realcyclo:113 takes 7.4 s against 0.6 s at depth 5.
+_WALK_PASSES = ((Fraction(3, 4), 1), (Fraction(99, 100), 5))  # (delta, depth)
+
+
+def _lll(G, passes=_WALK_PASSES, transform=False):
     """Integral LLL (Cohen, Algorithm 2.6.7; de Weger 1987) on the integer
     Gram D*G, from (D, A) = ldl_integral(G): d[i+1] = A[i][i] are the
     leading minors (d[0] = 1) and lam[k][j] = A[j][k] = d[j+1] * mu[k][j]
     for j < k; every step is exact on these integers and takes the
     decisions of the rational recurrence, mu rounded half to even.
+
+    passes is a sequence of (delta, depth), each one run of the loop over
+    the basis the previous one left.  At depth 1 a pass is plain LLL.  At
+    depth t it inserts deeply (Schnorr-Euchner, Math. Programming 66,
+    1994): once b_k is size-reduced, it moves to the lowest position
+    i >= k - t with |pi_i(b_k)|^2 < delta * B_i, by k - i adjacent swaps
+    (Cohen's SWAPI).  The test is exact and forms no Fraction:
+    e_i = d[i] * |pi_i(b_k)|^2 starts at e_k = d[k+1] and descends by the
+    exact division e_i = (d[i] * e_(i+1) + lam[k][i]^2) / d[i+1], and
+    b_k moves to i iff q * e_i < p * d[i+1] for delta = p/q; at i = k - 1
+    that is the Lovasz test.  The default passes are the enumeration's
+    (_WALK_PASSES); lll_reduce runs one plain pass at its own delta, so
+    its output is the textbook LLL basis.
+
     Returns (D, D*G, U, A): A holds the final d and lam and is the Bareiss
     triangle of the reduced U*(D*G)*U^t.  U, the unimodular row transform,
-    is formed only when transform is true (lll_reduce); the enumeration
-    reads A alone and gets U = None.
+    is formed only when transform is true; the enumeration reads A alone
+    and gets U = None.
     """
     n = _check_gram(G)
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
+    passes = [(Fraction(delta), depth) for delta, depth in passes]
+    if not all(Fraction(1, 4) < delta < 1 for delta, _ in passes):
         raise FormError("delta must lie in (1/4, 1)")
-    p, q = delta.numerator, delta.denominator
     D, DG = _integral_gram(G)
     _, A = ldl_integral(DG)  # raises FormError if G is not positive definite
     d = [1] + [A[i][i] for i in range(n)]
@@ -413,29 +439,42 @@ def _lll(G, delta=Fraction(99, 100), transform=False):
                 for j, y in enumerate(lam[l]):
                     lamk[j] -= c * y
 
-    k = 1
-    while k < n:
-        size_reduce(k, (k - 1,))
+    def swap(k):
+        # Cohen's SWAPI of b_(k-1) and b_k; lam[k][k-1] is unchanged and
+        # only d[k] moves
         m = lam[k][k - 1]
-        # B_k < (delta - mu^2) B_(k-1), times q * d[k] * d[k-1] > 0, with
-        # B_i = d[i+1] / d[i] and mu = m / d[k]
-        if q * d[k + 1] * d[k - 1] < p * d[k] * d[k] - q * m * m:
-            # Cohen's SWAPI; lam[k][k-1] is unchanged and only d[k] moves
-            if U is not None:
-                U[k - 1], U[k] = U[k], U[k - 1]
-            lam[k - 1], lam[k] = lam[k][:k - 1], lam[k - 1] + [m]
-            dk, dk1 = d[k + 1], d[k]
-            b = (d[k - 1] * dk + m * m) // dk1
-            for i in range(k + 1, n):
-                lami = lam[i]
-                t = lami[k]
-                lami[k] = (dk * lami[k - 1] - m * t) // dk1
-                lami[k - 1] = (b * t + m * lami[k]) // dk
-            d[k] = b
-            k = max(k - 1, 1)
-        else:
-            size_reduce(k, range(k - 2, -1, -1))
-            k += 1
+        if U is not None:
+            U[k - 1], U[k] = U[k], U[k - 1]
+        lam[k - 1], lam[k] = lam[k][:k - 1], lam[k - 1] + [m]
+        dk, dk1 = d[k + 1], d[k]
+        b = (d[k - 1] * dk + m * m) // dk1
+        for i in range(k + 1, n):
+            lami = lam[i]
+            t = lami[k]
+            lami[k] = (dk * lami[k - 1] - m * t) // dk1
+            lami[k - 1] = (b * t + m * lami[k]) // dk
+        d[k] = b
+
+    for delta, depth in passes:
+        p, q = delta.numerator, delta.denominator
+        k = 1
+        while k < n:
+            size_reduce(k, (k - 1,))
+            if depth > 1:
+                size_reduce(k, range(k - 2, -1, -1))
+            lamk = lam[k]
+            e, i = d[k + 1], k
+            for j in range(k - 1, max(k - depth, 0) - 1, -1):
+                e = (d[j] * e + lamk[j] * lamk[j]) // d[j + 1]
+                if q * e < p * d[j + 1]:
+                    i = j
+            if i < k:
+                for j in range(k, i, -1):
+                    swap(j)
+                k = max(i, 1)
+            else:
+                size_reduce(k, range(k - 2, -1, -1))
+                k += 1
     A = [[0] * i + [d[i + 1]] + [lam[j][i] for j in range(i + 1, n)] for i in range(n)]
     return D, DG, U, A
 
@@ -443,12 +482,15 @@ def _lll(G, delta=Fraction(99, 100), transform=False):
 def lll_reduce(G, delta=Fraction(99, 100)):
     """LLL-reduce a positive definite Gram matrix with exact arithmetic:
     (G2, T) with T unimodular and G2 == T^t * G * T satisfying the
-    size-reduction and Lovasz conditions for delta.  The integral LLL of
-    _lll forms no Fraction; G2 is the moved D*G over D, so the Lovasz
-    condition of the result can be re-checked exactly from G2.  This is
-    the one caller that returns T, so it alone asks _lll for the transform.
+    size-reduction and Lovasz conditions for delta.  One plain pass of the
+    integral LLL of _lll, which forms no Fraction; the enumeration's
+    two-pass deep reduction is kept out of it, so the result is the
+    textbook LLL basis at delta.  G2 is the moved D*G over D, so the
+    Lovasz condition of the result can be re-checked exactly from G2.
+    This is the one caller that returns T, so it alone asks _lll for the
+    transform.
     """
-    D, DG, U, _ = _lll(G, delta, transform=True)
+    D, DG, U, _ = _lll(G, ((delta, 1),), transform=True)
     T = transpose(U)
     G2 = mat_mul(U, mat_mul(DG, T))
     return [[Fraction(x, D) for x in row] for row in G2], T

@@ -15,9 +15,12 @@ hashing.  On a totally real field the trace form is decided by one
 sub-resultant PRS and never eliminated; on a CM field by one Bareiss
 elimination.
 
-An enumeration computes its reduction once: minimum and theta_prefix run
-one Bareiss elimination, and the walk reads the triangle that integral
-LLL ends with, which equals a fresh ldl_integral of the reduced Gram.
+An enumeration computes its reduction once: minimum and theta_prefix of
+a Gram run one Bareiss elimination, an IdealLattice keeps its reduction
+for every later walk, and the walk reads the triangle that integral LLL
+ends with, which equals a fresh ldl_integral of the reduced Gram; that
+Gram is size-reduced, Lovasz-reduced at 0.99 and deep-insertion reduced
+to depth 5, checked on Fractions.
 
 Principal rows are reduced modulo the least integer of the ideal, the
 denominator of the generator's inverse, and that inverse comes from data
@@ -69,7 +72,7 @@ from arakelov.ideals import (
 )
 from arakelov import existence, fields, ideals, lattice, linalg
 from arakelov.lattice import build, minimum, theta_prefix
-from arakelov.linalg import det, ldl_integral, lll_reduce
+from arakelov.linalg import cholesky, det, ldl_integral, mat_mul, transpose
 from test_linalg import lll_grams
 
 REAL_SPECS = ["quad:+5", "quad:+6", "realcyclo:13", "realcyclo:28", "realcyclo:36"]
@@ -452,20 +455,44 @@ def test_enumeration_runs_one_elimination(monkeypatch):
         return bareiss(A, B)
 
     monkeypatch.setattr(linalg, "_bareiss", counted)
-    for target, dim in ((lat, 6), (gram, 3)):
-        for run in (lambda: minimum(target), lambda: theta_prefix(target, 4)):
-            calls.clear()
-            run()
-            assert calls == [dim]
+    for run in (lambda: minimum(gram), lambda: theta_prefix(gram, 4)):
+        calls.clear()
+        run()
+        assert calls == [3]
+    # the lattice keeps its reduction: one elimination for all its walks
+    calls.clear()
+    minimum(lat)
+    theta_prefix(lat, 4)
+    theta_prefix(lat, 6)
+    assert calls == [6]
     monkeypatch.undo()
     assert minimum(lat) == (4, 42)
+
+
+def _deep_reduced(G, delta, depth):
+    """Whether the Gram G is size-reduced and, for every k and every
+    i >= k - depth, |pi_i(b_k)|^2 >= delta * B_i (at i = k - 1 the Lovasz
+    condition), on the rational Gram-Schmidt data of cholesky."""
+    R = cholesky(G)
+    n = len(R)
+    for k in range(n):
+        if any(2 * abs(R[j][k]) > 1 for j in range(k)):
+            return False
+        proj = R[k][k]
+        for i in range(k - 1, max(k - depth, 0) - 1, -1):
+            proj += R[i][k] ** 2 * R[i][i]
+            if proj < delta * R[i][i]:
+                return False
+    return True
 
 
 @settings(max_examples=80, deadline=None)
 @given(lll_grams())
 def test_walk_reads_the_triangle_of_the_reduced_gram(G):
-    """The (D, A) the walk receives is ldl_integral of lll_reduce(G)[0],
-    and its reduction formed no transform."""
+    """The (D, A) the walk receives is ldl_integral of U*G*U^t, with U the
+    unimodular transform of the walk's own reduction (formed here by a
+    second run, never by the walk), and U*G*U^t is size-reduced and
+    reduced with deep insertions of depth 5 at delta = 0.99."""
     handed = []
     lll = lattice._lll
 
@@ -481,9 +508,12 @@ def test_walk_reads_the_triangle_of_the_reduced_gram(G):
         lattice._lll = lll
     (D, _, U, A), = handed
     assert U is None
-    G2, _ = lll_reduce(G)
+    _, _, U, again = lll(G, transform=True)
+    assert again == A and abs(det(U)) == 1
+    G2 = mat_mul(U, mat_mul([[Fraction(x) for x in row] for row in G], transpose(U)))
     assert ldl_integral(G2) == (D, A)
     assert ldl_integral([[x * D for x in row] for row in G2]) == (1, A)
+    assert _deep_reduced(G2, Fraction(99, 100), 5)
 
 
 def _fresh_caches(monkeypatch):

@@ -16,6 +16,9 @@ Oracles
 * The loop walk is checked node for node against the recursive walk it
   replaced (``recursive_walk`` below): the same norms in the same order
   and the same node count, for minimum's shrinking bound and for theta.
+* minimum and theta_prefix of a Gram moved by a random unimodular T agree
+  with those of the unmoved Gram and with the recursive walk on the
+  moved Gram's unreduced triangle, so no reduction changes an answer.
 * Modularity verification consumes self-proving witnesses from the
   existence module; negative controls corrupt beta or swap the module.
 """
@@ -43,7 +46,10 @@ from arakelov.lattice import (
     theta_prefix,
     verify_modularity,
 )
-from arakelov.linalg import FormError, _lll, invert, lll_reduce, mat_mul, transpose
+from arakelov.linalg import (
+    FormError, _lll, invert, ldl_integral, lll_reduce, mat_mul, transpose,
+)
+from test_linalg import lll_grams
 
 
 def witness_lattice(spec, level, trace_type=True):
@@ -497,12 +503,17 @@ def test_enumeration_matches_brute_force_at_large_entries(case):
 # the loop walk against the recursive walk it replaced
 # --------------------------------------------------------------------------
 
-def recursive_walk(gram, bound, on_vector):
+def recursive_walk(gram, bound, on_vector, reduced=True):
     """The recursive Fincke-Pohst walk on the triangle of _lll, each center
     summed from scratch: the reference for the loop walk of
     lattice._enumerate_representatives.  Returns its node count, the calls
-    at levels >= 0 (the root and every accepted coordinate above level 0)."""
-    scale, _, _, A = _lll(gram)
+    at levels >= 0 (the root and every accepted coordinate above level 0).
+    With reduced false it walks the triangle of ldl_integral(gram), on the
+    basis as given."""
+    if reduced:
+        scale, _, _, A = _lll(gram)
+    else:
+        scale, A = ldl_integral(gram)
     n = len(A)
     prev = [1] + [A[i][i] for i in range(n - 1)]
     unit = math.lcm(*(A[i][i] * prev[i] for i in range(n)))
@@ -599,6 +610,51 @@ def test_walk_counts_nodes_of_the_catalog_lattice():
     for bound in (None, 6):
         assert _reports(lattice._enumerate_representatives, lat, bound) == \
             _reports(recursive_walk, lat.gram, bound)
+
+
+@st.composite
+def moved_grams(draw):
+    """(G, T*G*T^t, bound): a Gram of test_linalg's lll_grams of dimension
+    2 or more and the same form on the basis moved by a drawn unimodular
+    T, a product of elementary row operations and a signed permutation;
+    the bound lies between the minimum and twice it."""
+    G = draw(lll_grams())
+    n = len(G)
+    assume(n > 1)
+    T = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(1, n))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        T[i] = [x + c * y for x, y in zip(T[i], T[j])]
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    T = [[s * x for x in T[i]] for s, i in zip(signs, draw(st.permutations(range(n))))]
+    moved = mat_mul(T, mat_mul([[Fraction(x) for x in row] for row in G], transpose(T)))
+    mu, _ = minimum(G)
+    return G, moved, mu * Fraction(draw(st.integers(4, 8)), 4)
+
+
+def _walk_answers(gram, bound, reduced):
+    """(minimum, kissing) and theta_prefix(gram, bound) as the recursive
+    walk reports them."""
+    seen, _ = _reports(lambda g, b, on: recursive_walk(g, b, on, reduced), gram, None)
+    mu = min(seen)
+    theta, _ = _reports(lambda g, b, on: recursive_walk(g, b, on, reduced), gram, bound)
+    counts = {}
+    for norm in theta:
+        counts[norm] = counts.get(norm, 0) + 2
+    pairs = [(0, 1)] + sorted(counts.items())
+    return (mu, 2 * seen.count(mu)), [(int(x) if x.denominator == 1 else x, c)
+                                      for x, c in pairs]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(moved_grams())
+def test_moved_gram_keeps_minimum_and_theta(case):
+    G, moved, bound = case
+    want = minimum(G), theta_prefix(G, bound)
+    assert (minimum(moved), theta_prefix(moved, bound)) == want
+    assert _walk_answers(moved, bound, reduced=False) == want
+    assert _walk_answers(moved, bound, reduced=True) == want
 
 
 def test_enumeration_budget_raises_a_typed_error(monkeypatch):
