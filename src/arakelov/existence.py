@@ -214,19 +214,30 @@ def _radical_exponents(field, level, apow):
     return factors
 
 
+# one checked witness per (field, level, apow): the witness is a function
+# of that key, so a level that two oracles (or both trace types) admit with
+# the same alpha is built and self-checked once
+_WITNESS_CACHE = {}
+
+
 def _verdict(field, trace_type, rows, rule, materialize_limit=DEFAULT_MATERIALIZE_LIMIT):
     """The verdict for (level, apow) rows: the exponents of every row are
     solved, and up to materialize_limit each witness is built and checked,
     with alpha = gamma^apow and beta the square root of +-d on a quadratic
     field (theta = sqrt(-1) on quad:-1, of level 1), else 1 at level 1
-    and the square root of the level above it."""
+    and the square root of the level above it; a witness checked before
+    is taken from _WITNESS_CACHE."""
     recipes = [(level, apow, _radical_exponents(field, level, apow))
                for level, apow in rows]
     witnesses = {}
     if field.degree <= materialize_limit:
         quadratic = isinstance(field, (RealQuadraticField, ImagQuadraticField))
-        gamma = gamma_element(field, field.omega()[0]) if any(a for _, a in rows) else None
+        gamma = None
         for level, apow, factors in recipes:
+            key = (field, level, apow)
+            if key in _WITNESS_CACHE:
+                witnesses[level] = _WITNESS_CACHE[key]
+                continue
             if quadratic:
                 beta = field.sqrt_disc_element()
             elif level == 1:
@@ -234,9 +245,11 @@ def _verdict(field, trace_type, rows, rule, materialize_limit=DEFAULT_MATERIALIZ
             elif (beta := sqrt_integer(field, level)) is None:
                 raise InternalInconsistency(
                     f"sqrt({level}) should exist in {field.spec_string()} but was not found")
+            if apow and gamma is None:
+                gamma = gamma_element(field, field.omega()[0])
             alpha = gamma ** apow if apow else field.one()
-            witnesses[level] = ConstructionWitness(level, beta, alpha,
-                                                   IdealRecipe(field, factors))
+            witnesses[level] = _WITNESS_CACHE[key] = ConstructionWitness(
+                level, beta, alpha, IdealRecipe(field, factors))
     return ExistenceVerdict(field.spec_string(), trace_type,
                             [level for level, _ in rows], witnesses, rule)
 

@@ -24,8 +24,10 @@ N(a) = Res(f, a) as f is monic, and v*a = c mod f with an integer c
 gives 1/a = v/c; neither runs an n x n elimination.  An element's
 inverse is computed once and linked both ways, so 1/x, x^-k and the
 inverse of a power of x reuse that one pass, whose resultant is kept as
-the norm of x and 1/x.  The discriminant is (-1)^(m(m-1)/2) N(f'(theta)),
-read off the pass that inverts f'(theta) for the codifferent.  Traces
+the norm of x and 1/x; the inverse of a power is a pending product,
+multiplied out only when it is first read.  The discriminant is
+(-1)^(m(m-1)/2) N(f'(theta)), read off the pass that inverts f'(theta)
+for the codifferent.  Traces
 come from Newton power sums of f and complex conjugation from the image
 of theta.
 
@@ -287,14 +289,18 @@ class FieldElement:
     criterion on the trace form once it is decided: 0 when the form is not
     positive definite, else its determinant.  ``_norm`` holds the norm
     once norm() or inverse() has computed it, and ``_inv`` the inverse
-    once it is known, linked both ways (``x._inv._inv is x``): inverse()
-    computes it once, a negative power inverts the base rather than the
-    power, positive powers of an element with a known inverse carry the
-    matching inverse along, and an inverse pair shares one norm.
-    Equality and hashing ignore all three slots.
+    once it is formed, linked both ways (``x._inv._inv is x``): inverse()
+    forms it once, a negative power inverts the base rather than the
+    power, and an inverse pair shares one norm.  ``_pending`` holds a
+    product that forms the inverse without a sub-resultant pass, with the
+    elements whose inverses it reads, recorded where the inverse comes
+    cheap (a power of an element whose inverse is cheap, a product of
+    generators, a trace dual) and formed on the first inverse(), so an
+    inverse nothing reads is never multiplied out.
+    Equality and hashing ignore all four slots.
     """
 
-    __slots__ = ("field", "num", "den", "_inv", "_norm", "_trace_det")
+    __slots__ = ("field", "num", "den", "_inv", "_pending", "_norm", "_trace_det")
 
     def __init__(self, field, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
@@ -382,8 +388,8 @@ class FieldElement:
         if k < 0:
             return self.inverse() ** -k
         out = _power(self, k)
-        if k and self._inv is not None:
-            _link_inverses(out, _power(self._inv, k))
+        if k and _has_cheap_inverse(self):
+            _defer_inverse(out, (self,), lambda: _power(self.inverse(), k))
         return out
 
     # -- comparisons ----------------------------------------------------------
@@ -428,7 +434,7 @@ class FieldElement:
         return self.field._conj(self)
 
     def norm(self):
-        """Exact field norm to Q as a Fraction, computed once; a known
+        """Exact field norm to Q as a Fraction, computed once; a formed
         inverse with a known norm gives it as N(1/x) = 1/N(x)."""
         if self._norm is None:
             inv = self._inv
@@ -440,10 +446,11 @@ class FieldElement:
         return self._norm
 
     def inverse(self):
-        """1/x, computed once and then kept on both x and 1/x, with the
-        norm of both from the same pass."""
+        """1/x, formed once and then kept on both x and 1/x: from the
+        pending product when there is one, else by one sub-resultant pass
+        that gives the norm of both as well."""
         if self._inv is None:
-            _link_inverses(self, self.field._inverse(self))
+            _form_inverse(self)
         return self._inv
 
     def embed(self, precision=None):
@@ -456,6 +463,7 @@ def _fill(x, field, num, den):
     object.__setattr__(x, "num", num)
     object.__setattr__(x, "den", den)
     object.__setattr__(x, "_inv", None)
+    object.__setattr__(x, "_pending", None)
     object.__setattr__(x, "_norm", None)
     object.__setattr__(x, "_trace_det", None)
 
@@ -475,10 +483,45 @@ def _power(x, k, one=None, mul=operator.mul):
 
 
 def _link_inverses(x, y):
-    """Record y = 1/x on both; returns x."""
-    object.__setattr__(x, "_inv", y)
-    object.__setattr__(y, "_inv", x)
+    """Record y = 1/x on both, dropping any pending product; returns x."""
+    for a, b in ((x, y), (y, x)):
+        object.__setattr__(a, "_inv", b)
+        object.__setattr__(a, "_pending", None)
     return x
+
+
+def _defer_inverse(x, reads, form):
+    """Record form, a product that returns 1/x with no sub-resultant pass
+    from the inverses of the elements reads, for x.inverse() to call on
+    first read."""
+    object.__setattr__(x, "_pending", (reads, form))
+
+
+def _form_inverse(x):
+    """Form and link 1/x, after the inverses its pending product reads,
+    deepest first: a long chain of pending products (a recipe of many
+    principal factors) is formed in a loop, not by nested calls."""
+    stack = [x]
+    while stack:
+        y = stack[-1]
+        if y._inv is not None:
+            stack.pop()
+        elif y._pending is None:
+            _link_inverses(y, y.field._inverse(y))
+            stack.pop()
+        else:
+            reads, form = y._pending
+            unformed = [z for z in reads if z._inv is None]
+            if unformed:
+                stack.extend(unformed)
+            else:
+                _link_inverses(y, form())
+                stack.pop()
+
+
+def _has_cheap_inverse(x):
+    """1/x is formed, pending, or rational: it needs no sub-resultant pass."""
+    return x._inv is not None or x._pending is not None or x.is_rational
 
 
 # --------------------------------------------------------------------------

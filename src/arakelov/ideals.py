@@ -61,7 +61,8 @@ from .fields import (
     _INTEGER,
     _NATURAL,
     _ascii_rational,
-    _link_inverses,
+    _defer_inverse,
+    _has_cheap_inverse,
     _power,
     trace_pairing,
 )
@@ -402,7 +403,7 @@ def _radical_generator(field, p, radical):
     |N(g^t/p)| = 1, so g^t/p is a unit, (g)^t = (p) = J_p^(e_p), and
     unique factorization gives (g) = J_p^s.  A failed proof raises
     ArithmeticError.  g's inverse comes from the same pass as its norm,
-    so its powers carry theirs; g^t is formed without it.
+    so its powers keep theirs pending; g^t is formed without it.
     """
     g, s = _radical_candidate(field, p)
     t, rest = divmod(field.ramification_index(p), s)
@@ -436,8 +437,8 @@ def ideal_mul(a, b):
     """Product ideal: module generated by pairwise basis products.
 
     Known generators collapse the work to element arithmetic, and a
-    product of generators whose inverses are known keeps the product of
-    the inverses.  The generic path Hermite-reduces the m^2 integer
+    product of generators whose inverses come cheap keeps the product of
+    the inverses pending.  The generic path Hermite-reduces the m^2 integer
     product rows modulo h_00(num_a) * h_00(num_b), an integer of the
     product module (M cap Z = h_00*Z for a lower-triangular HNF), so no
     intermediate entry can outgrow it; covolumes of integral modules
@@ -453,10 +454,8 @@ def ideal_mul(a, b):
     x, y = a._gen, b._gen
     if x is not None and y is not None:
         gen = x * y
-        # a rational's inverse costs no sub-resultant pass
-        if (x._inv is not None or x.is_rational) and \
-                (y._inv is not None or y.is_rational):
-            _link_inverses(gen, x.inverse() * y.inverse())
+        if _has_cheap_inverse(x) and _has_cheap_inverse(y):
+            _defer_inverse(gen, (x, y), lambda: x.inverse() * y.inverse())
         return _principal(gen, a.norm() * b.norm())
     if x is not None:
         return _principal_times_module(x, a.norm(), b)
@@ -501,8 +500,8 @@ def trace_dual(a, alpha):
 
     A known generator g of A gives the single element
     (alpha * conj(g))^-1 * f'(theta)^-1, as D_K^-1 = (f'(theta)^-1), whose
-    inverse alpha * conj(g) * f'(theta) it keeps; an ideal held as rows
-    only takes one integer solve against its Gram.
+    inverse alpha * conj(g) * f'(theta) it keeps pending; an ideal held as
+    rows only takes one integer solve against its Gram.
     """
     field = a.field
     if not isinstance(alpha, FieldElement) or alpha.field != field:
@@ -511,9 +510,9 @@ def trace_dual(a, alpha):
         raise FormError("alpha must be totally positive for the trace form")
     if a._gen is not None:
         # inverting the factors apart reuses their known inverses
-        codiff = codifferent(field)
-        g = alpha.inverse() * a._gen.inverse().conj() * codiff._gen
-        _link_inverses(g, alpha * a._gen.conj() * field._fprime)
+        codiff, gen = codifferent(field), a._gen
+        g = alpha.inverse() * gen.inverse().conj() * codiff._gen
+        _defer_inverse(g, (), lambda: alpha * gen.conj() * field._fprime)
         return _principal(g, codiff.norm() / (a.norm() * abs(alpha.norm())))
     gram, scale = trace_pairing(alpha, a, a)
     # the Gram is gram / scale, so the dual rows are

@@ -64,9 +64,11 @@ class IdealLattice:
     are equal, rows[i][j] == rows[j][i], shares one Fraction.
     The walk's reduction (the scale D and the triangle A of _lll) is kept
     on first use, so minimum and theta_prefix of one lattice reduce it once.
+    Integrality and evenness are read here off the integer rows: the Gram
+    is integral iff scale divides every entry of its upper triangle.
     """
 
-    __slots__ = ("field", "ideal", "alpha", "gram", "_det", "_walk")
+    __slots__ = ("field", "ideal", "alpha", "gram", "_det", "_walk", "_integral", "_even")
 
     def __init__(self, field, ideal, alpha, rows, scale):
         try:
@@ -87,6 +89,10 @@ class IdealLattice:
         object.__setattr__(self, "gram", tuple(gram))
         object.__setattr__(self, "_det", d.numerator if d.denominator == 1 else d)
         object.__setattr__(self, "_walk", None)
+        integral = all(e % scale == 0 for i, row in enumerate(rows) for e in row[i:])
+        object.__setattr__(self, "_integral", integral)
+        object.__setattr__(self, "_even", integral and all(
+            row[i] // scale % 2 == 0 for i, row in enumerate(rows)))
 
     def __setattr__(self, name, value):
         raise AttributeError("IdealLattice is immutable")
@@ -99,11 +105,10 @@ class IdealLattice:
         return self._det
 
     def is_integral(self):
-        return all(x.denominator == 1 for row in self.gram for x in row)
+        return self._integral
 
     def is_even(self):
-        return self.is_integral() and all(row[i] % 2 == 0
-                                          for i, row in enumerate(self.gram))
+        return self._even
 
     def _reduced(self):
         """(D, A) of the walk's reduction of the Gram, reduced on first use."""
@@ -259,11 +264,21 @@ def verify_modularity(lat, witness):
         _link_inverses(beta, beta.conj() / level)
     beta_ideal = _principal(beta, Fraction(math.isqrt(level ** lat.dimension))) \
         if level else principal(beta)
-    dual_ideal = trace_dual(lat.ideal, lat.alpha)
-    # compared on HNF rows, never on generators: the module route stays
-    # independent of the witness self-check
-    lhs = ideal_mul(beta_ideal, dual_ideal)
-    if (lhs.num, lhs.den) != (lat.ideal.num, lat.ideal.den):
+    ideal = lat.ideal
+    lhs = ideal_mul(beta_ideal, trace_dual(ideal, lat.alpha))
+    # decided on I's certified HNF rows, never by comparing generators, so
+    # the module route stays independent of the witness self-check.  A
+    # principal (x) = (beta) * dual(I) lies in the O_K-module I exactly
+    # when x does, and then equals it exactly when N((x)) = N(I); N((x)) is
+    # a product of certified norms: |N(beta)| by clause (i), N(D_K^-1) by
+    # the Euler certificate, N(I) by I's pivots and N(alpha) by its
+    # sub-resultant pass.  A product held as rows is compared row for row.
+    x = lhs._gen
+    if x is not None:
+        same = ideal.contains(x) and lhs.norm() == ideal.norm()
+    else:
+        same = (lhs.num, lhs.den) == (ideal.num, ideal.den)
+    if not same:
         raise ModularityFailure("ii", "(beta) * dual(I) != I as modules")
     if not lat.is_integral():
         raise ModularityFailure("iii", "Gram matrix is not integral")

@@ -518,6 +518,25 @@ def test_verify_corrupted_beta_exits_4(capsys, record28, tmp_path):
     assert "clause i" in err
 
 
+def test_verify_galois_twisted_ideal_exits_4(capsys, tmp_path):
+    """The realcyclo:13 record of level 13 with its ideal I turned into
+    I * (a) * (sigma a)^-1, a = theta + 3 of prime norm 233 and sigma:
+    zeta -> zeta^2, so sigma a = theta^2 + 1: the module has the norm of
+    I but is another module, and clause ii refuses it."""
+    path = tmp_path / "r13.json"
+    code, _, _ = run(capsys, "construct", "--field", "realcyclo:13", "--level", "13",
+                     "--trace-type", "--out", str(path))
+    assert code == EXIT_OK
+    doc = json.loads(path.read_text())
+    assert doc["ideal"] == "P13^-1"
+    doc["ideal"] += "*([3,1,0,0,0,0])*([1,0,1,0,0,0])^-1"
+    bad = tmp_path / "twisted.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--in", str(bad))
+    assert code == EXIT_VERIFY and out == ""
+    assert "clause ii:" in err
+
+
 def test_verify_alpha_past_any_precision_exits_cleanly(tmp_path):
     """The realcyclo:7 level-1 record with alpha = r - theta, r a
     convergent of 2cos(2pi/7) with a 12,000-bit denominator on either

@@ -29,8 +29,11 @@ generator alpha * conj(g) * f'(theta) and the witness's conj(beta) /
 level.  So the pipeline runs no more sub-resultant passes than it did
 when the rows were reduced modulo the determinant.  |N(beta)| is read off
 the level once beta * conj(beta) = level is checked, and a product of
-principal ideals links its inverse when each factor's inverse is known
-or rational, so a witness pays no pass for beta.
+principal ideals keeps its inverse pending when each factor's inverse is
+known, pending or rational, so a witness pays no pass for beta.  Inverses
+of powers, generator products and trace duals are pending products,
+formed on first read with no solve, and a witness is built and checked
+once per (field, level, alpha power).
 
 The generator g of the least principal radical power J_p^s (s <= 2) is
 proved by its norm and by g^(e_p/s)/p being integral, with no HNF and no
@@ -61,7 +64,9 @@ from arakelov.ideals import (
     FractionalIdeal,
     IdealRecipe,
     Unsupported,
+    codifferent,
     gamma_element,
+    ideal_mul,
     ideal_pow,
     principal,
     radical_above,
@@ -273,40 +278,76 @@ def nonzero_elements(draw):
 @settings(max_examples=50, deadline=None)
 @given(nonzero_elements(), st.integers(1, 6))
 def test_inverse_is_solved_once_and_linked_both_ways(x, k):
+    """Inverses are read through inverse() and counted as calls of
+    NumberField._inverse: x takes one, a power of an element with no
+    known inverse one, and the inverses of a power, of a generator
+    product and of a trace dual, held as pending products, none."""
     field = x.field
 
     def solved(y):
-        """1/y from the Bareiss solve, on a copy that knows no inverse."""
+        """1/y from a fresh solve, on a copy that knows no inverse."""
         return field._inverse(field.element(y.coeffs))
 
     plain = field.element(x.coeffs)
-    # a power of an element with no known inverse carries none
-    plain_power = plain ** k
-    assert plain_power._inv is None
+    alpha = field.one()
+    alpha.inverse()
+    codifferent(field)  # its f'(theta)^-1 is solved once per field
+    want = {"x": solved(x), "x^k": solved(plain ** k), "c": solved(x.conj())}
 
-    inv = x.inverse()
-    assert inv == solved(x)
-    assert x._inv is inv and inv._inv is x
-    assert x.inverse() is inv and inv.inverse() is x
+    solves = []
+    inverse = fields.NumberField._inverse
 
-    # x^-k inverts the base; positive powers carry the matching inverse
-    neg = x ** -k
-    pos = x ** k
-    assert pos == plain_power
-    assert neg == plain_power.inverse() == solved(pos)
-    assert pos._inv == solved(pos) and pos._inv._inv is pos
-    assert neg._inv == pos and neg._inv._inv is neg
+    def counted(self, y):
+        solves.append(y)
+        return inverse(self, y)
 
-    # conj(x)^-1 = conj(x^-1)
-    c = x.conj()
-    assert c.inverse() == solved(c) == inv.conj()
-    assert c.inverse().inverse() is c
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields.NumberField, "_inverse", counted)
+
+        # a power of an element with no known inverse pays one solve
+        plain_power = plain ** k
+        assert plain_power.inverse() == want["x^k"] and len(solves) == 1
+
+        inv = x.inverse()
+        assert inv == want["x"] and len(solves) == 2
+        assert x.inverse() is inv and inv.inverse() is x
+
+        # x^-k inverts the base; both powers form their inverses unsolved
+        neg = x ** -k
+        pos = x ** k
+        assert pos == plain_power
+        assert pos.inverse() == neg == plain_power.inverse()
+        assert neg.inverse() == pos
+        assert pos.inverse().inverse() is pos and neg.inverse().inverse() is neg
+
+        # a product of generators and a trace dual form theirs unsolved
+        product = ideal_mul(principal(x), principal(pos))._gen
+        dual = trace_dual(principal(x), alpha)._gen
+        assert product * product.inverse() == field.one()
+        assert dual * dual.inverse() == field.one()
+        assert len(solves) == 2
+
+        # conj(x)^-1 = conj(x^-1)
+        c = x.conj()
+        assert c.inverse() == want["c"] == inv.conj()
+        assert c.inverse().inverse() is c
 
     # the memo takes no part in equality or hashing
-    assert plain._inv is None
     assert x == plain and hash(x) == hash(plain)
     assert inv == field.element(inv.coeffs)
     assert hash(inv) == hash(field.element(inv.coeffs))
+
+
+def test_a_long_chain_of_pending_inverses_forms_in_a_loop():
+    """Each principal factor of a recipe keeps the product's inverse
+    pending on the one before, so 1,000 factors make a chain of 1,000
+    pending products: it is formed deepest first in a loop, within the
+    interpreter's recursion limit."""
+    field = make_field("realcyclo:13")
+    recipe = IdealRecipe.parse(field, "*".join(["([3,1,0,0,0,0])^-1"] * 1000))
+    g = realize(recipe)._gen
+    assert g._pending is not None
+    assert g.inverse() == field.element([3, 1, 0, 0, 0, 0]) ** 1000
 
 
 # fields whose radical above p has a known generator, so P^k is principal
@@ -520,6 +561,30 @@ def _fresh_caches(monkeypatch):
     for name in ("_RADICAL_CACHE", "_CODIFF_CACHE", "_DIFF_CACHE"):
         monkeypatch.setattr(ideals, name, {})
     monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    monkeypatch.setattr(existence, "_WITNESS_CACHE", {})
+
+
+@pytest.mark.parametrize("p", [79, 83])
+def test_both_trace_types_share_one_checked_witness(monkeypatch, p):
+    """p = 3 mod 4 admits level 1 with alpha = 1 for both trace types: the
+    second query returns the witness the first built and checked."""
+    _fresh_caches(monkeypatch)
+    built = []
+    witness = existence.ConstructionWitness
+
+    def counted(*args):
+        built.append(args[0])
+        return witness(*args)
+
+    monkeypatch.setattr(existence, "ConstructionWitness", counted)
+    trace = existence.mod_prime_power(p, 1, True)
+    unrestricted = existence.mod_prime_power(p, 1, False)
+    assert trace.levels == unrestricted.levels == (1,)
+    assert unrestricted.witnesses[1] is trace.witnesses[1]
+    assert built == [1]
+    w = trace.witnesses[1]
+    lat = build(w.field, realize(w.ideal), w.alpha)
+    assert lattice.verify_modularity(lat, w).modular_level == 1
 
 
 def _count_passes(monkeypatch):

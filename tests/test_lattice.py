@@ -20,7 +20,10 @@ Oracles
   with those of the unmoved Gram and with the recursive walk on the
   moved Gram's unreduced triangle, so no reduction changes an answer.
 * Modularity verification consumes self-proving witnesses from the
-  existence module; negative controls corrupt beta or swap the module.
+  existence module; negative controls corrupt beta, swap the module, or
+  twist it by (a) * (sigma a)^-1, which keeps its norm.  Clause ii by
+  membership and index is checked against the HNF comparison of the
+  product's rows, and integrality and evenness against the Fraction Gram.
 """
 
 import math
@@ -33,8 +36,16 @@ from hypothesis import strategies as st
 
 from arakelov import lattice
 from arakelov.existence import classify
-from arakelov.fields import FieldMismatch, SpecError, make_field, trace_pairing
-from arakelov.ideals import FractionalIdeal, principal, radical_above, realize, trace_dual
+from arakelov.fields import FieldMismatch, SpecError, factorize, make_field, trace_pairing
+from arakelov.ideals import (
+    FractionalIdeal,
+    IdealRecipe,
+    ideal_mul,
+    principal,
+    radical_above,
+    realize,
+    trace_dual,
+)
 from arakelov.lattice import (
     EnumerationBudgetExceeded,
     IdealLattice,
@@ -324,6 +335,103 @@ def test_verify_wrong_module_fails_clause_ii():
     with pytest.raises(ModularityFailure) as exc:
         verify_modularity(ring_lattice, w)
     assert exc.value.clause == "ii"
+
+
+def _galois(x, k):
+    """sigma_k(x) on realcyclo:n for sigma_k: zeta -> zeta^k, gcd(k, n) = 1,
+    by Horner's rule with theta -> zeta^k + zeta^-k."""
+    field = x.field
+    image = field._zeta_sum({k % field.n: 1, -k % field.n: 1})
+    out = field.rational(0)
+    for c in reversed(x.coeffs):
+        out = out * image + c
+    return out
+
+
+def _twisted(w, a, k):
+    """realize of the witness ideal I times (a) * (sigma_k a)^-1."""
+    extra = (("principal", a, 1), ("principal", _galois(a, k), -1))
+    return realize(IdealRecipe(w.field, w.ideal.factors + extra))
+
+
+def test_verify_galois_twisted_module_fails_clause_ii():
+    """I' = I * (a) * (sigma a)^-1 has the norm of I, and with (a) !=
+    (sigma a) it is another module: a = theta + 3 of realcyclo:13 has prime
+    norm 233, and sigma: zeta -> zeta^2 maps it to theta^2 + 1 over another
+    prime above 233.  I and I' are principal, so clause ii decides both by
+    membership and index."""
+    field = make_field("realcyclo:13")
+    w = classify(field).witnesses[13]
+    theta = field.theta_power(1)
+    a = theta + 3
+    assert _galois(a, 2) == theta * theta + 1
+    assert a.norm() == _galois(a, 2).norm() == 233
+    assert principal(a) != principal(_galois(a, 2))
+    ideal, twisted = realize(w.ideal), _twisted(w, a, 2)
+    assert ideal._gen is not None and twisted._gen is not None
+    assert twisted.norm() == ideal.norm() and twisted != ideal
+    assert verify_modularity(build(field, ideal, w.alpha), w).modular_level == 13
+    with pytest.raises(ModularityFailure) as exc:
+        verify_modularity(build(field, twisted, w.alpha), w)
+    assert exc.value.clause == "ii"
+
+
+# real cyclotomic conductors below 100 with a classification: n != 2 mod 4,
+# two-power conductors refused by design
+WITNESS_CONDUCTORS = [n for n in range(3, 100) if n % 4 != 2 and n & (n - 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(WITNESS_CONDUCTORS), st.booleans(), st.data())
+def test_clause_ii_decision_agrees_with_the_module_comparison(n, trace_type, data):
+    """Clause ii as verify_modularity decides it (membership and index for
+    a principal product, rows otherwise) agrees with the comparison of HNF
+    rows it made before, on the witness lattices of realcyclo:n, on their
+    Galois twists I * (a) * (sigma a)^-1, and on I / c, c = 2 or 3, whose
+    product (x) lies in I / c with the wrong index."""
+    field = make_field(f"realcyclo:{n}")
+    verdict = classify(field, trace_type or len(factorize(n)) > 1)
+    assume(verdict.witnesses)
+    w = verdict.witnesses[data.draw(st.sampled_from(sorted(verdict.witnesses)))]
+    ideal = realize(w.ideal)
+    change = data.draw(st.sampled_from(["none", "twist", "shrink"]))
+    if change == "twist":
+        units = [k for k in range(1, n // 2 + 1) if math.gcd(k, n) == 1]
+        k = data.draw(st.sampled_from(units))
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+        a = sum((c * field.theta_power(j) for j, c in enumerate(coeffs)), field.rational(0))
+        assume(not a.is_zero)
+        ideal = _twisted(w, a, k)
+    elif change == "shrink":
+        c = field.rational(data.draw(st.sampled_from([2, 3])))
+        ideal = realize(IdealRecipe(field, w.ideal.factors + (("principal", c, -1),)))
+    lat = build(field, ideal, w.alpha)
+    try:
+        verify_modularity(lat, w)
+        decided = True
+    except ModularityFailure as exc:
+        decided = exc.clause != "ii"
+    # the reference: clause ii as an HNF comparison of the product's rows
+    lhs = ideal_mul(principal(w.beta), trace_dual(ideal, w.alpha))
+    assert decided == ((lhs.num, lhs.den) == (ideal.num, ideal.den))
+
+
+@pytest.mark.parametrize("spec", ["quad:+3", "quad:-7", "quad:-3", "realcyclo:13",
+                                  "realcyclo:28"])
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(3), Fraction(2), Fraction(1, 2),
+                               Fraction(2, 3)])
+def test_integrality_and_evenness_match_the_rational_gram(spec, c):
+    """is_integral and is_even, read off the integer rows, agree with the
+    Fraction Gram, for the witness ideal and its dual with alpha scaled by
+    c: realcyclo:13 at c = 1 is integral and odd, at c = 2 even."""
+    field = make_field(spec)
+    w = next(iter(classify(field).witnesses.values()))
+    for ideal in (realize(w.ideal), trace_dual(realize(w.ideal), w.alpha)):
+        lat = build(field, ideal, w.alpha * c)
+        integral = all(x.denominator == 1 for row in lat.gram for x in row)
+        assert lat.is_integral() is integral
+        assert lat.is_even() is (integral and all(row[i] % 2 == 0
+                                                 for i, row in enumerate(lat.gram)))
 
 
 def test_verify_guards_field_and_alpha():
