@@ -29,7 +29,7 @@ from .fields import (
     default_precision,
     make_field,
 )
-from .ideals import IdealRecipe, Unsupported, ZeroIdeal, _int_val, realize
+from .ideals import IdealRecipe, RecipeTooLarge, Unsupported, ZeroIdeal, _int_val, realize
 from .lattice import EnumerationBudgetExceeded, ModularityFailure
 from .linalg import FormError
 
@@ -42,10 +42,10 @@ EXIT_ABSENT = 3
 EXIT_VERIFY = 4
 
 # errors that mean "the request was malformed or out of scope", not a bug;
-# an exact minimum or theta series past the enumeration budget is out of
-# scope
+# an exact minimum or theta series past the enumeration budget, and a
+# recipe past the coefficient-bit limit, are out of scope
 _USER_ERRORS = (SpecError, FieldMismatch, NotRamified, ZeroIdeal, Unsupported,
-                FormError, EnumerationBudgetExceeded)
+                FormError, EnumerationBudgetExceeded, RecipeTooLarge)
 
 # a bare --embed; argparse passes a non-string const through unconverted
 _BARE_EMBED = object()

@@ -291,12 +291,10 @@ class FieldElement:
     once norm() or inverse() has computed it, and ``_inv`` the inverse
     once it is formed, linked both ways (``x._inv._inv is x``): inverse()
     forms it once, a negative power inverts the base rather than the
-    power, and an inverse pair shares one norm.  ``_pending`` holds a
-    product that forms the inverse without a sub-resultant pass, with the
-    elements whose inverses it reads, recorded where the inverse comes
-    cheap (a power of an element whose inverse is cheap, a product of
-    generators, a trace dual) and formed on the first inverse(), so an
-    inverse nothing reads is never multiplied out.
+    power, and an inverse pair shares one norm.  ``_pending`` holds
+    (base, k) on a power base^k whose base has a cheap inverse: the first
+    inverse() forms (1/base)^k with no sub-resultant pass, so an inverse
+    nothing reads is never multiplied out.
     Equality and hashing ignore all four slots.
     """
 
@@ -389,7 +387,7 @@ class FieldElement:
             return self.inverse() ** -k
         out = _power(self, k)
         if k and _has_cheap_inverse(self):
-            _defer_inverse(out, (self,), lambda: _power(self.inverse(), k))
+            object.__setattr__(out, "_pending", (self, k))
         return out
 
     # -- comparisons ----------------------------------------------------------
@@ -490,17 +488,10 @@ def _link_inverses(x, y):
     return x
 
 
-def _defer_inverse(x, reads, form):
-    """Record form, a product that returns 1/x with no sub-resultant pass
-    from the inverses of the elements reads, for x.inverse() to call on
-    first read."""
-    object.__setattr__(x, "_pending", (reads, form))
-
-
 def _form_inverse(x):
-    """Form and link 1/x, after the inverses its pending product reads,
-    deepest first: a long chain of pending products (a recipe of many
-    principal factors) is formed in a loop, not by nested calls."""
+    """Form and link 1/x, after the inverse of the base of its pending
+    power, deepest first: a chain of powers of powers is formed in a loop,
+    not by nested calls."""
     stack = [x]
     while stack:
         y = stack[-1]
@@ -510,12 +501,11 @@ def _form_inverse(x):
             _link_inverses(y, y.field._inverse(y))
             stack.pop()
         else:
-            reads, form = y._pending
-            unformed = [z for z in reads if z._inv is None]
-            if unformed:
-                stack.extend(unformed)
+            base, k = y._pending
+            if base._inv is None:
+                stack.append(base)
             else:
-                _link_inverses(y, form())
+                _link_inverses(y, _power(base._inv, k))
                 stack.pop()
 
 
@@ -680,8 +670,10 @@ class NumberField:
     def _hankel_traces(self, a):
         """t[k] = Tr(a * theta^k), k <= 2m-2, for integer coordinates a: the
         sums of a_l * s_(l+k) below the degree, then the reduction rows of
-        theta^m .. theta^(2m-2)."""
+        theta^m .. theta^(2m-2); a_0 * s_k for a rational a."""
         s = self._power_sums
+        if not any(a[1:]):
+            return [a[0] * e for e in s]
         t = [sum(c * s[l + k] for l, c in enumerate(a) if c) for k in range(self.degree)]
         for row in self._power_table:
             t.append(sum(c * t[j] for j, c in enumerate(row) if c))
@@ -1217,13 +1209,20 @@ def is_totally_positive(alpha):
 
 def _trace_form_det(alpha):
     """det(H) for the trace form (H, alpha.den) of alpha; raises FormError
-    unless H is positive definite.  On a totally real field (every
-    supported field that is not CM) H is the Hankel matrix of the traces
-    of alpha.num and _hankel_det decides it with one sub-resultant PRS; on
-    a CM field it is the last pivot of ldl_integral(H).  The verdict is
-    kept on alpha as _trace_det, 0 for a form that is not positive
-    definite, so deciding positivity and certifying a lattice on the same
-    alpha decide H once."""
+    unless H is positive definite.  A rational alpha = c/d is decided by
+    its sign, and det(H) = c^m * |disc K|, as det Tr(theta^i *
+    conj(theta^j)) = |disc K| for O_K = Z[theta].  Otherwise, on a totally
+    real field (every supported field that is not CM) H is the Hankel
+    matrix of the traces of alpha.num and _hankel_det decides it with one
+    sub-resultant PRS; on a CM field it is the last pivot of
+    ldl_integral(H).  That verdict is kept on alpha as _trace_det, 0 for a
+    form that is not positive definite, so deciding positivity and
+    certifying a lattice on the same alpha decide H once."""
+    if alpha.is_rational:
+        c = alpha.num[0]
+        if c <= 0:
+            raise _FormError("matrix is not positive definite")
+        return c ** alpha.field.degree * abs(alpha.field.discriminant())
     if alpha._trace_det is None:
         field = alpha.field
         try:

@@ -16,9 +16,12 @@ When a principal generator of an operand is known -- recorded privately
 on the ideal, never part of its value -- products, powers, conjugates
 and inverses shrink to element arithmetic.  A principal ideal keeps only
 its generator and norm, and builds its rows (one m-row reduction) on
-first read; two such ideals compare on their generators.  Radical
-generators are only ever attached after an exact norm and unit check,
-never assumed.
+first read; two such ideals compare on their generators.  It also keeps
+a generator of its inverse ideal, any unit multiple of 1/gen, formed on
+first read from its operands' (a product of theirs for a product, the
+base's power for a power, the other generator for an inverse), so no
+power is inverted.  Radical generators are only ever attached after an
+exact norm and unit check, never assumed.
 
 Radicals above ramified primes are computed as the preimage of the
 nilradical of O_K/p, the kernel of the additive map x -> x^(p^j) on the
@@ -28,11 +31,12 @@ tau = theta^(p^j) mod p; each radical is checked against the Galois norm
 identity norm(J_p) = p^(degree/e_p).  In every supported family some
 power J_p^s, s <= 2, has a generator g proved by element arithmetic
 (_radical_generator).  A recipe keeps one factored form (G, S): with
-J_p^k = (g^q) * J_p^r, k = q*s + r, 0 <= r < s, the principal G holds
-every g^q and principal factor, S every p with r = 1, and realize is
-G * prod_S J_p, where the coprime radicals multiply as their
-intersection sum_p (n/p) * J_p, n = prod_S p, from |S|*m rows reduced
-modulo n.  As J_p is Galois-stable and J_p^2 = (g), I * conj(I) is
+J_p^k = (g^q) * J_p^r, k = q*s + r, 0 <= r < s, and (g^q) in the normal
+form p^a * (g^b), q = a*t + b, 0 <= b < t = e_p/s, as (g)^t = (p) (Cohen,
+4.8), the principal G holds every p^a * g^b and principal factor, S
+every p with r = 1, and realize is G * prod_S J_p, where the coprime
+radicals multiply as their intersection sum_p (n/p) * J_p, n = prod_S p,
+from |S|*m rows reduced modulo n.  As J_p is Galois-stable and J_p^2 = (g), I * conj(I) is
 principal, so the witness self-check and the valuation certificate run
 on generators and no pipeline squares or inverts a module.  By Euler's
 lemma the codifferent is (1/f'(theta)), so the trace dual of a principal
@@ -46,6 +50,7 @@ it with equal multiplicity.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -61,8 +66,6 @@ from .fields import (
     _INTEGER,
     _NATURAL,
     _ascii_rational,
-    _defer_inverse,
-    _has_cheap_inverse,
     _power,
     trace_pairing,
 )
@@ -78,9 +81,10 @@ from .linalg import (
 
 __all__ = [
     "FractionalIdeal", "IdealRecipe", "ZeroIdeal", "Unsupported",
-    "NotRamified", "principal", "radical_above", "ideal_mul", "ideal_pow",
-    "ideal_inverse", "trace_dual", "trace_dual_via_inverse", "codifferent",
-    "different", "conj_ideal", "valuation", "gamma_element", "realize",
+    "NotRamified", "RecipeTooLarge", "RECIPE_BITS_LIMIT", "principal",
+    "radical_above", "ideal_mul", "ideal_pow", "ideal_inverse", "trace_dual",
+    "trace_dual_via_inverse", "codifferent", "different", "conj_ideal",
+    "valuation", "gamma_element", "realize",
 ]
 
 
@@ -105,21 +109,26 @@ class FractionalIdeal:
     generator keeps only (gen, |N(gen)|): its canonical rows ``num`` are
     built on first read (``num``, ``basis_elements``, ``contains``,
     hashing, or comparison with an ideal that has only rows), ``den`` is
-    ``gen.den`` and ``norm()`` returns the stored norm.  Two ideals that
-    both know a generator compare on the generators: (a) = (b) exactly when
-    |N(a)| = |N(b)| and a/b has integer power-basis coordinates, since
+    ``gen.den`` and ``norm()`` returns the stored norm.  It also keeps, in
+    ``_igen``, a generator of its inverse ideal: any unit multiple of
+    1/gen, formed on first read by _inverse_generator, from a pending
+    product of its operands' inverse generators where one is recorded,
+    else as gen.inverse().  Two ideals that both know a generator compare
+    on the generators: (a) = (b) exactly when |N(a)| = |N(b)| and a times
+    a generator of (b)^-1 has integer power-basis coordinates, since
     O_K = Z[theta] and an integral element of norm +-1 is a unit.
-    Neither slot is part of the value: equal modules compare and hash
-    equal whichever form they are kept in.
+    No slot but the rows is part of the value: equal modules compare and
+    hash equal whichever form they are kept in.
     """
 
-    __slots__ = ("field", "_num", "_den", "_gen", "_norm")
+    __slots__ = ("field", "_num", "_den", "_gen", "_igen", "_norm")
 
     def __init__(self, field, num, den, gen=None):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_gen", gen)
+        object.__setattr__(self, "_igen", None)
         object.__setattr__(self, "_norm", None)
 
     def __setattr__(self, name, value):
@@ -142,7 +151,7 @@ class FractionalIdeal:
         content gcd(u), prime to den, so (rows, den) is in lowest terms."""
         gen = self._gen
         rows = self.field._mul_rows(list(gen.num))
-        w = _certified_hnf(rows, _least_integer(gen),
+        w = _certified_hnf(rows, _least_integer(self),
                            gen.den ** self.field.degree * self._norm,
                            "principal ideal")
         object.__setattr__(self, "_num", tuple(tuple(r) for r in w))
@@ -202,12 +211,12 @@ class FractionalIdeal:
             return False
         scale = self.den // x.den
         target = [c * scale for c in x.num]
-        m = self.field.degree
+        num, m = self.num, self.field.degree
         # lower-triangular back-substitution from the last coordinate
         coeffs = [0] * m
         for i in range(m - 1, -1, -1):
-            resid = target[i] - sum(coeffs[j] * self.num[j][i] for j in range(i + 1, m))
-            q, r = divmod(resid, self.num[i][i])
+            resid = target[i] - sum(coeffs[j] * num[j][i] for j in range(i + 1, m))
+            q, r = divmod(resid, num[i][i])
             if r:
                 return False
             coeffs[i] = q
@@ -238,7 +247,7 @@ class FractionalIdeal:
         if (self._num is None or other._num is None) \
                 and self._gen is not None and other._gen is not None:
             return self.norm() == other.norm() and \
-                (self._gen * other._gen.inverse()).den == 1
+                (self._gen * _inverse_generator(other)).den == 1
         return (self.num, self.den) == (other.num, other.den)
 
     def __hash__(self):
@@ -267,16 +276,44 @@ def _reduced(field, hnf_rows, den):
     return FractionalIdeal(field, tuple(tuple(r) for r in hnf_rows), den)
 
 
-def _least_integer(g):
-    """The least positive integer in the integral ideal (u), u = den*g.
+def _least_integer(a):
+    """The least positive integer in the integral ideal (u), u = den*g, for
+    the generator g of the principal ideal A.
 
-    n lies in (u) iff n/u is integral, as O_K = Z[theta], that is iff
-    the least denominator of 1/u divides n.  1/u has numerator num(1/g)
-    over den(1/g)*den, and as 1/g is in lowest terms, the two share
-    exactly gcd(den, *num(1/g)).
+    n lies in (u) iff n/u is integral, as O_K = Z[theta], and so iff n*v/u
+    is for any unit v: that is iff the least denominator of h/den divides
+    n, for the generator h = v/g of A^-1 that _inverse_generator gives.
+    As h is in lowest terms, h/den has numerator num(h) over den(h)*den,
+    and the two share exactly gcd(den, *num(h)).
     """
-    inv = g.inverse()
-    return inv.den * (g.den // gcd(g.den, *inv.num))
+    g, h = a._gen, _inverse_generator(a)
+    return h.den * (g.den // gcd(g.den, *h.num))
+
+
+def _inverse_generator(a):
+    """A generator of A^-1 for a principal A: any unit multiple of 1/gen.
+
+    It is formed on first read and kept in ``_igen``.  A pending one is
+    (reads, form): form takes the inverse generators of the ideals reads,
+    which are formed before it, deepest first, in a loop, so a long chain
+    of products forms with no recursion.  With none recorded it is
+    gen.inverse().
+    """
+    stack = [a]
+    while stack:
+        b = stack[-1]
+        igen = b._igen
+        if isinstance(igen, FieldElement):
+            stack.pop()
+            continue
+        reads, form = ((), b._gen.inverse) if igen is None else igen
+        unformed = [c for c in reads if not isinstance(c._igen, FieldElement)]
+        if unformed:
+            stack.extend(unformed)
+            continue
+        object.__setattr__(b, "_igen", form(*(c._igen for c in reads)))
+        stack.pop()
+    return a._igen
 
 
 def _pivots(rows):
@@ -315,21 +352,25 @@ def principal(gamma):
     return _principal(gamma, abs(gamma.norm()))
 
 
-def _principal(gamma, abs_norm):
-    """(gamma) given |N(gamma)|, kept as its generator until rows are read."""
+def _principal(gamma, abs_norm, igen=None):
+    """(gamma) given |N(gamma)|, kept as its generator until rows are read;
+    igen, a generator of the inverse ideal or a pending product for
+    _inverse_generator, when one comes cheaper than gamma.inverse()."""
     ideal = FractionalIdeal(gamma.field, None, None, gamma)
+    object.__setattr__(ideal, "_igen", igen)
     object.__setattr__(ideal, "_norm", abs_norm)
     return ideal
 
 
-def _principal_times_module(g, abs_norm_g, mod):
-    """g * M from m generator rows, reduced modulo the integer
-    l((den*g)) * h_00(M) of the product; its exact determinant is known
-    in advance because scaling by g multiplies every covolume by |N(g)|."""
-    field = mod.field
+def _principal_times_module(a, mod):
+    """g * M for the generator g of A from m generator rows, reduced modulo
+    the integer l((den*g)) * h_00(M) of the product; its exact determinant
+    is known in advance because scaling by g multiplies every covolume by
+    |N(g)|."""
+    field, g = mod.field, a._gen
     rows = [field._mul_coeffs(g.num, row) for row in mod.num]
-    w = _certified_hnf(rows, _least_integer(g) * mod.num[0][0],
-                       g.den ** field.degree * abs_norm_g * _pivots(mod.num),
+    w = _certified_hnf(rows, _least_integer(a) * mod.num[0][0],
+                       g.den ** field.degree * a.norm() * _pivots(mod.num),
                        "principal product")
     return _reduced(field, w, g.den * mod.den)
 
@@ -403,7 +444,7 @@ def _radical_generator(field, p, radical):
     |N(g^t/p)| = 1, so g^t/p is a unit, (g)^t = (p) = J_p^(e_p), and
     unique factorization gives (g) = J_p^s.  A failed proof raises
     ArithmeticError.  g's inverse comes from the same pass as its norm,
-    so its powers keep theirs pending; g^t is formed without it.
+    and is the inverse generator of (g); g^t is formed without it.
     """
     g, s = _radical_candidate(field, p)
     t, rest = divmod(field.ramification_index(p), s)
@@ -437,8 +478,8 @@ def ideal_mul(a, b):
     """Product ideal: module generated by pairwise basis products.
 
     Known generators collapse the work to element arithmetic, and a
-    product of generators whose inverses come cheap keeps the product of
-    the inverses pending.  The generic path Hermite-reduces the m^2 integer
+    product of generators keeps the product of the operands' inverse
+    generators pending.  The generic path Hermite-reduces the m^2 integer
     product rows modulo h_00(num_a) * h_00(num_b), an integer of the
     product module (M cap Z = h_00*Z for a lower-triangular HNF), so no
     intermediate entry can outgrow it; covolumes of integral modules
@@ -453,14 +494,11 @@ def ideal_mul(a, b):
         return a
     x, y = a._gen, b._gen
     if x is not None and y is not None:
-        gen = x * y
-        if _has_cheap_inverse(x) and _has_cheap_inverse(y):
-            _defer_inverse(gen, (x, y), lambda: x.inverse() * y.inverse())
-        return _principal(gen, a.norm() * b.norm())
+        return _principal(x * y, a.norm() * b.norm(), ((a, b), operator.mul))
     if x is not None:
-        return _principal_times_module(x, a.norm(), b)
+        return _principal_times_module(a, b)
     if y is not None:
-        return _principal_times_module(y, b.norm(), a)
+        return _principal_times_module(b, a)
     field = a.field
     rows = [field._mul_coeffs(u, v) for u in a.num for v in b.num]
     w = _certified_hnf(rows, a.num[0][0] * b.num[0][0],
@@ -469,8 +507,17 @@ def ideal_mul(a, b):
 
 
 def ideal_pow(a, k):
+    """A^k.  A principal A raises its generator and keeps the same power of
+    its inverse generator pending; k < 0 swaps the two, so no power of a
+    generator is inverted."""
     if a._gen is not None:
-        return _principal(a._gen ** k, a.norm() ** k)
+        gen = a._gen
+        if k > 0:
+            return _principal(gen ** k, a.norm() ** k, ((a,), lambda h: h ** k))
+        if k < 0:
+            return _principal(_inverse_generator(a) ** -k, a.norm() ** k,
+                              ((), lambda: gen ** -k))
+        return FractionalIdeal.ring(a.field)
     if k < 0:
         return ideal_pow(ideal_inverse(a), -k)
     return _power(a, k, FractionalIdeal.ring(a.field), ideal_mul)
@@ -482,7 +529,7 @@ def conj_ideal(a):
     if not field.is_cm:
         return a
     if a._gen is not None:
-        return _principal(a._gen.conj(), a.norm())
+        return _principal(a._gen.conj(), a.norm(), ((a,), FieldElement.conj))
     # conjugation permutes O_K, so it is unimodular on coordinates and
     # the conjugated module has the same determinant; it fixes Z, so it
     # keeps the least integer h_00 as well
@@ -499,9 +546,11 @@ def trace_dual(a, alpha):
     """{x : Tr(alpha * x * conj(y)) in Z for all y in A}.
 
     A known generator g of A gives the single element
-    (alpha * conj(g))^-1 * f'(theta)^-1, as D_K^-1 = (f'(theta)^-1), whose
-    inverse alpha * conj(g) * f'(theta) it keeps pending; an ideal held as
-    rows only takes one integer solve against its Gram.
+    alpha^-1 * conj(h) * f'(theta)^-1, as D_K^-1 = (f'(theta)^-1), for the
+    generator h of A^-1 that _inverse_generator gives, and the dual keeps
+    alpha * conj(g) * f'(theta), a generator of its inverse, pending; an
+    ideal held as rows only takes one integer solve against its Gram
+    (_gram_dual).
     """
     field = a.field
     if not isinstance(alpha, FieldElement) or alpha.field != field:
@@ -509,12 +558,18 @@ def trace_dual(a, alpha):
     if not is_totally_positive(alpha):
         raise FormError("alpha must be totally positive for the trace form")
     if a._gen is not None:
-        # inverting the factors apart reuses their known inverses
         codiff, gen = codifferent(field), a._gen
-        g = alpha.inverse() * gen.inverse().conj() * codiff._gen
-        _defer_inverse(g, (), lambda: alpha * gen.conj() * field._fprime)
-        return _principal(g, codiff.norm() / (a.norm() * abs(alpha.norm())))
-    gram, scale = trace_pairing(alpha, a, a)
+        g = alpha.inverse() * _inverse_generator(a).conj() * codiff._gen
+        return _principal(g, codiff.norm() / (a.norm() * abs(alpha.norm())),
+                          ((), lambda: alpha * gen.conj() * field._fprime))
+    return _gram_dual(a, alpha, *trace_pairing(alpha, a, a))
+
+
+def _gram_dual(a, alpha, gram, scale):
+    """The trace dual of A held as rows from its integer Gram: (gram,
+    scale) = trace_pairing(alpha, A, A), which an IdealLattice of (A,
+    alpha) keeps, so verifying it forms the Gram no second time."""
+    field = a.field
     # the Gram is gram / scale, so the dual rows are
     # scale * gram^-1 * num / den = Y / (d * den) with
     # gram * Y = d * scale * num; dividing out the content g of
@@ -604,7 +659,7 @@ def different(field):
 def ideal_inverse(a):
     """A^-1 through the trace-dual identity tracedual(conj A, 1) = D_K^-1 A^-1."""
     if a._gen is not None:
-        return _principal(a._gen.inverse(), 1 / a.norm())
+        return _principal(_inverse_generator(a), 1 / a.norm(), a._gen)
     return ideal_mul(different(a.field), trace_dual(conj_ideal(a), a.field.one()))
 
 
@@ -638,8 +693,9 @@ def valuation(a, p):
     v_p(norm A) itself.  Otherwise the norm proposes k = v_p(norm A)/(f*g);
     the certificate checks that A * J_p^-k is p-integral, which together
     with its norm being a p-unit forces every prime above p to zero
-    exponent; it tests A^s * J_p^(-s*k) = A^s * (g^-k), (g) = J_p^s, which
-    is principal when A is.  Unequal exponents above p raise Unsupported.
+    exponent; it tests A^s * J_p^(-s*k) = A^s * (g^-k), (g) = J_p^s, with
+    (g^-k) in the normal form of _normal_power, which is principal when A
+    is.  Unequal exponents above p raise Unsupported.
     """
     field = a.field
     fg = field.residue_product(p)  # raises NotRamified for unramified p
@@ -653,8 +709,8 @@ def valuation(a, p):
             f"unequal exponents above {p}")
     k = kn // fg
     # (num, den) is in lowest terms: p-integral iff p does not divide den
-    power, s = _principal_radical(field, p)
-    if ideal_mul(ideal_pow(a, s), ideal_pow(power, -k)).den % p == 0:
+    s = _principal_radical(field, p)[1]
+    if ideal_mul(ideal_pow(a, s), _normal_power(field, p, -k)).den % p == 0:
         raise Unsupported(f"ideal has unequal exponents at the primes above {p}")
     return k
 
@@ -689,7 +745,10 @@ class IdealRecipe:
     or coefficient ``n`` or ``n/d`` with a signed n.
 
     The private ``_form`` slot holds the factored form (G, S) once
-    _factored has computed it; equality and hashing ignore it.
+    _factored has computed it, each radical power in the normal form
+    p^a * (g^b); equality and hashing ignore it.  Any integer exponent is
+    accepted here; realize refuses (RecipeTooLarge) a recipe whose
+    estimated coefficient bits pass RECIPE_BITS_LIMIT.
     """
 
     __slots__ = ("field", "factors", "_form")
@@ -781,22 +840,80 @@ class IdealRecipe:
         return f"IdealRecipe({self.field.spec_string()}, {self.to_string()!r})"
 
 
+# The most coefficient bits _recipe_bits may estimate for a recipe that
+# is realized.  A level of 6,003 digits puts 3,327 estimated bits in its
+# recipe, which this keeps well inside; at the CLI degree cap a recipe at
+# the limit (P127^73709 on realcyclo:127) is verified in ~1.3 s on a
+# 2-CPU VM (it fails clause ii), where a limit of 65,536 bits let one
+# run 51 s.
+RECIPE_BITS_LIMIT = 8_192
+
+
+class RecipeTooLarge(ValueError):
+    """A recipe's estimated coefficient bits pass RECIPE_BITS_LIMIT;
+    .bits and .limit name the estimate and the limit."""
+
+    def __init__(self, bits, limit):
+        super().__init__(
+            f"recipe needs about {bits} coefficient bits, past the limit "
+            f"of {limit}")
+        self.bits = bits
+        self.limit = limit
+
+
+def _recipe_bits(field, radicals, principals):
+    """Estimated coefficient bits of the factored form: after the normal
+    form only p^a, a = floor(k/e_p), and the powers of the principal
+    factors grow with the exponent, so |a| * bits(p) for each radical and
+    |k| * bits(base) for each principal factor, the bits of a base being
+    those of its largest numerator coordinate or denominator."""
+    bits = sum(abs(k // field.ramification_index(p)) * p.bit_length()
+               for p, k in radicals.items())
+    return bits + sum(abs(k) * max(max(map(abs, x.num)), x.den).bit_length()
+                      for x, k in principals)
+
+
+def _normal_power(field, p, q):
+    """(g)^q for the generator g of J_p^s, as p^a * (g^b), q = a*t + b,
+    0 <= b < t, t = e_p/s, since (g)^t = (p): no negative power of g is
+    formed.  Its inverse generator g^(t-b) / p^(a+1), or p^-a when b = 0,
+    is formed on first read."""
+    power, s = _principal_radical(field, p)
+    g, t = power._gen, field.ramification_index(p) // s
+    a, b = divmod(q, t)
+    scale = field.rational(Fraction(p) ** a)
+    if not b:
+        return _principal(scale, power.norm() ** q, field.rational(Fraction(p) ** -a))
+    return _principal(g ** b * scale, power.norm() ** q,
+                      ((), lambda: g ** (t - b) * field.rational(Fraction(p) ** -(a + 1))))
+
+
 def _factored(recipe):
     """(G, S) with realize(recipe) = G * prod_S J_p, once per recipe: with
     J_p^k = (g^q) * J_p^r, k = q*s + r, 0 <= r < s, for (g) = J_p^s, the
-    principal G takes g^q and the principal factors, S each p with r = 1."""
+    principal G takes (g^q) in the normal form p^a * (g^b) of
+    _normal_power and the principal factors, S each p with r = 1.  A
+    recipe whose estimated coefficient bits pass RECIPE_BITS_LIMIT raises
+    RecipeTooLarge before anything is formed."""
     if recipe._form is None:
         field = recipe.field
-        G, exponents, S = FractionalIdeal.ring(field), {}, []
+        exponents, principals = {}, []
         for kind, payload, k in recipe.factors:
             if kind == "radical":
                 exponents[payload] = exponents.get(payload, 0) + k
             else:
-                G = ideal_mul(G, ideal_pow(principal(payload), k))
+                principals.append((payload, k))
+        bits = _recipe_bits(field, exponents, principals)
+        if bits > RECIPE_BITS_LIMIT:
+            raise RecipeTooLarge(bits, RECIPE_BITS_LIMIT)
+        G, S = FractionalIdeal.ring(field), []
+        for payload, k in principals:
+            G = ideal_mul(G, ideal_pow(principal(payload), k))
         for p, k in sorted(exponents.items()):
-            power, s = _principal_radical(field, p)
+            s = _principal_radical(field, p)[1]
             q, r = divmod(k, s)
-            G = ideal_mul(G, ideal_pow(power, q))
+            if q:
+                G = ideal_mul(G, _normal_power(field, p, q))
             if r:
                 S.append(p)
         object.__setattr__(recipe, "_form", (G, tuple(S)))

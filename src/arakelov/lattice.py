@@ -26,7 +26,14 @@ from .fields import (
     _trace_form_det,
     trace_pairing,
 )
-from .ideals import FractionalIdeal, ideal_mul, principal, trace_dual, _principal
+from .ideals import (
+    FractionalIdeal,
+    ideal_mul,
+    principal,
+    trace_dual,
+    _gram_dual,
+    _principal,
+)
 from .linalg import FormError, _lll, det
 
 __all__ = [
@@ -65,10 +72,13 @@ class IdealLattice:
     The walk's reduction (the scale D and the triangle A of _lll) is kept
     on first use, so minimum and theta_prefix of one lattice reduce it once.
     Integrality and evenness are read here off the integer rows: the Gram
-    is integral iff scale divides every entry of its upper triangle.
+    is integral iff scale divides every entry of its upper triangle.  The
+    integer (rows, scale) are kept, so the trace dual of an ideal held as
+    rows solves against them and verifying forms the Gram no second time.
     """
 
-    __slots__ = ("field", "ideal", "alpha", "gram", "_det", "_walk", "_integral", "_even")
+    __slots__ = ("field", "ideal", "alpha", "gram", "_rows", "_scale", "_det",
+                 "_walk", "_integral", "_even")
 
     def __init__(self, field, ideal, alpha, rows, scale):
         try:
@@ -87,6 +97,8 @@ class IdealLattice:
                                for j, e in enumerate(row[:i])]
                               + [Fraction(e, scale) for e in row[i:]]))
         object.__setattr__(self, "gram", tuple(gram))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_det", d.numerator if d.denominator == 1 else d)
         object.__setattr__(self, "_walk", None)
         integral = all(e % scale == 0 for i, row in enumerate(rows) for e in row[i:])
@@ -226,9 +238,17 @@ def _generator_rows(lat, precision, bits):
     return [list(r) for r in rows]
 
 
+def _dual_ideal(lat):
+    """tracedual(I, alpha), for an ideal held as rows from the lattice's
+    own integer Gram."""
+    if lat.ideal._gen is not None:
+        return trace_dual(lat.ideal, lat.alpha)
+    return _gram_dual(lat.ideal, lat.alpha, lat._rows, lat._scale)
+
+
 def dual(lat):
     """Dual lattice on tracedual(I, alpha) with the same alpha (certified)."""
-    dual_ideal = trace_dual(lat.ideal, lat.alpha)
+    dual_ideal = _dual_ideal(lat)
     out = build(lat.field, dual_ideal, lat.alpha)
     # certificate: the pairing matrix between the two bases is integral and
     # unimodular, which is exactly "out is the dual lattice of lat"
@@ -265,7 +285,7 @@ def verify_modularity(lat, witness):
     beta_ideal = _principal(beta, Fraction(math.isqrt(level ** lat.dimension))) \
         if level else principal(beta)
     ideal = lat.ideal
-    lhs = ideal_mul(beta_ideal, trace_dual(ideal, lat.alpha))
+    lhs = ideal_mul(beta_ideal, _dual_ideal(lat))
     # decided on I's certified HNF rows, never by comparing generators, so
     # the module route stays independent of the witness self-check.  A
     # principal (x) = (beta) * dual(I) lies in the O_K-module I exactly

@@ -697,6 +697,21 @@ def test_record_level_past_the_int_string_limit_is_read(capsys, record28, tmp_pa
     assert "clause i" in err
 
 
+@pytest.mark.parametrize("ideal", ["P7^1000000000", "P2^-1000000000",
+                                   "([0,1,0,0,0,0])^1000000000"])
+def test_verify_refuses_a_recipe_past_the_bit_limit(capsys, record28, tmp_path, ideal):
+    """A record ideal whose estimated coefficient bits pass
+    ideals.RECIPE_BITS_LIMIT exits 2 with nothing on stdout, before any
+    power is formed."""
+    doc = json.loads(record28.read_text())
+    doc["ideal"] = ideal
+    path = tmp_path / "huge_exponent.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == EXIT_SPEC and out == ""
+    assert "coefficient bits" in err
+
+
 # fuzzed records: one key of a valid realcyclo:28 record is replaced or
 # deleted; verify must answer with a contract exit code, never a traceback
 

@@ -28,12 +28,14 @@ already at hand: the radical generator's own norm pass, the trace dual's
 generator alpha * conj(g) * f'(theta) and the witness's conj(beta) /
 level.  So the pipeline runs no more sub-resultant passes than it did
 when the rows were reduced modulo the determinant.  |N(beta)| is read off
-the level once beta * conj(beta) = level is checked, and a product of
-principal ideals keeps its inverse pending when each factor's inverse is
-known, pending or rational, so a witness pays no pass for beta.  Inverses
-of powers, generator products and trace duals are pending products,
-formed on first read with no solve, and a witness is built and checked
-once per (field, level, alpha power).
+the level once beta * conj(beta) = level is checked, and a principal
+ideal keeps a generator of its inverse ideal, pending on its operands'
+for a product, power, conjugate or trace dual, so a witness pays no pass
+for beta.  The inverse of an element power and the inverse generators of
+ideal products and trace duals are formed on first read with no solve,
+a radical power p^a * (g^b) never forms a power of 1/g, build -> verify
+forms the Gram once, and a witness is built and checked once per (field,
+level, alpha power).
 
 The generator g of the least principal radical power J_p^s (s <= 2) is
 proved by its norm and by g^(e_p/s)/p being integral, with no HNF and no
@@ -195,16 +197,16 @@ def _count_decisions(monkeypatch):
 @pytest.mark.parametrize("spec, level, bareiss_dims, prs_runs", [
     ("realcyclo:13", 1, [], 1),
     ("realcyclo:25", 1, [], 1),
-    ("quad:-7", 7, [2], 0),
+    ("quad:-7", 7, [], 0),
 ], ids=["realcyclo:13", "realcyclo:25", "quad:-7"])
 def test_positivity_and_build_decide_the_trace_form_once(
         monkeypatch, spec, level, bareiss_dims, prs_runs):
     """A witness alpha keeps the determinant of its trace form H_alpha from
     the positivity decision, so building its lattice, even twice, decides
     H_alpha no second time.  On a totally real field that is one
-    sub-resultant PRS of the Hankel form and no Bareiss elimination; on a
-    CM field it is one elimination of H_alpha (build certifies alpha = 1
-    of quad:-7, whose positivity is read off).  The determinant is still
+    sub-resultant PRS of the Hankel form and no Bareiss elimination; a
+    rational alpha (alpha = 1 of quad:-7) is read off its sign, with
+    det(H_alpha) = |disc K|, and needs neither.  The determinant is still
     the Bareiss determinant of the Gram."""
     field = make_field(spec)
     witness = existence.classify(field, trace_type=False).witnesses[level]
@@ -280,8 +282,10 @@ def nonzero_elements(draw):
 def test_inverse_is_solved_once_and_linked_both_ways(x, k):
     """Inverses are read through inverse() and counted as calls of
     NumberField._inverse: x takes one, a power of an element with no
-    known inverse one, and the inverses of a power, of a generator
-    product and of a trace dual, held as pending products, none."""
+    known inverse one, and the inverse of a power, held as a pending
+    product, none.  A product of principal ideals and a principal trace
+    dual keep a generator of their inverse ideal pending, read through
+    _inverse_generator with no solve either."""
     field = x.field
 
     def solved(y):
@@ -320,11 +324,12 @@ def test_inverse_is_solved_once_and_linked_both_ways(x, k):
         assert neg.inverse() == pos
         assert pos.inverse().inverse() is pos and neg.inverse().inverse() is neg
 
-        # a product of generators and a trace dual form theirs unsolved
-        product = ideal_mul(principal(x), principal(pos))._gen
-        dual = trace_dual(principal(x), alpha)._gen
-        assert product * product.inverse() == field.one()
-        assert dual * dual.inverse() == field.one()
+        # a product of generators and a trace dual form the generators of
+        # their inverse ideals unsolved: here the exact inverses
+        product = ideal_mul(principal(x), principal(pos))
+        dual = trace_dual(principal(x), alpha)
+        for ideal in (product, dual):
+            assert ideal._gen * ideals._inverse_generator(ideal) == field.one()
         assert len(solves) == 2
 
         # conj(x)^-1 = conj(x^-1)
@@ -339,15 +344,27 @@ def test_inverse_is_solved_once_and_linked_both_ways(x, k):
 
 
 def test_a_long_chain_of_pending_inverses_forms_in_a_loop():
-    """Each principal factor of a recipe keeps the product's inverse
-    pending on the one before, so 1,000 factors make a chain of 1,000
-    pending products: it is formed deepest first in a loop, within the
-    interpreter's recursion limit."""
+    """Each principal factor of a recipe keeps the generator of the
+    product's inverse ideal pending on the one before, so 1,000 factors
+    make a chain of 1,000 pending products: it is formed deepest first in
+    a loop, within the interpreter's recursion limit, with no solve past
+    the one per factor that realize pays for its inverse."""
     field = make_field("realcyclo:13")
     recipe = IdealRecipe.parse(field, "*".join(["([3,1,0,0,0,0])^-1"] * 1000))
-    g = realize(recipe)._gen
-    assert g._pending is not None
-    assert g.inverse() == field.element([3, 1, 0, 0, 0, 0]) ** 1000
+    ideal = realize(recipe)
+    assert isinstance(ideal._igen, tuple)
+    solves = []
+    inverse = fields.NumberField._inverse
+
+    def counted(self, y):
+        solves.append(y)
+        return inverse(self, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields.NumberField, "_inverse", counted)
+        h = ideals._inverse_generator(ideal)
+    assert solves == []
+    assert h == field.element([3, 1, 0, 0, 0, 0]) ** 1000
 
 
 # fields whose radical above p has a known generator, so P^k is principal
@@ -640,6 +657,58 @@ def test_beta_norm_is_read_off_its_level(monkeypatch, p, trace_type):
         passes.clear()
         assert lattice.verify_modularity(lat, w).modular_level == level
         assert passes == []
+
+
+def test_the_sweep_path_forms_no_power_of_the_inverse_radical_generator(monkeypatch):
+    """mod_prime_power(97, 1, False) has the witness ideals P97^-23 (level
+    1) and P97^-11 (level 97), and realize -> build -> verify forms each
+    as 97^-1 * g^b, with g^(48-b) / 97^0 = g^(48-b) as the generator of
+    its inverse: no element power has the base g^-1 and an exponent past
+    1 (alpha = gamma^-1 is g^-1 itself)."""
+    _fresh_caches(monkeypatch)
+    powers = []
+    power = fields._power
+
+    def counted(x, k, one=None, mul=fields.operator.mul):
+        powers.append((x, k))
+        return power(x, k, one, mul)
+
+    monkeypatch.setattr(fields, "_power", counted)
+    verdict = existence.mod_prime_power(97, 1, False)
+    for level, w in sorted(verdict.witnesses.items()):
+        lat = build(w.field, realize(w.ideal), w.alpha)
+        assert lattice.verify_modularity(lat, w).modular_level == level
+    monkeypatch.undo()
+    field = make_field("realcyclo:97")
+    g_inv = field._inverse(gamma_element(field, 97))
+    assert sorted(w.ideal.to_string() for w in verdict.witnesses.values()) \
+        == ["P97^-11", "P97^-23"]
+    bases = [k for x, k in powers if isinstance(x, fields.FieldElement) and x == g_inv]
+    assert all(k <= 1 for k in bases)
+    assert any(isinstance(x, fields.FieldElement) and k > 1 for x, k in powers)
+
+
+@pytest.mark.parametrize("spec, level", [("realcyclo:92", 23), ("realcyclo:28", 7),
+                                         ("realcyclo:308", 77)])
+def test_verify_forms_the_gram_once(monkeypatch, spec, level):
+    """The IdealLattice keeps the integer Gram it was built from, and the
+    trace dual of its ideal, held as rows, solves against it: build ->
+    verify calls trace_pairing once."""
+    witness = existence.classify(make_field(spec), trace_type=True).witnesses[level]
+    ideal = realize(witness.ideal)
+    assert ideal._gen is None
+    calls = []
+    pairing = fields.trace_pairing
+
+    def counted(alpha, x, y):
+        calls.append((x, y))
+        return pairing(alpha, x, y)
+
+    monkeypatch.setattr(lattice, "trace_pairing", counted)
+    monkeypatch.setattr(ideals, "trace_pairing", counted)
+    lat = build(witness.field, ideal, witness.alpha)
+    assert lattice.verify_modularity(lat, witness).modular_level == level
+    assert calls == [(ideal, ideal)]
 
 
 # (spec, p, s): J_p^s has a distinguished generator, s = 1 where J_p itself

@@ -6,8 +6,8 @@ Oracles used here, deliberately distinct from the implementation paths:
   * the definitional nilradical property x^(p^s) in pO_K for radicals,
     versus the Frobenius-kernel construction;
   * the Galois identity J_p^(e_p) = (p);
-  * radical powers in the normal form (g^q) * J_p^r versus the generic
-    module power of J_p held as rows only;
+  * radical powers in the normal form p^a * (g^b) * J_p^r versus the
+    generic module power of J_p held as rows only;
   * the definitional dual property Tr(alpha * d_i * conj(a_j)) = delta_ij,
     versus the Gram-inversion construction;
   * trace duals recomputed through pure ideal arithmetic
@@ -249,6 +249,80 @@ def test_radical_power_normal_form_is_the_generic_power(spec, data):
     rows_only = FractionalIdeal(field, radical.num, radical.den)
     recipe = IdealRecipe(field, [("radical", p, k)] if k else [])
     assert realize(recipe) == ideal_pow(rows_only, k)
+
+
+# (spec, p): s = 1 on prime-power conductors and cyclo:9, s = 2 on the
+# composite conductors 28 and 92
+NORMAL_FORM_CASES = [("realcyclo:13", 13), ("realcyclo:25", 5), ("cyclo:9", 3),
+                     ("realcyclo:28", 2), ("realcyclo:28", 7),
+                     ("realcyclo:92", 2), ("realcyclo:92", 23)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(NORMAL_FORM_CASES), st.data())
+def test_normal_form_realize_is_the_ideal_pow_reference(case, data):
+    """J_p^k with (g^q) = p^a * (g^b), q = a*t + b, 0 <= b < t, t = e_p/s,
+    has the rows of the generic power of J_p held as rows only, for k in
+    [-3t, 3t]; its generator is p^a * g^b, so no negative power of g is
+    formed, and gen * (inverse generator) is a unit."""
+    spec, p = case
+    field = make_field(spec)
+    power, s = ideals._principal_radical(field, p)
+    g, t = power._gen, field.ramification_index(p) // s
+    k = data.draw(st.integers(-3 * t, 3 * t), label="k")
+    radical = radical_above(field, p)
+    ideal = realize(IdealRecipe(field, [("radical", p, k)] if k else []))
+    reference = ideal_pow(FractionalIdeal(field, radical.num, radical.den), k)
+    assert (ideal.num, ideal.den) == (reference.num, reference.den)
+    G, _ = ideals._factored(IdealRecipe(field, [("radical", p, k)] if k else []))
+    a, b = divmod(k // s, t)
+    assert G._gen == g ** b * Fraction(p) ** a
+    unit = G._gen * ideals._inverse_generator(G)
+    assert unit.den == 1 and abs(unit.norm()) == 1
+
+
+@st.composite
+def principal_expressions(draw):
+    """A principal ideal from a random element or radical power, then one
+    to four random steps: a product with another such ideal, a power, the
+    conjugate, the inverse or the trace dual."""
+    field = make_field(draw(st.sampled_from(["realcyclo:13", "realcyclo:28",
+                                             "cyclo:9", "quad:-7", "quad:+6"])))
+
+    def leaf():
+        if draw(st.booleans()):
+            p = draw(st.sampled_from(field.omega()))
+            q = draw(st.integers(-6, 6))
+            return ideals._normal_power(field, p, q) if q else FractionalIdeal.ring(field)
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=field.degree,
+                               max_size=field.degree))
+        coeffs[0] += not any(coeffs)
+        return principal(field.element(coeffs))
+
+    ideal = leaf()
+    for op in draw(st.lists(st.sampled_from(["mul", "pow", "conj", "inverse", "dual"]),
+                            min_size=1, max_size=4)):
+        if op == "mul":
+            ideal = ideal_mul(ideal, leaf())
+        elif op == "pow":
+            ideal = ideal_pow(ideal, draw(st.sampled_from([-3, -2, -1, 2, 3])))
+        elif op == "conj":
+            ideal = conj_ideal(ideal)
+        elif op == "inverse":
+            ideal = ideal_inverse(ideal)
+        else:
+            ideal = trace_dual(ideal, field.one())
+    return ideal
+
+
+@settings(max_examples=80, deadline=None)
+@given(principal_expressions())
+def test_inverse_generator_times_generator_is_a_unit(ideal):
+    """The generator of A^-1 that a principal A keeps, pending or formed,
+    is a unit multiple of 1/gen: gen * h is integral of norm +-1."""
+    assert ideal._gen is not None
+    unit = ideal._gen * ideals._inverse_generator(ideal)
+    assert unit.den == 1 and abs(unit.norm()) == 1
 
 
 def _rows_only(ideal):
@@ -629,7 +703,7 @@ def test_least_integer_moduli_match_the_determinant_route(spec, data):
         # h_00*Z; a call site that took a shortcut made no reduction
         assert all(d % w[0][0] == 0 for d in moduli)
         if i == 0:
-            assert moduli == [w[0][0]] == [_least_integer(g)]
+            assert moduli == [w[0][0]] == [_least_integer(principal(g))]
 
 
 @pytest.mark.parametrize("k", range(1, 14))
@@ -640,12 +714,17 @@ def test_least_integer_of_a_ramified_prime_power(k):
     field = make_field("realcyclo:13")
     g = gamma_element(field, 13) ** k
     ell = 13 ** -(-k // 6)
-    assert _least_integer(g) == ell
+    assert _least_integer(principal(g)) == ell
+    # the normal form 13^a * gamma^b of the same power reads its inverse
+    # generator gamma^(6-b) / 13^(a+1), a unit multiple of 1/g
+    normal = realize(IdealRecipe.parse(field, f"P13^{k}"))
+    assert _least_integer(normal) == ell
     ideal = principal(field.element(g.coeffs))
     assert ideal.num[0][0] == ell and ideal.den == 1
     assert _pivots(ideal.num) == ideal.norm() == 13 ** k
+    assert (normal.num, normal.den) == (ideal.num, ideal.den)
     # a rational generator: u = den * g is the integer 4
-    assert _least_integer(field.rational(Fraction(4, 9))) == 4
+    assert _least_integer(principal(field.rational(Fraction(4, 9)))) == 4
 
 
 def test_certified_hnf_refuses_a_modulus_outside_the_module():
@@ -755,3 +834,31 @@ def test_recipe_errors():
         IdealRecipe.parse(field, "([0])")  # wrong coefficient count
     with pytest.raises(NotRamified):
         realize(IdealRecipe.parse(field, "P3"))  # 3 is unramified here
+
+
+def test_recipe_bits_are_estimated_before_realizing(monkeypatch):
+    """The estimate is |floor(k/e_p)| * bits(p) per radical plus |k| *
+    bits(base) per principal factor; a recipe past RECIPE_BITS_LIMIT raises
+    RecipeTooLarge before any radical or power is formed, and one at the
+    limit is realized."""
+    field = make_field("realcyclo:28")
+    e7 = field.ramification_index(7)
+    recipe = IdealRecipe.parse(field, "P7^-25*P2^3*(3/2)^-5*([1,5,0,0,0,0])^4")
+    assert ideals._recipe_bits(field, {7: -25, 2: 3}, [
+        (payload, k) for kind, payload, k in recipe.factors if kind == "principal"]) \
+        == abs(-25 // e7) * 3 + 3 // field.ramification_index(2) * 2 + 5 * 2 + 4 * 3
+    limit = ideals.RECIPE_BITS_LIMIT
+    assert realize(IdealRecipe.parse(field, f"(2)^{limit // 2}")).norm() == 2 ** (3 * limit)
+    for text in [f"(2)^{limit // 2 + 1}", "P2^1000000000", "P7^-1000000000",
+                 "([0,1,0,0,0,0])^1000000000"]:
+        huge = IdealRecipe.parse(field, text)
+
+        def formed(*args):
+            raise AssertionError("a power was formed")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ideals, "_normal_power", formed)
+            mp.setattr(ideals, "ideal_pow", formed)
+            with pytest.raises(ideals.RecipeTooLarge) as info:
+                realize(huge)
+        assert info.value.bits > info.value.limit == limit

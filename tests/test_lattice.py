@@ -58,7 +58,7 @@ from arakelov.lattice import (
     verify_modularity,
 )
 from arakelov.linalg import (
-    FormError, _lll, invert, ldl_integral, lll_reduce, mat_mul, transpose,
+    FormError, _lll, det, invert, ldl_integral, lll_reduce, mat_mul, transpose,
 )
 from test_linalg import lll_grams
 
@@ -136,6 +136,21 @@ def test_build_rejects_indefinite_alpha():
     mixed = f5.element([-1, 1])  # theta - 1 has embeddings 0.618 and -1.618
     with pytest.raises(FormError):
         build(f5, FractionalIdeal.ring(f5), mixed)
+
+
+@pytest.mark.parametrize("spec", ["quad:+5", "quad:-7", "realcyclo:13", "cyclo:9"])
+def test_build_reads_a_rational_alpha_off_its_sign(spec):
+    """A rational alpha = c/d is positive iff c > 0, and its trace form has
+    det c^m * |disc K|; zero and negative rationals are refused."""
+    field = make_field(spec)
+    ring = FractionalIdeal.ring(field)
+    for bad in (0, -1, Fraction(-2, 3)):
+        with pytest.raises(FormError):
+            build(field, ring, field.rational(bad))
+    lat = build(field, ring, field.rational(Fraction(3, 2)))
+    m = field.degree
+    assert lat.determinant() == Fraction(3, 2) ** m * abs(field.discriminant())
+    assert lat.determinant() == det(lat.gram)
 
 
 def test_ideal_lattice_is_immutable():
