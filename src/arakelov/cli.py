@@ -154,7 +154,7 @@ def _construct_record(field, witness, trace_type, embed_bits=None):
         "dimension": report.dimension,
         "even": report.even,
         "field": field.spec_string(),
-        "gram": [[int(x) for x in row] for row in lat.gram],
+        "gram": lat.integer_gram(),
         "ideal": witness.ideal.to_string(),
         "integral": report.integral,
         "kissing": kissing,
@@ -281,7 +281,7 @@ def cmd_verify(args):
         "witness_checked": True,
     }
     if "gram" in doc:
-        fresh = [[int(x) for x in row] for row in lat.gram]
+        fresh = lat.integer_gram()
         out["gram_matches"] = doc["gram"] == fresh
     if args.min:
         mu, kissing = lattice.minimum(lat)

@@ -62,7 +62,7 @@ import os
 import re
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from types import SimpleNamespace
 
 from .linalg import (
@@ -528,6 +528,8 @@ class NumberField:
 
     kind = "abstract"
     is_cm = False
+    # _theta_bound: an integer B >= |sigma(theta)| in every embedding sigma,
+    # set by each family
 
     def __init__(self, degree, spec):
         self.degree = degree
@@ -813,6 +815,7 @@ class _QuadraticField(NumberField):
             raise SpecError(f"d = {d} is not squarefree")
         self.d = d
         self._radicand = sign * d  # D
+        self._theta_bound = isqrt(d) + 1  # |theta| <= sqrt d
         super().__init__(2, f"quad:{'+' if sign > 0 else '-'}{d}")
 
     def _build_minpoly(self):
@@ -885,6 +888,7 @@ class ImagQuadraticField(_QuadraticField):
 class CyclotomicField(NumberField):
     kind = "cyclotomic"
     is_cm = True
+    _theta_bound = 1  # |zeta| = 1
 
     def __init__(self, n):
         _validate_conductor(n, "cyclo")
@@ -928,6 +932,7 @@ class CyclotomicField(NumberField):
 class RealCyclotomicField(NumberField):
     kind = "real-cyclotomic"
     is_cm = False
+    _theta_bound = 2  # |zeta + zeta^-1| <= 2
 
     def __init__(self, n):
         _validate_conductor(n, "realcyclo")

@@ -841,7 +841,7 @@ class IdealRecipe:
 
 
 # The most coefficient bits _recipe_bits may estimate for a recipe that
-# is realized.  A level of 6,003 digits puts 3,327 estimated bits in its
+# is realized.  A level of 6,003 digits puts 3,328 estimated bits in its
 # recipe, which this keeps well inside; at the CLI degree cap a recipe at
 # the limit (P127^73709 on realcyclo:127) is verified in ~1.3 s on a
 # 2-CPU VM (it fails clause ii), where a limit of 65,536 bits let one
@@ -864,13 +864,51 @@ class RecipeTooLarge(ValueError):
 def _recipe_bits(field, radicals, principals):
     """Estimated coefficient bits of the factored form: after the normal
     form only p^a, a = floor(k/e_p), and the powers of the principal
-    factors grow with the exponent, so |a| * bits(p) for each radical and
-    |k| * bits(base) for each principal factor, the bits of a base being
-    those of its largest numerator coordinate or denominator."""
+    factors grow with the exponent.  A radical costs |a| * bits(p).  A
+    principal factor x^k, with x = num / den, or 1/x when k < 0 (the
+    generator its power raises), costs |k| * height, the height being
+    max(bits(den), bits(sum_i |num_i| B^i)), B the field's bound on
+    |sigma(theta)|: the sum bounds every embedding of num, so |k| times
+    its bits bound those of num^k, and den^k has |k| * bits(den) bits.
+    Reading coefficients back from embeddings (the inverse Vandermonde
+    matrix of the sigma(theta)) adds bits that grow with no exponent,
+    charged once as the degree m when a base is not rational; the most
+    measured is 15 bits, on theta^(m-1) to small powers in degrees 63
+    and 64.
+
+    The charges that form nothing come first, and the estimate stops at
+    the first total past RECIPE_BITS_LIMIT: a base x with k < 0 is first
+    charged |k| (1/x has a height of one bit at least), and its own
+    height instead of its inverse's when that alone passes the limit;
+    then the inverses are formed one at a time, so at most one is formed
+    past the limit."""
+    B = field._theta_bound
+    limit = RECIPE_BITS_LIMIT
+
+    def height(x):
+        h = 0
+        for c in reversed(x.num):
+            h = h * B + abs(c)
+        return max(x.den, h).bit_length()
+
     bits = sum(abs(k // field.ramification_index(p)) * p.bit_length()
                for p, k in radicals.items())
-    return bits + sum(abs(k) * max(max(map(abs, x.num)), x.den).bit_length()
-                      for x, k in principals)
+    if not all(x.is_rational for x, _ in principals):
+        bits += field.degree
+    inverted = []
+    for x, k in principals:
+        if k > 0:
+            bits += k * height(x)
+        elif height(x) > limit:
+            bits += -k * height(x)
+        else:
+            bits += -k
+            inverted.append((x, -k))
+    for x, k in inverted:
+        if bits > limit:
+            break
+        bits += k * (height(x.inverse()) - 1)
+    return bits
 
 
 def _normal_power(field, p, q):
@@ -894,7 +932,8 @@ def _factored(recipe):
     principal G takes (g^q) in the normal form p^a * (g^b) of
     _normal_power and the principal factors, S each p with r = 1.  A
     recipe whose estimated coefficient bits pass RECIPE_BITS_LIMIT raises
-    RecipeTooLarge before anything is formed."""
+    RecipeTooLarge before any power or product is formed, and with no
+    inverse formed once the estimate has passed the limit."""
     if recipe._form is None:
         field = recipe.field
         exponents, principals = {}, []

@@ -2,13 +2,17 @@
 definitional modularity verification, and exact minimum / theta counts.
 
 The Gram matrix of (I, alpha) is Tr(alpha * w_i * conj(w_j)) over the
-canonical basis of I, kept as exact rationals.  Modularity is verified by
+canonical basis of I, kept as integer rows over one scale; the rational
+Gram is formed only when a caller reads it.  Modularity is verified by
 the defining module identity (beta) * tracedual(I, alpha) = I -- never by
 isometry search -- together with the level, integrality, and determinant
-clauses.  Vector enumeration runs Fincke-Pohst with integer partial sums
-on the Bareiss triangle that integral LLL ends with, so the reported
-minimum, kissing number, and theta counts are exact; a walk past
-ENUMERATION_BUDGET nodes raises EnumerationBudgetExceeded instead.
+clauses.  Vector enumeration runs Fincke-Pohst on the Bareiss triangle
+that integral LLL ends with.  Each level of the walk holds its own
+integer norm P_(k-1) * D * |pi_k(v)|^2, with no scale common to all
+levels, and the walk reports the integers D * |v|^2, so the reported
+minimum, kissing number, and theta counts are exact, with one Fraction
+per distinct norm; a walk past ENUMERATION_BUDGET nodes raises
+EnumerationBudgetExceeded instead.
 """
 
 from __future__ import annotations
@@ -65,19 +69,22 @@ class IdealLattice:
     field, by ldl_integral(H) on a CM field.  The determinant is
     det(N)^2 * det(H) / scale^m, with det(N) the product of the HNF
     pivots.
-    The rational ``gram`` is formed once, here.  alpha is totally
-    positive, so alpha = conj(alpha) and trace_pairing forms only the
-    entries i >= j and mirrors them; each pair of mirrored entries that
-    are equal, rows[i][j] == rows[j][i], shares one Fraction.
-    The walk's reduction (the scale D and the triangle A of _lll) is kept
-    on first use, so minimum and theta_prefix of one lattice reduce it once.
+    The rational ``gram`` is formed on its first read, which build ->
+    verify_modularity never makes, and integer_gram() reads an integral
+    Gram off the integer rows.  alpha is totally positive, so
+    alpha = conj(alpha) and trace_pairing forms only the entries i >= j
+    and mirrors them; each pair of mirrored entries that are equal,
+    rows[i][j] == rows[j][i], shares one Fraction.
+    The walk's reduction (the scale D and the triangle A of _lll) is formed
+    from the integer rows on first use and kept, so minimum and
+    theta_prefix of one lattice reduce it once.
     Integrality and evenness are read here off the integer rows: the Gram
     is integral iff scale divides every entry of its upper triangle.  The
     integer (rows, scale) are kept, so the trace dual of an ideal held as
     rows solves against them and verifying forms the Gram no second time.
     """
 
-    __slots__ = ("field", "ideal", "alpha", "gram", "_rows", "_scale", "_det",
+    __slots__ = ("field", "ideal", "alpha", "_gram", "_rows", "_scale", "_det",
                  "_walk", "_integral", "_even")
 
     def __init__(self, field, ideal, alpha, rows, scale):
@@ -91,12 +98,7 @@ class IdealLattice:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "alpha", alpha)
-        gram = []
-        for i, row in enumerate(rows):
-            gram.append(tuple([gram[j][i] if e == rows[j][i] else Fraction(e, scale)
-                               for j, e in enumerate(row[:i])]
-                              + [Fraction(e, scale) for e in row[i:]]))
-        object.__setattr__(self, "gram", tuple(gram))
+        object.__setattr__(self, "_gram", None)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_det", d.numerator if d.denominator == 1 else d)
@@ -122,10 +124,36 @@ class IdealLattice:
     def is_even(self):
         return self._even
 
+    @property
+    def gram(self):
+        """The rational Gram rows / scale, formed on first read; each pair
+        of mirrored entries that are equal shares one Fraction."""
+        if self._gram is None:
+            rows, scale = self._rows, self._scale
+            gram = []
+            for i, row in enumerate(rows):
+                gram.append(tuple([gram[j][i] if e == rows[j][i] else Fraction(e, scale)
+                                   for j, e in enumerate(row[:i])]
+                                  + [Fraction(e, scale) for e in row[i:]]))
+            object.__setattr__(self, "_gram", tuple(gram))
+        return self._gram
+
+    def integer_gram(self):
+        """The integral Gram as rows of ints, rows / scale with no
+        Fraction formed; ValueError when the Gram is not integral."""
+        if not self._integral:
+            raise ValueError("Gram matrix is not integral")
+        scale = self._scale
+        return [[e // scale for e in row] for row in self._rows]
+
     def _reduced(self):
-        """(D, A) of the walk's reduction of the Gram, reduced on first use."""
+        """(D, A) of the walk's reduction of the Gram, reduced on first use
+        from the integer rows: with g = gcd(scale, entries), D = scale / g
+        is the lcm of the Gram's denominators and D * Gram = rows / g."""
         if self._walk is None:
-            D, _, _, A = _lll(self.gram)
+            rows = self._rows
+            g = math.gcd(self._scale, *(e for i, row in enumerate(rows) for e in row[i:]))
+            D, _, _, A = _lll([[e // g for e in row] for row in rows], scale=self._scale // g)
             object.__setattr__(self, "_walk", (D, A))
         return self._walk
 
@@ -317,7 +345,7 @@ def verify_modularity(lat, witness):
 
 
 # --------------------------------------------------------------------------
-# exact enumeration (Fincke-Pohst on integers)
+# exact enumeration (Fincke-Pohst on per-level integer norms)
 # --------------------------------------------------------------------------
 
 # The most nodes one enumeration enters: the root and every coordinate it
@@ -326,7 +354,11 @@ def verify_modularity(lat, witness):
 # to 16 of the dim-22 catalog lattice after a random basis change takes
 # ~120,000 nodes, and the minimum of realcyclo:73 at level 73 (dim 36)
 # 587,122.  The dim-56 lattice of realcyclo:113 at level 113, whose walk
-# would not end, passes the budget instead.
+# would not end, passes the budget instead.  On a 2-CPU x86-64 VM a node
+# of that walk takes 2.6-2.9 us in most runs (up to 4.1 us), and one of
+# the dim-44 walk of realcyclo:89 at level 89 2.8-3.3 us, against
+# 6.1-7.2 us and 5.2-5.7 us when every level's norm was held over one
+# common scale.
 ENUMERATION_BUDGET = 3_000_000
 
 
@@ -343,30 +375,40 @@ class EnumerationBudgetExceeded(ValueError):
 
 
 def _enumerate_representatives(lat_or_gram, bound, on_vector):
-    """Visit all nonzero vectors x (one per +-x pair) with norm at most the
+    """Visit all nonzero vectors v (one per +-v pair) with norm at most the
     current bound, or the least basis norm when bound is None; report each
-    norm through on_vector, which may return a new, smaller bound to steer
-    the rest of the walk.  Returns the number of nodes entered; past
-    ENUMERATION_BUDGET raises EnumerationBudgetExceeded.
+    as the integer D * |v|^2 through on_vector, which may return a new,
+    smaller bound on D * |v|^2 (an integer or a Fraction) to steer the rest
+    of the walk.  Returns (nodes, D): the number of nodes entered and the
+    scale of the reports; past ENUMERATION_BUDGET nodes raises
+    EnumerationBudgetExceeded.
 
-    x runs over coordinates on the reduced basis, whose Bareiss triangle
+    v runs over coordinates x on the reduced basis, whose Bareiss triangle
     (D, A) _lll returns: the walk's reduction is a plain LLL pass at
     delta = 3/4 and a pass at delta = 0.99 with deep insertions of depth 5
     (Schnorr-Euchner, Math. Programming 66, 1994), which cuts the nodes
     the walk enters; lll_reduce keeps one plain pass, the textbook LLL
     basis its callers expect.  An IdealLattice keeps (D, A) for its later
-    walks; a Gram given as rows is reduced on every call.  With pivots
-    P_i and y_i = sum_{j>=i} A[i][j] x_j,
-    D * x^t G x = sum_i y_i^2 / (P_i P_{i-1}); over
-    L = lcm(P_i P_{i-1}) every term is c_i * y_i^2 with an integer c_i.
-    So the walk keeps the norm scaled by L*D as an integer, the range of
-    x_i is one isqrt, and every comparison is exact.
+    walks; a Gram given as rows is reduced on every call.
+
+    Each level keeps its own integer norm, with no common scale.  With
+    pivots P_k (P_-1 = 1) and y_k = sum_{j>=k} A[k][j] x_j, level k holds
+    N_k = P_(k-1) * D * |pi_k(v)|^2, the determinant of the Gram of
+    (b_0, ..., b_(k-1), v) in D * G, so an integer, and
+    N_k = (P_(k-1) * N_(k+1) + y_k^2) / P_k exactly (N_n = 0); N_0 is the
+    reported D * |v|^2.  Level k's cap is C_k = floor(P_(k-1) * D * bound),
+    and N_k <= C_k iff |pi_k(v)|^2 <= bound, so x_k ranges over
+    y_k^2 <= room = P_k * C_k - P_(k-1) * N_(k+1), y_k = P_k * x_k + s_k,
+    one isqrt, and the range is empty when room is negative.  The numbers
+    a node handles have about 2 bits(P) + bits(D * bound) bits, where one
+    scale common to all levels, D * lcm(P_k * P_(k-1)), had thousands in
+    dimension 56.
 
     The walk (Fincke-Pohst, Math. Comp. 44, 1985) is one loop over
-    per-level arrays, depth first, each level's x_i in increasing order;
+    per-level arrays, depth first, each level's x_k in increasing order;
     level 0 is a flat loop that reports its vectors.  The center
-    s_i = sum_{j>i} A[i][j] x_j comes from Schnorr-Euchner partial sums
-    sig[i][j] = sum_{k>=j} A[i][k] x_k (Math. Programming 66, 1994):
+    s_k = sum_{j>k} A[k][j] x_j comes from Schnorr-Euchner partial sums
+    sig[k][j] = sum_{i>=j} A[k][i] x_i (Math. Programming 66, 1994):
     begin[l] is the highest index whose x changed since row l-1 was last
     summed, so descending to level l-1 re-sums that row from begin[l]
     down only, and each center costs O(1) amortized.
@@ -378,17 +420,26 @@ def _enumerate_representatives(lat_or_gram, bound, on_vector):
     n = len(A)
     piv = [A[i][i] for i in range(n)]
     prev = [1] + piv[:-1]
-    unit = math.lcm(*(piv[i] * prev[i] for i in range(n)))
-    c = [unit // (piv[i] * prev[i]) for i in range(n)]
-    unit *= scale
-    if bound is None:  # basis vector k has y_i = A[i][k] for i <= k
-        cap = min(sum(c[i] * A[i][k] ** 2 for i in range(k + 1)) for k in range(n))
+    if bound is None:
+        # D * |b_k|^2 is N_0 of v = b_k: y_i = A[i][k] for i <= k
+        least = None
+        for k in range(n):
+            norm = piv[k]
+            for i in range(k - 1, -1, -1):
+                norm = (prev[i] * norm + A[i][k] ** 2) // piv[i]
+            least = norm if least is None or norm < least else least
     else:
-        cap = math.floor(Fraction(bound) * unit)
+        least = Fraction(bound) * scale
+
+    def caps(limit):  # P_k * C_k per level for the bound limit on D * |v|^2
+        num, den = limit.numerator, limit.denominator
+        return [P * (Q * num // den) for P, Q in zip(piv, prev)]
+
+    cap = caps(least)
     budget = ENUMERATION_BUDGET
     isqrt = math.isqrt
-    # level l > 0 keeps x_l, the end of its range, its center, and the
-    # partial norm and nonzero flag of the levels above it
+    # level l > 0 keeps x_l, the end of its range, its center, the
+    # P_(l-1) * N_(l+1) of the levels above it, and their nonzero flag
     x = [0] * n
     end = [0] * n
     center = [0] * n
@@ -397,9 +448,9 @@ def _enumerate_representatives(lat_or_gram, bound, on_vector):
     sig = [[0] * (n + 1) for _ in range(n)]
     begin = list(range(n))
     nodes = 0
-    i, step, nz = n, 0, False
+    i, norm, nz = n, 0, False
     while True:
-        # enter level k = i - 1 with partial norm step
+        # enter level k = i - 1 with N_i = norm
         nodes += 1
         if nodes > budget:
             raise EnumerationBudgetExceeded(n, budget)
@@ -420,46 +471,57 @@ def _enumerate_representatives(lat_or_gram, bound, on_vector):
         else:
             s = 0
         P = piv[k]
-        ck = c[k]
-        r = isqrt((cap - step) // ck)
-        lo = -((r + s) // P)
-        if not nz and lo < 0:
-            lo = 0
-        hi = (r - s) // P + 1
-        if k and lo < hi:
-            # |P * lo + s| <= r, so the first coordinate is within the cap
-            x[k] = lo
-            end[k] = hi
-            center[k] = s
-            used[k] = step
-            nonzero[k] = nz
-            y = P * lo + s
-            step += ck * y * y
-            nz = nz or lo != 0
-            i = k
-            continue
-        if not k:
-            for x0 in range(lo, hi):
-                y = P * x0 + s
-                norm = step + ck * y * y
-                if norm <= cap and (nz or x0):
-                    new_bound = on_vector(Fraction(norm, unit))
-                    if new_bound is not None:
-                        cap = math.floor(new_bound * unit)
+        t = prev[k] * norm
+        room = cap[k] - t
+        if room >= 0:
+            r = isqrt(room)
+            lo = -((r + s) // P)
+            if not nz and lo < 0:
+                lo = 0
+            hi = (r - s) // P + 1
+            if k and lo < hi:
+                # |P * lo + s| <= r, so the first coordinate is within the cap
+                x[k] = lo
+                end[k] = hi
+                center[k] = s
+                used[k] = t
+                nonzero[k] = nz
+                y = P * lo + s
+                norm = (t + y * y) // P
+                nz = nz or lo != 0
+                i = k
+                continue
+            if not k:
+                for x0 in range(lo, hi):
+                    y = P * x0 + s
+                    yy = y * y
+                    if yy <= room and (nz or x0):  # room falls with cap
+                        new_bound = on_vector((t + yy) // P)
+                        if new_bound is not None:
+                            cap = caps(new_bound)
+                            room = cap[0] - t
         # the next coordinate to accept, at level i or above
         while i < n:
             xi = x[i] + 1
             if xi < end[i]:
                 x[i] = xi
                 y = piv[i] * xi + center[i]
-                step = used[i] + c[i] * y * y
-                if step <= cap:  # on_vector may have lowered cap since r
+                yy = y * y
+                t = used[i]
+                if yy <= cap[i] - t:  # on_vector may have lowered cap since r
+                    norm = (t + yy) // piv[i]
                     nz = nonzero[i] or xi != 0
                     break
             else:
                 i += 1
         else:
-            return nodes
+            return nodes, scale
+
+
+def _rational(norm, scale):
+    """norm / scale, an int when it is integral."""
+    q = Fraction(norm, scale)
+    return q.numerator if q.denominator == 1 else q
 
 
 def minimum(lat_or_gram):
@@ -475,11 +537,11 @@ def minimum(lat_or_gram):
             count += 1
         return None
 
-    _enumerate_representatives(lat_or_gram, None, on_vector)
+    _, scale = _enumerate_representatives(lat_or_gram, None, on_vector)
     if mu is None:
         # the basis vector of the starting bound is always visited
         raise ArithmeticError("enumeration missed the witness basis vector")
-    return (int(mu) if mu.denominator == 1 else mu), 2 * count
+    return _rational(mu, scale), 2 * count
 
 
 def theta_prefix(lat_or_gram, bound):
@@ -491,6 +553,5 @@ def theta_prefix(lat_or_gram, bound):
     def on_vector(norm):
         counts[norm] = counts.get(norm, 0) + 1
 
-    _enumerate_representatives(lat_or_gram, bound, on_vector)
-    out = [(Fraction(0), 1)] + [(nrm, 2 * c) for nrm, c in sorted(counts.items())]
-    return [(int(nrm) if nrm.denominator == 1 else nrm, c) for nrm, c in out]
+    _, scale = _enumerate_representatives(lat_or_gram, bound, on_vector)
+    return [(0, 1)] + [(_rational(nrm, scale), 2 * c) for nrm, c in sorted(counts.items())]

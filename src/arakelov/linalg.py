@@ -390,7 +390,7 @@ def _integral_gram(G):
 _WALK_PASSES = ((Fraction(3, 4), 1), (Fraction(99, 100), 5))  # (delta, depth)
 
 
-def _lll(G, passes=_WALK_PASSES, transform=False):
+def _lll(G, passes=_WALK_PASSES, transform=False, scale=None):
     """Integral LLL (Cohen, Algorithm 2.6.7; de Weger 1987) on the integer
     Gram D*G, from (D, A) = ldl_integral(G): d[i+1] = A[i][i] are the
     leading minors (d[0] = 1) and lam[k][j] = A[j][k] = d[j+1] * mu[k][j]
@@ -413,13 +413,14 @@ def _lll(G, passes=_WALK_PASSES, transform=False):
     Returns (D, D*G, U, A): A holds the final d and lam and is the Bareiss
     triangle of the reduced U*(D*G)*U^t.  U, the unimodular row transform,
     is formed only when transform is true; the enumeration reads A alone
-    and gets U = None.
+    and gets U = None.  Given a scale, G is already the integer Gram D*G
+    with D = scale, and no denominator is cleared.
     """
     n = _check_gram(G)
     passes = [(Fraction(delta), depth) for delta, depth in passes]
     if not all(Fraction(1, 4) < delta < 1 for delta, _ in passes):
         raise FormError("delta must lie in (1/4, 1)")
-    D, DG = _integral_gram(G)
+    D, DG = (scale, G) if scale is not None else _integral_gram(G)
     _, A = ldl_integral(DG)  # raises FormError if G is not positive definite
     d = [1] + [A[i][i] for i in range(n)]
     lam = [[A[j][k] for j in range(k)] for k in range(n)]

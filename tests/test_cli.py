@@ -698,7 +698,7 @@ def test_record_level_past_the_int_string_limit_is_read(capsys, record28, tmp_pa
 
 
 @pytest.mark.parametrize("ideal", ["P7^1000000000", "P2^-1000000000",
-                                   "([0,1,0,0,0,0])^1000000000"])
+                                   "([0,1,0,0,0,0])^1000000000", "([1,1,1,1,1,1])^2000"])
 def test_verify_refuses_a_recipe_past_the_bit_limit(capsys, record28, tmp_path, ideal):
     """A record ideal whose estimated coefficient bits pass
     ideals.RECIPE_BITS_LIMIT exits 2 with nothing on stdout, before any
@@ -707,6 +707,30 @@ def test_verify_refuses_a_recipe_past_the_bit_limit(capsys, record28, tmp_path, 
     doc["ideal"] = ideal
     path = tmp_path / "huge_exponent.json"
     path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == EXIT_SPEC and out == ""
+    assert "coefficient bits" in err
+
+
+@pytest.mark.parametrize("ideal", [
+    "([" + str(3 ** 6000) + ",1,0,0,0,0])^-1",
+    "([1,1,0,0,0,0])^-9000",
+    "*".join(["([2,1,0,0,0,0])^-1"] * 9000),
+], ids=["huge-base", "huge-exponent", "many-factors"])
+def test_verify_refuses_inverted_bases_past_the_bit_limit(
+        capsys, record28, tmp_path, monkeypatch, ideal):
+    """A negative power of a base whose own height passes
+    ideals.RECIPE_BITS_LIMIT, or negative exponents that add up past it,
+    exit 2 before any inverse is formed."""
+    doc = json.loads(record28.read_text())
+    doc["ideal"] = ideal
+    path = tmp_path / "huge_inverse.json"
+    path.write_text(json.dumps(doc))
+
+    def inverted(field, x):
+        raise AssertionError("an inverse was formed")
+
+    monkeypatch.setattr(fields.NumberField, "_inverse", inverted)
     code, out, err = run(capsys, "verify", "--in", str(path))
     assert code == EXIT_SPEC and out == ""
     assert "coefficient bits" in err

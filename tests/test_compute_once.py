@@ -47,6 +47,7 @@ forms no principal-times-module product, no product or conjugate of
 ideals held as rows only, and no HNF outside radical_above.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -77,7 +78,7 @@ from arakelov.ideals import (
     trace_dual_via_inverse,
     valuation,
 )
-from arakelov import existence, fields, ideals, lattice, linalg
+from arakelov import cli, existence, fields, ideals, lattice, linalg
 from arakelov.lattice import build, minimum, theta_prefix
 from arakelov.linalg import cholesky, det, ldl_integral, mat_mul, transpose
 from test_linalg import lll_grams
@@ -709,6 +710,44 @@ def test_verify_forms_the_gram_once(monkeypatch, spec, level):
     lat = build(witness.field, ideal, witness.alpha)
     assert lattice.verify_modularity(lat, witness).modular_level == level
     assert calls == [(ideal, ideal)]
+
+
+@pytest.mark.parametrize("spec, level", [("realcyclo:92", 23), ("realcyclo:308", 77)])
+def test_build_and_verify_form_no_fraction_gram(spec, level):
+    """build -> verify_modularity never reads the rational Gram, and the
+    walk's reduction starts from the integer rows over gcd(scale, rows):
+    it is the (D, A) that _lll gives on the Fraction Gram.  The Gram read
+    afterwards holds rows / scale, one Fraction per equal mirrored pair,
+    and the record JSON writes its integers."""
+    witness = existence.classify(make_field(spec), trace_type=True).witnesses[level]
+    lat = build(witness.field, realize(witness.ideal), witness.alpha)
+    assert lattice.verify_modularity(lat, witness).modular_level == level
+    assert lat._gram is None
+    reduced = lat._reduced()
+    assert lat._gram is None
+    rows, scale = lat._rows, lat._scale
+    gram = lat.gram
+    assert gram == tuple(tuple(Fraction(e, scale) for e in row) for row in rows)
+    assert all(gram[i][j] is gram[j][i] for i in range(len(rows)) for j in range(i))
+    D, _, _, A = linalg._lll(gram)
+    assert reduced == (D, A) and lat._reduced() is reduced
+    assert lat.integer_gram() == [[int(x) for x in row] for row in gram]
+
+
+def test_cli_construct_and_verify_form_no_fraction_gram(monkeypatch, tmp_path, capsys):
+    """construct writes, and verify --min compares, the record Gram read
+    off the integer rows: neither reads the rational Gram."""
+    def unread(lat):
+        raise AssertionError("the Fraction Gram was formed")
+
+    monkeypatch.setattr(lattice.IdealLattice, "gram", property(unread))
+    path = tmp_path / "record.json"
+    assert cli.main(["construct", "--field", "realcyclo:92", "--level", "23",
+                     "--trace-type", "--out", str(path)]) == 0
+    assert cli.main(["verify", "--in", str(path), "--min"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["gram_matches"] is True
+    assert out["minimum"] == json.loads(path.read_text())["minimum"]
 
 
 # (spec, p, s): J_p^s has a distinguished generator, s = 1 where J_p itself

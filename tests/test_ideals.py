@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arakelov import ideals
@@ -837,20 +837,24 @@ def test_recipe_errors():
 
 
 def test_recipe_bits_are_estimated_before_realizing(monkeypatch):
-    """The estimate is |floor(k/e_p)| * bits(p) per radical plus |k| *
-    bits(base) per principal factor; a recipe past RECIPE_BITS_LIMIT raises
-    RecipeTooLarge before any radical or power is formed, and one at the
-    limit is realized."""
+    """The estimate is |floor(k/e_p)| * bits(p) per radical plus, per
+    principal factor, |k| * max(bits(den), bits(sum_i |num_i| * 2^i)) of
+    the base (of its inverse when k < 0) on realcyclo:, and the degree
+    once for bases that are not rational; a recipe past RECIPE_BITS_LIMIT
+    raises RecipeTooLarge before any radical or power is formed, and one
+    at the limit is realized."""
     field = make_field("realcyclo:28")
     e7 = field.ramification_index(7)
     recipe = IdealRecipe.parse(field, "P7^-25*P2^3*(3/2)^-5*([1,5,0,0,0,0])^4")
+    # (3/2)^-5 raises 2/3, of bits(3); [1, 5] has 1 + 5 * 2 = 11
     assert ideals._recipe_bits(field, {7: -25, 2: 3}, [
         (payload, k) for kind, payload, k in recipe.factors if kind == "principal"]) \
-        == abs(-25 // e7) * 3 + 3 // field.ramification_index(2) * 2 + 5 * 2 + 4 * 3
+        == abs(-25 // e7) * 3 + 3 // field.ramification_index(2) * 2 + 5 * 2 + 4 * 4 \
+        + field.degree
     limit = ideals.RECIPE_BITS_LIMIT
     assert realize(IdealRecipe.parse(field, f"(2)^{limit // 2}")).norm() == 2 ** (3 * limit)
     for text in [f"(2)^{limit // 2 + 1}", "P2^1000000000", "P7^-1000000000",
-                 "([0,1,0,0,0,0])^1000000000"]:
+                 "([0,1,0,0,0,0])^1000000000", "([1,1,1,1,1,1])^2000"]:
         huge = IdealRecipe.parse(field, text)
 
         def formed(*args):
@@ -862,3 +866,42 @@ def test_recipe_bits_are_estimated_before_realizing(monkeypatch):
             with pytest.raises(ideals.RecipeTooLarge) as info:
                 realize(huge)
         assert info.value.bits > info.value.limit == limit
+
+
+# one field per bound B on |sigma(theta)|: realcyclo: (B = 2) up to degree
+# 64, cyclo: (B = 1), and quad: (B = isqrt(d) + 1), real and imaginary
+_HEIGHT_FIELDS = ["realcyclo:127", "realcyclo:255", "realcyclo:91", "realcyclo:28",
+                  "cyclo:128", "cyclo:105", "cyclo:9",
+                  "quad:+5", "quad:+199", "quad:-1", "quad:-7"]
+
+
+@st.composite
+def principal_powers(draw):
+    """(spec, {i: coordinate}, k): a base with 1-3 nonzero coordinates, so
+    monomials such as theta^(m-1) come up, over a denominator of 1-6, and
+    0 < |k| <= 8."""
+    spec = draw(st.sampled_from(_HEIGHT_FIELDS))
+    degree = make_field(spec).degree
+    den = draw(st.integers(1, 6))
+    coords = {i: Fraction(draw(st.integers(-40, 40).filter(bool)), den)
+              for i in draw(st.lists(st.integers(0, degree - 1), min_size=1, max_size=3))}
+    return spec, coords, draw(st.integers(1, 8)) * draw(st.sampled_from([1, -1]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(principal_powers())
+# theta^(m-1) to small powers: their coefficients pass |k| times the
+# embedding bits by 15 bits, in degrees 63 and 64
+@example(case=("realcyclo:127", {62: 1}, 5))
+@example(case=("realcyclo:255", {63: 1}, 4))
+def test_recipe_bits_bound_the_realized_principal_power(case):
+    """The coefficient bits of the generator that realizing a principal
+    power raises, x^k or (1/x)^|k|, its largest numerator coordinate or
+    its denominator, never pass the estimate."""
+    spec, coords, k = case
+    field = make_field(spec)
+    x = field.element([coords.get(i, 0) for i in range(field.degree)])
+    power = ideal_pow(principal(x), k)._gen
+    assert power == (x ** k if k > 0 else x.inverse() ** -k)
+    real = max(max(map(abs, power.num)), power.den).bit_length()
+    assert real <= ideals._recipe_bits(field, {}, [(x, k)])

@@ -14,8 +14,14 @@ Oracles
   holds for every vector of norm <= B and is computed with exact
   rational arithmetic, fully independent of the Fincke-Pohst tree.
 * The loop walk is checked node for node against the recursive walk it
-  replaced (``recursive_walk`` below): the same norms in the same order
-  and the same node count, for minimum's shrinking bound and for theta.
+  replaced (``recursive_walk`` below, on one common scale where the loop
+  walk holds per-level norms): the same norms in the same order and the
+  same node count, for minimum's shrinking bound and for theta, on
+  rational Grams and bounds, and up to the node budget in dimension 36.
+* The theta prefixes of the unimodular level-1 lattices of realcyclo:25,
+  :27 and :49 must be modular forms in theta_3 and Delta_8 (Conway-Sloane,
+  SPLAG ch. 7): their first terms fix the form, and the later terms the
+  walk counts must follow it, an identity no walk shares.
 * minimum and theta_prefix of a Gram moved by a random unimodular T agree
   with those of the unmoved Gram and with the recursive walk on the
   moved Gram's unreduced triangle, so no reduction changes an answer.
@@ -568,6 +574,62 @@ def test_theta_invariant_under_unimodular_change():
     assert theta_prefix(scrambled6, 4) == theta_prefix(gram, 4)
 
 
+def _times(a, b):
+    """The product of two q-series, integer lists of one length."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[:len(a) - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _theta3_and_delta8(terms):
+    """theta_3 = sum_k q^(k^2) and Delta_8 = q prod_j (1 - q^(2j-1))^8
+    (1 - q^(4j))^8 to q^(terms-1)."""
+    theta3 = [0] * terms
+    for k in range(-math.isqrt(terms), math.isqrt(terms) + 1):
+        if k * k < terms:
+            theta3[k * k] += 1
+    delta8 = [0, 1] + [0] * (terms - 2)
+    for j in range(1, terms):
+        for e in (2 * j - 1, 4 * j):
+            if e < terms:
+                factor = [1] + [0] * (terms - 1)
+                factor[e] = -1
+                for _ in range(8):
+                    delta8 = _times(delta8, factor)
+    return theta3, delta8
+
+
+@pytest.mark.parametrize("spec, trace_type, dim, bound", [
+    ("realcyclo:25", False, 10, 8), ("realcyclo:27", True, 9, 8),
+    ("realcyclo:49", True, 21, 4)])
+def test_unimodular_theta_prefix_is_a_modular_form(spec, trace_type, dim, bound):
+    """The theta series of an integral unimodular lattice of dimension n is
+    sum_r a_r theta_3^(n-8r) Delta_8^r, 0 <= r <= n/8 (Conway-Sloane,
+    SPLAG ch. 7): Delta_8 = q + O(q^2), so the walk's first floor(n/8)+1
+    counts fix the a_r, and its later counts must follow."""
+    lat, _ = witness_lattice(spec, 1, trace_type)
+    assert (lat.dimension, lat.determinant(), lat.is_integral()) == (dim, 1, True)
+    walked = [0] * (bound + 1)
+    for norm, count in theta_prefix(lat, bound):
+        walked[norm] = count
+    theta3, delta8 = _theta3_and_delta8(bound + 1)
+    forms = []
+    for r in range(dim // 8 + 1):
+        form = [1] + [0] * bound
+        for factor, k in ((theta3, dim - 8 * r), (delta8, r)):
+            for _ in range(k):
+                form = _times(form, factor)
+        forms.append(form)
+    series = [0] * (bound + 1)
+    for r, form in enumerate(forms):  # form = q^r + O(q^(r+1))
+        a = walked[r] - series[r]
+        series = [x + a * y for x, y in zip(series, form)]
+    assert dim // 8 + 1 < bound + 1 and series == walked
+
+
 def test_theta_rejects_negative_bound():
     with pytest.raises(SpecError):
         theta_prefix([[1, 0], [0, 1]], -1)
@@ -626,13 +688,15 @@ def test_enumeration_matches_brute_force_at_large_entries(case):
 # the loop walk against the recursive walk it replaced
 # --------------------------------------------------------------------------
 
-def recursive_walk(gram, bound, on_vector, reduced=True):
+def recursive_walk(gram, bound, on_vector, reduced=True, budget=None):
     """The recursive Fincke-Pohst walk on the triangle of _lll, each center
-    summed from scratch: the reference for the loop walk of
-    lattice._enumerate_representatives.  Returns its node count, the calls
-    at levels >= 0 (the root and every accepted coordinate above level 0).
-    With reduced false it walks the triangle of ldl_integral(gram), on the
-    basis as given."""
+    summed from scratch and every partial norm held over one common scale
+    L * D, L = lcm(P_i * P_(i-1)): the reference for the loop walk of
+    lattice._enumerate_representatives, which holds per-level norms.
+    Returns its node count, the calls at levels >= 0 (the root and every
+    accepted coordinate above level 0); past a budget it raises
+    EnumerationBudgetExceeded.  With reduced false it walks the triangle
+    of ldl_integral(gram), on the basis as given."""
     if reduced:
         scale, _, _, A = _lll(gram)
     else:
@@ -658,6 +722,8 @@ def recursive_walk(gram, bound, on_vector, reduced=True):
                     cap = math.floor(new_bound * unit)
             return
         nodes += 1
+        if budget is not None and nodes > budget:
+            raise EnumerationBudgetExceeded(n, budget)
         row = A[i]
         s = sum(row[j] * x[j] for j in range(i + 1, n) if x[j])
         P = row[i]
@@ -678,8 +744,11 @@ def recursive_walk(gram, bound, on_vector, reduced=True):
 
 
 def _reports(walk, gram, bound):
-    """(norms in the order reported, node count) of one walk; with bound
-    None the bound is lowered as minimum lowers it."""
+    """(norms in the order reported, as Fractions, and the node count) of
+    one walk; with bound None the bound is lowered as minimum lowers it.
+    The loop walk reports the integers D * |v|^2 and returns (nodes, D),
+    and its reports are mapped to norm / D here; recursive_walk reports
+    norms and returns its node count."""
     seen = []
 
     def on_vector(norm):
@@ -687,7 +756,11 @@ def _reports(walk, gram, bound):
         seen.append(norm)
         return norm if lower else None
 
-    return seen, walk(gram, bound, on_vector)
+    out = walk(gram, bound, on_vector)
+    if isinstance(out, tuple):
+        nodes, scale = out
+        return [Fraction(norm, scale) for norm in seen], nodes
+    return seen, out
 
 
 @st.composite
@@ -733,6 +806,87 @@ def test_walk_counts_nodes_of_the_catalog_lattice():
     for bound in (None, 6):
         assert _reports(lattice._enumerate_representatives, lat, bound) == \
             _reports(recursive_walk, lat.gram, bound)
+
+
+@st.composite
+def rational_walks(draw):
+    """(G, bound): a Gram of walk_grams over a further denominator of 2-6,
+    and a bound of 1-3 times its minimum over 2-9 or a projected norm
+    |pi_l(b_j)|^2 of the walk's reduced basis, l >= 1, of at most 3 times
+    the minimum.  The cap floor(P_(k-1) * D * bound) of a level loses a
+    fraction when D * bound is not an integer, and on the path of b_j at
+    the bound |pi_l(b_j)|^2 the walk enters level l - 1 with
+    P_(l-1) * C_(l-1) - P_(l-2) * N_l negative when
+    P_(l-2) * D * |pi_l(b_j)|^2 is not an integer."""
+    gram, _ = draw(walk_grams())
+    den = draw(st.integers(2, 6))
+    gram = [[x / den for x in row] for row in gram]
+    mu, _ = minimum(gram)
+    D, _, _, A = _lll(gram)
+    projected = [sum(Fraction(A[i][j] ** 2, A[i][i] * A[i - 1][i - 1] * D)
+                     for i in range(l, j + 1))
+                 for j in range(1, len(A)) for l in range(1, j + 1)]
+    projected = [p for p in projected if p <= 3 * mu]
+    if projected and draw(st.booleans()):
+        return gram, draw(st.sampled_from(projected))
+    b = draw(st.integers(2, 9))
+    return gram, mu * Fraction(draw(st.integers(b, 3 * b)), b)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rational_walks())
+def test_walk_on_rational_grams_and_bounds_matches_the_recursive_walk(case):
+    gram, bound = case
+    for bound in (None, bound):
+        assert _reports(lattice._enumerate_representatives, gram, bound) == \
+            _reports(recursive_walk, gram, bound)
+
+
+def test_walk_enters_a_level_with_a_negative_remainder(monkeypatch):
+    """Hexagonal Gram, bound 3/2: x_1 = 1 has |pi_1(v)|^2 = 3/2 within the
+    bound, so level 0 is entered under it with P_0 * C_0 - N_1 =
+    2 * 1 - 3 < 0, an empty range; the walk takes no square root there,
+    and reports and counts as the reference does."""
+    hexagonal = [[2, 1], [1, 2]]
+    roots = []
+
+    def counted(n, isqrt=math.isqrt):
+        roots.append(n)
+        return isqrt(n)
+
+    monkeypatch.setattr(math, "isqrt", counted)
+    got = _reports(lattice._enumerate_representatives, hexagonal, Fraction(3, 2))
+    monkeypatch.undo()
+    assert got == _reports(recursive_walk, hexagonal, Fraction(3, 2)) == ([], 3)
+    assert len(roots) == 2 and theta_prefix(hexagonal, Fraction(3, 2)) == [(0, 1)]
+
+
+def test_walk_passes_its_budget_where_the_reference_does(monkeypatch):
+    """realcyclo:73 at level 73 (dim 36, 587,122 nodes to its minimum):
+    with the budget at 20,000 nodes the loop walk and the reference report
+    the same norms in the same order, and both raise on node 20,001."""
+    lat, _ = witness_lattice("realcyclo:73", 73, trace_type=False)
+    budget = 20_000
+    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", budget)
+
+    def reports_until_the_budget(walk, gram):
+        seen = []
+
+        def on_vector(norm):
+            lower = not seen or norm < min(seen)
+            seen.append(norm)
+            return norm if lower else None
+
+        with pytest.raises(EnumerationBudgetExceeded) as info:
+            walk(gram, None, on_vector)
+        assert (info.value.dimension, info.value.budget) == (36, budget)
+        return seen
+
+    D, _ = lat._reduced()
+    loop = reports_until_the_budget(lattice._enumerate_representatives, lat)
+    reference = reports_until_the_budget(
+        lambda g, b, on: recursive_walk(g, b, on, budget=budget), lat.gram)
+    assert loop and [Fraction(norm, D) for norm in loop] == reference
 
 
 @st.composite
