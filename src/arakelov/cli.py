@@ -283,14 +283,18 @@ def cmd_verify(args):
     if "gram" in doc:
         fresh = lat.integer_gram()
         out["gram_matches"] = doc["gram"] == fresh
-    if args.min:
-        mu, kissing = lattice.minimum(lat)
-        out["minimum"] = _rat_str(mu)
-        out["kissing"] = kissing
+    theta = ()
     if args.theta is not None:
         if args.theta < 0:
             raise SpecError("--theta bound must be nonnegative")
-        out["theta"] = _theta_pairs(lattice.theta_prefix(lat, args.theta))
+        theta = lattice.theta_prefix(lat, args.theta)
+        out["theta"] = _theta_pairs(theta)
+    if args.min:
+        # one walk: the first nonzero term of the prefix is the minimum and
+        # its count the kissing number; a bound below the minimum has none
+        mu, kissing = theta[1] if len(theta) > 1 else lattice.minimum(lat)
+        out["minimum"] = _rat_str(mu)
+        out["kissing"] = kissing
     _emit(out, args.out)
     return EXIT_OK
 

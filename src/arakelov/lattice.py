@@ -13,11 +13,21 @@ levels, and the walk reports the integers D * |v|^2, so the reported
 minimum, kissing number, and theta counts are exact, with one Fraction
 per distinct norm; a walk past ENUMERATION_BUDGET nodes raises
 EnumerationBudgetExceeded instead.
+
+A theta walk that passes SPLIT_ALLOWANCE nodes forks once, where os.fork
+exists, the process runs one thread and two CPUs are allowed, and the two
+processes walk alternate subtrees below one level.  With a fixed bound
+those subtrees are independent, so the parent adds the child's counts and
+nodes to its own and gets the counts, node total and budget verdict of one
+process.  minimum stays in one process: it lowers its bound as it finds
+shorter vectors, so its tree depends on the order of the walk.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 from fractions import Fraction
 
 from .fields import (
@@ -358,8 +368,22 @@ def verify_modularity(lat, witness):
 # of that walk takes 2.6-2.9 us in most runs (up to 4.1 us), and one of
 # the dim-44 walk of realcyclo:89 at level 89 2.8-3.3 us, against
 # 6.1-7.2 us and 5.2-5.7 us when every level's norm was held over one
-# common scale.
+# common scale.  A theta walk split between two processes counts the nodes
+# of both, so it passes the budget exactly where one process would; a
+# minimum walk is never split.
 ENUMERATION_BUDGET = 3_000_000
+
+# A theta walk that passes SPLIT_ALLOWANCE nodes forks at its next entry
+# into level max(n - SPLIT_DEPTH, 0), and the two processes walk alternate
+# subtrees below it.  A fork costs ~1 ms, so no walk of the batch Grams
+# (<= 7 nodes), of catalog, or of `verify --min --theta 14` on the dim-22
+# realcyclo:92 record (46,540 nodes) reaches the allowance, while the moved
+# dim-22 theta-16 walks (118,000-133,000 nodes) and the dim-21 realcyclo:49
+# theta-5 walk (1,296,027) pass it.  At depth 8 the larger of the two
+# processes walks 52% of the realcyclo:49 nodes, against 59% at depth 6
+# and 66% at depth 4.
+SPLIT_ALLOWANCE = 50_000
+SPLIT_DEPTH = 8
 
 
 class EnumerationBudgetExceeded(ValueError):
@@ -374,7 +398,7 @@ class EnumerationBudgetExceeded(ValueError):
         self.budget = budget
 
 
-def _enumerate_representatives(lat_or_gram, bound, on_vector):
+def _enumerate_representatives(lat_or_gram, bound, on_vector, fork=None):
     """Visit all nonzero vectors v (one per +-v pair) with norm at most the
     current bound, or the least basis norm when bound is None; report each
     as the integer D * |v|^2 through on_vector, which may return a new,
@@ -412,6 +436,21 @@ def _enumerate_representatives(lat_or_gram, bound, on_vector):
     begin[l] is the highest index whose x changed since row l-1 was last
     summed, so descending to level l-1 re-sums that row from begin[l]
     down only, and each center costs O(1) amortized.
+
+    fork splits a walk whose bound stays fixed (on_vector returns None)
+    between two processes, as in parallel enumeration (Dagdelen-
+    Schneider, Euro-Par 2010): with a fixed bound the subtrees below one
+    level are independent of each other.  The split level is
+    max(n - SPLIT_DEPTH, 0).  At the first entry into it after more than
+    SPLIT_ALLOWANCE nodes, fork() returns the owner this process takes,
+    0 or 1, or None to walk on alone.  From that entry on, the entries
+    into the split level alternate between owner 0 and owner 1, and each
+    process walks only its owner's subtrees there: it enters the other
+    owner's uncounted and with no room.  Both walk the same levels above
+    it.  Owner 1 then returns the nodes of its own subtrees
+    alone, so the two counts add up to the nodes of the one-process walk.
+    A walk that lowers its bound, as minimum's does, has a tree that
+    depends on the order of the walk, and is never split.
     """
     if isinstance(lat_or_gram, IdealLattice):
         scale, A = lat_or_gram._reduced()
@@ -447,14 +486,36 @@ def _enumerate_representatives(lat_or_gram, bound, on_vector):
     nonzero = [False] * n
     sig = [[0] * (n + 1) for _ in range(n)]
     begin = list(range(n))
+    # the split level (n: none), the owner this process takes (-1 before
+    # the fork), the owner of the next entry into the split level, and the
+    # nodes both processes enter: before the fork and above the split level
+    split = n if fork is None else max(n - SPLIT_DEPTH, 0)
+    owner = turn = -1
+    shared = 0
     nodes = 0
     i, norm, nz = n, 0, False
     while True:
         # enter level k = i - 1 with N_i = norm
+        k = i - 1
+        if k >= split:
+            if k > split:
+                shared += 1
+            else:
+                if owner < 0 and nodes > SPLIT_ALLOWANCE:
+                    owner = fork()
+                    if owner is None:  # one process walks it all
+                        owner, split = -1, n
+                    shared, turn = nodes, 0
+                if owner >= 0:
+                    if turn != owner:
+                        # the other process's subtree: enter it uncounted,
+                        # with N_i past the cap, so with no room
+                        nodes -= 1
+                        norm = cap[k] + 1
+                    turn ^= 1
         nodes += 1
         if nodes > budget:
             raise EnumerationBudgetExceeded(n, budget)
-        k = i - 1
         if i < n:
             b = begin[i]
             part = sig[k]
@@ -515,7 +576,7 @@ def _enumerate_representatives(lat_or_gram, bound, on_vector):
             else:
                 i += 1
         else:
-            return nodes, scale
+            return (nodes - shared if owner == 1 else nodes), scale
 
 
 def _rational(norm, scale):
@@ -544,14 +605,176 @@ def minimum(lat_or_gram):
     return _rational(mu, scale), 2 * count
 
 
-def theta_prefix(lat_or_gram, bound):
-    """Exact vector counts per norm value up to bound (0 included once)."""
-    if bound < 0:
-        raise SpecError("theta bound must be nonnegative")
+def _may_fork():
+    """Whether a walk may split: os.fork exists, the process runs one
+    thread, and its CPU affinity allows two CPUs or more."""
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:  # no procfs: the threads the threading module knows
+        import threading
+        threads = threading.active_count()
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return threads == 1 and cpus >= 2
+
+
+def _send(fd, message):
+    """Write message, marshalled, to the pipe fd."""
+    data = memoryview(marshal.dumps(message))
+    while data:
+        data = data[os.write(fd, data):]
+
+
+class _Halves:
+    """The second process of a split theta walk.  fork() starts it with a
+    pipe back to the parent; pid is None before the fork and after the
+    child is reaped, and 0 in the child."""
+
+    __slots__ = ("pid", "fd")
+
+    def __init__(self):
+        self.pid = self.fd = None
+
+    def fork(self):
+        """The owner this process takes, 0 in the parent and 1 in the
+        child, or None where the walk cannot split."""
+        if not _may_fork():
+            return None
+        try:
+            read, write = os.pipe()
+        except OSError:
+            return None
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            return None
+        if pid == 0:
+            os.close(read)
+            self.pid, self.fd = 0, write
+            return 1
+        os.close(write)
+        self.pid, self.fd = pid, read
+        return 0
+
+    def finish(self, message):
+        """In the child: send message and exit 0, or exit 1 with nothing
+        sent when it is None; no code of the caller runs after it there.
+        A no-op in the parent."""
+        if self.pid == 0:
+            try:
+                if message is not None:
+                    _send(self.fd, message)
+            finally:
+                os._exit(1 if message is None else 0)
+
+    def join(self):
+        """The child's message, read to the end of the pipe, or None when
+        it sent no whole message; the child is reaped."""
+        chunks = []
+        while chunk := os.read(self.fd, 1 << 16):
+            chunks.append(chunk)
+        self.close()
+        try:
+            return marshal.loads(b"".join(chunks))
+        except (EOFError, ValueError, TypeError):
+            return None
+
+    def close(self):
+        """Close the pipe, and kill and reap the child; after join has read
+        the pipe to its end the child has exited, and the kill is a no-op."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid:
+            pid, self.pid = self.pid, None
+            import signal
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped already, e.g. under SIG_IGN
+                pass
+
+
+def _theta_counts(lat_or_gram, bound, fork):
+    """({D * |v|^2: vectors, one per +-v pair}, nodes, D) of one theta
+    walk; a process that takes owner 1 of a split walk counts the vectors
+    and nodes of its own subtrees alone."""
     counts = {}
 
     def on_vector(norm):
         counts[norm] = counts.get(norm, 0) + 1
 
-    _, scale = _enumerate_representatives(lat_or_gram, bound, on_vector)
+    def split():
+        owner = fork()
+        if owner == 1:
+            counts.clear()  # the parent keeps what came before the fork
+        return owner
+
+    nodes, scale = _enumerate_representatives(lat_or_gram, bound, on_vector, split)
+    return counts, nodes, scale
+
+
+def _theta_walk(lat_or_gram, bound):
+    """_theta_counts of the whole walk to bound, forked into two processes
+    past SPLIT_ALLOWANCE nodes where _may_fork allows.  The child sends
+    its (counts, nodes), or its dimension when its half alone passed the
+    budget, and the parent adds them to its own.  The half of a child that
+    sends no whole message is walked here: the same walk, taking owner 1
+    with no fork."""
+    halves = _Halves()
+    try:
+        try:
+            counts, nodes, scale = _theta_counts(lat_or_gram, bound, halves.fork)
+        except EnumerationBudgetExceeded as exc:
+            halves.finish(exc.dimension)
+            raise
+        except BaseException:
+            halves.finish(None)
+            raise
+        halves.finish((counts, nodes))
+        if halves.pid is None:
+            return counts, nodes, scale
+        other = halves.join()
+        if isinstance(other, int):
+            raise EnumerationBudgetExceeded(other, ENUMERATION_BUDGET)
+        if other is None:
+            other = _theta_counts(lat_or_gram, bound, lambda: 1)[:2]
+        more, extra = other
+        for norm, count in more.items():
+            counts[norm] = counts.get(norm, 0) + count
+        nodes += extra
+        if nodes > ENUMERATION_BUDGET:
+            n = lat_or_gram.dimension if isinstance(lat_or_gram, IdealLattice) else len(lat_or_gram)
+            raise EnumerationBudgetExceeded(n, ENUMERATION_BUDGET)
+        return counts, nodes, scale
+    finally:
+        halves.close()
+
+
+def theta_prefix(lat_or_gram, bound):
+    """Exact vector counts per norm value up to bound (0 included once).
+
+    A walk that passes SPLIT_ALLOWANCE nodes forks once and finishes in
+    two processes, each on alternate subtrees below the split level, where
+    os.fork exists, the process runs one thread and two CPUs are allowed
+    (_theta_walk); elsewhere, or when the fork fails, one process walks
+    it all.  The prefix, the node count and the budget verdict are the
+    same either way: with a fixed bound the subtrees below the split
+    level are independent of each other, and the parent adds the child's
+    counts and nodes to its own.  minimum lowers its bound as it finds
+    shorter vectors, so its tree depends on the order of the walk, and it
+    never forks.
+    """
+    if bound < 0:
+        raise SpecError("theta bound must be nonnegative")
+    counts, _, scale = _theta_walk(lat_or_gram, bound)
     return [(0, 1)] + [(_rational(nrm, scale), 2 * c) for nrm, c in sorted(counts.items())]

@@ -406,7 +406,8 @@ def _lll(G, passes=_WALK_PASSES, transform=False, scale=None):
     e_i = d[i] * |pi_i(b_k)|^2 starts at e_k = d[k+1] and descends by the
     exact division e_i = (d[i] * e_(i+1) + lam[k][i]^2) / d[i+1], and
     b_k moves to i iff q * e_i < p * d[i+1] for delta = p/q; at i = k - 1
-    that is the Lovasz test.  The default passes are the enumeration's
+    that is the Lovasz test.  Every pass size-reduces b_k in full before
+    its test.  The default passes are the enumeration's
     (_WALK_PASSES); lll_reduce runs one plain pass at its own delta, so
     its output is the textbook LLL basis.
 
@@ -460,9 +461,9 @@ def _lll(G, passes=_WALK_PASSES, transform=False, scale=None):
         p, q = delta.numerator, delta.denominator
         k = 1
         while k < n:
-            size_reduce(k, (k - 1,))
-            if depth > 1:
-                size_reduce(k, range(k - 2, -1, -1))
+            # lam[k] is fully size-reduced before the test and is
+            # unchanged when b_k stays
+            size_reduce(k, range(k - 1, -1, -1))
             lamk = lam[k]
             e, i = d[k + 1], k
             for j in range(k - 1, max(k - depth, 0) - 1, -1):
@@ -474,7 +475,6 @@ def _lll(G, passes=_WALK_PASSES, transform=False, scale=None):
                     swap(j)
                 k = max(i, 1)
             else:
-                size_reduce(k, range(k - 2, -1, -1))
                 k += 1
     A = [[0] * i + [d[i + 1]] + [lam[j][i] for j in range(i + 1, n)] for i in range(n)]
     return D, DG, U, A

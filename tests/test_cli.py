@@ -498,6 +498,27 @@ def test_verify_reports_minimum_and_theta(capsys, tmp_path):
     assert counts["2"] > 0
 
 
+@pytest.mark.parametrize("bound, walks_minimum", [(2, True), (3, True), (4, False), (6, False)])
+def test_verify_min_and_theta_walk_once(capsys, monkeypatch, record28, bound, walks_minimum):
+    """The realcyclo:28 record has minimum 4 and kissing number 42.  With
+    --min --theta B the minimum is read off the prefix's first nonzero
+    term, and minimum walks only for B below 4; stdout is byte for byte
+    the report of --min and of --theta B put together."""
+    code, alone_min, _ = run_json(capsys, "verify", "--in", str(record28), "--min")
+    code_theta, alone_theta, _ = run_json(capsys, "verify", "--in", str(record28),
+                                          "--theta", str(bound))
+    assert (code, code_theta) == (EXIT_OK, EXIT_OK)
+    assert (alone_min["minimum"], alone_min["kissing"]) == ("4", 42)
+    calls = []
+    walk = lattice.minimum
+    monkeypatch.setattr(lattice, "minimum", lambda lat: calls.append(lat) or walk(lat))
+    code, stdout, _ = run(capsys, "verify", "--in", str(record28), "--min", "--theta", str(bound))
+    assert code == EXIT_OK
+    want = {**alone_theta, "minimum": "4", "kissing": 42}
+    assert stdout == json.dumps(want, sort_keys=True, indent=2) + "\n"
+    assert len(calls) == walks_minimum
+
+
 def test_verify_flags_tampered_gram(capsys, record28, tmp_path):
     doc = json.loads(record28.read_text())
     doc["gram"][0][0] += 2

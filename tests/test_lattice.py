@@ -22,6 +22,14 @@ Oracles
   :27 and :49 must be modular forms in theta_3 and Delta_8 (Conway-Sloane,
   SPLAG ch. 7): their first terms fix the form, and the later terms the
   walk counts must follow it, an identity no walk shares.
+* A theta walk split between two processes gives the counts and node
+  total of the one-process walk and of recursive_walk at every split
+  level, the budget verdict of one process at every budget, and the same
+  result when its child dies or sends nothing, or when it cannot fork;
+  no child is left after any call.
+* The walk's reduction of realcyclo:73 and :308 is the (D, A) of
+  test_linalg.reference_lll, the LLL loop before two redundant steps
+  were dropped.
 * minimum and theta_prefix of a Gram moved by a random unimodular T agree
   with those of the unmoved Gram and with the recursive walk on the
   moved Gram's unreduced triangle, so no reduction changes an answer.
@@ -32,7 +40,10 @@ Oracles
   product's rows, and integrality and evenness against the Fraction Gram.
 """
 
+import contextlib
+import marshal
 import math
+import os
 from fractions import Fraction
 from itertools import product
 
@@ -66,7 +77,7 @@ from arakelov.lattice import (
 from arakelov.linalg import (
     FormError, _lll, det, invert, ldl_integral, lll_reduce, mat_mul, transpose,
 )
-from test_linalg import lll_grams
+from test_linalg import lll_grams, reference_lll
 
 
 def witness_lattice(spec, level, trace_type=True):
@@ -947,3 +958,204 @@ def test_enumeration_budget_raises_a_typed_error(monkeypatch):
         assert isinstance(info.value, ValueError)
         assert (info.value.dimension, info.value.budget) == (6, nodes - 1)
         assert "dimension 6" in str(info.value) and str(nodes - 1) in str(info.value)
+
+
+# --------------------------------------------------------------------------
+# theta walks split between two processes
+# --------------------------------------------------------------------------
+
+def _one_process(gram, bound):
+    """({D * |v|^2: vectors}, nodes, D) of the theta walk in this process."""
+    return lattice._theta_counts(gram, bound, lambda: None)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@contextlib.contextmanager
+def _split(allowance=0, depth=None, cpus=2):
+    """The walk's split constants for one block, no allowance by default,
+    and a CPU affinity of cpus CPUs, so the split tests fork on a machine
+    with one CPU too."""
+    saved = (lattice.SPLIT_ALLOWANCE, lattice.SPLIT_DEPTH,
+             getattr(os, "sched_getaffinity", None))
+    lattice.SPLIT_ALLOWANCE = allowance
+    lattice.SPLIT_DEPTH = saved[1] if depth is None else depth
+    os.sched_getaffinity = lambda pid: set(range(cpus))
+    try:
+        yield
+    finally:
+        lattice.SPLIT_ALLOWANCE, lattice.SPLIT_DEPTH, affinity = saved
+        if affinity is None:
+            del os.sched_getaffinity
+        else:
+            os.sched_getaffinity = affinity
+
+
+def _counting_forks(monkeypatch):
+    """Wrap os.fork; the list it returns grows by one per fork."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(walk_grams(), st.integers(1, 9))
+def test_split_walk_matches_the_one_process_walk(case, depth):
+    """With no allowance the walk forks at its first entry into level
+    max(n - depth, 0) past the root: the merged counts and node total are
+    those of one process and of recursive_walk, the two halves' node
+    counts add up to the total, and no child is left."""
+    gram, bound = case
+    want = _one_process(gram, bound)
+    assert want[1] == recursive_walk(gram, bound, lambda norm: None)
+    forked = []
+
+    def half(owner):
+        def fork():
+            forked.append(owner)
+            return owner
+        return lattice._theta_counts(gram, bound, fork)
+
+    with _split(0, depth):
+        assert lattice._theta_walk(gram, bound) == want
+        halves = [half(0), half(1)]
+    assert _no_child_left()
+    if not forked:  # no entry into the split level past the root
+        assert halves == [want, want]
+        return
+    assert halves[0][1] + halves[1][1] == want[1]
+    merged = dict(halves[0][0])
+    for norm, count in halves[1][0].items():
+        merged[norm] = merged.get(norm, 0) + count
+    assert merged == want[0]
+
+
+def test_split_walk_forks_once_past_its_allowance(monkeypatch):
+    """realcyclo:44 at level 11 (dim 10), theta to 12: 2,299 nodes.  With
+    the allowance at 1,000 nodes the walk forks once and gives the
+    one-process prefix; at the default allowance it does not fork, and
+    minimum never does."""
+    lat, _ = witness_lattice("realcyclo:44", 11)
+    want = theta_prefix(lat, 12)
+    forks = _counting_forks(monkeypatch)
+    assert theta_prefix(lat, 12) == want and minimum(lat) == (6, 110) and not forks
+    with _split(1_000):
+        assert theta_prefix(lat, 12) == want and forks == [1]
+        assert minimum(lat) == (6, 110) and forks == [1]
+    assert _no_child_left()
+
+
+def test_the_cli_theta_walk_stays_within_the_allowance(monkeypatch):
+    """The theta walk of `verify --min --theta 14` on the dim-22
+    realcyclo:92 record enters 46,540 nodes, inside SPLIT_ALLOWANCE, so a
+    cold CLI run pays no fork for it."""
+    lat, _ = witness_lattice("realcyclo:92", 23)
+    forks = _counting_forks(monkeypatch)
+    _, nodes, _ = lattice._theta_walk(lat, 14)
+    assert nodes == 46_540 < lattice.SPLIT_ALLOWANCE and not forks
+
+
+def test_split_walk_keeps_the_budget_verdict(monkeypatch):
+    """realcyclo:28 at level 7, theta to 6 split at level 3 (65 nodes) and
+    to 8 split at level 4 (115 nodes): for every budget the split walk
+    raises exactly when the one-process walk does, naming dimension 6 and
+    the budget, and leaves no child.  The budgets cover each half passing
+    the budget alone, and halves that each stay within it while their sum
+    passes it."""
+    lat, _ = witness_lattice("realcyclo:28", 7)
+    cases, wants = set(), {bound: _one_process(lat, bound) for bound in (6, 8)}
+    for bound, depth in ((6, 3), (8, 2)):
+        want = wants[bound]
+        total = want[1]
+        with _split(0, depth):
+            for budget in range(1, total + 2):
+                monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", budget)
+                passed = []
+                for owner in (0, 1):
+                    try:
+                        lattice._theta_counts(lat, bound, lambda: owner)
+                    except EnumerationBudgetExceeded:
+                        passed.append(owner)
+                cases.add(tuple(passed))
+                if budget < total:
+                    with pytest.raises(EnumerationBudgetExceeded) as info:
+                        lattice._theta_walk(lat, bound)
+                    assert (info.value.dimension, info.value.budget) == (6, budget)
+                else:
+                    assert lattice._theta_walk(lat, bound) == want
+                assert _no_child_left()
+    assert {(0,), (1,), ()} <= cases
+
+
+@pytest.mark.parametrize("send", ["exit", "kill", "nothing", "truncated"])
+def test_split_walk_survives_a_child_without_a_result(monkeypatch, send):
+    """A child that dies, or exits without a whole message, yields no
+    prefix: the parent walks that half itself, and the prefix and node
+    total are the one-process ones."""
+    import signal
+    lat, _ = witness_lattice("realcyclo:44", 11)
+    want = _one_process(lat, 10)
+
+    def broken(fd, message):
+        if send == "exit":
+            os._exit(1)
+        if send == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if send == "truncated":
+            os.write(fd, marshal.dumps(message)[:-1])
+
+    monkeypatch.setattr(lattice, "_send", broken)
+    forks = _counting_forks(monkeypatch)
+    with _split(0):
+        assert lattice._theta_walk(lat, 10) == want
+    assert forks == [1] and _no_child_left()
+
+
+@pytest.mark.parametrize("why", ["thread", "no fork", "one cpu", "fork fails"])
+def test_split_walk_stays_in_one_process(monkeypatch, why):
+    """With a second thread alive, without os.fork, with one CPU allowed,
+    or when os.fork fails, the walk runs in one process with the same
+    result."""
+    import threading
+    lat, _ = witness_lattice("realcyclo:44", 11)
+    want = _one_process(lat, 10)
+    forks = _counting_forks(monkeypatch)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if why == "thread":
+        thread.start()
+    elif why == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif why != "one cpu":
+        def failing():
+            forks.append(1)
+            raise OSError("no process")
+        monkeypatch.setattr(os, "fork", failing)
+    try:
+        with _split(0, cpus=1 if why == "one cpu" else 2):
+            assert lattice._theta_walk(lat, 10) == want
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == ([1] if why == "fork fails" else [])
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("spec, level, trace_type, dim", [
+    ("realcyclo:73", 73, False, 36), ("realcyclo:308", 77, True, 60)])
+def test_walk_reduction_matches_the_reference_loop(spec, level, trace_type, dim):
+    """The walk's reduction of two admitted lattices past the catalog's
+    dimensions, whose deep pass makes thousands of swaps, is the (D, A) of
+    the loop it replaced, test_linalg.reference_lll."""
+    lat, _ = witness_lattice(spec, level, trace_type)
+    rows = lat._rows
+    g = math.gcd(lat._scale, *(e for i, row in enumerate(rows) for e in row[i:]))
+    G, scale = [[e // g for e in row] for row in rows], lat._scale // g
+    D, _, _, A = reference_lll(G, scale=scale)
+    assert len(A) == dim and lat._reduced() == (D, A)

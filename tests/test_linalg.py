@@ -445,6 +445,95 @@ def test_integral_lll_matches_the_fraction_recurrence(G, delta):
     assert lll_reduce(G, delta) == fraction_lll(G, delta)
 
 
+def reference_lll(G, passes=linalg._WALK_PASSES, transform=False, scale=None):
+    """The loop of linalg._lll before its second full size-reduction was
+    dropped: a deep pass size-reduces b_k in full before its test and a
+    second time when b_k stays, and a plain pass only when b_k stays.  The
+    reference the loop must match decision for decision: the same
+    (D, D*G, U, A)."""
+    n = linalg._check_gram(G)
+    passes = [(Fraction(delta), depth) for delta, depth in passes]
+    D, DG = (scale, G) if scale is not None else linalg._integral_gram(G)
+    _, A = ldl_integral(DG)
+    d = [1] + [A[i][i] for i in range(n)]
+    lam = [[A[j][k] for j in range(k)] for k in range(n)]
+    U = identity(n) if transform else None
+
+    def size_reduce(k, ls):
+        lamk = lam[k]
+        for l in ls:
+            dl = d[l + 1]
+            if 2 * abs(lamk[l]) > dl:
+                c, r = divmod(lamk[l], dl)
+                if 2 * r > dl or (2 * r == dl and c % 2):
+                    c += 1
+                if U is not None:
+                    U[k] = [x - c * y for x, y in zip(U[k], U[l])]
+                lamk[l] -= c * dl
+                for j, y in enumerate(lam[l]):
+                    lamk[j] -= c * y
+
+    def swap(k):
+        m = lam[k][k - 1]
+        if U is not None:
+            U[k - 1], U[k] = U[k], U[k - 1]
+        lam[k - 1], lam[k] = lam[k][:k - 1], lam[k - 1] + [m]
+        dk, dk1 = d[k + 1], d[k]
+        b = (d[k - 1] * dk + m * m) // dk1
+        for i in range(k + 1, n):
+            lami = lam[i]
+            t = lami[k]
+            lami[k] = (dk * lami[k - 1] - m * t) // dk1
+            lami[k - 1] = (b * t + m * lami[k]) // dk
+        d[k] = b
+
+    for delta, depth in passes:
+        p, q = delta.numerator, delta.denominator
+        k = 1
+        while k < n:
+            size_reduce(k, (k - 1,))
+            if depth > 1:
+                size_reduce(k, range(k - 2, -1, -1))
+            lamk = lam[k]
+            e, i = d[k + 1], k
+            for j in range(k - 1, max(k - depth, 0) - 1, -1):
+                e = (d[j] * e + lamk[j] * lamk[j]) // d[j + 1]
+                if q * e < p * d[j + 1]:
+                    i = j
+            if i < k:
+                for j in range(k, i, -1):
+                    swap(j)
+                k = max(i, 1)
+            else:
+                size_reduce(k, range(k - 2, -1, -1))
+                k += 1
+    A = [[0] * i + [d[i + 1]] + [lam[j][i] for j in range(i + 1, n)] for i in range(n)]
+    return D, DG, U, A
+
+
+@st.composite
+def wide_grams(draw):
+    """A Gram of lll_grams, or a 2-10-dim Gram B * B^t of a basis with
+    20-26-bit entries, whose reduction makes more swaps at larger d."""
+    if draw(st.booleans()):
+        return draw(lll_grams())
+    n = draw(st.integers(2, 10))
+    bits = draw(st.integers(20, 26))
+    B = [[draw(st.integers(-(1 << bits), 1 << bits)) for _ in range(n)] for _ in range(n)]
+    assume(det(B) != 0)
+    return [[sum(x * y for x, y in zip(r, s)) for s in B] for r in B]
+
+
+_PASSES = [linalg._WALK_PASSES, ((Fraction(99, 100), 1),), ((Fraction(3, 4), 1),),
+           ((Fraction(1, 2), 3), (Fraction(3, 4), 2))]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(wide_grams(), st.sampled_from(_PASSES), st.booleans())
+def test_lll_loop_matches_its_reference(G, passes, transform):
+    assert linalg._lll(G, passes, transform) == reference_lll(G, passes, transform)
+
+
 def test_lll_rounds_ties_half_to_even():
     # mu = 5/2: half to even subtracts 2 times the first vector (half up
     # would subtract 3), and the Lovasz condition then holds
