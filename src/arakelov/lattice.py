@@ -14,13 +14,13 @@ minimum, kissing number, and theta counts are exact, with one Fraction
 per distinct norm; a walk past ENUMERATION_BUDGET nodes raises
 EnumerationBudgetExceeded instead.
 
-A theta walk that passes SPLIT_ALLOWANCE nodes forks once, where os.fork
-exists, the process runs one thread and two CPUs are allowed, and the two
-processes walk alternate subtrees below one level.  With a fixed bound
-those subtrees are independent, so the parent adds the child's counts and
-nodes to its own and gets the counts, node total and budget verdict of one
-process.  minimum stays in one process: it lowers its bound as it finds
-shorter vectors, so its tree depends on the order of the walk.
+A walk that passes SPLIT_ALLOWANCE nodes forks once, where os.fork exists,
+the process runs one thread and two CPUs are allowed, and the two
+processes walk alternate subtrees below one level.  Every walk of minimum
+and theta_prefix has a fixed bound, minimum's the least norm of the
+reduced basis, so those subtrees are independent: the parent adds the
+child's counts and nodes to its own and gets the counts, node total and
+budget verdict of one process, and the two halves share one node budget.
 """
 
 from __future__ import annotations
@@ -368,22 +368,31 @@ def verify_modularity(lat, witness):
 # of that walk takes 2.6-2.9 us in most runs (up to 4.1 us), and one of
 # the dim-44 walk of realcyclo:89 at level 89 2.8-3.3 us, against
 # 6.1-7.2 us and 5.2-5.7 us when every level's norm was held over one
-# common scale.  A theta walk split between two processes counts the nodes
-# of both, so it passes the budget exactly where one process would; a
-# minimum walk is never split.
+# common scale.  A walk split between two processes counts the nodes of
+# both, so it passes the budget exactly where one process would: every
+# SPLIT_ALLOWANCE nodes each process publishes its count, and raises once
+# the two counts add up to more than the budget.
 ENUMERATION_BUDGET = 3_000_000
 
-# A theta walk that passes SPLIT_ALLOWANCE nodes forks at its next entry
-# into level max(n - SPLIT_DEPTH, 0), and the two processes walk alternate
-# subtrees below it.  A fork costs ~1 ms, so no walk of the batch Grams
-# (<= 7 nodes), of catalog, or of `verify --min --theta 14` on the dim-22
-# realcyclo:92 record (46,540 nodes) reaches the allowance, while the moved
-# dim-22 theta-16 walks (118,000-133,000 nodes) and the dim-21 realcyclo:49
-# theta-5 walk (1,296,027) pass it.  At depth 8 the larger of the two
-# processes walks 52% of the realcyclo:49 nodes, against 59% at depth 6
-# and 66% at depth 4.
-SPLIT_ALLOWANCE = 50_000
+# A walk that passes SPLIT_ALLOWANCE nodes forks at its next entry into
+# level max(n - SPLIT_DEPTH, 0), and the two processes walk alternate
+# subtrees below it.  A fork costs 0.6-0.9 ms, about the time of 1,000
+# nodes, so no walk of the batch Grams (<= 7 nodes) or of the catalog
+# reaches the allowance, while `verify --min --theta 14` on the dim-22
+# realcyclo:92 record (46,540 nodes), the minimum of realcyclo:73 at level
+# 73 (587,122) and the dim-21 realcyclo:49 theta-5 walk (1,296,027) pass
+# it.  At depth 8 the larger of the two processes walks 52% of the
+# realcyclo:49 nodes, against 59% at depth 6 and 66% at depth 4.  The
+# walks of the largest lattices come back to that level late or never:
+# realcyclo:308 at level 77 (dim 60) at node 40,114, realcyclo:73 at node
+# 22,208, and realcyclo:113 at level 113 (dim 56) not within the budget.
+# So a walk that has not forked by SPLIT_WAIT nodes lowers its split level
+# to just below the highest level of its path that has moved past its
+# first coordinate, a level it has come back to (35 for realcyclo:113, at
+# node 58,877, and 31 for realcyclo:89 at level 89).
+SPLIT_ALLOWANCE = 5_000
 SPLIT_DEPTH = 8
+SPLIT_WAIT = 10 * SPLIT_ALLOWANCE
 
 
 class EnumerationBudgetExceeded(ValueError):
@@ -398,7 +407,7 @@ class EnumerationBudgetExceeded(ValueError):
         self.budget = budget
 
 
-def _enumerate_representatives(lat_or_gram, bound, on_vector, fork=None):
+def _enumerate_representatives(lat_or_gram, bound, on_vector, fork=None, share=None):
     """Visit all nonzero vectors v (one per +-v pair) with norm at most the
     current bound, or the least basis norm when bound is None; report each
     as the integer D * |v|^2 through on_vector, which may return a new,
@@ -441,7 +450,10 @@ def _enumerate_representatives(lat_or_gram, bound, on_vector, fork=None):
     between two processes, as in parallel enumeration (Dagdelen-
     Schneider, Euro-Par 2010): with a fixed bound the subtrees below one
     level are independent of each other.  The split level is
-    max(n - SPLIT_DEPTH, 0).  At the first entry into it after more than
+    max(n - SPLIT_DEPTH, 0), lowered past SPLIT_WAIT nodes with no fork
+    (every SPLIT_ALLOWANCE nodes until the fork) to one below the highest
+    level of the current path whose x has moved past the first coordinate
+    of its range.  At the first entry into it after more than
     SPLIT_ALLOWANCE nodes, fork() returns the owner this process takes,
     0 or 1, or None to walk on alone.  From that entry on, the entries
     into the split level alternate between owner 0 and owner 1, and each
@@ -449,8 +461,12 @@ def _enumerate_representatives(lat_or_gram, bound, on_vector, fork=None):
     owner's uncounted and with no room.  Both walk the same levels above
     it.  Owner 1 then returns the nodes of its own subtrees
     alone, so the two counts add up to the nodes of the one-process walk.
-    A walk that lowers its bound, as minimum's does, has a tree that
-    depends on the order of the walk, and is never split.
+    From the fork on, every SPLIT_ALLOWANCE nodes, share(mine) publishes
+    this process's count, owner 1's without the nodes both walk, and
+    returns the count the other last published; their sum is at most the
+    one-process count, so a walk that raises once it passes the budget
+    raises only where one process does.  A walk that lowers its bound has
+    a tree that depends on the order of the walk, and is not split.
     """
     if isinstance(lat_or_gram, IdealLattice):
         scale, A = lat_or_gram._reduced()
@@ -493,6 +509,10 @@ def _enumerate_representatives(lat_or_gram, bound, on_vector, fork=None):
     owner = turn = -1
     shared = 0
     nodes = 0
+    # past limit: raise past the budget, lower the split level from
+    # SPLIT_WAIT nodes on until the fork, and from the fork on, share the
+    # count
+    limit = budget if fork is None else min(SPLIT_WAIT, budget)
     i, norm, nz = n, 0, False
     while True:
         # enter level k = i - 1 with N_i = norm
@@ -504,8 +524,8 @@ def _enumerate_representatives(lat_or_gram, bound, on_vector, fork=None):
                 if owner < 0 and nodes > SPLIT_ALLOWANCE:
                     owner = fork()
                     if owner is None:  # one process walks it all
-                        owner, split = -1, n
-                    shared, turn = nodes, 0
+                        owner, split, fork = -1, n, None
+                    shared, turn, limit = nodes, 0, nodes
                 if owner >= 0:
                     if turn != owner:
                         # the other process's subtree: enter it uncounted,
@@ -514,8 +534,21 @@ def _enumerate_representatives(lat_or_gram, bound, on_vector, fork=None):
                         norm = cap[k] + 1
                     turn ^= 1
         nodes += 1
-        if nodes > budget:
-            raise EnumerationBudgetExceeded(n, budget)
+        if nodes > limit:
+            if owner < 0 and fork is not None:
+                # the first coordinate level j took from its range; past
+                # it, level j - 1 has been entered again
+                for j in range(n - 1, k, -1):
+                    first = -((isqrt(cap[j] - used[j]) + center[j]) // piv[j])
+                    if x[j] > (first if nonzero[j] or first > 0 else 0):
+                        split = min(split, j - 1)
+                        break
+            mine = nodes - shared if owner == 1 else nodes
+            if owner >= 0:
+                mine += share(mine)
+            if nodes > budget or mine > budget:
+                raise EnumerationBudgetExceeded(n, budget)
+            limit = min(nodes + SPLIT_ALLOWANCE, budget)
         if i < n:
             b = begin[i]
             part = sig[k]
@@ -586,23 +619,20 @@ def _rational(norm, scale):
 
 
 def minimum(lat_or_gram):
-    """Exact (minimum, kissing number); kissing counts both signs."""
-    mu, count = None, 0
+    """Exact (minimum, kissing number); kissing counts both signs.
 
-    def on_vector(norm):
-        nonlocal mu, count
-        if mu is None or norm < mu:
-            mu, count = norm, 1
-            return norm
-        if norm == mu:
-            count += 1
-        return None
-
-    _, scale = _enumerate_representatives(lat_or_gram, None, on_vector)
-    if mu is None:
-        # the basis vector of the starting bound is always visited
+    The walk counts every vector up to the least norm of the reduced
+    basis, a fixed bound, so it splits as a theta walk does (_theta_walk).
+    Its tree is that of a walk that lowers its bound to each shorter
+    vector it finds whenever a reduced basis vector is minimal, and larger
+    only where none is.
+    """
+    counts, _, scale = _theta_walk(lat_or_gram, None)
+    if not counts:
+        # the basis vector of the bound is always visited
         raise ArithmeticError("enumeration missed the witness basis vector")
-    return _rational(mu, scale), 2 * count
+    mu = min(counts)
+    return _rational(mu, scale), 2 * counts[mu]
 
 
 def _may_fork():
@@ -630,21 +660,26 @@ def _send(fd, message):
 
 
 class _Halves:
-    """The second process of a split theta walk.  fork() starts it with a
-    pipe back to the parent; pid is None before the fork and after the
-    child is reaped, and 0 in the child."""
+    """The second process of a split walk.  fork() starts it with a pipe
+    back to the parent and two shared 8-byte slots, counts, one per owner,
+    in which each process publishes its node count; pid is None before the
+    fork and after the child is reaped, and 0 in the child."""
 
-    __slots__ = ("pid", "fd")
+    __slots__ = ("pid", "fd", "counts", "owner")
 
     def __init__(self):
-        self.pid = self.fd = None
+        self.pid = self.fd = self.counts = self.owner = None
 
     def fork(self):
         """The owner this process takes, 0 in the parent and 1 in the
         child, or None where the walk cannot split."""
         if not _may_fork():
             return None
+        import mmap
         try:
+            # an aligned native 8-byte word per owner, each written by its
+            # owner alone in one store and read in one load
+            self.counts = memoryview(mmap.mmap(-1, 16)).cast("q")
             read, write = os.pipe()
         except OSError:
             return None
@@ -656,11 +691,18 @@ class _Halves:
             return None
         if pid == 0:
             os.close(read)
-            self.pid, self.fd = 0, write
+            self.pid, self.fd, self.owner = 0, write, 1
             return 1
         os.close(write)
-        self.pid, self.fd = pid, read
+        self.pid, self.fd, self.owner = pid, read, 0
         return 0
+
+    def share(self, mine):
+        """Publish mine in this process's slot; the count the other
+        process last published in its own, 0 before it publishes one."""
+        counts = self.counts
+        counts[self.owner] = mine
+        return counts[1 - self.owner]
 
     def finish(self, message):
         """In the child: send message and exit 0, or exit 1 with nothing
@@ -686,11 +728,15 @@ class _Halves:
             return None
 
     def close(self):
-        """Close the pipe, and kill and reap the child; after join has read
-        the pipe to its end the child has exited, and the kill is a no-op."""
+        """Close the pipe and the slots, and kill and reap the child; after
+        join has read the pipe to its end the child has exited, and the
+        kill is a no-op."""
         if self.fd is not None:
             os.close(self.fd)
             self.fd = None
+        if self.counts is not None:
+            self.counts.release()  # unmaps the slots
+            self.counts = None
         if self.pid:
             pid, self.pid = self.pid, None
             import signal
@@ -704,10 +750,12 @@ class _Halves:
                 pass
 
 
-def _theta_counts(lat_or_gram, bound, fork):
-    """({D * |v|^2: vectors, one per +-v pair}, nodes, D) of one theta
-    walk; a process that takes owner 1 of a split walk counts the vectors
-    and nodes of its own subtrees alone."""
+def _theta_counts(lat_or_gram, bound, fork, share=lambda mine: 0):
+    """({D * |v|^2: vectors, one per +-v pair}, nodes, D) of one walk to
+    bound, or to the least norm of the reduced basis when bound is None; a
+    process that takes owner 1 of a split walk counts the vectors and
+    nodes of its own subtrees alone.  With no share, the other half's
+    nodes are taken as 0."""
     counts = {}
 
     def on_vector(norm):
@@ -719,21 +767,21 @@ def _theta_counts(lat_or_gram, bound, fork):
             counts.clear()  # the parent keeps what came before the fork
         return owner
 
-    nodes, scale = _enumerate_representatives(lat_or_gram, bound, on_vector, split)
+    nodes, scale = _enumerate_representatives(lat_or_gram, bound, on_vector, split, share)
     return counts, nodes, scale
 
 
 def _theta_walk(lat_or_gram, bound):
-    """_theta_counts of the whole walk to bound, forked into two processes
-    past SPLIT_ALLOWANCE nodes where _may_fork allows.  The child sends
-    its (counts, nodes), or its dimension when its half alone passed the
-    budget, and the parent adds them to its own.  The half of a child that
-    sends no whole message is walked here: the same walk, taking owner 1
-    with no fork."""
+    """_theta_counts of the whole walk, forked into two processes past
+    SPLIT_ALLOWANCE nodes where _may_fork allows.  The two share the node
+    budget through _Halves.share.  The child sends its (counts, nodes), or
+    its dimension when it passed the budget, and the parent adds them to
+    its own.  The half of a child that sends no whole message is walked
+    here: the same walk, taking owner 1 with no fork."""
     halves = _Halves()
     try:
         try:
-            counts, nodes, scale = _theta_counts(lat_or_gram, bound, halves.fork)
+            counts, nodes, scale = _theta_counts(lat_or_gram, bound, halves.fork, halves.share)
         except EnumerationBudgetExceeded as exc:
             halves.finish(exc.dimension)
             raise
@@ -769,10 +817,9 @@ def theta_prefix(lat_or_gram, bound):
     (_theta_walk); elsewhere, or when the fork fails, one process walks
     it all.  The prefix, the node count and the budget verdict are the
     same either way: with a fixed bound the subtrees below the split
-    level are independent of each other, and the parent adds the child's
-    counts and nodes to its own.  minimum lowers its bound as it finds
-    shorter vectors, so its tree depends on the order of the walk, and it
-    never forks.
+    level are independent of each other, the parent adds the child's
+    counts and nodes to its own, and the two halves share one node
+    budget.  minimum walks the same way, to the least reduced basis norm.
     """
     if bound < 0:
         raise SpecError("theta bound must be nonnegative")

@@ -22,11 +22,14 @@ Oracles
   :27 and :49 must be modular forms in theta_3 and Delta_8 (Conway-Sloane,
   SPLAG ch. 7): their first terms fix the form, and the later terms the
   walk counts must follow it, an identity no walk shares.
-* A theta walk split between two processes gives the counts and node
-  total of the one-process walk and of recursive_walk at every split
-  level, the budget verdict of one process at every budget, and the same
-  result when its child dies or sends nothing, or when it cannot fork;
-  no child is left after any call.
+* A walk split between two processes, theta's or minimum's, gives the
+  counts and node total of the one-process walk and of recursive_walk at
+  every split level, the budget verdict of one process at every budget,
+  and the same result when its child dies or sends nothing, or when it
+  cannot fork; its two halves stop together within two allowances of the
+  budget, and no child is left after any call.  Where no reduced basis
+  vector is minimal, minimum still gives the (minimum, kissing) of the
+  recursive walk that lowers its bound.
 * The walk's reduction of realcyclo:73 and :308 is the (D, A) of
   test_linalg.reference_lll, the LLL loop before two redundant steps
   were dropped.
@@ -976,19 +979,20 @@ def _no_child_left():
 
 
 @contextlib.contextmanager
-def _split(allowance=0, depth=None, cpus=2):
+def _split(allowance=0, depth=None, cpus=2, wait=None):
     """The walk's split constants for one block, no allowance by default,
     and a CPU affinity of cpus CPUs, so the split tests fork on a machine
     with one CPU too."""
-    saved = (lattice.SPLIT_ALLOWANCE, lattice.SPLIT_DEPTH,
+    saved = (lattice.SPLIT_ALLOWANCE, lattice.SPLIT_DEPTH, lattice.SPLIT_WAIT,
              getattr(os, "sched_getaffinity", None))
     lattice.SPLIT_ALLOWANCE = allowance
     lattice.SPLIT_DEPTH = saved[1] if depth is None else depth
+    lattice.SPLIT_WAIT = saved[2] if wait is None else wait
     os.sched_getaffinity = lambda pid: set(range(cpus))
     try:
         yield
     finally:
-        lattice.SPLIT_ALLOWANCE, lattice.SPLIT_DEPTH, affinity = saved
+        lattice.SPLIT_ALLOWANCE, lattice.SPLIT_DEPTH, lattice.SPLIT_WAIT, affinity = saved
         if affinity is None:
             del os.sched_getaffinity
         else:
@@ -1003,13 +1007,16 @@ def _counting_forks(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(walk_grams(), st.integers(1, 9))
-def test_split_walk_matches_the_one_process_walk(case, depth):
+@given(walk_grams(), st.integers(1, 9), st.booleans(), st.booleans())
+def test_split_walk_matches_the_one_process_walk(case, depth, least, early):
     """With no allowance the walk forks at its first entry into level
-    max(n - depth, 0) past the root: the merged counts and node total are
-    those of one process and of recursive_walk, the two halves' node
-    counts add up to the total, and no child is left."""
+    max(n - depth, 0) past the root, or, with no wait either, into a level
+    lowered at every node until the fork: the merged counts and node total
+    are those of one process and of recursive_walk, the two halves' node
+    counts add up to the total, and no child is left.  The bound is the
+    theta bound of the case, or minimum's least reduced basis norm."""
     gram, bound = case
+    bound = None if least else bound
     want = _one_process(gram, bound)
     assert want[1] == recursive_walk(gram, bound, lambda norm: None)
     forked = []
@@ -1020,7 +1027,7 @@ def test_split_walk_matches_the_one_process_walk(case, depth):
             return owner
         return lattice._theta_counts(gram, bound, fork)
 
-    with _split(0, depth):
+    with _split(0, depth, wait=0 if early else None):
         assert lattice._theta_walk(gram, bound) == want
         halves = [half(0), half(1)]
     assert _no_child_left()
@@ -1037,8 +1044,10 @@ def test_split_walk_matches_the_one_process_walk(case, depth):
 def test_split_walk_forks_once_past_its_allowance(monkeypatch):
     """realcyclo:44 at level 11 (dim 10), theta to 12: 2,299 nodes.  With
     the allowance at 1,000 nodes the walk forks once and gives the
-    one-process prefix; at the default allowance it does not fork, and
-    minimum never does."""
+    one-process prefix; at the default allowance it does not fork, nor
+    does the 237-node minimum walk.  The minimum walk of realcyclo:92 at
+    level 23 (dim 22, 16,896 nodes) forks once at the default allowance
+    and gives the (12, 506) of one process."""
     lat, _ = witness_lattice("realcyclo:44", 11)
     want = theta_prefix(lat, 12)
     forks = _counting_forks(monkeypatch)
@@ -1046,29 +1055,55 @@ def test_split_walk_forks_once_past_its_allowance(monkeypatch):
     with _split(1_000):
         assert theta_prefix(lat, 12) == want and forks == [1]
         assert minimum(lat) == (6, 110) and forks == [1]
+    lat, _ = witness_lattice("realcyclo:92", 23)
+    counts, nodes, D = _one_process(lat, None)
+    mu = min(counts)
+    assert nodes == 16_896 and (Fraction(mu, D), 2 * counts[mu]) == (12, 506)
+    with _split(lattice.SPLIT_ALLOWANCE):  # two CPUs on any machine
+        assert minimum(lat) == (12, 506) and forks == [1, 1]
     assert _no_child_left()
 
 
-def test_the_cli_theta_walk_stays_within_the_allowance(monkeypatch):
-    """The theta walk of `verify --min --theta 14` on the dim-22
-    realcyclo:92 record enters 46,540 nodes, inside SPLIT_ALLOWANCE, so a
-    cold CLI run pays no fork for it."""
-    lat, _ = witness_lattice("realcyclo:92", 23)
+def test_split_walk_lowers_its_split_level_past_the_wait(monkeypatch):
+    """realcyclo:44 at level 11, theta to 12 (2,299 nodes), at depth 1: the
+    split level is the root's, which no walk enters twice, so the walk
+    stays in one process; with the wait at 500 nodes it lowers its split
+    level, forks once and gives the one-process prefix and node count."""
+    lat, _ = witness_lattice("realcyclo:44", 11)
+    want = _one_process(lat, 12)
     forks = _counting_forks(monkeypatch)
-    _, nodes, _ = lattice._theta_walk(lat, 14)
-    assert nodes == 46_540 < lattice.SPLIT_ALLOWANCE and not forks
+    with _split(100, depth=1):
+        assert lattice._theta_walk(lat, 12) == want and not forks
+    with _split(100, depth=1, wait=500):
+        assert lattice._theta_walk(lat, 12) == want and forks == [1]
+    assert _no_child_left()
+
+
+def test_the_cli_theta_walk_forks_once(monkeypatch):
+    """The theta walk of `verify --min --theta 14` on the dim-22
+    realcyclo:92 record enters 46,540 nodes, past SPLIT_ALLOWANCE: it
+    forks once, gives the one-process prefix and node count, and leaves
+    no child."""
+    lat, _ = witness_lattice("realcyclo:92", 23)
+    want = _one_process(lat, 14)
+    assert want[1] == 46_540
+    forks = _counting_forks(monkeypatch)
+    with _split(lattice.SPLIT_ALLOWANCE):
+        assert lattice._theta_walk(lat, 14) == want
+    assert forks == [1] and _no_child_left()
 
 
 def test_split_walk_keeps_the_budget_verdict(monkeypatch):
-    """realcyclo:28 at level 7, theta to 6 split at level 3 (65 nodes) and
-    to 8 split at level 4 (115 nodes): for every budget the split walk
-    raises exactly when the one-process walk does, naming dimension 6 and
-    the budget, and leaves no child.  The budgets cover each half passing
-    the budget alone, and halves that each stay within it while their sum
+    """realcyclo:28 at level 7, theta to 6 split at level 3 (65 nodes),
+    to 8 split at level 4 (115 nodes), and its minimum split at level 3
+    (44 nodes): for every budget the split walk, and minimum, raise
+    exactly when the one-process walk does, naming dimension 6 and the
+    budget, and leave no child.  The budgets cover each half passing the
+    budget alone, and halves that each stay within it while their sum
     passes it."""
     lat, _ = witness_lattice("realcyclo:28", 7)
-    cases, wants = set(), {bound: _one_process(lat, bound) for bound in (6, 8)}
-    for bound, depth in ((6, 3), (8, 2)):
+    cases, wants = set(), {bound: _one_process(lat, bound) for bound in (6, 8, None)}
+    for bound, depth in ((6, 3), (8, 2), (None, 3)):
         want = wants[bound]
         total = want[1]
         with _split(0, depth):
@@ -1085,10 +1120,67 @@ def test_split_walk_keeps_the_budget_verdict(monkeypatch):
                     with pytest.raises(EnumerationBudgetExceeded) as info:
                         lattice._theta_walk(lat, bound)
                     assert (info.value.dimension, info.value.budget) == (6, budget)
+                    if bound is None:
+                        with pytest.raises(EnumerationBudgetExceeded):
+                            minimum(lat)
                 else:
                     assert lattice._theta_walk(lat, bound) == want
+                    if bound is None:
+                        assert minimum(lat) == (4, 42)
                 assert _no_child_left()
     assert {(0,), (1,), ()} <= cases
+
+
+def test_split_walk_halves_share_one_budget(monkeypatch):
+    """realcyclo:92 at level 23, theta to 14 (46,540 nodes), with the
+    budget at 20,000 nodes and the allowance at 1,000: each half alone
+    would walk to the budget, but the counts the two publish add up past
+    the budget by at most two allowances when both have stopped, the
+    verdict is the one-process one, and no child is left."""
+    lat, _ = witness_lattice("realcyclo:92", 23)
+    budget, allowance = 20_000, 1_000
+    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", budget)
+    published = []
+
+    class Halves(lattice._Halves):
+        def close(self):
+            if self.pid:  # the child stops at its own next check
+                while os.read(self.fd, 1 << 16):
+                    pass
+            if self.counts is not None:
+                published.append(self.counts.tolist())
+            super().close()
+
+    monkeypatch.setattr(lattice, "_Halves", Halves)
+    with _split(allowance), pytest.raises(EnumerationBudgetExceeded) as info:
+        lattice._theta_walk(lat, 14)
+    assert (info.value.dimension, info.value.budget) == (22, budget)
+    assert _no_child_left()
+    [(parent, child)] = published
+    assert budget < parent + child <= budget + 2 * allowance
+
+
+def test_minimum_where_no_reduced_basis_vector_is_minimal(monkeypatch):
+    """A dim-7 Gram B * B^t of walk_grams' kind (B's entries in [-9, 9])
+    whose least reduced basis norm, 103, is not its minimum, 98: minimum,
+    split with no allowance and in one process, gives the (98, 2) of
+    recursive_walk lowering its bound, and its walk enters the 15 nodes of
+    the walk fixed at the least norm, where the lowering walk enters 13."""
+    G = [[152, -112, 33, -55, -15, 31, 111], [-112, 327, -12, -19, 5, -144, 8],
+         [33, -12, 340, 50, -18, 31, -49], [-55, -19, 50, 227, -109, 71, -44],
+         [-15, 5, -18, -109, 103, 17, -2], [31, -144, 31, 71, 17, 230, 96],
+         [111, 8, -49, -44, -2, 96, 269]]
+    seen, lowered = _reports(recursive_walk, G, None)
+    want = min(seen), 2 * seen.count(min(seen))
+    fixed = recursive_walk(G, None, lambda norm: None)
+    assert (want, lowered, fixed) == ((98, 2), 13, 15)
+    assert _one_process(G, None) == ({98: 1, 103: 1}, fixed, 1)
+    forks = _counting_forks(monkeypatch)
+    assert minimum(G) == want and not forks
+    with _split(0):
+        assert minimum(G) == want and forks == [1]
+        assert lattice._theta_walk(G, None)[1] == fixed
+    assert _no_child_left()
 
 
 @pytest.mark.parametrize("send", ["exit", "kill", "nothing", "truncated"])
