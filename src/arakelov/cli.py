@@ -7,6 +7,10 @@ verification.  All exact quantities are serialized as decimal strings
 (or exact integer arrays for Gram matrices); numeric embeddings appear
 only on request via --embed and are tagged with their precision, so the
 emit -> parse -> emit cycle is byte-stable.
+
+Only the standard library loads with this module.  Each command imports
+the library layers it runs, so --help and argparse usage errors load no
+layer.
 """
 
 from __future__ import annotations
@@ -18,21 +22,6 @@ import math
 import sys
 from fractions import Fraction
 
-from . import existence, lattice
-from .fields import (
-    FieldMismatch,
-    NotRamified,
-    SpecError,
-    _INTEGER,
-    _RATIONAL,
-    _checked_precision,
-    default_precision,
-    make_field,
-)
-from .ideals import IdealRecipe, RecipeTooLarge, Unsupported, ZeroIdeal, _int_val, realize
-from .lattice import EnumerationBudgetExceeded, ModularityFailure
-from .linalg import FormError
-
 __all__ = ["main", "entry", "cmd_exists", "cmd_construct", "cmd_verify",
            "cmd_catalog", "EXIT_OK", "EXIT_SPEC", "EXIT_ABSENT", "EXIT_VERIFY"]
 
@@ -40,12 +29,6 @@ EXIT_OK = 0
 EXIT_SPEC = 2
 EXIT_ABSENT = 3
 EXIT_VERIFY = 4
-
-# errors that mean "the request was malformed or out of scope", not a bug;
-# an exact minimum or theta series past the enumeration budget, and a
-# recipe past the coefficient-bit limit, are out of scope
-_USER_ERRORS = (SpecError, FieldMismatch, NotRamified, ZeroIdeal, Unsupported,
-                FormError, EnumerationBudgetExceeded, RecipeTooLarge)
 
 # a bare --embed; argparse passes a non-string const through unconverted
 _BARE_EMBED = object()
@@ -67,6 +50,7 @@ def _coeffs(element):
 
 
 def _element_from_strings(field, strings, what):
+    from .fields import _RATIONAL, SpecError
     if not isinstance(strings, list) or not all(
             isinstance(s, str) and _RATIONAL.fullmatch(s) for s in strings):
         raise SpecError(f"bad {what} coefficient vector: expected a list of "
@@ -88,6 +72,7 @@ def _emit(doc, out_path=None):
             with open(out_path, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
+            from .fields import SpecError
             raise SpecError(f"cannot write output: {exc}") from None
     else:
         sys.stdout.write(text)
@@ -101,6 +86,7 @@ def _squarefree_split(field, level):
     prime outside omega to an odd power and goes whole into ell1, which
     then matches no verdict level.  So a huge level is never factored.
     """
+    from .ideals import _int_val
     ell1, ell2, rest = 1, 1, level
     for p in field.omega():
         e = _int_val(rest, p)
@@ -118,6 +104,8 @@ def _split_level(field, verdict, level):
     """(ell1, ell2, refusal) for level = ell1 * ell2^2 split over the
     ramified primes: admitted (refusal None) iff ell1 is a verdict level
     and, on a CM field, gcd(ell2, ell1) = 1, as existence.rescale asks."""
+    from . import existence
+    from .fields import SpecError
     ell1, ell2 = _squarefree_split(field, level)
     if ell1 not in verdict.levels:
         return ell1, ell2, (
@@ -144,6 +132,8 @@ class _RecordWitness:
 
 
 def _construct_record(field, witness, trace_type, embed_bits=None):
+    from . import lattice
+    from .ideals import realize
     lat = lattice.build(field, realize(witness.ideal), witness.alpha)
     report = lattice.verify_modularity(lat, witness)
     mu, kissing = lattice.minimum(lat)
@@ -183,6 +173,8 @@ def _bounded_field(spec):
     """The field of a construct or verify request, refused (exit 2) above
     the degree up to which exists builds witnesses: the work past that
     grows without a useful bound."""
+    from . import existence
+    from .fields import SpecError, make_field
     field = make_field(spec)
     cap = existence.DEFAULT_MATERIALIZE_LIMIT
     if field.degree > cap:
@@ -193,6 +185,8 @@ def _bounded_field(spec):
 
 
 def cmd_exists(args):
+    from . import existence
+    from .fields import SpecError, make_field
     field = make_field(args.field)
     if args.level is not None and args.level < 1:
         raise SpecError(f"level must be a positive integer, got {args.level}")
@@ -221,6 +215,8 @@ def cmd_exists(args):
 
 
 def cmd_construct(args):
+    from . import existence
+    from .fields import SpecError, _checked_precision, default_precision
     field = _bounded_field(args.field)
     if args.level < 1:
         raise SpecError(f"level must be a positive integer, got {args.level}")
@@ -242,6 +238,9 @@ def cmd_construct(args):
 
 
 def cmd_verify(args):
+    from . import lattice
+    from .fields import SpecError
+    from .ideals import IdealRecipe, realize
     try:
         with open(args.infile, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -334,6 +333,8 @@ _EXAMPLE_ROWS = (
 
 
 def _catalog_row(index, fixture):
+    from . import existence, lattice
+    from .fields import make_field
     field = make_field(fixture["field"])
     verdict = existence.classify(field, trace_type=fixture["trace_type"])
     witness = verdict.witnesses[fixture["level"]]
@@ -383,6 +384,7 @@ def cmd_catalog(args):
 def _ascii_int(text):
     """Integer options in the ASCII grammar of specs and records: int()
     also reads other scripts' digits and underscores."""
+    from .fields import _INTEGER
     if not _INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
     return int(text)
@@ -452,14 +454,22 @@ def _build_parser():
 def main(argv=None):
     if hasattr(sys, "set_int_max_str_digits"):  # exact output may pass 4,300 digits
         sys.set_int_max_str_digits(0)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    from .fields import FieldMismatch, NotRamified, SpecError
+    from .ideals import RecipeTooLarge, Unsupported, ZeroIdeal
+    from .lattice import EnumerationBudgetExceeded, ModularityFailure
+    from .linalg import FormError
+    # errors that mean "the request was malformed or out of scope", not a
+    # bug; an exact minimum or theta series past the enumeration budget,
+    # and a recipe past the coefficient-bit limit, are out of scope
+    user_errors = (SpecError, FieldMismatch, NotRamified, ZeroIdeal, Unsupported,
+                   FormError, EnumerationBudgetExceeded, RecipeTooLarge)
     try:
         return args.func(args)
     except ModularityFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except _USER_ERRORS as exc:
+    except user_errors as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
 

@@ -1,4 +1,4 @@
-"""Ideal lattices: exact Gram matrices, numeric generator matrices, duals,
+"""Ideal lattices: exact Gram matrices, numeric generator matrices,
 definitional modularity verification, and exact minimum / theta counts.
 
 The Gram matrix of (I, alpha) is Tr(alpha * w_i * conj(w_j)) over the
@@ -48,12 +48,12 @@ from .ideals import (
     _gram_dual,
     _principal,
 )
-from .linalg import FormError, _lll, det
+from .linalg import FormError, _lll
 
 __all__ = [
     "IdealLattice", "LatticeReport", "ModularityFailure",
     "EnumerationBudgetExceeded", "ENUMERATION_BUDGET",
-    "build", "generator_matrix", "dual", "verify_modularity",
+    "build", "generator_matrix", "verify_modularity",
     "minimum", "theta_prefix",
 ]
 
@@ -282,20 +282,6 @@ def _dual_ideal(lat):
     if lat.ideal._gen is not None:
         return trace_dual(lat.ideal, lat.alpha)
     return _gram_dual(lat.ideal, lat.alpha, lat._rows, lat._scale)
-
-
-def dual(lat):
-    """Dual lattice on tracedual(I, alpha) with the same alpha (certified)."""
-    dual_ideal = _dual_ideal(lat)
-    out = build(lat.field, dual_ideal, lat.alpha)
-    # certificate: the pairing matrix between the two bases is integral and
-    # unimodular, which is exactly "out is the dual lattice of lat"
-    rows, scale = trace_pairing(lat.alpha, dual_ideal, lat.ideal)
-    if any(e % scale for row in rows for e in row):
-        raise ArithmeticError("dual pairing is not integral")
-    if abs(det([[e // scale for e in row] for row in rows])) != 1:
-        raise ArithmeticError("dual pairing is not unimodular")
-    return out
 
 
 def verify_modularity(lat, witness):

@@ -858,6 +858,25 @@ def test_exact_path_never_imports_mpmath(tmp_path):
         "5e48634cdba652c80d3313e80eeff999cea70427b5ceb3eb13e01f999ef74dfd"
 
 
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["construct", "--help"], 0),
+                                         (["construct"], EXIT_SPEC)])
+def test_help_and_usage_errors_load_no_layer(argv, code):
+    """--help, a subcommand's --help and an argparse usage error parse
+    with the standard library alone: -X importtime, which lists every
+    module a fresh interpreter imports, names no arakelov module but the
+    package (cli.py itself runs as __main__)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arakelov.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "arakelov.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "usage: arakelov" in proc.stdout + proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert [name for name in imported if name.split(".")[0] == "arakelov"] == ["arakelov"]
+
+
 # --------------------------------------------------------------------------
 # catalog
 # --------------------------------------------------------------------------

@@ -71,7 +71,6 @@ from arakelov.lattice import (
     IdealLattice,
     ModularityFailure,
     build,
-    dual,
     generator_matrix,
     minimum,
     theta_prefix,
@@ -241,6 +240,20 @@ def test_generator_matrix_with_nontrivial_alpha():
 # duals
 # --------------------------------------------------------------------------
 
+def dual(lat):
+    """The dual lattice on tracedual(I, alpha) with the same alpha,
+    certified: the pairing matrix between the two bases is integral and
+    unimodular, which is exactly "the dual lattice of lat".  A reference
+    for the tests below; no pipeline forms a dual lattice."""
+    dual_ideal = lattice._dual_ideal(lat)
+    out = build(lat.field, dual_ideal, lat.alpha)
+    rows, scale = trace_pairing(lat.alpha, dual_ideal, lat.ideal)
+    assert not any(e % scale for row in rows for e in row), "pairing not integral"
+    assert abs(det([[e // scale for e in row] for row in rows])) == 1, \
+        "pairing not unimodular"
+    return out
+
+
 @pytest.mark.parametrize("spec", ["quad:+5", "quad:-3", "realcyclo:7"])
 def test_dual_biduality_and_det_product(spec):
     field = make_field(spec)
@@ -304,8 +317,8 @@ def test_trace_pairing_matches_the_two_product_formula(case):
     """trace_pairing on totally real and CM fields, alpha real (u * conj(u)
     + 1, totally positive) or any u, which on a CM field is mostly not
     real; x is y, an equal copy of x, the trace dual of x paired with x as
-    lattice.dual pairs them, or another ideal; x a radical (a single pivot
-    above 1 where p has one prime of degree 1), an integer times O_K
+    the reference dual above pairs them, or another ideal; x a radical (a
+    single pivot above 1 where p has one prime of degree 1), an integer times O_K
     (every pivot above 1) or a principal ideal.  When x is y and alpha is
     totally positive, the IdealLattice's Gram is that Gram over its scale."""
     spec, u, v, alpha_kind, x_kind, y_kind = case
