@@ -8,19 +8,17 @@ verification.  All exact quantities are serialized as decimal strings
 only on request via --embed and are tagged with their precision, so the
 emit -> parse -> emit cycle is byte-stable.
 
-Only the standard library loads with this module.  Each command imports
-the library layers it runs, so --help and argparse usage errors load no
-layer.
+Only the standard library modules of the parser load with this module.
+Each command imports the library layers, json and fractions where it runs
+them, so --help and argparse usage errors load none of these.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
-from fractions import Fraction
 
 __all__ = ["main", "entry", "cmd_exists", "cmd_construct", "cmd_verify",
            "cmd_catalog", "EXIT_OK", "EXIT_SPEC", "EXIT_ABSENT", "EXIT_VERIFY"]
@@ -39,7 +37,7 @@ _BARE_EMBED = object()
 # --------------------------------------------------------------------------
 
 def _rat_str(q):
-    q = Fraction(q)
+    """An int or a Fraction as n or n/d."""
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -50,6 +48,7 @@ def _coeffs(element):
 
 
 def _element_from_strings(field, strings, what):
+    from fractions import Fraction
     from .fields import _RATIONAL, SpecError
     if not isinstance(strings, list) or not all(
             isinstance(s, str) and _RATIONAL.fullmatch(s) for s in strings):
@@ -66,6 +65,7 @@ def _theta_pairs(theta):
 
 
 def _emit(doc, out_path=None):
+    import json
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out_path:
         try:
@@ -238,6 +238,7 @@ def cmd_construct(args):
 
 
 def cmd_verify(args):
+    import json
     from . import lattice
     from .fields import SpecError
     from .ideals import IdealRecipe, realize

@@ -22,8 +22,7 @@ sqrt(level^m) with no sub-resultant pass.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, prod
 
 from .fields import (
     CyclotomicField,
@@ -37,7 +36,6 @@ from .fields import (
     factorize,
     is_squarefree,
     is_totally_positive,
-    _link_inverses,
     make_field,
     sqrt_integer,
 )
@@ -51,7 +49,7 @@ from .ideals import (
     principal,
     valuation,
     _factored,
-    _principal,
+    _level_principal,
     _principal_radical,
 )
 
@@ -94,14 +92,10 @@ class ConstructionWitness:
         if beta * beta.conj() != field.rational(level):
             raise InternalInconsistency(
                 f"beta * conj(beta) != {level} for beta = {beta}")
-        # beta^-1 = conj(beta) / level by the first identity: no solve
-        if beta._inv is None:
-            _link_inverses(beta, beta.conj() / level)
         if not is_totally_positive(alpha):
             raise InternalInconsistency(f"alpha = {alpha} is not totally positive")
-        # |N(beta)|^2 = N(level) = level^m by the first identity: no norm
-        # pass, and the rows, once read, are certified against it
-        beta_ideal = _principal(beta, Fraction(isqrt(level ** field.degree)))
+        # its rows, once read, are certified against |N(beta)| = sqrt(level^m)
+        beta_ideal = _level_principal(beta, level)
         level_ideal = principal(field.rational(level))
         for p in sorted(field.omega()):
             v_beta = valuation(beta_ideal, p)

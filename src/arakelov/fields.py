@@ -291,14 +291,11 @@ class FieldElement:
     once norm() or inverse() has computed it, and ``_inv`` the inverse
     once it is formed, linked both ways (``x._inv._inv is x``): inverse()
     forms it once, a negative power inverts the base rather than the
-    power, and an inverse pair shares one norm.  ``_pending`` holds
-    (base, k) on a power base^k whose base has a cheap inverse: the first
-    inverse() forms (1/base)^k with no sub-resultant pass, so an inverse
-    nothing reads is never multiplied out.
-    Equality and hashing ignore all four slots.
+    power, and an inverse pair shares one norm.
+    Equality and hashing ignore all three slots.
     """
 
-    __slots__ = ("field", "num", "den", "_inv", "_pending", "_norm", "_trace_det")
+    __slots__ = ("field", "num", "den", "_inv", "_norm", "_trace_det")
 
     def __init__(self, field, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
@@ -385,10 +382,7 @@ class FieldElement:
             return NotImplemented
         if k < 0:
             return self.inverse() ** -k
-        out = _power(self, k)
-        if k and _has_cheap_inverse(self):
-            object.__setattr__(out, "_pending", (self, k))
-        return out
+        return _power(self, k)
 
     # -- comparisons ----------------------------------------------------------
     def __eq__(self, other):
@@ -444,11 +438,10 @@ class FieldElement:
         return self._norm
 
     def inverse(self):
-        """1/x, formed once and then kept on both x and 1/x: from the
-        pending product when there is one, else by one sub-resultant pass
-        that gives the norm of both as well."""
+        """1/x, formed once and then kept on both x and 1/x: one
+        sub-resultant pass that gives the norm of both as well."""
         if self._inv is None:
-            _form_inverse(self)
+            _link_inverses(self, self.field._inverse(self))
         return self._inv
 
     def embed(self, precision=None):
@@ -461,57 +454,32 @@ def _fill(x, field, num, den):
     object.__setattr__(x, "num", num)
     object.__setattr__(x, "den", den)
     object.__setattr__(x, "_inv", None)
-    object.__setattr__(x, "_pending", None)
     object.__setattr__(x, "_norm", None)
     object.__setattr__(x, "_trace_det", None)
 
 
 def _power(x, k, one=None, mul=operator.mul):
-    """x^k for k >= 0 by repeated squaring from the unit one under the
-    product mul: by default the field's one and the element product;
-    ideal_pow passes O_K and ideal_mul, radical_above coefficient lists
-    and their product mod p."""
-    out = x.field.one() if one is None else one
-    while k:
+    """x^k for k >= 0 by repeated squaring under the product mul, from the
+    first factor, so x^1 is x itself; x^0 is the unit one, by default the
+    field's one, and mul the element product.  ideal_pow passes O_K and
+    ideal_mul, radical_above coefficient lists and their product mod p."""
+    if not k:
+        return x.field.one() if one is None else one
+    out = None
+    while True:
         if k & 1:
-            out = mul(out, x)
-        x = mul(x, x) if k > 1 else x
+            out = x if out is None else mul(out, x)
         k >>= 1
-    return out
+        if not k:
+            return out
+        x = mul(x, x)
 
 
 def _link_inverses(x, y):
-    """Record y = 1/x on both, dropping any pending product; returns x."""
-    for a, b in ((x, y), (y, x)):
-        object.__setattr__(a, "_inv", b)
-        object.__setattr__(a, "_pending", None)
+    """Record y = 1/x on both; returns x."""
+    object.__setattr__(x, "_inv", y)
+    object.__setattr__(y, "_inv", x)
     return x
-
-
-def _form_inverse(x):
-    """Form and link 1/x, after the inverse of the base of its pending
-    power, deepest first: a chain of powers of powers is formed in a loop,
-    not by nested calls."""
-    stack = [x]
-    while stack:
-        y = stack[-1]
-        if y._inv is not None:
-            stack.pop()
-        elif y._pending is None:
-            _link_inverses(y, y.field._inverse(y))
-            stack.pop()
-        else:
-            base, k = y._pending
-            if base._inv is None:
-                stack.append(base)
-            else:
-                _link_inverses(y, _power(base._inv, k))
-                stack.pop()
-
-
-def _has_cheap_inverse(x):
-    """1/x is formed, pending, or rational: it needs no sub-resultant pass."""
-    return x._inv is not None or x._pending is not None or x.is_rational
 
 
 # --------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from .fields import (
     CyclotomicField,
@@ -66,6 +66,7 @@ from .fields import (
     _INTEGER,
     _NATURAL,
     _ascii_rational,
+    _link_inverses,
     _power,
     trace_pairing,
 )
@@ -360,6 +361,18 @@ def _principal(gamma, abs_norm, igen=None):
     object.__setattr__(ideal, "_igen", igen)
     object.__setattr__(ideal, "_norm", abs_norm)
     return ideal
+
+
+def _level_principal(beta, level):
+    """(beta) for a beta with beta * conj(beta) = level, checked by the
+    caller: 1/beta = conj(beta) / level with no solve, and
+    |N(beta)| = sqrt(level^m) with no norm pass.  Level 0 leaves beta = 0,
+    which principal refuses as generating no ideal."""
+    if not level:
+        return principal(beta)
+    if beta._inv is None:
+        _link_inverses(beta, beta.conj() / level)
+    return _principal(beta, Fraction(isqrt(level ** beta.field.degree)))
 
 
 def _principal_times_module(a, mod):

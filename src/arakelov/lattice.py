@@ -9,7 +9,7 @@ isometry search -- together with the level, integrality, and determinant
 clauses.  Vector enumeration runs Fincke-Pohst on the Bareiss triangle
 that integral LLL ends with.  Each level of the walk holds its own
 integer norm P_(k-1) * D * |pi_k(v)|^2, with no scale common to all
-levels, and the walk reports the integers D * |v|^2, so the reported
+levels, and the walk counts the integers D * |v|^2, so the reported
 minimum, kissing number, and theta counts are exact, with one Fraction
 per distinct norm; a walk past ENUMERATION_BUDGET nodes raises
 EnumerationBudgetExceeded instead.
@@ -36,17 +36,15 @@ from .fields import (
     SpecError,
     default_precision,
     embedding_matrix,
-    _link_inverses,
     _trace_form_det,
     trace_pairing,
 )
 from .ideals import (
     FractionalIdeal,
     ideal_mul,
-    principal,
     trace_dual,
     _gram_dual,
-    _principal,
+    _level_principal,
 )
 from .linalg import FormError, _lll
 
@@ -301,15 +299,8 @@ def verify_modularity(lat, witness):
     beta = witness.beta
     if beta * beta.conj() != field.rational(level):
         raise ModularityFailure("i", f"beta * conj(beta) != {level}")
-    # 1/beta = conj(beta) / level and |N(beta)| = sqrt(level^m) by clause
-    # (i); level 0 leaves beta = 0, which clause (ii) refuses as generating
-    # no ideal
-    if level and beta._inv is None:
-        _link_inverses(beta, beta.conj() / level)
-    beta_ideal = _principal(beta, Fraction(math.isqrt(level ** lat.dimension))) \
-        if level else principal(beta)
     ideal = lat.ideal
-    lhs = ideal_mul(beta_ideal, _dual_ideal(lat))
+    lhs = ideal_mul(_level_principal(beta, level), _dual_ideal(lat))
     # decided on I's certified HNF rows, never by comparing generators, so
     # the module route stays independent of the witness self-check.  A
     # principal (x) = (beta) * dual(I) lies in the O_K-module I exactly
@@ -350,11 +341,8 @@ def verify_modularity(lat, witness):
 # to 16 of the dim-22 catalog lattice after a random basis change takes
 # ~120,000 nodes, and the minimum of realcyclo:73 at level 73 (dim 36)
 # 587,122.  The dim-56 lattice of realcyclo:113 at level 113, whose walk
-# would not end, passes the budget instead.  On a 2-CPU x86-64 VM a node
-# of that walk takes 2.6-2.9 us in most runs (up to 4.1 us), and one of
-# the dim-44 walk of realcyclo:89 at level 89 2.8-3.3 us, against
-# 6.1-7.2 us and 5.2-5.7 us when every level's norm was held over one
-# common scale.  A walk split between two processes counts the nodes of
+# a Gaussian-heuristic estimate puts at about 6.1e9 nodes, passes the
+# budget instead.  A walk split between two processes counts the nodes of
 # both, so it passes the budget exactly where one process would: every
 # SPLIT_ALLOWANCE nodes each process publishes its count, and raises once
 # the two counts add up to more than the budget.
@@ -393,14 +381,12 @@ class EnumerationBudgetExceeded(ValueError):
         self.budget = budget
 
 
-def _enumerate_representatives(lat_or_gram, bound, on_vector, fork=None, share=None):
-    """Visit all nonzero vectors v (one per +-v pair) with norm at most the
-    current bound, or the least basis norm when bound is None; report each
-    as the integer D * |v|^2 through on_vector, which may return a new,
-    smaller bound on D * |v|^2 (an integer or a Fraction) to steer the rest
-    of the walk.  Returns (nodes, D): the number of nodes entered and the
-    scale of the reports; past ENUMERATION_BUDGET nodes raises
-    EnumerationBudgetExceeded.
+def _enumerate_representatives(lat_or_gram, bound, fork=None, share=lambda mine: 0):
+    """Count all nonzero vectors v (one per +-v pair) with norm at most
+    bound, or the least basis norm when bound is None, by the integer
+    D * |v|^2.  Returns (counts, nodes, D): {D * |v|^2: vectors}, the
+    number of nodes entered and the scale of the counted norms; past
+    ENUMERATION_BUDGET nodes raises EnumerationBudgetExceeded.
 
     v runs over coordinates x on the reduced basis, whose Bareiss triangle
     (D, A) _lll returns: the walk's reduction is a plain LLL pass at
@@ -415,44 +401,44 @@ def _enumerate_representatives(lat_or_gram, bound, on_vector, fork=None, share=N
     N_k = P_(k-1) * D * |pi_k(v)|^2, the determinant of the Gram of
     (b_0, ..., b_(k-1), v) in D * G, so an integer, and
     N_k = (P_(k-1) * N_(k+1) + y_k^2) / P_k exactly (N_n = 0); N_0 is the
-    reported D * |v|^2.  Level k's cap is C_k = floor(P_(k-1) * D * bound),
+    counted D * |v|^2.  Level k's cap is C_k = floor(P_(k-1) * D * bound),
     and N_k <= C_k iff |pi_k(v)|^2 <= bound, so x_k ranges over
     y_k^2 <= room = P_k * C_k - P_(k-1) * N_(k+1), y_k = P_k * x_k + s_k,
-    one isqrt, and the range is empty when room is negative.  The numbers
-    a node handles have about 2 bits(P) + bits(D * bound) bits, where one
-    scale common to all levels, D * lcm(P_k * P_(k-1)), had thousands in
-    dimension 56.
+    one isqrt, and the range is empty when room is negative; every x_k in
+    it has |y_k| <= isqrt(room), so N_k <= C_k with no further check.  The
+    numbers a node handles have about 2 bits(P) + bits(D * bound) bits,
+    where one scale common to all levels, D * lcm(P_k * P_(k-1)), had
+    thousands in dimension 56.
 
     The walk (Fincke-Pohst, Math. Comp. 44, 1985) is one loop over
     per-level arrays, depth first, each level's x_k in increasing order;
-    level 0 is a flat loop that reports its vectors.  The center
+    level 0 is a flat loop that counts its vectors.  The center
     s_k = sum_{j>k} A[k][j] x_j comes from Schnorr-Euchner partial sums
     sig[k][j] = sum_{i>=j} A[k][i] x_i (Math. Programming 66, 1994):
     begin[l] is the highest index whose x changed since row l-1 was last
     summed, so descending to level l-1 re-sums that row from begin[l]
     down only, and each center costs O(1) amortized.
 
-    fork splits a walk whose bound stays fixed (on_vector returns None)
-    between two processes, as in parallel enumeration (Dagdelen-
-    Schneider, Euro-Par 2010): with a fixed bound the subtrees below one
-    level are independent of each other.  The split level is
-    max(n - SPLIT_DEPTH, 0), lowered past SPLIT_WAIT nodes with no fork
-    (every SPLIT_ALLOWANCE nodes until the fork) to one below the highest
-    level of the current path whose x has moved past the first coordinate
-    of its range.  At the first entry into it after more than
-    SPLIT_ALLOWANCE nodes, fork() returns the owner this process takes,
-    0 or 1, or None to walk on alone.  From that entry on, the entries
+    fork splits the walk between two processes, as in parallel
+    enumeration (Dagdelen-Schneider, Euro-Par 2010): with a fixed bound
+    the subtrees below one level are independent of each other.  The
+    split level is max(n - SPLIT_DEPTH, 0), lowered past SPLIT_WAIT nodes
+    with no fork (every SPLIT_ALLOWANCE nodes until the fork) to one below
+    the highest level of the current path whose x has moved past the
+    first coordinate of its range.  At the first entry into it after
+    more than SPLIT_ALLOWANCE nodes, fork() returns the owner this process
+    takes, 0 or 1, or None to walk on alone.  From that entry on, the entries
     into the split level alternate between owner 0 and owner 1, and each
     process walks only its owner's subtrees there: it enters the other
     owner's uncounted and with no room.  Both walk the same levels above
-    it.  Owner 1 then returns the nodes of its own subtrees
-    alone, so the two counts add up to the nodes of the one-process walk.
+    it.  Owner 1 then returns the counts and nodes of its own subtrees
+    alone, so the two add up to those of the one-process walk.
     From the fork on, every SPLIT_ALLOWANCE nodes, share(mine) publishes
     this process's count, owner 1's without the nodes both walk, and
     returns the count the other last published; their sum is at most the
     one-process count, so a walk that raises once it passes the budget
-    raises only where one process does.  A walk that lowers its bound has
-    a tree that depends on the order of the walk, and is not split.
+    raises only where one process does.  With no share, the other half's
+    nodes are taken as 0.
     """
     if isinstance(lat_or_gram, IdealLattice):
         scale, A = lat_or_gram._reduced()
@@ -471,12 +457,10 @@ def _enumerate_representatives(lat_or_gram, bound, on_vector, fork=None, share=N
             least = norm if least is None or norm < least else least
     else:
         least = Fraction(bound) * scale
-
-    def caps(limit):  # P_k * C_k per level for the bound limit on D * |v|^2
-        num, den = limit.numerator, limit.denominator
-        return [P * (Q * num // den) for P, Q in zip(piv, prev)]
-
-    cap = caps(least)
+    # P_k * C_k per level for the cap least on D * |v|^2
+    num, den = least.numerator, least.denominator
+    cap = [P * (Q * num // den) for P, Q in zip(piv, prev)]
+    counts = {}
     budget = ENUMERATION_BUDGET
     isqrt = math.isqrt
     # level l > 0 keeps x_l, the end of its range, its center, the
@@ -511,6 +495,8 @@ def _enumerate_representatives(lat_or_gram, bound, on_vector, fork=None, share=N
                     owner = fork()
                     if owner is None:  # one process walks it all
                         owner, split, fork = -1, n, None
+                    elif owner == 1:
+                        counts.clear()  # owner 0 keeps what came before
                     shared, turn, limit = nodes, 0, nodes
                 if owner >= 0:
                     if turn != owner:
@@ -573,29 +559,22 @@ def _enumerate_representatives(lat_or_gram, bound, on_vector, fork=None, share=N
                 continue
             if not k:
                 for x0 in range(lo, hi):
-                    y = P * x0 + s
-                    yy = y * y
-                    if yy <= room and (nz or x0):  # room falls with cap
-                        new_bound = on_vector((t + yy) // P)
-                        if new_bound is not None:
-                            cap = caps(new_bound)
-                            room = cap[0] - t
+                    if nz or x0:
+                        y = P * x0 + s
+                        v = (t + y * y) // P
+                        counts[v] = counts.get(v, 0) + 1
         # the next coordinate to accept, at level i or above
         while i < n:
             xi = x[i] + 1
             if xi < end[i]:
                 x[i] = xi
                 y = piv[i] * xi + center[i]
-                yy = y * y
-                t = used[i]
-                if yy <= cap[i] - t:  # on_vector may have lowered cap since r
-                    norm = (t + yy) // piv[i]
-                    nz = nonzero[i] or xi != 0
-                    break
-            else:
-                i += 1
+                norm = (used[i] + y * y) // piv[i]
+                nz = nonzero[i] or xi != 0
+                break
+            i += 1
         else:
-            return (nodes - shared if owner == 1 else nodes), scale
+            return counts, (nodes - shared if owner == 1 else nodes), scale
 
 
 def _rational(norm, scale):
@@ -736,38 +715,18 @@ class _Halves:
                 pass
 
 
-def _theta_counts(lat_or_gram, bound, fork, share=lambda mine: 0):
-    """({D * |v|^2: vectors, one per +-v pair}, nodes, D) of one walk to
-    bound, or to the least norm of the reduced basis when bound is None; a
-    process that takes owner 1 of a split walk counts the vectors and
-    nodes of its own subtrees alone.  With no share, the other half's
-    nodes are taken as 0."""
-    counts = {}
-
-    def on_vector(norm):
-        counts[norm] = counts.get(norm, 0) + 1
-
-    def split():
-        owner = fork()
-        if owner == 1:
-            counts.clear()  # the parent keeps what came before the fork
-        return owner
-
-    nodes, scale = _enumerate_representatives(lat_or_gram, bound, on_vector, split, share)
-    return counts, nodes, scale
-
-
 def _theta_walk(lat_or_gram, bound):
-    """_theta_counts of the whole walk, forked into two processes past
-    SPLIT_ALLOWANCE nodes where _may_fork allows.  The two share the node
-    budget through _Halves.share.  The child sends its (counts, nodes), or
-    its dimension when it passed the budget, and the parent adds them to
-    its own.  The half of a child that sends no whole message is walked
-    here: the same walk, taking owner 1 with no fork."""
+    """_enumerate_representatives of the whole walk, forked into two
+    processes past SPLIT_ALLOWANCE nodes where _may_fork allows.  The two
+    share the node budget through _Halves.share.  The child sends its
+    (counts, nodes), or its dimension when it passed the budget, and the
+    parent adds them to its own.  The half of a child that sends no whole
+    message is walked here: the same walk, taking owner 1 with no fork."""
     halves = _Halves()
     try:
         try:
-            counts, nodes, scale = _theta_counts(lat_or_gram, bound, halves.fork, halves.share)
+            counts, nodes, scale = _enumerate_representatives(
+                lat_or_gram, bound, halves.fork, halves.share)
         except EnumerationBudgetExceeded as exc:
             halves.finish(exc.dimension)
             raise
@@ -781,7 +740,7 @@ def _theta_walk(lat_or_gram, bound):
         if isinstance(other, int):
             raise EnumerationBudgetExceeded(other, ENUMERATION_BUDGET)
         if other is None:
-            other = _theta_counts(lat_or_gram, bound, lambda: 1)[:2]
+            other = _enumerate_representatives(lat_or_gram, bound, lambda: 1)[:2]
         more, extra = other
         for norm, count in more.items():
             counts[norm] = counts.get(norm, 0) + count

@@ -282,11 +282,11 @@ def nonzero_elements(draw):
 @given(nonzero_elements(), st.integers(1, 6))
 def test_inverse_is_solved_once_and_linked_both_ways(x, k):
     """Inverses are read through inverse() and counted as calls of
-    NumberField._inverse: x takes one, a power of an element with no
-    known inverse one, and the inverse of a power, held as a pending
-    product, none.  A product of principal ideals and a principal trace
-    dual keep a generator of their inverse ideal pending, read through
-    _inverse_generator with no solve either."""
+    NumberField._inverse: x takes one, and a power x^k one, as x^1 is x
+    itself and a power x^k, k >= 2, is a new element that forms its own
+    inverse.  A product of principal ideals and a principal trace dual
+    keep a generator of their inverse ideal pending, read through
+    _inverse_generator with no solve."""
     field = x.field
 
     def solved(y):
@@ -317,13 +317,17 @@ def test_inverse_is_solved_once_and_linked_both_ways(x, k):
         assert inv == want["x"] and len(solves) == 2
         assert x.inverse() is inv and inv.inverse() is x
 
-        # x^-k inverts the base; both powers form their inverses unsolved
+        # x^-k inverts the base; x^1 is x, and past it each of x^k and
+        # x^-k forms its inverse by one solve
         neg = x ** -k
         pos = x ** k
+        assert (pos is x and neg is inv) == (k == 1)
         assert pos == plain_power
         assert pos.inverse() == neg == plain_power.inverse()
         assert neg.inverse() == pos
         assert pos.inverse().inverse() is pos and neg.inverse().inverse() is neg
+        powers = 2 if k == 1 else 4
+        assert len(solves) == powers
 
         # a product of generators and a trace dual form the generators of
         # their inverse ideals unsolved: here the exact inverses
@@ -331,7 +335,7 @@ def test_inverse_is_solved_once_and_linked_both_ways(x, k):
         dual = trace_dual(principal(x), alpha)
         for ideal in (product, dual):
             assert ideal._gen * ideals._inverse_generator(ideal) == field.one()
-        assert len(solves) == 2
+        assert len(solves) == powers
 
         # conj(x)^-1 = conj(x^-1)
         c = x.conj()
@@ -342,6 +346,34 @@ def test_inverse_is_solved_once_and_linked_both_ways(x, k):
     assert x == plain and hash(x) == hash(plain)
     assert inv == field.element(inv.coeffs)
     assert hash(inv) == hash(field.element(inv.coeffs))
+
+
+def test_a_first_power_is_its_base(monkeypatch):
+    """x ** 1 is x, so gamma ** -1, which is gamma.inverse() ** 1, is the
+    inverse linked to gamma: the trace dual of P13^3 over realcyclo:13
+    with alpha = gamma^-1, the unrestricted witness form, reads
+    alpha^-1 = gamma and the inverse generator of P13^3 with no solve."""
+    _fresh_caches(monkeypatch)
+    field = make_field("realcyclo:13")
+    x = field.element([3, 1, 0, 0, 0, 0])
+    assert x ** 1 is x
+    gamma = gamma_element(field, 13)
+    alpha = gamma ** -1
+    assert alpha is gamma.inverse() and alpha.inverse() is gamma
+    a = ideal_pow(radical_above(field, 13), 3)
+    codifferent(field)  # its f'(theta)^-1 is solved once per field
+    solves = []
+    inverse = fields.NumberField._inverse
+
+    def counted(self, y):
+        solves.append(y)
+        return inverse(self, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields.NumberField, "_inverse", counted)
+        dual = trace_dual(a, alpha)
+    assert solves == []
+    assert dual == trace_dual_via_inverse(a, alpha)
 
 
 def test_a_long_chain_of_pending_inverses_forms_in_a_loop():

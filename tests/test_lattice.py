@@ -15,9 +15,9 @@ Oracles
   rational arithmetic, fully independent of the Fincke-Pohst tree.
 * The loop walk is checked node for node against the recursive walk it
   replaced (``recursive_walk`` below, on one common scale where the loop
-  walk holds per-level norms): the same norms in the same order and the
-  same node count, for minimum's shrinking bound and for theta, on
-  rational Grams and bounds, and up to the node budget in dimension 36.
+  walk holds per-level norms): the same norms and the same node count,
+  for minimum's bound and for theta, on rational Grams and bounds, and
+  at the node budget in dimension 36.
 * The theta prefixes of the unimodular level-1 lattices of realcyclo:25,
   :27 and :49 must be modular forms in theta_3 and Delta_8 (Conway-Sloane,
   SPLAG ch. 7): their first terms fix the form, and the later terms the
@@ -770,24 +770,31 @@ def recursive_walk(gram, bound, on_vector, reduced=True, budget=None):
     return nodes
 
 
-def _reports(walk, gram, bound):
-    """(norms in the order reported, as Fractions, and the node count) of
-    one walk; with bound None the bound is lowered as minimum lowers it.
-    The loop walk reports the integers D * |v|^2 and returns (nodes, D),
-    and its reports are mapped to norm / D here; recursive_walk reports
-    norms and returns its node count."""
+def _reports(gram, bound, lower=False, **walk):
+    """(norms in the order recursive_walk reports them, as Fractions, and
+    its node count); with lower, each shorter norm lowers the bound, as
+    minimum once lowered it.  walk passes recursive_walk's keywords."""
     seen = []
 
     def on_vector(norm):
-        lower = bound is None and (not seen or norm < min(seen))
+        lowered = lower and (not seen or norm < min(seen))
         seen.append(norm)
-        return norm if lower else None
+        return norm if lowered else None
 
-    out = walk(gram, bound, on_vector)
-    if isinstance(out, tuple):
-        nodes, scale = out
-        return [Fraction(norm, scale) for norm in seen], nodes
-    return seen, out
+    return seen, recursive_walk(gram, bound, on_vector, **walk)
+
+
+def _reference(gram, bound):
+    """(sorted norms, node count) of recursive_walk at the fixed bound."""
+    seen, nodes = _reports(gram, bound)
+    return sorted(seen), nodes
+
+
+def _loop(lat_or_gram, bound):
+    """(sorted norms, node count) of the loop walk, which counts the
+    integers D * |v|^2 and returns (counts, nodes, D)."""
+    counts, nodes, scale = lattice._enumerate_representatives(lat_or_gram, bound)
+    return sorted(Fraction(norm, scale) for norm, c in counts.items() for _ in range(c)), nodes
 
 
 @st.composite
@@ -823,16 +830,15 @@ def walk_grams(draw):
 def test_loop_walk_matches_the_recursive_walk(case):
     gram, theta_bound = case
     for bound in (None, theta_bound):
-        want = _reports(recursive_walk, gram, bound)
-        assert _reports(lattice._enumerate_representatives, gram, bound) == want
+        want = _reference(gram, bound)
+        assert _loop(gram, bound) == want
         assert want[0] or bound is not None
 
 
 def test_walk_counts_nodes_of_the_catalog_lattice():
     lat, _ = witness_lattice("realcyclo:28", 7)
     for bound in (None, 6):
-        assert _reports(lattice._enumerate_representatives, lat, bound) == \
-            _reports(recursive_walk, lat.gram, bound)
+        assert _loop(lat, bound) == _reference(lat.gram, bound)
 
 
 @st.composite
@@ -865,15 +871,14 @@ def rational_walks(draw):
 def test_walk_on_rational_grams_and_bounds_matches_the_recursive_walk(case):
     gram, bound = case
     for bound in (None, bound):
-        assert _reports(lattice._enumerate_representatives, gram, bound) == \
-            _reports(recursive_walk, gram, bound)
+        assert _loop(gram, bound) == _reference(gram, bound)
 
 
 def test_walk_enters_a_level_with_a_negative_remainder(monkeypatch):
     """Hexagonal Gram, bound 3/2: x_1 = 1 has |pi_1(v)|^2 = 3/2 within the
     bound, so level 0 is entered under it with P_0 * C_0 - N_1 =
     2 * 1 - 3 < 0, an empty range; the walk takes no square root there,
-    and reports and counts as the reference does."""
+    and counts vectors and nodes as the reference does."""
     hexagonal = [[2, 1], [1, 2]]
     roots = []
 
@@ -882,38 +887,32 @@ def test_walk_enters_a_level_with_a_negative_remainder(monkeypatch):
         return isqrt(n)
 
     monkeypatch.setattr(math, "isqrt", counted)
-    got = _reports(lattice._enumerate_representatives, hexagonal, Fraction(3, 2))
+    got = _loop(hexagonal, Fraction(3, 2))
     monkeypatch.undo()
-    assert got == _reports(recursive_walk, hexagonal, Fraction(3, 2)) == ([], 3)
+    assert got == _reference(hexagonal, Fraction(3, 2)) == ([], 3)
     assert len(roots) == 2 and theta_prefix(hexagonal, Fraction(3, 2)) == [(0, 1)]
 
 
 def test_walk_passes_its_budget_where_the_reference_does(monkeypatch):
-    """realcyclo:73 at level 73 (dim 36, 587,122 nodes to its minimum):
-    with the budget at 20,000 nodes the loop walk and the reference report
-    the same norms in the same order, and both raise on node 20,001."""
+    """realcyclo:73 at level 73 (dim 36): with the budget at 20,000 nodes
+    the loop walk to the least reduced basis norm (587,122 nodes) and the
+    reference both raise, naming dimension 36 and the budget.  Theta to 12
+    enters 3,525 nodes in both and finds no vector; at a budget of 3,525
+    nodes both end, and at 3,524 both raise."""
     lat, _ = witness_lattice("realcyclo:73", 73, trace_type=False)
-    budget = 20_000
-    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", budget)
-
-    def reports_until_the_budget(walk, gram):
-        seen = []
-
-        def on_vector(norm):
-            lower = not seen or norm < min(seen)
-            seen.append(norm)
-            return norm if lower else None
-
-        with pytest.raises(EnumerationBudgetExceeded) as info:
-            walk(gram, None, on_vector)
-        assert (info.value.dimension, info.value.budget) == (36, budget)
-        return seen
-
-    D, _ = lat._reduced()
-    loop = reports_until_the_budget(lattice._enumerate_representatives, lat)
-    reference = reports_until_the_budget(
-        lambda g, b, on: recursive_walk(g, b, on, budget=budget), lat.gram)
-    assert loop and [Fraction(norm, D) for norm in loop] == reference
+    want = _reference(lat.gram, 12)
+    assert _loop(lat, 12) == want == ([], 3_525)
+    for bound, budget in ((None, 20_000), (12, 3_524), (12, 3_525)):
+        monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", budget)
+        runs = (lambda: lattice._enumerate_representatives(lat, bound),
+                lambda: recursive_walk(lat.gram, bound, lambda norm: None, budget=budget))
+        for run in runs:
+            if budget == 3_525:
+                run()
+                continue
+            with pytest.raises(EnumerationBudgetExceeded) as info:
+                run()
+            assert (info.value.dimension, info.value.budget) == (36, budget)
 
 
 @st.composite
@@ -940,9 +939,9 @@ def moved_grams(draw):
 def _walk_answers(gram, bound, reduced):
     """(minimum, kissing) and theta_prefix(gram, bound) as the recursive
     walk reports them."""
-    seen, _ = _reports(lambda g, b, on: recursive_walk(g, b, on, reduced), gram, None)
+    seen, _ = _reports(gram, None, lower=True, reduced=reduced)
     mu = min(seen)
-    theta, _ = _reports(lambda g, b, on: recursive_walk(g, b, on, reduced), gram, bound)
+    theta, _ = _reports(gram, bound, reduced=reduced)
     counts = {}
     for norm in theta:
         counts[norm] = counts.get(norm, 0) + 2
@@ -965,7 +964,7 @@ def test_enumeration_budget_raises_a_typed_error(monkeypatch):
     lat, _ = witness_lattice("realcyclo:28", 7)
     for bound, run in ((None, lambda: minimum(lat)), (6, lambda: theta_prefix(lat, 6))):
         monkeypatch.undo()
-        nodes = _reports(lattice._enumerate_representatives, lat, bound)[1]
+        nodes = lattice._enumerate_representatives(lat, bound)[1]
         monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", nodes)
         run()
         monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", nodes - 1)
@@ -982,7 +981,7 @@ def test_enumeration_budget_raises_a_typed_error(monkeypatch):
 
 def _one_process(gram, bound):
     """({D * |v|^2: vectors}, nodes, D) of the theta walk in this process."""
-    return lattice._theta_counts(gram, bound, lambda: None)
+    return lattice._enumerate_representatives(gram, bound)
 
 
 def _no_child_left():
@@ -1038,7 +1037,7 @@ def test_split_walk_matches_the_one_process_walk(case, depth, least, early):
         def fork():
             forked.append(owner)
             return owner
-        return lattice._theta_counts(gram, bound, fork)
+        return lattice._enumerate_representatives(gram, bound, fork)
 
     with _split(0, depth, wait=0 if early else None):
         assert lattice._theta_walk(gram, bound) == want
@@ -1125,7 +1124,7 @@ def test_split_walk_keeps_the_budget_verdict(monkeypatch):
                 passed = []
                 for owner in (0, 1):
                     try:
-                        lattice._theta_counts(lat, bound, lambda: owner)
+                        lattice._enumerate_representatives(lat, bound, lambda: owner)
                     except EnumerationBudgetExceeded:
                         passed.append(owner)
                 cases.add(tuple(passed))
@@ -1183,7 +1182,7 @@ def test_minimum_where_no_reduced_basis_vector_is_minimal(monkeypatch):
          [33, -12, 340, 50, -18, 31, -49], [-55, -19, 50, 227, -109, 71, -44],
          [-15, 5, -18, -109, 103, 17, -2], [31, -144, 31, 71, 17, 230, 96],
          [111, 8, -49, -44, -2, 96, 269]]
-    seen, lowered = _reports(recursive_walk, G, None)
+    seen, lowered = _reports(G, None, lower=True)
     want = min(seen), 2 * seen.count(min(seen))
     fixed = recursive_walk(G, None, lambda norm: None)
     assert (want, lowered, fixed) == ((98, 2), 13, 15)

@@ -93,6 +93,27 @@ print(json.dumps([before, {LOADED}]))
     assert "arakelov.fields" in after and "arakelov.lattice" not in after
 
 
+def test_help_loads_neither_json_nor_fractions():
+    """A cold --help imports no module that only the commands use: json
+    and fractions are not among the modules it adds to those loaded at
+    interpreter start."""
+    added = _fresh("""
+import contextlib, io, sys
+start = set(sys.modules)
+from arakelov import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(["--help"])
+    except SystemExit:
+        pass
+added = sorted(set(sys.modules) - start)
+import json
+print(json.dumps(added))
+""")
+    assert "arakelov.cli" in added
+    assert not {"json", "fractions"} & set(added)
+
+
 def test_star_import_binds_every_exported_name():
     """dir() lists every __all__ name before any layer loads; the star
     import binds each to the object its layer defines, and a name outside
