@@ -19,7 +19,7 @@ from importlib import import_module
 _EXPORTS = {
     "fields": (
         "make_field", "FieldElement", "sqrt_integer", "is_totally_positive",
-        "embedding_matrix", "default_precision",
+        "embedding_matrix",
         "SpecError", "FieldMismatch", "DivError", "NotRamified",
     ),
     "ideals": (

@@ -16,9 +16,9 @@ them, so --help and argparse usage errors load none of these.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
+from types import SimpleNamespace
 
 __all__ = ["main", "entry", "cmd_exists", "cmd_construct", "cmd_verify",
            "cmd_catalog", "EXIT_OK", "EXIT_SPEC", "EXIT_ABSENT", "EXIT_VERIFY"]
@@ -28,23 +28,12 @@ EXIT_SPEC = 2
 EXIT_ABSENT = 3
 EXIT_VERIFY = 4
 
-# a bare --embed; argparse passes a non-string const through unconverted
-_BARE_EMBED = object()
-
-
 # --------------------------------------------------------------------------
 # serialization helpers
 # --------------------------------------------------------------------------
 
-def _rat_str(q):
-    """An int or a Fraction as n or n/d."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _coeffs(element):
-    return [_rat_str(c) for c in element.coeffs]
+    return [str(c) for c in element.coeffs]
 
 
 def _element_from_strings(field, strings, what):
@@ -58,10 +47,6 @@ def _element_from_strings(field, strings, what):
         return field.element([Fraction(s) for s in strings])
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecError(f"bad {what} coefficient vector: {exc}") from None
-
-
-def _theta_pairs(theta):
-    return [[_rat_str(norm), count] for norm, count in theta]
 
 
 def _emit(doc, out_path=None):
@@ -119,18 +104,6 @@ def _split_level(field, verdict, level):
     return ell1, ell2, None
 
 
-class _RecordWitness:
-    """Witness assembled from an input record, checked only by
-    verify_modularity (not self-validating, so corrupt records surface as
-    ModularityFailure with a clause instead of a constructor error)."""
-
-    def __init__(self, field, alpha, level, beta):
-        self.field = field
-        self.alpha = alpha
-        self.level = level
-        self.beta = beta
-
-
 def _construct_record(field, witness, trace_type, embed_bits=None):
     from . import lattice
     from .ideals import realize
@@ -140,7 +113,7 @@ def _construct_record(field, witness, trace_type, embed_bits=None):
     record = {
         "alpha": _coeffs(witness.alpha),
         "beta": _coeffs(witness.beta),
-        "determinant": _rat_str(report.determinant),
+        "determinant": str(report.determinant),
         "dimension": report.dimension,
         "even": report.even,
         "field": field.spec_string(),
@@ -149,7 +122,7 @@ def _construct_record(field, witness, trace_type, embed_bits=None):
         "integral": report.integral,
         "kissing": kissing,
         "level": witness.level,
-        "minimum": _rat_str(mu),
+        "minimum": str(mu),
         "trace_type": bool(trace_type),
         "witness_checked": True,
     }
@@ -216,7 +189,7 @@ def cmd_exists(args):
 
 def cmd_construct(args):
     from . import existence
-    from .fields import SpecError, _checked_precision, default_precision
+    from .fields import SpecError
     field = _bounded_field(args.field)
     if args.level < 1:
         raise SpecError(f"level must be a positive integer, got {args.level}")
@@ -226,13 +199,11 @@ def cmd_construct(args):
         print(refusal, file=sys.stderr)
         return EXIT_ABSENT
     witness = existence.rescale(verdict.witnesses[ell1], ell2)
-    embed_bits = args.embed
-    if embed_bits is _BARE_EMBED:
-        embed_bits = default_precision()
-    elif embed_bits is not None:
-        embed_bits = _checked_precision(embed_bits, "--embed")
+    # an embedding's cost grows steeply with its bits
+    if args.embed is not None and not 16 <= args.embed <= 4096:
+        raise SpecError(f"--embed must be between 16 and 4096 bits, got {args.embed}")
     record, _ = _construct_record(field, witness, args.trace_type,
-                                  embed_bits=embed_bits)
+                                  embed_bits=args.embed)
     _emit(record, args.out)
     return EXIT_OK
 
@@ -267,10 +238,12 @@ def cmd_verify(args):
     # everything below is re-derived from field/ideal/alpha/beta; a cached
     # gram in the record is only compared against, never trusted
     lat = lattice.build(field, realize(recipe), alpha)
-    witness = _RecordWitness(field, alpha, level, beta)
+    # checked only by verify_modularity, not self-validating, so a corrupt
+    # record surfaces as a ModularityFailure naming its clause
+    witness = SimpleNamespace(field=field, alpha=alpha, level=level, beta=beta)
     report = lattice.verify_modularity(lat, witness)
     out = {
-        "determinant": _rat_str(report.determinant),
+        "determinant": str(report.determinant),
         "dimension": report.dimension,
         "even": report.even,
         "field": field.spec_string(),
@@ -288,12 +261,12 @@ def cmd_verify(args):
         if args.theta < 0:
             raise SpecError("--theta bound must be nonnegative")
         theta = lattice.theta_prefix(lat, args.theta)
-        out["theta"] = _theta_pairs(theta)
+        out["theta"] = [[str(norm), count] for norm, count in theta]
     if args.min:
         # one walk: the first nonzero term of the prefix is the minimum and
         # its count the kissing number; a bound below the minimum has none
         mu, kissing = theta[1] if len(theta) > 1 else lattice.minimum(lat)
-        out["minimum"] = _rat_str(mu)
+        out["minimum"] = str(mu)
         out["kissing"] = kissing
     _emit(out, args.out)
     return EXIT_OK
@@ -391,10 +364,7 @@ def _ascii_int(text):
     return int(text)
 
 
-@functools.cache
 def _build_parser():
-    """The argument parser, built once per process: parse_args keeps no
-    state on it between calls."""
     parser = argparse.ArgumentParser(
         prog="arakelov",
         description="Existence, construction and exact verification of "
@@ -420,10 +390,9 @@ def _build_parser():
     p_construct.add_argument("--trace-type", dest="trace_type",
                              action="store_true")
     p_construct.add_argument("--embed", type=_ascii_int, metavar="BITS",
-                             nargs="?", const=_BARE_EMBED,
+                             nargs="?", const=128,
                              help="include a numeric generator matrix at "
-                                  "this precision, 16-4096 (bare flag: use "
-                                  "ARAKELOV_PRECISION_BITS, default 128)")
+                                  "this precision, 16-4096 (bare flag: 128)")
     p_construct.add_argument("--out", help="write JSON here instead of stdout")
     p_construct.set_defaults(func=cmd_construct)
 

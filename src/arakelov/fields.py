@@ -22,14 +22,12 @@ integer kernel, the sub-resultant PRS of f and the coordinate polynomial
 a of an element (Cohen, Alg. 3.3.7), extended with the cofactor of a:
 N(a) = Res(f, a) as f is monic, and v*a = c mod f with an integer c
 gives 1/a = v/c; neither runs an n x n elimination.  An element's
-inverse is computed once and linked both ways, so 1/x, x^-k and the
-inverse of a power of x reuse that one pass, whose resultant is kept as
-the norm of x and 1/x; the inverse of a power is a pending product,
-multiplied out only when it is first read.  The discriminant is
-(-1)^(m(m-1)/2) N(f'(theta)), read off the pass that inverts f'(theta)
-for the codifferent.  Traces
-come from Newton power sums of f and complex conjugation from the image
-of theta.
+inverse is computed once and linked both ways, so 1/x and x^-k reuse
+that one pass, whose resultant is kept as the norm of x and 1/x; a power
+x^k with k >= 2 forms its own inverse by one pass when it is asked for.
+The discriminant is (-1)^(m(m-1)/2) N(f'(theta)), read off the pass that
+inverts f'(theta) for the codifferent.  Traces come from Newton power
+sums of f and complex conjugation from the image of theta.
 
 Tables are built on first arithmetic use.  A field takes its degree from
 the spec (phi(n), halved for the real subfield); the minimal polynomial,
@@ -48,17 +46,15 @@ leading minors are signed principal sub-resultant coefficients of (f, R),
 R = alpha * f'(theta) read off the traces, so one PRS decides it; on a
 CM field one fraction-free elimination does.
 
-Numeric embeddings use mpmath at a caller-chosen precision (default from
-the ``ARAKELOV_PRECISION_BITS`` environment variable, 128 bits); only
-they import mpmath.  The embedding order fixes sigma_1 = identity; for
-CM fields embeddings come in adjacent conjugate pairs (sigma_2 = conj
-sigma_1, ...).
+Numeric embeddings use mpmath at a caller-chosen precision (default 128
+bits); only they import mpmath.  The embedding order fixes sigma_1 =
+identity; for CM fields embeddings come in adjacent conjugate pairs
+(sigma_2 = conj sigma_1, ...).
 """
 
 from __future__ import annotations
 
 import operator
-import os
 import re
 from fractions import Fraction
 from functools import cached_property
@@ -67,6 +63,7 @@ from types import SimpleNamespace
 
 from .linalg import (
     FormError as _FormError,
+    _cleared,
     ldl_integral as _ldl_integral,
 )
 
@@ -92,14 +89,25 @@ class NotRamified(SpecError):
 # integer utilities
 # --------------------------------------------------------------------------
 
+# Trial division stops past this divisor: a cofactor below its square with
+# no smaller prime factor is prime, and a larger one cannot be certified.
+_TRIAL_LIMIT = 10 ** 6
+
+
 def factorize(n):
-    """Prime factorization of a positive integer as {p: exponent}."""
+    """Prime factorization of a positive integer as {p: exponent}, by trial
+    division up to _TRIAL_LIMIT; SpecError when the cofactor left has no
+    prime factor up to it and is too large to be certified prime."""
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     out = {}
     m = n
     p = 2
     while p * p <= m:
+        if p > _TRIAL_LIMIT:
+            raise SpecError(
+                f"cannot factor {n}: its cofactor {m} has no prime factor "
+                f"up to {_TRIAL_LIMIT} and is too large to certify as prime")
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
@@ -288,24 +296,23 @@ class FieldElement:
     The private ``_trace_det`` slot holds the verdict of Sylvester's
     criterion on the trace form once it is decided: 0 when the form is not
     positive definite, else its determinant.  ``_norm`` holds the norm
-    once norm() or inverse() has computed it, and ``_inv`` the inverse
-    once it is formed, linked both ways (``x._inv._inv is x``): inverse()
-    forms it once, a negative power inverts the base rather than the
-    power, and an inverse pair shares one norm.
+    once norm() has computed it or inverse() has set it on x and 1/x, and
+    ``_inv`` the inverse once it is formed, linked both ways
+    (``x._inv._inv is x``): inverse() forms it once, and a negative power
+    inverts the base rather than the power.
     Equality and hashing ignore all three slots.
     """
 
     __slots__ = ("field", "num", "den", "_inv", "_norm", "_trace_det")
 
     def __init__(self, field, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != field.degree:
-            raise ValueError(
-                f"expected {field.degree} coefficients, got {len(coeffs)}")
         # reduced Fractions over the lcm of their denominators are already
         # in lowest terms: gcd(den, *num) == 1
-        den = lcm(*(c.denominator for c in coeffs))
-        _fill(self, field, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
+        den, (num,) = _cleared([coeffs])
+        if len(num) != field.degree:
+            raise ValueError(
+                f"expected {field.degree} coefficients, got {len(num)}")
+        _fill(self, field, tuple(num), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
@@ -426,15 +433,10 @@ class FieldElement:
         return self.field._conj(self)
 
     def norm(self):
-        """Exact field norm to Q as a Fraction, computed once; a formed
-        inverse with a known norm gives it as N(1/x) = 1/N(x)."""
+        """Exact field norm to Q as a Fraction, computed once."""
         if self._norm is None:
-            inv = self._inv
-            if inv is not None and inv._norm is not None:
-                nrm = 1 / inv._norm
-            else:
-                nrm = Fraction(self.field._norm(self.num), self.den ** self.field.degree)
-            object.__setattr__(self, "_norm", nrm)
+            object.__setattr__(self, "_norm", Fraction(
+                self.field._norm(self.num), self.den ** self.field.degree))
         return self._norm
 
     def inverse(self):
@@ -444,9 +446,17 @@ class FieldElement:
             _link_inverses(self, self.field._inverse(self))
         return self._inv
 
-    def embed(self, precision=None):
+    def embed(self, precision=128):
         """Numeric images under all embeddings (mpf/mpc) at the given precision."""
-        return self.field._embed_element(self, precision)
+        import mpmath
+        out = []
+        with mpmath.workprec(precision + 32):
+            for t in self.field.embedding_values(precision):
+                acc = mpmath.mpf(0)
+                for c in reversed(self.coeffs):
+                    acc = acc * t + mpmath.mpf(c.numerator) / c.denominator
+                out.append(acc)
+        return out
 
 
 def _fill(x, field, num, den):
@@ -630,13 +640,6 @@ class NumberField:
         s = self._power_sums
         return Fraction(sum(a * s[k] for k, a in enumerate(x.num) if a), x.den)
 
-    def trace_form_rows(self):
-        """Integer rows of the trace form T[i][j] = Tr(theta^(i+j)) = s_(i+j),
-        so Tr(x*y) = x . T . y for any two coefficient vectors without
-        forming the product element; a view of the power sums."""
-        s, m = self._power_sums, self.degree
-        return tuple(s[i:i + m] for i in range(m))
-
     def _hankel_traces(self, a):
         """t[k] = Tr(a * theta^k), k <= 2m-2, for integer coordinates a: the
         sums of a_l * s_(l+k) below the degree, then the reduction rows of
@@ -732,26 +735,12 @@ class NumberField:
         """Images of theta under all embeddings at the current mpmath precision."""
         raise NotImplementedError
 
-    def embedding_values(self, precision=None):
+    def embedding_values(self, precision=128):
         import mpmath
-        bits = precision if precision is not None else default_precision()
-        if bits not in self._embed_cache:
-            with mpmath.workprec(bits + 32):
-                self._embed_cache[bits] = tuple(self._theta_numeric())
-        return self._embed_cache[bits]
-
-    def _embed_element(self, x, precision=None):
-        import mpmath
-        bits = precision if precision is not None else default_precision()
-        thetas = self.embedding_values(bits)
-        out = []
-        with mpmath.workprec(bits + 32):
-            for t in thetas:
-                acc = mpmath.mpf(0)
-                for c in reversed(x.coeffs):
-                    acc = acc * t + mpmath.mpf(c.numerator) / c.denominator
-                out.append(acc)
-        return out
+        if precision not in self._embed_cache:
+            with mpmath.workprec(precision + 32):
+                self._embed_cache[precision] = tuple(self._theta_numeric())
+        return self._embed_cache[precision]
 
     # -- ramification data ---------------------------------------------------
     def omega(self):
@@ -1244,30 +1233,19 @@ def _hankel_det(field, a):
     raise _FormError("matrix is not positive definite")
 
 
-class EmbeddingMatrix:
-    """Numeric basis-embedding matrix with its working precision and layout flag."""
-
-    __slots__ = ("entries", "precision", "cm_layout")
-
-    def __init__(self, entries, precision, cm_layout):
-        self.entries = entries
-        self.precision = precision
-        self.cm_layout = cm_layout
-
-
-def embedding_matrix(field, precision=None):
-    """Real degree x degree matrix whose row i embeds the basis element theta^i.
+def embedding_matrix(field, precision=128):
+    """Rows of the real degree x degree matrix whose row i embeds the basis
+    element theta^i, computed at precision + 32 working bits.
 
     Totally real: entry (i, j) = sigma_j(theta^i).  CM: columns come in
     pairs (sqrt 2 * Re sigma(theta^i), sqrt 2 * Im conj(sigma)(theta^i))
     over one embedding sigma per conjugate pair.
     """
     import mpmath
-    bits = precision if precision is not None else default_precision()
-    thetas = field.embedding_values(bits)
+    thetas = field.embedding_values(precision)
     m = field.degree
     entries = []
-    with mpmath.workprec(bits + 32):
+    with mpmath.workprec(precision + 32):
         if field.is_cm:
             sqrt2 = mpmath.sqrt(2)
             reps = thetas[0::2]
@@ -1284,24 +1262,4 @@ def embedding_matrix(field, precision=None):
             for i in range(m):
                 entries.append(list(vals))
                 vals = [v * t for v, t in zip(vals, thetas)]
-    return EmbeddingMatrix(entries, bits, field.is_cm)
-
-
-def default_precision():
-    """Working precision in bits, from ARAKELOV_PRECISION_BITS (default 128)."""
-    raw = os.environ.get("ARAKELOV_PRECISION_BITS", "").strip()
-    if not raw:
-        return 128
-    try:
-        bits = int(raw)
-    except ValueError:
-        raise SpecError(
-            f"ARAKELOV_PRECISION_BITS must be an integer, got {raw!r}") from None
-    return _checked_precision(bits, "ARAKELOV_PRECISION_BITS")
-
-
-def _checked_precision(bits, source):
-    """bits in [16, 4096]: an embedding's cost grows steeply with its bits."""
-    if not 16 <= bits <= 4096:
-        raise SpecError(f"{source} must be between 16 and 4096 bits, got {bits}")
-    return bits
+    return entries

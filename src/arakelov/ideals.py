@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 
 from .fields import (
     CyclotomicField,
@@ -72,6 +72,7 @@ from .fields import (
 )
 from .linalg import (
     FormError,
+    _cleared,
     hnf_mod_d,
     invert,
     nullspace_mod_p,
@@ -160,9 +161,7 @@ class FractionalIdeal:
     @classmethod
     def from_rows(cls, field, rows):
         """Canonicalize a generating set of coefficient rows (rational entries)."""
-        rows = [[Fraction(c) for c in row] for row in rows]
-        den = lcm(*(c.denominator for row in rows for c in row))
-        int_rows = [[c.numerator * (den // c.denominator) for c in row] for row in rows]
+        den, int_rows = _cleared(rows)
         hnf_rows = row_module_hnf(int_rows)
         if len(hnf_rows) != field.degree:
             raise ZeroIdeal(
@@ -647,8 +646,7 @@ def _module_inverse(a):
         rows = [list((binv * w).coeffs) for w in field.power_basis()]
         for row in transpose(invert(rows)):
             dual_rows.append(row)
-    den = lcm(*(c.denominator for row in dual_rows for c in row))
-    int_rows = [[c.numerator * (den // c.denominator) for c in row] for row in dual_rows]
+    den, int_rows = _cleared(dual_rows)
     summed = row_module_hnf(int_rows)
     s_rational = [[Fraction(e, den) for e in row] for row in summed]
     inv_rows = transpose(invert(s_rational))
@@ -854,11 +852,9 @@ class IdealRecipe:
 
 
 # The most coefficient bits _recipe_bits may estimate for a recipe that
-# is realized.  A level of 6,003 digits puts 3,328 estimated bits in its
-# recipe, which this keeps well inside; at the CLI degree cap a recipe at
-# the limit (P127^73709 on realcyclo:127) is verified in ~1.3 s on a
-# 2-CPU VM (it fails clause ii), where a limit of 65,536 bits let one
-# run 51 s.
+# is realized: it bounds the size of every power and product realize
+# forms, so a recipe at the limit stays cheap at the CLI degree cap, and it
+# leaves room for levels of thousands of digits.
 RECIPE_BITS_LIMIT = 8_192
 
 

@@ -11,8 +11,8 @@ that integral LLL ends with.  Each level of the walk holds its own
 integer norm P_(k-1) * D * |pi_k(v)|^2, with no scale common to all
 levels, and the walk counts the integers D * |v|^2, so the reported
 minimum, kissing number, and theta counts are exact, with one Fraction
-per distinct norm; a walk past ENUMERATION_BUDGET nodes raises
-EnumerationBudgetExceeded instead.
+per distinct norm; a walk past ENUMERATION_BUDGET nodes, or vectors
+counted, raises EnumerationBudgetExceeded instead.
 
 A walk that passes SPLIT_ALLOWANCE nodes forks once, where os.fork exists,
 the process runs one thread and two CPUs are allowed, and the two
@@ -34,7 +34,6 @@ from .fields import (
     FieldElement,
     FieldMismatch,
     SpecError,
-    default_precision,
     embedding_matrix,
     _trace_form_det,
     trace_pairing,
@@ -201,7 +200,7 @@ def build(field, ideal, alpha):
     return IdealLattice(field, ideal, alpha, *trace_pairing(alpha, ideal, ideal))
 
 
-def generator_matrix(lat, precision=None):
+def generator_matrix(lat, precision=128):
     """Numeric basis-embedding matrix scaled by sqrt(alpha) per embedding.
 
     The product M * M^t is checked against the exact Gram within
@@ -211,8 +210,6 @@ def generator_matrix(lat, precision=None):
     bits, the rows are recomputed with guard bits for the largest term of
     a Gram entry and checked again.
     """
-    if precision is None:
-        precision = default_precision()
     try:
         return _generator_rows(lat, precision, precision)
     except ArithmeticError:
@@ -236,7 +233,7 @@ def _generator_rows(lat, precision, bits):
     import mpmath
     field = lat.field
     m = field.degree
-    power = embedding_matrix(field, bits).entries
+    power = embedding_matrix(field, bits)
     with mpmath.workprec(bits + 32):
         alpha_vals = lat.alpha.embed(bits)
         if field.is_cm:
@@ -335,48 +332,35 @@ def verify_modularity(lat, witness):
 # exact enumeration (Fincke-Pohst on per-level integer norms)
 # --------------------------------------------------------------------------
 
-# The most nodes one enumeration enters: the root and every coordinate it
-# accepts above level 0 (the leaves at level 0 are not counted).  A count,
-# not a time, so a walk ends the same way on every run.  The theta series
-# to 16 of the dim-22 catalog lattice after a random basis change takes
-# ~120,000 nodes, and the minimum of realcyclo:73 at level 73 (dim 36)
-# 587,122.  The dim-56 lattice of realcyclo:113 at level 113, whose walk
-# a Gaussian-heuristic estimate puts at about 6.1e9 nodes, passes the
-# budget instead.  A walk split between two processes counts the nodes of
-# both, so it passes the budget exactly where one process would: every
-# SPLIT_ALLOWANCE nodes each process publishes its count, and raises once
-# the two counts add up to more than the budget.
+# The most nodes one enumeration enters (the root and every coordinate it
+# accepts above level 0), and the most vectors it counts at level 0: counts,
+# not a time, so a walk ends the same way on every run.  A walk split
+# between two processes counts the nodes and vectors of both, so it passes
+# the budget exactly where one process would: every SPLIT_ALLOWANCE nodes
+# each process publishes its node count and raises once the two add up to
+# more than the budget, and the parent adds the vectors of both halves.
 ENUMERATION_BUDGET = 3_000_000
 
 # A walk that passes SPLIT_ALLOWANCE nodes forks at its next entry into
 # level max(n - SPLIT_DEPTH, 0), and the two processes walk alternate
-# subtrees below it.  A fork costs 0.6-0.9 ms, about the time of 1,000
-# nodes, so no walk of the batch Grams (<= 7 nodes) or of the catalog
-# reaches the allowance, while `verify --min --theta 14` on the dim-22
-# realcyclo:92 record (46,540 nodes), the minimum of realcyclo:73 at level
-# 73 (587,122) and the dim-21 realcyclo:49 theta-5 walk (1,296,027) pass
-# it.  At depth 8 the larger of the two processes walks 52% of the
-# realcyclo:49 nodes, against 59% at depth 6 and 66% at depth 4.  The
-# walks of the largest lattices come back to that level late or never:
-# realcyclo:308 at level 77 (dim 60) at node 40,114, realcyclo:73 at node
-# 22,208, and realcyclo:113 at level 113 (dim 56) not within the budget.
-# So a walk that has not forked by SPLIT_WAIT nodes lowers its split level
-# to just below the highest level of its path that has moved past its
-# first coordinate, a level it has come back to (35 for realcyclo:113, at
-# node 58,877, and 31 for realcyclo:89 at level 89).
+# subtrees below it; a walk within the allowance is cheaper than a fork.
+# A walk that has not come back to that level by SPLIT_WAIT nodes lowers
+# its split level to just below the highest level of its path that has
+# moved past its first coordinate, a level it has come back to.
 SPLIT_ALLOWANCE = 5_000
 SPLIT_DEPTH = 8
 SPLIT_WAIT = 10 * SPLIT_ALLOWANCE
 
 
 class EnumerationBudgetExceeded(ValueError):
-    """An exact enumeration entered more than ENUMERATION_BUDGET nodes;
-    .dimension and .budget name the lattice dimension and the budget."""
+    """An exact enumeration entered more than ENUMERATION_BUDGET nodes or
+    counted more than that many vectors; .dimension and .budget name the
+    lattice dimension and the budget."""
 
     def __init__(self, dimension, budget):
         super().__init__(
             f"exact enumeration in dimension {dimension} passed its budget "
-            f"of {budget} nodes")
+            f"of {budget} nodes or vectors")
         self.dimension = dimension
         self.budget = budget
 
@@ -386,7 +370,9 @@ def _enumerate_representatives(lat_or_gram, bound, fork=None, share=lambda mine:
     bound, or the least basis norm when bound is None, by the integer
     D * |v|^2.  Returns (counts, nodes, D): {D * |v|^2: vectors}, the
     number of nodes entered and the scale of the counted norms; past
-    ENUMERATION_BUDGET nodes raises EnumerationBudgetExceeded.
+    ENUMERATION_BUDGET nodes, or vectors counted, raises
+    EnumerationBudgetExceeded, the vectors before a level-0 range is
+    walked.
 
     v runs over coordinates x on the reduced basis, whose Bareiss triangle
     (D, A) _lll returns: the walk's reduction is a plain LLL pass at
@@ -432,7 +418,8 @@ def _enumerate_representatives(lat_or_gram, bound, fork=None, share=lambda mine:
     process walks only its owner's subtrees there: it enters the other
     owner's uncounted and with no room.  Both walk the same levels above
     it.  Owner 1 then returns the counts and nodes of its own subtrees
-    alone, so the two add up to those of the one-process walk.
+    alone, and counts its vectors from the fork, so the two add up to those
+    of the one-process walk.
     From the fork on, every SPLIT_ALLOWANCE nodes, share(mine) publishes
     this process's count, owner 1's without the nodes both walk, and
     returns the count the other last published; their sum is at most the
@@ -461,6 +448,7 @@ def _enumerate_representatives(lat_or_gram, bound, fork=None, share=lambda mine:
     num, den = least.numerator, least.denominator
     cap = [P * (Q * num // den) for P, Q in zip(piv, prev)]
     counts = {}
+    vectors = 0
     budget = ENUMERATION_BUDGET
     isqrt = math.isqrt
     # level l > 0 keeps x_l, the end of its range, its center, the
@@ -496,7 +484,9 @@ def _enumerate_representatives(lat_or_gram, bound, fork=None, share=lambda mine:
                     if owner is None:  # one process walks it all
                         owner, split, fork = -1, n, None
                     elif owner == 1:
-                        counts.clear()  # owner 0 keeps what came before
+                        # owner 0 keeps what came before
+                        counts.clear()
+                        vectors = 0
                     shared, turn, limit = nodes, 0, nodes
                 if owner >= 0:
                     if turn != owner:
@@ -558,11 +548,15 @@ def _enumerate_representatives(lat_or_gram, bound, fork=None, share=lambda mine:
                 i = k
                 continue
             if not k:
+                if not nz:  # the path of zeros: lo is 0, the zero vector
+                    lo = 1
+                vectors += hi - lo
+                if vectors > budget:
+                    raise EnumerationBudgetExceeded(n, budget)
                 for x0 in range(lo, hi):
-                    if nz or x0:
-                        y = P * x0 + s
-                        v = (t + y * y) // P
-                        counts[v] = counts.get(v, 0) + 1
+                    y = P * x0 + s
+                    v = (t + y * y) // P
+                    counts[v] = counts.get(v, 0) + 1
         # the next coordinate to accept, at level i or above
         while i < n:
             xi = x[i] + 1
@@ -745,7 +739,7 @@ def _theta_walk(lat_or_gram, bound):
         for norm, count in more.items():
             counts[norm] = counts.get(norm, 0) + count
         nodes += extra
-        if nodes > ENUMERATION_BUDGET:
+        if max(nodes, sum(counts.values())) > ENUMERATION_BUDGET:
             n = lat_or_gram.dimension if isinstance(lat_or_gram, IdealLattice) else len(lat_or_gram)
             raise EnumerationBudgetExceeded(n, ENUMERATION_BUDGET)
         return counts, nodes, scale

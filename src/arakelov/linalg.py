@@ -2,8 +2,10 @@
 
 All routines work on plain lists of lists.  Integer matrices use Python
 ints, rational ones use fractions.Fraction; nothing here touches
-floating point.  det, invert, solve_bareiss, solve_integral and
-ldl_integral share one fraction-free (Bareiss) elimination core.
+floating point.  Rational input is cleared to integers over the lcm of
+all its denominators by the one routine _cleared.  det, invert,
+solve_bareiss, solve_integral and ldl_integral share one fraction-free
+(Bareiss) elimination core.
 LLL is integral, from the Bareiss triangle of ldl_integral to that of the
 reduced Gram, which the enumeration walks after a second pass with deep
 insertions; cholesky is a rational view.
@@ -18,7 +20,7 @@ so module equality is matrix equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 IntMatrix = list  # list[list[int]]
 RatMatrix = list  # list[list[Fraction]]
@@ -205,15 +207,12 @@ def hnf_mod_d(rows, d):
 
 
 def _cleared(rows):
-    """Rows scaled to integers by the lcm of their denominators: (rows, scales)."""
-    out, scales = [], []
-    for row in rows:
-        s = 1
-        for x in row:
-            s = lcm(s, x.denominator)
-        out.append([int(x * s) for x in row])
-        scales.append(s)
-    return out, scales
+    """(D, D*rows) for the lcm D of the denominators of rows, whose entries
+    are ints or anything Fraction() reads: D*rows as rows of ints, the
+    least integral multiple of rows."""
+    rows = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in rows]
+    D = lcm(*(x.denominator for row in rows for x in row))
+    return D, [[x.numerator * (D // x.denominator) for x in row] for row in rows]
 
 
 def _bareiss(A, B):
@@ -277,26 +276,26 @@ def _back_substitute(A, B, d):
 def det(mat):
     """Exact determinant of a square matrix (entries int or Fraction).
 
-    Rows are cleared to integers and eliminated fraction-free (Bareiss);
+    The matrix is cleared to integers and eliminated fraction-free (Bareiss);
     the result is an int whenever it is integral.
     """
     m, n = _dims(mat)
     if m != n:
         raise ShapeError("determinant needs a square matrix")
-    A, scales = _cleared(mat)
+    D, A = _cleared(mat)
     try:
         swaps, d = _bareiss(A, [[] for _ in range(n)])
     except SingularError:
         return 0
-    q = Fraction(-d if swaps % 2 else d, prod(scales))
+    q = Fraction(-d if swaps % 2 else d, D ** n)
     return q.numerator if q.denominator == 1 else q
 
 
 def solve_integral(mat, block):
     """Integer (Y, d) with mat * Y == d * block, for a square nonsingular mat.
 
-    Each row of [mat | block] is cleared to integers (row scaling leaves
-    the solution unchanged), eliminated by fraction-free (Bareiss) forward
+    [mat | block] is cleared to integers (scaling leaves the solution
+    unchanged), eliminated by fraction-free (Bareiss) forward
     steps and back-substituted over the integers: with d the final pivot,
     d * mat^-1 * block is integral, so every division is exact and no
     Fraction is formed.  Raises SingularError when det(mat) = 0.
@@ -306,7 +305,7 @@ def solve_integral(mat, block):
         raise ShapeError("solve needs a square matrix")
     if _dims(block)[0] != n:
         raise ShapeError("right-hand side needs one row per matrix row")
-    rows, _ = _cleared([list(row) + list(brow) for row, brow in zip(mat, block)])
+    _, rows = _cleared([list(row) + list(brow) for row, brow in zip(mat, block)])
     A = [row[:n] for row in rows]
     B = [row[n:] for row in rows]
     _, d = _bareiss(A, B)
@@ -371,22 +370,11 @@ def _check_gram(G):
     return n
 
 
-def _integral_gram(G):
-    """(D, D*G): D is the lcm of the denominators of G, so D*G is integral."""
-    G = [[x if isinstance(x, int) else Fraction(x) for x in row] for row in G]
-    D = lcm(*(x.denominator for row in G for x in row))
-    return D, [[x.numerator * (D // x.denominator) for x in row] for row in G]
-
-
 # The reduction the enumeration walks: two passes of the loop of _lll.  A
-# plain pass at delta = 3/4 makes the bulk of the large-number swaps at
-# half the cost of a plain pass at 0.99; a pass at delta = 0.99 with deep
-# insertions of depth 5 (Schnorr-Euchner, Math. Programming 66, 1994) then
-# finds a basis with fewer walk nodes.  On the moved catalog Grams of dims
-# 6-22 the two passes take 0.34 s where one plain pass at 0.99 took
-# 0.60 s, and the realcyclo:73 level-73 walk falls from 1,938,983 to
-# 587,122 nodes.  Deeper is dearer: at full depth the dim-56 reduction of
-# realcyclo:113 takes 7.4 s against 0.6 s at depth 5.
+# plain pass at delta = 3/4 makes the bulk of the large-number swaps
+# cheaply; a pass at delta = 0.99 with deep insertions of depth 5
+# (Schnorr-Euchner, Math. Programming 66, 1994) then finds a basis with
+# fewer walk nodes.  Deeper insertions cost more than the nodes they save.
 _WALK_PASSES = ((Fraction(3, 4), 1), (Fraction(99, 100), 5))  # (delta, depth)
 
 
@@ -421,7 +409,7 @@ def _lll(G, passes=_WALK_PASSES, transform=False, scale=None):
     passes = [(Fraction(delta), depth) for delta, depth in passes]
     if not all(Fraction(1, 4) < delta < 1 for delta, _ in passes):
         raise FormError("delta must lie in (1/4, 1)")
-    D, DG = (scale, G) if scale is not None else _integral_gram(G)
+    D, DG = (scale, G) if scale is not None else _cleared(G)
     _, A = ldl_integral(DG)  # raises FormError if G is not positive definite
     d = [1] + [A[i][i] for i in range(n)]
     lam = [[A[j][k] for j in range(k)] for k in range(n)]
@@ -512,7 +500,7 @@ def ldl_integral(G):
     or a pivot P_i <= 0 rejects G.
     """
     n = _check_gram(G)
-    D, A = _integral_gram(G)
+    D, A = _cleared(G)
     try:
         swaps, _ = _bareiss(A, [[] for _ in range(n)])
         definite = not swaps and all(A[i][i] > 0 for i in range(n))

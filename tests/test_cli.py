@@ -114,6 +114,13 @@ def test_exists_composite_needs_trace_flag(capsys):
     assert "trace" in err
 
 
+def _cold_env():
+    """The environment of a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(arakelov.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def test_exists_large_specs_never_build_the_minimal_polynomial(capsys, monkeypatch):
     """Level sets need only the factorization of the conductor, so exists
     answers for any conductor without building a minimal polynomial."""
@@ -138,6 +145,25 @@ def test_exists_large_specs_never_build_the_minimal_polynomial(capsys, monkeypat
     # no CM classification beyond the quadratic fields
     code, _, err = run(capsys, "exists", "--field", "cyclo:100000007")
     assert code == EXIT_SPEC and "cyclo:100000007" in err
+
+
+def test_unbounded_requests_exit_2_at_once(capsys, tmp_path):
+    """A 19-digit prime conductor or d is neither factored by trial division
+    up to 10^6 nor certified prime, and theta to 10^8 on the dim-2 quad:+5
+    record counts more vectors than ENUMERATION_BUDGET: each exits 2 with
+    empty stdout in a fresh interpreter, well within the timeout."""
+    record = tmp_path / "quad5.json"
+    assert run(capsys, "construct", "--field", "quad:+5", "--level", "5",
+               "--out", str(record))[0] == EXIT_OK
+    p = 1000000000000000003
+    argvs = [["exists", "--field", spec, "--trace-type"]
+             for spec in (f"realcyclo:{p}", f"quad:+{p}", f"quad:-{p}", f"cyclo:{p}")]
+    argvs.append(["verify", "--in", str(record), "--theta", "100000000"])
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "arakelov.cli", *argv],
+                              capture_output=True, text=True, env=_cold_env(), timeout=10)
+        assert (proc.returncode, proc.stdout) == (EXIT_SPEC, ""), (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("spec", [
@@ -394,14 +420,13 @@ def test_construct_embed(capsys):
             assert math.isclose(dot, gram[i][j], abs_tol=1e-9)
 
 
-def test_construct_embed_recovers_bits_lost_to_cancellation(capsys, monkeypatch):
+def test_construct_embed_recovers_bits_lost_to_cancellation(capsys):
     """At degree 44 the rows of realcyclo:89, sums of coordinates times
     powers of 2*cos(2*pi*k/89), lose more than the 32 extra working bits
     to cancellation; construct recomputes them with guard bits and exits 0,
     and the printed rows, 40 significant digits, still give the exact
     Gram to 30 digits."""
     import mpmath
-    monkeypatch.delenv("ARAKELOV_PRECISION_BITS", raising=False)
     code, doc, _ = run_json(capsys, "construct", "--field", "realcyclo:89",
                             "--level", "1", "--embed")
     assert code == EXIT_OK and doc["embedding"]["precision"] == 128
@@ -414,31 +439,19 @@ def test_construct_embed_recovers_bits_lost_to_cancellation(capsys, monkeypatch)
                 assert abs(dot - exact) <= mpmath.mpf(10) ** -30 * max(1, abs(exact))
 
 
-def test_construct_embed_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("ARAKELOV_PRECISION_BITS", "64")
-    code, doc, _ = run_json(capsys, "construct", "--field", "quad:+5",
-                            "--level", "5", "--embed")
-    assert code == EXIT_OK
-    assert doc["embedding"]["precision"] == 64
-
-
 def test_construct_rejects_tiny_embed(capsys):
     code, _, err = run(capsys, "construct", "--field", "quad:+5",
                        "--level", "5", "--embed", "8")
     assert code == EXIT_SPEC and "16" in err
 
 
-@pytest.mark.parametrize("flag, env", [
-    ("4097", None), ("10000000", None), ("0", None), (None, "4097"), (None, "8"),
-], ids=["embed-4097", "embed-10000000", "embed-0", "env-4097", "env-8"])
-def test_construct_rejects_precision_outside_16_to_4096(capsys, monkeypatch, flag, env):
-    """--embed and ARAKELOV_PRECISION_BITS share one check: past 4,096
-    bits construct exits 2 before any embedding is computed."""
-    if env is not None:
-        monkeypatch.setenv("ARAKELOV_PRECISION_BITS", env)
-    embed = ["--embed"] if flag is None else ["--embed", flag]
+@pytest.mark.parametrize("flag", ["4097", "10000000", "0"],
+                         ids=["embed-4097", "embed-10000000", "embed-0"])
+def test_construct_rejects_precision_outside_16_to_4096(capsys, flag):
+    """Past 4,096 bits, or below 16, --embed exits 2 before any embedding
+    is computed."""
     code, out, err = run(capsys, "construct", "--field", "quad:+5",
-                         "--level", "5", *embed)
+                         "--level", "5", "--embed", flag)
     assert code == EXIT_SPEC and out == ""
     assert "16 and 4096" in err
 
@@ -570,7 +583,7 @@ def test_verify_alpha_past_any_precision_exits_cleanly(tmp_path):
     doc = json.loads(path.read_text())
     below, above = cos7_convergents(12000)
     for r, want in ((below, EXIT_SPEC), (above, EXIT_VERIFY)):
-        doc["alpha"] = [cli._rat_str(r), "-1", "0"]
+        doc["alpha"] = [str(r), "-1", "0"]
         path.write_text(json.dumps(doc))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -586,9 +599,7 @@ def test_verify_refuses_coefficients_outside_the_record_grammar(record28, tmp_pa
     decimals, inf and a zero denominator."""
     doc = json.loads(record28.read_text())
     bad = tmp_path / "bad.json"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(arakelov.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _cold_env()
     cases = [("alpha", [coeff] + doc["alpha"][1:], "alpha")
              for coeff in ("1e1000000", "1.5", "inf", "1/0")]
     cases += [("ideal", "(1e1000000)*P2^-1*P7^-1", "bad rational"),
@@ -844,9 +855,7 @@ def test_exact_path_never_imports_mpmath(tmp_path):
     """In a fresh interpreter, exists, construct and verify without
     --embed leave mpmath unloaded; construct --embed loads it and prints
     the pinned record."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(arakelov.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _cold_env()
     proc = subprocess.run([sys.executable, "-c", _COLD_RUN, str(tmp_path / "r13.json")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -865,9 +874,7 @@ def test_help_and_usage_errors_load_no_layer(argv, code):
     with the standard library alone: -X importtime, which lists every
     module a fresh interpreter imports, names no arakelov module but the
     package (cli.py itself runs as __main__)."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(arakelov.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _cold_env()
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "arakelov.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == code, proc.stderr

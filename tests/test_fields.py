@@ -59,6 +59,13 @@ def random_element(field, lo=-4, hi=4, den=3):
         [Fraction(rng.randint(lo, hi), rng.randint(1, den)) for _ in range(field.degree)])
 
 
+def trace_form_rows(field):
+    """Integer rows of the trace form T[i][j] = Tr(theta^(i+j)) = s_(i+j),
+    a Hankel view of the field's power sums."""
+    s, m = field._power_sums, field.degree
+    return tuple(s[i:i + m] for i in range(m))
+
+
 def embed_complex(x):
     """Numeric embedding oracle: evaluate the coefficient polynomial with cmath."""
     f = x.field
@@ -165,12 +172,12 @@ def test_lazy_tables_match_eager_ones(spec):
     assert "minpoly" not in vars(by_poly) and "minpoly" not in vars(by_form)
     assert by_poly.minpoly == eager(n)
     assert by_poly.degree == len(eager(n)) - 1
-    form = by_form.trace_form_rows()                 # minimal polynomial built here
+    form = trace_form_rows(by_form)                  # minimal polynomial built here
     assert by_form.minpoly == eager(n)
     m = by_form.degree
     sums = [_power_sum_oracle(by_form, k) for k in range(2 * m - 1)]
     assert form == tuple(tuple(sums[i + j] for j in range(m)) for i in range(m))
-    assert by_poly.trace_form_rows() == form
+    assert trace_form_rows(by_poly) == form
     assert by_poly.discriminant() == by_form.discriminant() == det([list(r) for r in form])
 
 
@@ -179,6 +186,19 @@ def test_number_theory_helpers():
     assert euler_phi(92) == 44
     assert moebius(30) == -1 and moebius(12) == 0 and moebius(10) == 1
     assert is_squarefree(1) and is_squarefree(15) and not is_squarefree(18)
+
+
+def test_factorize_certifies_or_refuses():
+    """Trial division stops past 10^6: a cofactor below 10^12 with no
+    smaller prime factor is prime, and one above it is refused, so no
+    factorization runs without bound."""
+    assert factorize(999983 * 999999999989) == {999983: 1, 999999999989: 1}
+    assert factorize(2 * 1000003) == {2: 1, 1000003: 1}
+    for n in (1000003 ** 2, 1000003 * 1000033, 10 ** 16 + 61, 10 ** 18 + 3):
+        with pytest.raises(SpecError, match="cannot factor"):
+            factorize(n)
+    with pytest.raises(SpecError):
+        is_squarefree(5 * (10 ** 18 + 3))
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +700,7 @@ def test_embedding_matrix_quad5():
         expect = [[1, 1], [(1 + s) / 2, (1 - s) / 2]]
         for i in range(2):
             for j in range(2):
-                assert abs(e.entries[i][j] - expect[i][j]) < mpmath.mpf(2) ** -70
-    assert not e.cm_layout and e.precision == 80
+                assert abs(e[i][j] - expect[i][j]) < mpmath.mpf(2) ** -70
 
 
 def test_embedding_matrix_quad_minus3():
@@ -692,8 +711,7 @@ def test_embedding_matrix_quad_minus3():
         expect = [[r2, 0], [r2 / 2, -r2 * s3 / 2]]
         for i in range(2):
             for j in range(2):
-                assert abs(e.entries[i][j] - expect[i][j]) < mpmath.mpf(2) ** -70
-    assert e.cm_layout
+                assert abs(e[i][j] - expect[i][j]) < mpmath.mpf(2) ** -70
 
 
 def test_embedding_matrix_gram_consistency():
@@ -707,7 +725,7 @@ def test_embedding_matrix_gram_consistency():
         with mpmath.workprec(160):
             for i in range(m):
                 for j in range(m):
-                    num = mpmath.fsum(e.entries[i][k] * e.entries[j][k] for k in range(m))
+                    num = mpmath.fsum(e[i][k] * e[j][k] for k in range(m))
                     assert abs(num - mpmath.mpf(gram[i][j].numerator) / gram[i][j].denominator) \
                         < mpmath.mpf(2) ** -64
 
@@ -895,7 +913,7 @@ def test_norm_inverse_discriminant_match_elimination(case):
     if not x.is_rational:  # one pass gives the norm of x and of 1/x
         assert fresh._norm == want_norm and inv._norm == 1 / want_norm
     assert field.element(inv.coeffs).norm() == 1 / want_norm
-    assert field.discriminant() == det([list(r) for r in field.trace_form_rows()])
+    assert field.discriminant() == det([list(r) for r in trace_form_rows(field)])
 
 
 def test_discriminant_and_codifferent_share_one_pass():
@@ -903,6 +921,6 @@ def test_discriminant_and_codifferent_share_one_pass():
     f'(theta) keeps; a fresh field computes both from the same element."""
     field = RealCyclotomicField(35)
     fp = field._fprime
-    assert field.discriminant() == det([list(r) for r in field.trace_form_rows()])
+    assert field.discriminant() == det([list(r) for r in trace_form_rows(field)])
     assert fp._inv is not None and fp._norm is not None
     assert field._fprime is fp and fp * fp.inverse() == field.one()

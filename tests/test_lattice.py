@@ -1143,6 +1143,34 @@ def test_split_walk_keeps_the_budget_verdict(monkeypatch):
     assert {(0,), (1,), ()} <= cases
 
 
+def test_budget_bounds_the_vectors_counted(monkeypatch):
+    """The A2 Gram to norm 200 counts far more vectors than it enters
+    nodes: a budget below its vectors raises in one process, with no
+    allowance split between two processes that each count their own
+    vectors (owner 1 from the fork) and, split, still raises though
+    neither half passes it alone; at the vector count both give the
+    one-process walk, and no child is left."""
+    G = [[2, 1], [1, 2]]
+    want = _one_process(G, 200)
+    vectors = sum(want[0].values())
+    assert want[1] < vectors // 10
+    with _split(0):
+        halves = [sum(lattice._enumerate_representatives(G, 200, lambda: owner)[0].values())
+                  for owner in (0, 1)]
+    assert sum(halves) == vectors and max(halves) < vectors - 1
+    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", vectors - 1)
+    with pytest.raises(EnumerationBudgetExceeded, match="dimension 2 passed"):
+        _one_process(G, 200)
+    with _split(0), pytest.raises(EnumerationBudgetExceeded) as info:
+        lattice._theta_walk(G, 200)
+    assert (info.value.dimension, info.value.budget) == (2, vectors - 1)
+    monkeypatch.setattr(lattice, "ENUMERATION_BUDGET", vectors)
+    assert _one_process(G, 200) == want
+    with _split(0):
+        assert lattice._theta_walk(G, 200) == want
+    assert _no_child_left()
+
+
 def test_split_walk_halves_share_one_budget(monkeypatch):
     """realcyclo:92 at level 23, theta to 14 (46,540 nodes), with the
     budget at 20,000 nodes and the allowance at 1,000: each half alone

@@ -453,7 +453,7 @@ def reference_lll(G, passes=linalg._WALK_PASSES, transform=False, scale=None):
     (D, D*G, U, A)."""
     n = linalg._check_gram(G)
     passes = [(Fraction(delta), depth) for delta, depth in passes]
-    D, DG = (scale, G) if scale is not None else linalg._integral_gram(G)
+    D, DG = (scale, G) if scale is not None else linalg._cleared(G)
     _, A = ldl_integral(DG)
     d = [1] + [A[i][i] for i in range(n)]
     lam = [[A[j][k] for j in range(k)] for k in range(n)]
