@@ -104,37 +104,45 @@ def _split_level(field, verdict, level):
     return ell1, ell2, None
 
 
+def _verified(lat, witness, recipe):
+    """Run verify_modularity on lat and witness; the record fields that
+    construct and verify both print, with the ideal written as recipe."""
+    from . import lattice
+    report = lattice.verify_modularity(lat, witness)
+    return {
+        "determinant": str(report.determinant),
+        "dimension": report.dimension,
+        "even": report.even,
+        "field": lat.field.spec_string(),
+        "ideal": recipe.to_string(),
+        "integral": report.integral,
+        "level": report.modular_level,
+        "witness_checked": True,
+    }
+
+
 def _construct_record(field, witness, trace_type, embed_bits=None):
     from . import lattice
     from .ideals import realize
     lat = lattice.build(field, realize(witness.ideal), witness.alpha)
-    report = lattice.verify_modularity(lat, witness)
+    record = _verified(lat, witness, witness.ideal)
     mu, kissing = lattice.minimum(lat)
-    record = {
+    record.update({
         "alpha": _coeffs(witness.alpha),
         "beta": _coeffs(witness.beta),
-        "determinant": str(report.determinant),
-        "dimension": report.dimension,
-        "even": report.even,
-        "field": field.spec_string(),
         "gram": lat.integer_gram(),
-        "ideal": witness.ideal.to_string(),
-        "integral": report.integral,
         "kissing": kissing,
-        "level": witness.level,
         "minimum": str(mu),
         "trace_type": bool(trace_type),
-        "witness_checked": True,
-    }
+    })
     if embed_bits is not None:
         import mpmath
         digits = max(int(embed_bits * 0.302) + 2, 8)
-        with mpmath.workprec(embed_bits + 32):
-            rows = lattice.generator_matrix(lat, precision=embed_bits)
-            record["embedding"] = {
-                "precision": embed_bits,
-                "rows": [[mpmath.nstr(v, digits) for v in row] for row in rows],
-            }
+        rows = lattice.generator_matrix(lat, precision=embed_bits)
+        record["embedding"] = {
+            "precision": embed_bits,
+            "rows": [[mpmath.nstr(v, digits) for v in row] for row in rows],
+        }
     return record, lat
 
 
@@ -241,21 +249,8 @@ def cmd_verify(args):
     # checked only by verify_modularity, not self-validating, so a corrupt
     # record surfaces as a ModularityFailure naming its clause
     witness = SimpleNamespace(field=field, alpha=alpha, level=level, beta=beta)
-    report = lattice.verify_modularity(lat, witness)
-    out = {
-        "determinant": str(report.determinant),
-        "dimension": report.dimension,
-        "even": report.even,
-        "field": field.spec_string(),
-        "gram_matches": None,
-        "ideal": recipe.to_string(),
-        "integral": report.integral,
-        "level": report.modular_level,
-        "witness_checked": True,
-    }
-    if "gram" in doc:
-        fresh = lat.integer_gram()
-        out["gram_matches"] = doc["gram"] == fresh
+    out = _verified(lat, witness, recipe)
+    out["gram_matches"] = doc["gram"] == lat.integer_gram() if "gram" in doc else None
     theta = ()
     if args.theta is not None:
         if args.theta < 0:

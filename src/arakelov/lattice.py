@@ -1,26 +1,47 @@
 """Ideal lattices: exact Gram matrices, numeric generator matrices,
 definitional modularity verification, and exact minimum / theta counts.
 
-The Gram matrix of (I, alpha) is Tr(alpha * w_i * conj(w_j)) over the
-canonical basis of I, kept as integer rows over one scale; the rational
-Gram is formed only when a caller reads it.  Modularity is verified by
-the defining module identity (beta) * tracedual(I, alpha) = I -- never by
-isometry search -- together with the level, integrality, and determinant
-clauses.  Vector enumeration runs Fincke-Pohst on the Bareiss triangle
-that integral LLL ends with.  Each level of the walk holds its own
-integer norm P_(k-1) * D * |pi_k(v)|^2, with no scale common to all
-levels, and the walk counts the integers D * |v|^2, so the reported
-minimum, kissing number, and theta counts are exact, with one Fraction
-per distinct norm; a walk past ENUMERATION_BUDGET nodes, or vectors
-counted, raises EnumerationBudgetExceeded instead.
+Gram.  build forms the Gram of (I, alpha), Tr(alpha * w_i * conj(w_j))
+over the canonical HNF basis of I, as integer rows over one scale
+(trace_pairing).  Positive definiteness and the determinant are certified
+on the trace form of alpha, never by eliminating the Gram: one
+sub-resultant sequence on a totally real field, the sign of a rational
+alpha = c/d, with determinant c^m * |disc K|, or ldl_integral on a CM
+field; the determinant is the trace form's times the squared pivot
+product of I, over scale^m.  Integrality and evenness are read off the
+integer rows, and the rational Gram is formed only when a caller reads it.
 
-A walk that passes SPLIT_ALLOWANCE nodes forks once, where os.fork exists,
-the process runs one thread and two CPUs are allowed, and the two
-processes walk alternate subtrees below one level.  Every walk of minimum
-and theta_prefix has a fixed bound, minimum's the least norm of the
-reduced basis, so those subtrees are independent: the parent adds the
-child's counts and nodes to its own and gets the counts, node total and
-budget verdict of one process, and the two halves share one node budget.
+Generator matrix.  generator_matrix embeds the basis, scaled by
+sqrt(alpha) per embedding, once, with guard bits for the cancellation in
+a Gram entry, and checks M * M^t against the integer rows / scale.
+
+Verification.  Modularity is verified by the defining module identity
+(beta) * tracedual(I, alpha) = I -- never by isometry search -- together
+with the level, integrality, and determinant clauses, each named when it
+fails.  A principal product (x) = (beta) * dual(I) is decided by x in I on
+I's certified HNF rows and N((x)) = N(I), a product held as rows by its
+rows; the trace dual of an ideal held as rows solves against the Gram rows
+that build formed, so build -> verify_modularity forms the Gram once.
+
+Enumeration.  minimum and theta_prefix walk Fincke-Pohst on the Bareiss
+triangle that integral LLL ends with: one reduction with a deep-insertion
+pass and one elimination per Gram, which an IdealLattice keeps for its
+later walks and a Gram given as rows repeats on each call.  Each level of
+the walk holds its own integer norm P_(k-1) * D * |pi_k(v)|^2, with no
+scale common to all levels, and the walk counts the integers D * |v|^2, so
+the reported minimum, kissing number, and theta counts are exact, with one
+Fraction per distinct norm; minimum counts the vectors up to the least
+norm of the reduced basis.  A walk past ENUMERATION_BUDGET nodes, or
+vectors counted, raises EnumerationBudgetExceeded instead.
+
+Split walk.  A walk that passes SPLIT_ALLOWANCE nodes forks once, where
+os.fork exists, the process runs one thread and two CPUs are allowed, and
+the two processes walk alternate subtrees below one level.  Every walk of
+minimum and theta_prefix has a fixed bound, so those subtrees are
+independent: the parent adds the child's counts and nodes to its own and
+gets the counts, node total and budget verdict of one process, the two
+halves share one node budget, and the half of a child that sends no
+result is walked by the parent.
 """
 
 from __future__ import annotations
@@ -160,8 +181,8 @@ class IdealLattice:
         if self._walk is None:
             rows = self._rows
             g = math.gcd(self._scale, *(e for i, row in enumerate(rows) for e in row[i:]))
-            D, _, _, A = _lll([[e // g for e in row] for row in rows], scale=self._scale // g)
-            object.__setattr__(self, "_walk", (D, A))
+            _, _, A = _lll([[e // g for e in row] for row in rows])
+            object.__setattr__(self, "_walk", (self._scale // g, A))
         return self._walk
 
     def __repr__(self):
@@ -203,36 +224,28 @@ def build(field, ideal, alpha):
 def generator_matrix(lat, precision=128):
     """Numeric basis-embedding matrix scaled by sqrt(alpha) per embedding.
 
-    The product M * M^t is checked against the exact Gram within
-    2^(-precision/2); rows follow the canonical ideal basis.  A row entry
-    sums coordinates times powers of the embedded theta, so it can lose
-    bits to cancellation; when the check fails at precision + 32 working
-    bits, the rows are recomputed with guard bits for the largest term of
-    a Gram entry and checked again.
+    Rows follow the canonical ideal basis.  A row entry sums coordinates
+    times powers of the embedded theta, so it can lose bits to
+    cancellation: the rows are computed once, with guard bits for the
+    largest term of a Gram entry and 32 working bits more, and M * M^t is
+    checked against the exact Gram rows / scale within 2^(-precision/2);
+    ArithmeticError if they disagree.  No step reads the caller's mpmath
+    precision.
     """
-    try:
-        return _generator_rows(lat, precision, precision)
-    except ArithmeticError:
-        pass
+    import mpmath
+    field = lat.field
+    m = field.degree
     # a Gram entry sums m products of two row entries, and a row entry is
     # sqrt(alpha_j) times a sum of m coordinates times powers of theta_j, as
     # is alpha_j: with b and a the bits of the ideal's and alpha's
     # coordinates and s >= (m-1) * log2 max|theta_j| (int(t).bit_length()
     # bounds log2 t for t >= 1), no term has more than 2b + a + 3(s + bits(m))
-    m = lat.field.degree
-    top = max(abs(t) for t in lat.field.embedding_values(precision))
+    with mpmath.workprec(precision + 32):
+        top = max(abs(t) for t in field.embedding_values(precision))
     s = (m - 1) * int(top).bit_length()
     b = max(abs(e) for row in lat.ideal.num for e in row).bit_length()
     a = max(abs(e) for e in lat.alpha.num).bit_length()
-    return _generator_rows(lat, precision, precision + 2 * b + a + 3 * (s + m.bit_length()))
-
-
-def _generator_rows(lat, precision, bits):
-    """The rows of generator_matrix computed at bits + 32 working bits and
-    checked within 2^(-precision/2); ArithmeticError if they disagree."""
-    import mpmath
-    field = lat.field
-    m = field.degree
+    bits = precision + 2 * b + a + 3 * (s + m.bit_length())
     power = embedding_matrix(field, bits)
     with mpmath.workprec(bits + 32):
         alpha_vals = lat.alpha.embed(bits)
@@ -263,8 +276,7 @@ def _generator_rows(lat, precision, bits):
         for i in range(m):
             for j in range(m):
                 approx = mpmath.fsum(rows[i][k] * rows[j][k] for k in range(m))
-                g = lat.gram[i][j]
-                exact = mpmath.mpf(g.numerator) / g.denominator
+                exact = mpmath.mpf(lat._rows[i][j]) / lat._scale
                 if abs(approx - exact) > tol:
                     raise ArithmeticError(
                         f"generator matrix disagrees with the Gram at ({i},{j})")
@@ -430,7 +442,7 @@ def _enumerate_representatives(lat_or_gram, bound, fork=None, share=lambda mine:
     if isinstance(lat_or_gram, IdealLattice):
         scale, A = lat_or_gram._reduced()
     else:
-        scale, _, _, A = _lll(lat_or_gram)
+        scale, _, A = _lll(lat_or_gram)
     n = len(A)
     piv = [A[i][i] for i in range(n)]
     prev = [1] + piv[:-1]

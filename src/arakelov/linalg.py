@@ -378,9 +378,10 @@ def _check_gram(G):
 _WALK_PASSES = ((Fraction(3, 4), 1), (Fraction(99, 100), 5))  # (delta, depth)
 
 
-def _lll(G, passes=_WALK_PASSES, transform=False, scale=None):
-    """Integral LLL (Cohen, Algorithm 2.6.7; de Weger 1987) on the integer
-    Gram D*G, from (D, A) = ldl_integral(G): d[i+1] = A[i][i] are the
+def _lll(G, passes=_WALK_PASSES, transform=False):
+    """Integral LLL (Cohen, Algorithm 2.6.7; de Weger 1987) on the Gram G
+    cleared to integers, from (D, A) = ldl_integral(G), the one clearing
+    of G's denominators: d[i+1] = A[i][i] are the
     leading minors (d[0] = 1) and lam[k][j] = A[j][k] = d[j+1] * mu[k][j]
     for j < k; every step is exact on these integers and takes the
     decisions of the rational recurrence, mu rounded half to even.
@@ -399,18 +400,16 @@ def _lll(G, passes=_WALK_PASSES, transform=False, scale=None):
     (_WALK_PASSES); lll_reduce runs one plain pass at its own delta, so
     its output is the textbook LLL basis.
 
-    Returns (D, D*G, U, A): A holds the final d and lam and is the Bareiss
-    triangle of the reduced U*(D*G)*U^t.  U, the unimodular row transform,
+    Returns (D, U, A): A holds the final d and lam and is the Bareiss
+    triangle of D times the reduced U*G*U^t.  U, the unimodular row transform,
     is formed only when transform is true; the enumeration reads A alone
-    and gets U = None.  Given a scale, G is already the integer Gram D*G
-    with D = scale, and no denominator is cleared.
+    and gets U = None.
     """
-    n = _check_gram(G)
+    D, A = ldl_integral(G)  # raises FormError if G is not positive definite
+    n = len(A)
     passes = [(Fraction(delta), depth) for delta, depth in passes]
     if not all(Fraction(1, 4) < delta < 1 for delta, _ in passes):
         raise FormError("delta must lie in (1/4, 1)")
-    D, DG = (scale, G) if scale is not None else _cleared(G)
-    _, A = ldl_integral(DG)  # raises FormError if G is not positive definite
     d = [1] + [A[i][i] for i in range(n)]
     lam = [[A[j][k] for j in range(k)] for k in range(n)]
     U = identity(n) if transform else None
@@ -465,7 +464,7 @@ def _lll(G, passes=_WALK_PASSES, transform=False, scale=None):
             else:
                 k += 1
     A = [[0] * i + [d[i + 1]] + [lam[j][i] for j in range(i + 1, n)] for i in range(n)]
-    return D, DG, U, A
+    return D, U, A
 
 
 def lll_reduce(G, delta=Fraction(99, 100)):
@@ -479,7 +478,8 @@ def lll_reduce(G, delta=Fraction(99, 100)):
     This is the one caller that returns T, so it alone asks _lll for the
     transform.
     """
-    D, DG, U, _ = _lll(G, ((delta, 1),), transform=True)
+    _, U, _ = _lll(G, ((delta, 1),), transform=True)
+    D, DG = _cleared(G)
     T = transpose(U)
     G2 = mat_mul(U, mat_mul(DG, T))
     return [[Fraction(x, D) for x in row] for row in G2], T

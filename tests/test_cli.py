@@ -423,7 +423,7 @@ def test_construct_embed(capsys):
 def test_construct_embed_recovers_bits_lost_to_cancellation(capsys):
     """At degree 44 the rows of realcyclo:89, sums of coordinates times
     powers of 2*cos(2*pi*k/89), lose more than the 32 extra working bits
-    to cancellation; construct recomputes them with guard bits and exits 0,
+    to cancellation; construct computes them with guard bits and exits 0,
     and the printed rows, 40 significant digits, still give the exact
     Gram to 30 digits."""
     import mpmath
@@ -460,6 +460,44 @@ def test_construct_accepts_the_4096_bit_cap(capsys):
     code, doc, _ = run_json(capsys, "construct", "--field", "quad:+5",
                             "--level", "5", "--embed", "4096")
     assert code == EXIT_OK and doc["embedding"]["precision"] == 4096
+
+
+# (spec, level, trace type, --embed BITS or None for the bare flag, sha256
+# of the construct stdout); the two quad:+5 cases are not of trace type
+EMBED_DIGESTS = [
+    ("realcyclo:44", "11", True, None,
+     "e703832ecd7a2b0fb70eb72f862224779a42078c3014fd8ccd313a4c563e3c43"),
+    ("realcyclo:13", "13", True, "96",
+     "53cc80c38084c7f5f13f29b79ecda525644e8c93f168f2151cbca4259fa82528"),
+    ("realcyclo:28", "7", True, "16",
+     "d7121bf11b30f0079491933ece9ff6cfbfb1f00abd975dc802d2062a290c4929"),
+    ("realcyclo:28", "7", True, "4096",
+     "e9fd2c623d2da9d37c12795359c770d614b4a9bc52b64918e916c05b7122413c"),
+    ("quad:+5", "5", False, "64",
+     "c06eedfa008efbabf3d190686f7dc1d455faf20de74fe95b42cedcb1134f2345"),
+    ("quad:+5", "20", False, "17",
+     "ca4f2a4200e13c8a7d3e4a659135e94f0d5eb4d0c03b074eed37d42d98b923c6"),
+    ("quad:-7", "7", True, "200",
+     "92cdddba0fe848f95c2a459e2a76f85918a4deb8bae2778333149d2df9939ca0"),
+    ("quad:-3", "3", True, "33",
+     "9e235ccc1bd53f3e6dacc3d10946d07f9acc73512f3ec9ae0ab64f308d214f1a"),
+    ("realcyclo:92", "23", True, "300",
+     "5bd2f76e46dcdab746d9d544c4900d87fe5246afef1f9c21b7816411af51c8f3"),
+    ("realcyclo:36", "3", True, None,
+     "bae948c238e37fc6f693c9a99e0d8e36a4b365f786394e279fcff5892e71e055"),
+]
+
+
+@pytest.mark.parametrize("spec, level, trace_type, bits, digest", EMBED_DIGESTS,
+                         ids=[f"{c[0]}-L{c[1]}-{c[3] or 'bare'}" for c in EMBED_DIGESTS])
+def test_construct_embed_bytes_are_pinned(capsys, spec, level, trace_type, bits, digest):
+    """construct --embed prints the same bytes on totally real and CM
+    fields, from 16 to 4,096 bits."""
+    argv = ["construct", "--field", spec, "--level", level] + ["--trace-type"] * trace_type
+    argv += ["--embed"] + ([bits] if bits else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_construct_refuses_fields_above_the_degree_cap(capsys, monkeypatch):

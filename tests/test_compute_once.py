@@ -560,6 +560,25 @@ def test_enumeration_runs_one_elimination(monkeypatch):
     assert minimum(lat) == (4, 42)
 
 
+def test_reduction_clears_a_fraction_gram_once(monkeypatch):
+    """_lll hands a Gram given as rows to ldl_integral, whose clearing of
+    the denominators is the only one of the walk's reduction."""
+    gram = [[Fraction(5, 2), Fraction(1, 3), 1],
+            [Fraction(1, 3), Fraction(7, 4), Fraction(-1, 2)],
+            [1, Fraction(-1, 2), 3]]
+    expected = minimum(gram)
+    calls = []
+    cleared = linalg._cleared
+
+    def counted(rows):
+        calls.append(len(rows))
+        return cleared(rows)
+
+    monkeypatch.setattr(linalg, "_cleared", counted)
+    assert minimum(gram) == expected
+    assert calls == [3]
+
+
 def _deep_reduced(G, delta, depth):
     """Whether the Gram G is size-reduced and, for every k and every
     i >= k - depth, |pi_i(b_k)|^2 >= delta * B_i (at i = k - 1 the Lovasz
@@ -597,9 +616,9 @@ def test_walk_reads_the_triangle_of_the_reduced_gram(G):
         theta_prefix(G, 0)
     finally:
         lattice._lll = lll
-    (D, _, U, A), = handed
+    (D, U, A), = handed
     assert U is None
-    _, _, U, again = lll(G, transform=True)
+    _, U, again = lll(G, transform=True)
     assert again == A and abs(det(U)) == 1
     G2 = mat_mul(U, mat_mul([[Fraction(x) for x in row] for row in G], transpose(U)))
     assert ldl_integral(G2) == (D, A)
@@ -761,14 +780,15 @@ def test_build_and_verify_form_no_fraction_gram(spec, level):
     gram = lat.gram
     assert gram == tuple(tuple(Fraction(e, scale) for e in row) for row in rows)
     assert all(gram[i][j] is gram[j][i] for i in range(len(rows)) for j in range(i))
-    D, _, _, A = linalg._lll(gram)
+    D, _, A = linalg._lll(gram)
     assert reduced == (D, A) and lat._reduced() is reduced
     assert lat.integer_gram() == [[int(x) for x in row] for row in gram]
 
 
 def test_cli_construct_and_verify_form_no_fraction_gram(monkeypatch, tmp_path, capsys):
     """construct writes, and verify --min compares, the record Gram read
-    off the integer rows: neither reads the rational Gram."""
+    off the integer rows, and construct --embed checks its rows against
+    them: none reads the rational Gram."""
     def unread(lat):
         raise AssertionError("the Fraction Gram was formed")
 
@@ -780,6 +800,9 @@ def test_cli_construct_and_verify_form_no_fraction_gram(monkeypatch, tmp_path, c
     out = json.loads(capsys.readouterr().out)
     assert out["gram_matches"] is True
     assert out["minimum"] == json.loads(path.read_text())["minimum"]
+    # the embedding is checked against the integer rows, not the Gram
+    assert cli.main(["construct", "--field", "realcyclo:44", "--level", "11",
+                     "--trace-type", "--embed", "--out", str(tmp_path / "embed.json")]) == 0
 
 
 # (spec, p, s): J_p^s has a distinguished generator, s = 1 where J_p itself

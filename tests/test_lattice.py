@@ -725,7 +725,7 @@ def recursive_walk(gram, bound, on_vector, reduced=True, budget=None):
     EnumerationBudgetExceeded.  With reduced false it walks the triangle
     of ldl_integral(gram), on the basis as given."""
     if reduced:
-        scale, _, _, A = _lll(gram)
+        scale, _, A = _lll(gram)
     else:
         scale, A = ldl_integral(gram)
     n = len(A)
@@ -855,7 +855,7 @@ def rational_walks(draw):
     den = draw(st.integers(2, 6))
     gram = [[x / den for x in row] for row in gram]
     mu, _ = minimum(gram)
-    D, _, _, A = _lll(gram)
+    D, _, A = _lll(gram)
     projected = [sum(Fraction(A[i][j] ** 2, A[i][i] * A[i - 1][i - 1] * D)
                      for i in range(l, j + 1))
                  for j in range(1, len(A)) for l in range(1, j + 1)]
